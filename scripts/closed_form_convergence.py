@@ -12,7 +12,10 @@ conditional variance sigma'^2 lies just below sigma_T^2 adds a surplus over
 the constant that shrinks only like exp(-u^2 (1/(2 sigma'^2) - 1/(2 sigma_T^2))).
 On [0,3pi/2]^2 the two upper edges (sigma'^2 = 4, sigma_T^2 = 5) give
 exp(-u^2/40): the mu ratio there is 1.32 at u=8 and 1.014 at u=16.  Mean EC
-weights those edges by the cone probability.  The default levels reach u=16,
+weights those edges by the cone probability, and its vertex orthant masses
+are taken as upper-tail differences, so they keep their relative accuracy
+far below 1e-16: mean EC still tracks the constant at u=16 (1.0000013 on
+[0,pi/2]^2).  The default levels reach u=16,
 so the table covers every level that
 tests/test_acceptance.py::test_03_quadrature_totals_track_reference_constants
 checks (5, 8, 12, 16).

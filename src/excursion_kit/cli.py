@@ -38,9 +38,10 @@ from .field import (
 from .gauss import hermite_tail_identity_check
 from .geometry import DomainError, Face, RectDomain, enumerate_faces, face_label, outward_cone
 from .mec import (
+    _laplace_factors,
+    _laplace_ledger,
     condition_check,
     excursion_prob_mu,
-    laplace_mec_result,
     mean_euler_characteristic,
     prepare_laplace_inputs,
 )
@@ -324,9 +325,10 @@ def cmd_compute(cfg: RunConfig) -> int:
     header = ["level", "method", "total", *labels, "err_est"]
     rows: list[list] = []
 
-    laplace_inputs = None
     if cfg.method == "laplace":
-        laplace_inputs = prepare_laplace_inputs(cfg.model, cfg.domain)
+        # everything but the tail Psi(u / sigma_T) is level-free
+        inputs = prepare_laplace_inputs(cfg.model, cfg.domain)
+        laplace = _laplace_factors(cfg.model, cfg.domain, inputs, cfg.seed)
 
     for u in cfg.levels:
         if cfg.method == "mu_approx":
@@ -338,9 +340,7 @@ def cmd_compute(cfg: RunConfig) -> int:
                 cfg.model, cfg.domain, u, cfg.quad, cfg.seed, threads=cfg.threads
             )
         else:
-            res = laplace_mec_result(
-                cfg.model, cfg.domain, u, laplace_inputs, seed=cfg.seed
-            )
+            res = _laplace_ledger(laplace, u)
         ledger = res.by_label()
         rows.append([u, cfg.method, res.total, *(ledger[l] for l in labels), res.err_est])
 

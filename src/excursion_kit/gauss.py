@@ -283,7 +283,7 @@ def _ordered_cholesky(cov, a, b):
             else:
                 lo = -np.inf if a[j] - mu <= 0 else np.inf
                 hi = np.inf if b[j] - mu >= 0 else -np.inf
-            mass = std_normal_cdf(hi) - std_normal_cdf(lo)
+            mass = _interval_mass(lo, hi)
             if mass < best_mass:
                 best_j, best_mass = j, mass
                 best_lo, best_hi = lo, hi
@@ -302,7 +302,7 @@ def _ordered_cholesky(cov, a, b):
                 L[j2, i] = (c[j2, i] - L[j2, :i] @ L[i, :i]) / L[i, i]
         # expected value of the standard normal truncated to [lo, hi]
         lo, hi = best_lo, best_hi
-        mass = std_normal_cdf(hi) - std_normal_cdf(lo)
+        mass = _interval_mass(lo, hi)
         if mass > _TINY and np.isfinite(lo) | np.isfinite(hi):
             y[i] = (std_normal_pdf(lo) - std_normal_pdf(hi)) / mass
         else:
@@ -310,35 +310,58 @@ def _ordered_cholesky(cov, a, b):
     return L, a, b
 
 
+def _cdf_pair(lo, hi, sign):
+    """(Phi(lo), Phi(hi)) for sign +1 and (Psi(lo), Psi(hi)) for sign -1,
+    one erfc per bound; the interval mass is sign * (second - first)."""
+    r2 = math.sqrt(2.0)
+    return 0.5 * erfc(-sign * lo / r2), 0.5 * erfc(-sign * hi / r2)
+
+
+def _interval_mass(lo: float, hi: float) -> float:
+    """P(lo <= Z <= hi); above the median as Psi(lo) - Psi(hi), which keeps
+    far upper tails from cancelling to zero."""
+    sign = -1.0 if lo > 0 else 1.0
+    first, second = _cdf_pair(lo, hi, sign)
+    return float(sign * (second - first))
+
+
 def _sov_integrate(L, a, b, w):
     """Separation-of-variables integrand on a block of QMC points.
 
-    w has shape (n, d-1); returns length-n probabilities.
+    w has shape (n, d-1); returns length-n probabilities.  Where a lower
+    limit lies above the median, its interval is carried as upper tails
+    (sign -1) and the draw inverts Psi instead of Phi, so far upper tails
+    keep their relative accuracy.  Either way the draw's argument is a
+    probability in (0, 1) that ndtri resolves down to _TINY; the upper clip
+    guards the coarse spacing of doubles just below 1.
     """
     d = L.shape[0]
     n = w.shape[0] if d > 1 else 1
     if L[0, 0] > 0:
-        d1 = std_normal_cdf(a[0] / L[0, 0])
-        e1 = std_normal_cdf(b[0] / L[0, 0])
+        sign = -1.0 if a[0] > 0 else 1.0
+        d1, e1 = _cdf_pair(a[0] / L[0, 0], b[0] / L[0, 0], sign)
     else:
+        sign = 1.0
         d1 = 0.0 if a[0] <= 0 else 1.0
         e1 = 1.0 if b[0] >= 0 else 0.0
     dvec = np.full(n, d1)
     evec = np.full(n, e1)
-    prob = evec - dvec
+    prob = sign * (evec - dvec)
     ys = np.zeros((n, d))
     for i in range(1, d):
         z = dvec + w[:, i - 1] * (evec - dvec)
-        z = np.clip(z, _CDF_CLIP, 1.0 - _CDF_CLIP)
-        ys[:, i - 1] = ndtri(z)
+        z = np.clip(z, _TINY, 1.0 - _CDF_CLIP)
+        ys[:, i - 1] = sign * ndtri(z)
         mu = ys[:, :i] @ L[i, :i]
         if L[i, i] > 0:
-            dvec = std_normal_cdf((a[i] - mu) / L[i, i])
-            evec = std_normal_cdf((b[i] - mu) / L[i, i])
+            lo = (a[i] - mu) / L[i, i]
+            sign = np.where(lo > 0, -1.0, 1.0)
+            dvec, evec = _cdf_pair(lo, (b[i] - mu) / L[i, i], sign)
         else:
+            sign = 1.0
             dvec = np.where(a[i] - mu <= 0, 0.0, 1.0)
             evec = np.where(b[i] - mu >= 0, 1.0, 0.0)
-        prob = prob * np.maximum(evec - dvec, 0.0)
+        prob = prob * np.maximum(sign * (evec - dvec), 0.0)
     return prob
 
 
@@ -363,7 +386,7 @@ def mvn_prob(problem: MvnProblem, accuracy: float = 1e-6, seed: int = 0) -> MvnR
 
     if d == 1:
         if L[0, 0] > 0:
-            p = float(std_normal_cdf(b[0] / L[0, 0]) - std_normal_cdf(a[0] / L[0, 0]))
+            p = float(_interval_mass(a[0] / L[0, 0], b[0] / L[0, 0]))
         else:
             p = float(a[0] <= 0.0 <= b[0])
         return MvnResult(max(p, 0.0), 0.0, False)

@@ -7,7 +7,11 @@ The three user-facing quantities are
   excursion-probability approximation built from one-sided maxima counts;
 * ``mean_euler_characteristic``: the exact mean Euler characteristic of the
   excursion set, combining vertex orthant probabilities with face integrals
-  that carry an extra conditional Gaussian layer over the outward cone;
+  that carry an extra conditional Gaussian layer over the outward cone.  On
+  a face below full dimension the level axis x >= u is integrated in closed
+  form (Hermite tail identity), leaving one adaptive box integral over the
+  face coordinates x the outward cone; the full-dimensional face has an
+  empty cone and is the mu face term;
 * ``laplace_closed_form``: the closed-form asymptotic equivalent obtained
   by Laplace-expanding the face integrals around the variance maximizer.
 
@@ -50,7 +54,7 @@ from .geometry import (
     face_label,
     outward_cone,
 )
-from .quad import QuadResult, QuadSpec, integrate_cone, integrate_face
+from .quad import QuadResult, QuadSpec, integrate_box, integrate_face
 
 __all__ = [
     "MecResult",
@@ -104,7 +108,6 @@ class _FaceData(NamedTuple):
     theta_sq: np.ndarray
     gamma_sq: np.ndarray
     det_diff: np.ndarray
-    cvec_fixed: np.ndarray
     b: np.ndarray
 
 
@@ -140,8 +143,9 @@ class FaceContext:
         self.pref_mec = (2.0 * math.pi) ** (-self.k / 2.0) * self.det_lam_J ** -0.5
 
     def arrays(self, pts: np.ndarray) -> _FaceData:
-        """Evaluate theta^2, gamma^2, |Lambda_J - Lambda_J(t)|, C_j, and the
-        cross-covariance of (X, fixed gradients) at a block of face points."""
+        """Evaluate theta^2, gamma^2, |Lambda_J - Lambda_J(t)| and the
+        cross-covariance of (X, fixed gradients) given the free gradients at
+        a block of face points."""
         face = self.face
         t = embed_points(face, pts)
         nu = np.atleast_1d(self.model.variance(t))
@@ -168,11 +172,8 @@ class FaceContext:
                 )
         np.clip(theta_sq, 0.0, None, out=theta_sq)
         np.clip(gamma_sq, 0.0, None, out=gamma_sq)
-        ok = gamma_sq >= DEGENERATE_VAR
-        cvec = np.zeros_like(c)
-        cvec[ok] = -sol[ok] / gamma_sq[ok, None]
         b = c[:, self.fixed] - sol_J @ self.lam_fJ.T
-        return _FaceData(theta_sq, gamma_sq, det_diff, cvec[:, self.fixed], b)
+        return _FaceData(theta_sq, gamma_sq, det_diff, b)
 
 
 # ---------------------------------------------------------------------------
@@ -245,53 +246,44 @@ def vertex_term(model: FieldModel, vertex: Face, u: float, seed: int = 0) -> flo
 def _face_term_mean_ec_result(
     model: FieldModel, face: Face, u: float, spec: QuadSpec
 ) -> QuadResult:
-    ctx = FaceContext(model, face)
     k = face.k
     q = model.dim - k
-    cone = outward_cone(face)
-    log_norm = -0.5 * (1 + q) * math.log(2.0 * math.pi)
+    if q == 0:
+        # empty cone and theta = gamma: the x-integral leaves the mu integrand
+        return _face_term_mu_result(model, face, u, spec)
+    ctx = FaceContext(model, face)
+    try:
+        chol = np.linalg.cholesky(ctx.schur_ff)
+    except np.linalg.LinAlgError as exc:
+        raise DegeneracyError(
+            f"conditional gradient covariance singular on face {face_label(face)}"
+        ) from exc
+    # whitening y -> L^{-1} y of N(0, schur_ff); the extra 1/sqrt(2 pi) is
+    # the phi(a) left by the x-integral
+    white_t = np.linalg.inv(chol).T
+    log_norm = -0.5 * (1 + q) * math.log(2.0 * math.pi) - float(
+        np.sum(np.log(np.diag(chol)))
+    )
+    signs = outward_cone(face).signs()
 
-    def inner_value(theta_sq_i, gamma_i, b_i, cf_i):
-        # conditional covariance of (X, fixed gradients) given free grads = 0
-        sigma_c = np.empty((1 + q, 1 + q))
-        sigma_c[0, 0] = theta_sq_i
-        sigma_c[0, 1:] = b_i
-        sigma_c[1:, 0] = b_i
-        sigma_c[1:, 1:] = ctx.schur_ff
-        try:
-            L = np.linalg.cholesky(sigma_c)
-        except np.linalg.LinAlgError as exc:
-            raise DegeneracyError(
-                f"conditional covariance singular on face {face_label(face)}"
-            ) from exc
-        logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
-        coef = gamma_i * cf_i
+    def integrand(z):
+        # z = (free face coordinates, cone coordinates s in [0, 1)^q)
+        d = ctx.arrays(z[:, :k])
+        ok = (d.gamma_sq >= DEGENERATE_VAR) & (d.theta_sq >= DEGENERATE_VAR)
+        gam = np.sqrt(np.where(ok, d.gamma_sq, 1.0))
+        s = z[:, k:]
+        wy = (signs * s / (1.0 - s)) @ white_t
+        # X given the gradients has mean b_t S^-1 y and variance gamma_t^2
+        a = (u - np.einsum("mj,mj->m", d.b @ white_t, wy)) / gam
+        expo = log_norm - 0.5 * (np.einsum("mj,mj->m", wy, wy) + a * a)
+        jac = np.prod((1.0 - s) ** -2.0, axis=1)
+        weight = np.where(ok, d.det_diff * gam ** (-k), 0.0)
+        return weight * hermite(k - 1, a) * np.exp(expo) * jac
 
-        def h(z):
-            x = z[:, 0]
-            y = z[:, 1:]
-            arg = x / gamma_i + y @ coef
-            w = np.linalg.solve(L, z.T)
-            q2 = np.sum(w * w, axis=0)
-            pdf = np.exp(log_norm - 0.5 * logdet - 0.5 * q2)
-            return hermite(k, arg) * pdf
-
-        return integrate_cone(cone, u, h, spec).value
-
-    def outer(pts):
-        d = ctx.arrays(pts)
-        out = np.zeros(pts.shape[0])
-        for i in range(pts.shape[0]):
-            if d.gamma_sq[i] < DEGENERATE_VAR or d.theta_sq[i] < DEGENERATE_VAR:
-                continue
-            gam = math.sqrt(d.gamma_sq[i])
-            val = inner_value(
-                d.theta_sq[i], gam, d.b[i], d.cvec_fixed[i]
-            )
-            out[i] = d.det_diff[i] * gam ** (-k) * val
-        return out
-
-    res = integrate_face(face, outer, spec)
+    lo, hi = face.free_bounds()
+    res = integrate_box(
+        integrand, np.concatenate([lo, np.zeros(q)]), np.concatenate([hi, np.ones(q)]), spec
+    )
     return QuadResult(
         ctx.pref_mec * res.value, ctx.pref_mec * res.err_est, res.converged
     )
@@ -306,11 +298,17 @@ def face_term_mean_ec(
 ) -> float:
     """Mean count of extended outward maxima above u on a k >= 1 face.
 
-    Integrates He_k(x/gamma_t + gamma_t sum_j C_j(t) y_j) against the
-    conditional density of (X, boundary gradients) given the free gradient
-    vanishing, over [u, inf) x outward cone.  For k = N the cone is empty
-    and the integral collapses to the mu face term.  The quadrature path is
-    deterministic; ``seed`` is accepted for interface uniformity.
+    The Kac-Rice integrand is He_k(x/gamma_t + gamma_t sum_j C_j(t) y_j)
+    against the conditional density of (X, boundary gradients y) given the
+    free gradient vanishing, over [u, inf) x outward cone.  Given y, X has
+    mean m_t(y) = b_t S^-1 y and variance gamma_t^2 (S the face's constant
+    conditional covariance of y), so the x-integral is He_{k-1}(a) phi(a)
+    with a = (u - m_t(y)) / gamma_t.  What remains is one adaptive
+    integral over the face's free coordinates x the cone, each cone axis
+    mapped onto [0, 1) by s / (1 - s); its error estimate is the term's.
+    For k = N the cone is empty and the term is the mu face term.  The
+    quadrature path is deterministic; ``seed`` is accepted for interface
+    uniformity.
     """
     if face.k < 1:
         raise ValueError("face_term_mean_ec needs a face with k >= 1")
@@ -717,40 +715,50 @@ def _adjacent_higher_faces(domain: RectDomain, host: Face) -> list[Face]:
     return out
 
 
-def _laplace_terms(
+class _LaplaceFactors(NamedTuple):
+    """Level-free part of the Laplace ledger.
+
+    ``per_face`` lists every face in enumeration order with its factors
+    (f, p_1, ...): the face's term at level u is f * Psi(u / sigma_T) * p_1
+    * ..., multiplied left to right.  Faces without a term have no factors.
+    """
+
+    sigma_sq: float
+    per_face: list[tuple[Face, tuple[float, ...]]]
+
+
+def _laplace_factors(
     model: FieldModel,
     domain: RectDomain,
-    u: float,
     inputs: LaplaceInputs,
     seed: int,
-) -> list[tuple[Face, float]]:
+) -> _LaplaceFactors:
     t0 = inputs.t0
     host = inputs.face
-    psi = float(gauss_tail(u / math.sqrt(inputs.sigma_sq)))
-    contrib: dict[tuple, float] = {}
+    contrib: dict[tuple, tuple[float, ...]] = {}
 
     def key(f: Face):
         return (f.sigma, f.epsilon)
 
     if inputs.classification == CLASS_CORNER:
-        contrib[key(host)] = psi
+        contrib[key(host)] = (1.0,)
     elif inputs.classification == CLASS_INTERIOR:
         contrib[key(host)] = (
-            _laplace_face_factor(model, host, t0, inputs.theta_hess) * psi
+            _laplace_face_factor(model, host, t0, inputs.theta_hess),
         )
     else:  # face-critical
         fg = np.abs(np.array([inputs.grad_nu[j] for j in host.fixed]))
         if fg.size and np.all(fg > GRAD_ZERO_TOL):
             # regular boundary maximum on a k >= 1 face: host term only
             contrib[key(host)] = (
-                _laplace_face_factor(model, host, t0, inputs.theta_hess) * psi
+                _laplace_face_factor(model, host, t0, inputs.theta_hess),
             )
         else:
             # fully flat maximizer: host term with its orthant factor plus
             # every higher face whose closure contains t0
             host_f = _laplace_face_factor(model, host, t0, inputs.theta_hess)
             orth = _orthant_given_free(model, host, _face_seed(seed, 0))
-            contrib[key(host)] = host_f * psi * orth.p
+            contrib[key(host)] = (host_f, orth.p)
             for idx, fc in enumerate(_adjacent_higher_faces(domain, host), start=1):
                 hess = _face_tau_hess(model, fc, t0)
                 f_fact = _laplace_face_factor(model, fc, t0, hess)
@@ -764,10 +772,28 @@ def _laplace_terms(
                     seed=_face_seed(seed, 2 * idx),
                 )
                 orth2 = _orthant_given_free(model, fc, _face_seed(seed, 2 * idx + 1))
-                contrib[key(fc)] = f_fact * psi * pz.p * orth2.p
+                contrib[key(fc)] = (f_fact, pz.p, orth2.p)
 
     faces = enumerate_faces(domain)
-    return [(fc, contrib.get(key(fc), 0.0)) for fc in faces]
+    return _LaplaceFactors(
+        inputs.sigma_sq, [(fc, contrib.get(key(fc), ())) for fc in faces]
+    )
+
+
+def _laplace_ledger(factors: _LaplaceFactors, u: float) -> MecResult:
+    """The Laplace ledger at level u from factors computed once per field."""
+    psi = float(gauss_tail(u / math.sqrt(factors.sigma_sq)))
+    terms = [
+        (fc, math.prod(fac[1:], start=fac[0] * psi) if fac else 0.0)
+        for fc, fac in factors.per_face
+    ]
+    return MecResult(
+        u=u,
+        method="laplace",
+        per_face=tuple(terms),
+        total=math.fsum(v for _, v in terms),
+        err_est=0.0,
+    )
 
 
 def laplace_closed_form(
@@ -784,10 +810,7 @@ def laplace_closed_form(
     factor; a flat maximizer assembles the host face and all adjacent
     higher faces with conditional orthant and ordering factors.
     """
-    if inputs is None:
-        inputs = prepare_laplace_inputs(model, domain)
-    terms = _laplace_terms(model, domain, float(u), inputs, seed)
-    return math.fsum(v for _, v in terms)
+    return laplace_mec_result(model, domain, u, inputs, seed).total
 
 
 def laplace_mec_result(
@@ -800,11 +823,4 @@ def laplace_mec_result(
     """Ledger-shaped variant of laplace_closed_form for reporting."""
     if inputs is None:
         inputs = prepare_laplace_inputs(model, domain)
-    terms = _laplace_terms(model, domain, float(u), inputs, seed)
-    return MecResult(
-        u=float(u),
-        method="laplace",
-        per_face=tuple(terms),
-        total=math.fsum(v for _, v in terms),
-        err_est=0.0,
-    )
+    return _laplace_ledger(_laplace_factors(model, domain, inputs, seed), float(u))

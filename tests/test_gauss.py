@@ -138,6 +138,18 @@ def test_mvn_univariate_is_exact():
     assert res.err_est == 0.0
 
 
+def test_mvn_far_upper_tail_keeps_relative_accuracy():
+    # Phi(inf) - Phi(10) cancels to 0 in doubles; the tail must come from Psi
+    res = mvn_prob(MvnProblem(cov=np.array([[1.0]]), lower=[10.0], upper=[np.inf]))
+    assert res.p == pytest.approx(gauss_tail(10.0), rel=1e-12, abs=0.0)
+    # both factors of an independent pair in the far tail, the second one
+    # through the separation-of-variables draw
+    res = mvn_prob(
+        MvnProblem(cov=np.diag([1.0, 4.0]), lower=[9.0, 18.0], upper=[np.inf] * 2)
+    )
+    assert res.p == pytest.approx(gauss_tail(9.0) ** 2, rel=1e-12, abs=0.0)
+
+
 def test_mvn_diagonal_factorizes():
     d = np.diag([1.0, 4.0, 0.25])
     lower = [-1.0, -2.0, 0.0]

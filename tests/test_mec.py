@@ -10,9 +10,9 @@ from excursion_kit.errors import (
     CapabilityError,
     NumericError,
 )
-from excursion_kit.field import CosineField, SpectralSumField
-from excursion_kit.gauss import gauss_tail
-from excursion_kit.geometry import Face, RectDomain, enumerate_faces
+from excursion_kit.field import DEGENERATE_VAR, CosineField, SpectralSumField, covariance_at
+from excursion_kit.gauss import gauss_tail, hermite
+from excursion_kit.geometry import Face, RectDomain, enumerate_faces, face_label, outward_cone
 from excursion_kit.mec import (
     condition_check,
     excursion_prob_mu,
@@ -26,7 +26,7 @@ from excursion_kit.mec import (
     tau_hessian_analytic,
     vertex_term,
 )
-from excursion_kit.quad import QuadSpec
+from excursion_kit.quad import QuadSpec, integrate_cone, integrate_face
 
 PI = math.pi
 SPEC = QuadSpec()
@@ -169,6 +169,115 @@ def test_face_term_mean_ec_edge_band_square():
         (math.sqrt(2) / 4) * gauss_tail(u / S5)
     )
     assert 0.9 <= ratio <= 1.1
+
+
+def nested_mean_ec_face(model, face, u, spec):
+    """Oracle: the face term by nested quadrature, as first implemented.
+
+    Each face node gets its own adaptive integral of He_k(x/gamma +
+    gamma C.y) against the joint density of (X, fixed gradients) given the
+    free gradients vanish, over [u, inf) x outward cone; nothing is
+    integrated in closed form.  Point quantities come from covariance_at.
+    """
+    k = face.k
+    sig, fix = list(face.sigma), list(face.fixed)
+    q = len(fix)
+    cone = outward_cone(face)
+    lam = model.lambda_mat
+    lam_J = lam[np.ix_(sig, sig)]
+    lam_fJ = lam[np.ix_(fix, sig)]
+    reg = np.linalg.solve(lam_J, lam_fJ.T).T
+    schur = lam[np.ix_(fix, fix)] - reg @ lam_fJ.T
+    log_norm = -0.5 * (1 + q) * math.log(2.0 * PI)
+
+    def outer(pts):
+        out = np.zeros(pts.shape[0])
+        for i, x in enumerate(pts):
+            cp = covariance_at(model, face, x)
+            if cp.gamma_sq < DEGENERATE_VAR or cp.theta_sq < DEGENERATE_VAR:
+                continue
+            gam = math.sqrt(cp.gamma_sq)
+            b = cp.c[fix] - reg @ cp.c[sig]
+            cov = np.empty((1 + q, 1 + q))
+            cov[0, 0] = cp.theta_sq
+            cov[0, 1:] = cov[1:, 0] = b
+            cov[1:, 1:] = schur
+            chol = np.linalg.cholesky(cov)
+            logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
+            coef = gam * cp.cvec[fix]
+
+            def h(z):
+                arg = z[:, 0] / gam + z[:, 1:] @ coef
+                w = np.linalg.solve(chol, z.T)
+                pdf = np.exp(log_norm - 0.5 * logdet - 0.5 * np.sum(w * w, axis=0))
+                return hermite(k, arg) * pdf
+
+            det_diff = np.linalg.det(cp.lam_J - cp.lam_J_t)
+            out[i] = det_diff * gam ** (-k) * integrate_cone(cone, u, h, spec).value
+        return out
+
+    pref = (2.0 * PI) ** (-k / 2.0) / math.sqrt(np.linalg.det(lam_J))
+    return pref * integrate_face(face, outer, spec).value
+
+
+def spectral3():
+    # three unit-frequency atoms of weight 1/2 and unit offset on [0, pi]^3
+    m = SpectralSumField(freqs=np.eye(3), weights=np.full(3, 0.5), offset_var=1.0)
+    return m, RectDomain([0.0] * 3, [PI] * 3)
+
+
+def assert_faces_match_oracle(model, dom, labels, u):
+    for label in labels:
+        face = next(f for f in enumerate_faces(dom) if face_label(f) == label)
+        want = nested_mean_ec_face(model, face, u, SPEC)
+        got = face_term_mean_ec(model, face, u, SPEC)
+        assert got == pytest.approx(want, rel=1e-7, abs=0.0), (dom, label)
+
+
+@pytest.mark.parametrize("u", [2.5, 6.0])
+def test_mean_ec_faces_match_nested_oracle_cosine(u):
+    # the interior and one lower and one upper edge of [0, pi]^2 (the other
+    # edges mirror them); nu_1 vanishes on t_1 = 0 and pi, so X and the
+    # fixed gradient are uncorrelated there, and the edge t_1 = 3 pi/2 of
+    # the long rectangle adds one where they are not
+    square = RectDomain([0.0, 0.0], [PI, PI])
+    assert_faces_match_oracle(cosine(), square, ("2|{1,2}|{}", "1|{1}|{2:0}", "1|{1}|{2:1}"), u)
+    long = RectDomain([0.0, 0.0], [1.5 * PI, PI])
+    assert_faces_match_oracle(cosine(), long, ("1|{2}|{1:1}",), u)
+
+
+def test_mean_ec_faces_match_nested_oracle_3d():
+    m, dom = spectral3()
+    assert_faces_match_oracle(m, dom, ("2|{1,2}|{3:1}", "1|{1}|{2:0,3:1}"), 6.0)
+    # an edge with two cone axes, one of them correlated with X
+    long = RectDomain([0.0] * 3, [1.5 * PI, PI, PI])
+    assert_faces_match_oracle(m, long, ("1|{3}|{1:1,2:1}",), 6.0)
+
+
+@pytest.mark.parametrize("upper", [[PI, PI], [1.5 * PI, PI]])
+@pytest.mark.parametrize("u", [2.5, 6.0])
+def test_mean_ec_err_est_covers_quadrature_error(upper, u):
+    # vertices use the same seeded QMC on both sides, so the difference is
+    # the face quadrature's own error, which err_est must bound
+    dom = RectDomain([0.0, 0.0], upper)
+    res = mean_euler_characteristic(cosine(), dom, u, SPEC)
+    tight = mean_euler_characteristic(
+        cosine(), dom, u, QuadSpec(order_per_axis=40, rel_tol=1e-11)
+    )
+    assert abs(res.total - tight.total) <= res.err_est
+
+
+def test_mean_ec_tracks_corner_tail_to_high_levels():
+    # on [0, pi/2]^2 the corner (pi/2, pi/2) hosts the variance maximum 3 and
+    # the mean EC approaches Psi(u / sqrt 3); the corner's orthant mass is far
+    # below 1e-16 at u = 15 and 16 and must not cancel to zero
+    dom = RectDomain([0.0, 0.0], [PI / 2, PI / 2])
+    gaps = []
+    for u in (12.0, 14.0, 15.0, 16.0):
+        res = mean_euler_characteristic(cosine(), dom, u, SPEC)
+        assert res.by_label()["0|{}|{1:1,2:1}"] > 0.0, u
+        gaps.append(abs(res.total / gauss_tail(u / math.sqrt(3.0)) - 1.0))
+    assert all(a > b for a, b in zip(gaps, gaps[1:])), gaps
 
 
 # ---------------------------------------------------------------------------
