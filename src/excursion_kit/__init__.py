@@ -5,7 +5,6 @@ Monte Carlo oracle for smooth Gaussian fields with stationary increments.
 """
 
 from .errors import (
-    AccuracyWarning,
     AmbiguousMaximizerError,
     CapabilityError,
     ClassificationError,
@@ -30,11 +29,8 @@ from .geometry import (
     outward_cone,
 )
 from .gauss import (
-    CondGaussian,
     MvnProblem,
     MvnResult,
-    condition,
-    condition_block,
     gauss_tail,
     hermite,
     mvn_prob,

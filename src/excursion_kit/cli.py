@@ -83,6 +83,14 @@ class RunConfig:
     report: str | None
 
 
+def _num(kind, value, what: str):
+    """kind(value) for a config or flag value; ConfigError when it does not convert."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what} must be {kind.__name__}, got {value!r}") from exc
+
+
 def _levels_from_range(start: float, stop: float, step: float) -> tuple[float, ...]:
     if not (math.isfinite(start) and math.isfinite(stop) and math.isfinite(step)):
         raise ConfigError("level range must be finite")
@@ -114,7 +122,7 @@ def _parse_levels_flag(text: str) -> tuple[float, ...]:
 
 def _levels_from_config(spec) -> tuple[float, ...]:
     if isinstance(spec, list):
-        levels = tuple(float(v) for v in spec)
+        levels = tuple(_num(float, v, "level") for v in spec)
         if not levels:
             raise ConfigError("levels list must be nonempty")
         if any(b <= a for a, b in zip(levels, levels[1:])):
@@ -126,7 +134,7 @@ def _levels_from_config(spec) -> tuple[float, ...]:
             raise ConfigError(f"unexpected level keys: {sorted(extra)}")
         try:
             return _levels_from_range(
-                float(spec["start"]), float(spec["stop"]), float(spec["step"])
+                *(_num(float, spec[k], f"level {k}") for k in ("start", "stop", "step"))
             )
         except KeyError as exc:
             raise ConfigError("level range needs start, stop, step") from exc
@@ -185,17 +193,20 @@ def build_config(data: dict, args: argparse.Namespace) -> RunConfig:
     extra = set(quad_cfg) - _QUAD_KEYS
     if extra:
         raise ConfigError(f"unknown quad keys: {sorted(extra)}")
-    quad = QuadSpec(
-        order_per_axis=int(quad_cfg.get("order_per_axis", 24)),
-        adaptive=bool(quad_cfg.get("adaptive", True)),
-        rel_tol=float(quad_cfg.get("rel_tol", 1e-6)),
-        abs_tol=float(quad_cfg.get("abs_tol", 1e-14)),
-        max_subdivisions=int(quad_cfg.get("max_subdivisions", 12)),
-    )
-    if getattr(args, "quad_order", None) is not None:
-        quad = dataclasses.replace(quad, order_per_axis=int(args.quad_order))
-    if getattr(args, "rel_tol", None) is not None:
-        quad = dataclasses.replace(quad, rel_tol=float(args.rel_tol))
+    try:
+        quad = QuadSpec(
+            order_per_axis=int(quad_cfg.get("order_per_axis", 24)),
+            adaptive=bool(quad_cfg.get("adaptive", True)),
+            rel_tol=float(quad_cfg.get("rel_tol", 1e-6)),
+            abs_tol=float(quad_cfg.get("abs_tol", 1e-14)),
+            max_subdivisions=int(quad_cfg.get("max_subdivisions", 12)),
+        )
+        if getattr(args, "quad_order", None) is not None:
+            quad = dataclasses.replace(quad, order_per_axis=int(args.quad_order))
+        if getattr(args, "rel_tol", None) is not None:
+            quad = dataclasses.replace(quad, rel_tol=float(args.rel_tol))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad quadrature settings: {exc}") from exc
 
     mc_cfg = data.get("mc", {})
     if not isinstance(mc_cfg, dict):
@@ -204,7 +215,7 @@ def build_config(data: dict, args: argparse.Namespace) -> RunConfig:
     if extra:
         raise ConfigError(f"unknown mc keys: {sorted(extra)}")
     grid = mc_cfg.get("grid", 64)
-    reps = int(mc_cfg.get("reps", 10_000))
+    reps = _num(int, mc_cfg.get("reps", 10_000), "mc reps")
     if getattr(args, "grid", None) is not None:
         grid = int(args.grid)
     if getattr(args, "reps", None) is not None:
@@ -213,19 +224,16 @@ def build_config(data: dict, args: argparse.Namespace) -> RunConfig:
     seed = data.get("seed", 0)
     if getattr(args, "seed", None) is not None:
         seed = args.seed
-    seed = int(seed)
+    seed = _num(int, seed, "seed")
     if not (0 <= seed < 2**64):
         raise ConfigError("seed must fit in an unsigned 64-bit integer")
 
     if getattr(args, "threads", None) is not None:
         threads = int(args.threads)
     elif "threads" in data:
-        threads = int(data["threads"])
+        threads = _num(int, data["threads"], "threads")
     elif os.environ.get("EXK_THREADS"):
-        try:
-            threads = int(os.environ["EXK_THREADS"])
-        except ValueError as exc:
-            raise ConfigError("EXK_THREADS must be an integer") from exc
+        threads = _num(int, os.environ["EXK_THREADS"], "EXK_THREADS")
     else:
         threads = 1
     if threads < 1:

@@ -18,7 +18,6 @@ __all__ = [
     "AmbiguousMaximizerError",
     "ClassificationError",
     "QuadratureWarning",
-    "AccuracyWarning",
 ]
 
 
@@ -64,7 +63,3 @@ class ClassificationError(NumericError):
 
 class QuadratureWarning(UserWarning):
     """Adaptive quadrature stopped before reaching its tolerance."""
-
-
-class AccuracyWarning(UserWarning):
-    """Monte Carlo / QMC error estimate exceeds the requested accuracy."""

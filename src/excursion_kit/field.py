@@ -91,11 +91,6 @@ class FieldModel:
         t = np.asarray(t, dtype=float)
         return self.offset_var + self._g(t)
 
-    def covariance(self, t, s) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        s = np.asarray(s, dtype=float)
-        return self.offset_var + 0.5 * (self._g(t) + self._g(s) - self._g(t - s))
-
     def grad_variance(self, t) -> np.ndarray:
         return self._g_grad(np.asarray(t, dtype=float))
 
@@ -118,10 +113,6 @@ class FieldModel:
     def cvec_at(self, t) -> np.ndarray:
         """c(t) = Cov(X(t), grad X(t)) = (1/2) grad nu(t)."""
         return 0.5 * self._g_grad(np.asarray(t, dtype=float))
-
-    @property
-    def is_spectral(self) -> bool:
-        return False
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,10 +180,6 @@ class SpectralSumField(FieldModel):
     def lambda_spectral(self) -> np.ndarray:
         """Second spectral moment sum_m w_m freq_m freq_m^T."""
         return np.einsum("m,mi,mj->ij", self.weights, self.freqs, self.freqs)
-
-    @property
-    def is_spectral(self) -> bool:
-        return True
 
 
 class CosineField(SpectralSumField):

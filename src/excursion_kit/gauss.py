@@ -1,4 +1,4 @@
-"""Gaussian utilities: Hermite polynomials, tails, conditioning, MVN boxes.
+"""Gaussian utilities: Hermite polynomials, tails, MVN boxes.
 
 Conventions used throughout the package:
 
@@ -13,8 +13,8 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import erfc, ndtri
@@ -26,14 +26,11 @@ __all__ = [
     "DegeneracyError",
     "MvnProblem",
     "MvnResult",
-    "CondGaussian",
     "hermite",
     "gauss_tail",
     "std_normal_pdf",
     "std_normal_cdf",
     "hermite_tail_identity_check",
-    "condition",
-    "condition_block",
     "mvn_prob",
 ]
 
@@ -102,95 +99,6 @@ def hermite_tail_identity_check(k: int, u: float) -> float:
     res = quad.integrate_tail(float(u), g, quad.QuadSpec())
     rhs = hermite(k - 1, u) * math.exp(-0.5 * u * u)
     return abs(res.value - rhs)
-
-
-# ---------------------------------------------------------------------------
-# Conditioning
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CondGaussian:
-    """Conditional law of one coordinate given a block of others.
-
-    mean_coef maps observed conditioner values to the conditional mean;
-    cond_var is the (scalar) conditional variance.
-    """
-
-    target: int
-    conditioners: tuple[int, ...]
-    mean_coef: np.ndarray
-    cond_var: float
-
-
-def _solve_spd(mat: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
-    """Solve with a symmetric block, raising DegeneracyError when singular."""
-    mat = np.atleast_2d(np.asarray(mat, dtype=float))
-    try:
-        c, low = _cho_factor(mat)
-    except np.linalg.LinAlgError as exc:
-        raise DegeneracyError(f"{what} block is singular or indefinite") from exc
-    return _cho_solve((c, low), rhs)
-
-
-def _cho_factor(mat):
-    # thin wrapper so scipy stays an implementation detail here
-    from scipy.linalg import cho_factor
-
-    return cho_factor(mat, lower=True)
-
-
-def _cho_solve(fac, rhs):
-    from scipy.linalg import cho_solve
-
-    return cho_solve(fac, rhs)
-
-
-def condition(joint_cov: np.ndarray, target: int, conditioners: Sequence[int]) -> CondGaussian:
-    """Condition coordinate ``target`` of a centred Gaussian on a block.
-
-    Standard Schur complement: mean coefficients Sigma_tc Sigma_cc^{-1} and
-    variance Sigma_tt - Sigma_tc Sigma_cc^{-1} Sigma_ct.
-    """
-    cov = np.asarray(joint_cov, dtype=float)
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-        raise ValueError(f"covariance must be square, got shape {cov.shape}")
-    d = cov.shape[0]
-    conditioners = tuple(int(i) for i in conditioners)
-    if not conditioners:
-        raise ValueError("need at least one conditioner index")
-    if target in conditioners:
-        raise ValueError(f"target {target} cannot also be a conditioner")
-    idx = (target,) + conditioners
-    if any(i < 0 or i >= d for i in idx):
-        raise ValueError(f"index out of range for dimension {d}")
-    cc = cov[np.ix_(conditioners, conditioners)]
-    tc = cov[target, list(conditioners)]
-    coef = _solve_spd(cc, tc, "conditioner")
-    var = float(cov[target, target] - tc @ coef)
-    return CondGaussian(target, conditioners, np.asarray(coef, dtype=float), var)
-
-
-def condition_block(
-    joint_cov: np.ndarray, targets: Sequence[int], conditioners: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Conditional covariance and mean-coefficient matrix for a target block.
-
-    Returns (cond_cov, coef) with cond_cov = S_tt - S_tc S_cc^{-1} S_ct and
-    coef = S_tc S_cc^{-1} (rows follow ``targets``).
-    """
-    cov = np.asarray(joint_cov, dtype=float)
-    targets = list(targets)
-    conditioners = list(conditioners)
-    if not conditioners:
-        return cov[np.ix_(targets, targets)].copy(), np.zeros((len(targets), 0))
-    cc = cov[np.ix_(conditioners, conditioners)]
-    tc = cov[np.ix_(targets, conditioners)]
-    coef = _solve_spd(cc, tc.T, "conditioner").T
-    cond_cov = cov[np.ix_(targets, targets)] - coef @ tc.T
-    # enforce symmetry against roundoff
-    cond_cov = 0.5 * (cond_cov + cond_cov.T)
-    return cond_cov, coef
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ the string label produced by :func:`face_label` is 1-based.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -28,7 +28,7 @@ __all__ = [
     "face_of_point",
 ]
 
-# Default cap on the dimension for full face enumeration (3^N growth).
+# Cap on the dimension for full face enumeration (3^N growth).
 MAX_ENUM_DIM = 6
 
 
@@ -159,9 +159,6 @@ class OutwardCone:
     def dim(self) -> int:
         return len(self.constraints)
 
-    def axes(self) -> tuple[int, ...]:
-        return tuple(j for j, _ in self.constraints)
-
     def signs(self) -> np.ndarray:
         return np.array([s for _, s in self.constraints], dtype=float)
 
@@ -182,17 +179,15 @@ class OutwardCone:
         return all(s * y[i] >= 0.0 for i, (_, s) in enumerate(self.constraints))
 
 
-def enumerate_faces(domain: RectDomain, max_dim: int = MAX_ENUM_DIM) -> list[Face]:
+def enumerate_faces(domain: RectDomain) -> list[Face]:
     """All 3^N faces in deterministic order.
 
     Sorted by k descending, then lexicographically by sigma, then by the
     epsilon bit-vector of the pinned axes.
     """
     n = domain.dim
-    if n > max_dim:
-        raise DomainError(
-            f"face enumeration capped at N={max_dim} (got N={n}); raise max_dim to override"
-        )
+    if n > MAX_ENUM_DIM:
+        raise DomainError(f"face enumeration capped at N={MAX_ENUM_DIM} (got N={n})")
     faces = []
     for k in range(n, -1, -1):
         for sigma in itertools.combinations(range(n), k):

@@ -218,7 +218,7 @@ def face_term_mu(
 
 
 def _vertex_term_result(
-    model: FieldModel, vertex: Face, u: float, seed: int, accuracy: float = 1e-6
+    model: FieldModel, vertex: Face, u: float, seed: int
 ) -> MvnResult:
     cap = covariance_at(model, vertex, np.zeros(0))
     n = model.dim
@@ -233,7 +233,7 @@ def _vertex_term_result(
     lo[0], hi[0] = u, np.inf
     clo, chi = cone.bounds()
     lo[1:], hi[1:] = clo, chi
-    return mvn_prob(MvnProblem(cov, lo, hi), accuracy=accuracy, seed=seed)
+    return mvn_prob(MvnProblem(cov, lo, hi), seed=seed)
 
 
 def vertex_term(model: FieldModel, vertex: Face, u: float, seed: int = 0) -> float:
@@ -290,11 +290,7 @@ def _face_term_mean_ec_result(
 
 
 def face_term_mean_ec(
-    model: FieldModel,
-    face: Face,
-    u: float,
-    spec: QuadSpec = QuadSpec(),
-    seed: int = 0,
+    model: FieldModel, face: Face, u: float, spec: QuadSpec = QuadSpec()
 ) -> float:
     """Mean count of extended outward maxima above u on a k >= 1 face.
 
@@ -306,9 +302,7 @@ def face_term_mean_ec(
     with a = (u - m_t(y)) / gamma_t.  What remains is one adaptive
     integral over the face's free coordinates x the cone, each cone axis
     mapped onto [0, 1) by s / (1 - s); its error estimate is the term's.
-    For k = N the cone is empty and the term is the mu face term.  The
-    quadrature path is deterministic; ``seed`` is accepted for interface
-    uniformity.
+    For k = N the cone is empty and the term is the mu face term.
     """
     if face.k < 1:
         raise ValueError("face_term_mean_ec needs a face with k >= 1")
@@ -325,22 +319,40 @@ def _face_seed(seed: int, index: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _assemble(
-    faces: list[Face],
-    worker: Callable[[int, Face], tuple[float, float]],
+def _face_sum(
+    method: str,
+    domain: RectDomain,
+    u: float,
+    vertex: Callable[[int, Face], tuple],
+    face: Callable[[Face], tuple],
     threads: int,
-) -> tuple[list[float], list[float]]:
-    values = [0.0] * len(faces)
-    errs = [0.0] * len(faces)
+) -> MecResult:
+    """Sum of a vertex term per vertex and a Kac-Rice integral per k >= 1 face.
+
+    ``vertex(i, f)`` evaluates the vertex f at enumeration index i and
+    ``face(f)`` a face of dimension k >= 1; each returns a tuple that starts
+    (value, err_est).  The ledger keeps one entry per face in enumeration
+    order and the total is their ordered sum, so results are bit-stable for
+    a fixed seed regardless of thread count.
+    """
+    faces = enumerate_faces(domain)
+
+    def term(i: int, fc: Face) -> tuple:
+        return (vertex(i, fc) if fc.k == 0 else face(fc))[:2]
+
     if threads <= 1:
-        results = [worker(i, f) for i, f in enumerate(faces)]
+        results = [term(i, f) for i, f in enumerate(faces)]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(worker, range(len(faces)), faces))
-    for i, (v, e) in enumerate(results):
-        values[i] = v
-        errs[i] = e
-    return values, errs
+            results = list(pool.map(term, range(len(faces)), faces))
+    values = [v for v, _ in results]
+    return MecResult(
+        u=u,
+        method=method,
+        per_face=tuple(zip(faces, values)),
+        total=math.fsum(values),
+        err_est=math.fsum(e for _, e in results),
+    )
 
 
 def mean_euler_characteristic(
@@ -351,36 +363,25 @@ def mean_euler_characteristic(
     seed: int = 0,
     *,
     threads: int = 1,
-    max_dim: int = MEAN_EC_DIM_CAP,
 ) -> MecResult:
     """Mean Euler characteristic of the excursion set above u.
 
     Vertices contribute joint orthant probabilities; every k >= 1 face
-    contributes its extended-outward-maxima mean.  The ledger keeps one
-    entry per face in enumeration order and the total is their ordered sum,
-    so results are bit-stable for a fixed seed regardless of thread count.
+    contributes its extended-outward-maxima mean.  Bit-stable for a fixed
+    seed regardless of thread count.
     """
-    if domain.dim > max_dim:
+    if domain.dim > MEAN_EC_DIM_CAP:
         raise CapabilityError(
-            f"mean Euler characteristic capped at N={max_dim} (got N={domain.dim})"
+            f"mean Euler characteristic capped at N={MEAN_EC_DIM_CAP} (got N={domain.dim})"
         )
     u = float(u)
-    faces = enumerate_faces(domain)
-
-    def worker(i: int, fc: Face) -> tuple[float, float]:
-        if fc.k == 0:
-            r = _vertex_term_result(model, fc, u, _face_seed(seed, i))
-            return r.p, r.err_est
-        r = _face_term_mean_ec_result(model, fc, u, spec)
-        return r.value, r.err_est
-
-    values, errs = _assemble(faces, worker, threads)
-    return MecResult(
-        u=u,
-        method="mean_ec",
-        per_face=tuple(zip(faces, values)),
-        total=math.fsum(values),
-        err_est=math.fsum(errs),
+    return _face_sum(
+        "mean_ec",
+        domain,
+        u,
+        lambda i, fc: _vertex_term_result(model, fc, u, _face_seed(seed, i)),
+        lambda fc: _face_term_mean_ec_result(model, fc, u, spec),
+        threads,
     )
 
 
@@ -391,32 +392,27 @@ def excursion_prob_mu(
     spec: QuadSpec = QuadSpec(),
     *,
     threads: int = 1,
-    max_dim: int = MU_DIM_CAP,
 ) -> MecResult:
     """Leading-order excursion probability: vertex tails + mu face terms."""
-    if domain.dim > max_dim:
+    if domain.dim > MU_DIM_CAP:
         raise CapabilityError(
-            f"mu approximation capped at N={max_dim} (got N={domain.dim})"
+            f"mu approximation capped at N={MU_DIM_CAP} (got N={domain.dim})"
         )
     u = float(u)
-    faces = enumerate_faces(domain)
 
-    def worker(i: int, fc: Face) -> tuple[float, float]:
-        if fc.k == 0:
-            cap = covariance_at(model, fc, np.zeros(0))
-            if cap.nu < DEGENERATE_VAR:
-                return 0.0, 0.0
-            return float(gauss_tail(u / math.sqrt(cap.nu))), 0.0
-        r = _face_term_mu_result(model, fc, u, spec)
-        return r.value, r.err_est
+    def vertex(i: int, fc: Face) -> tuple[float, float]:
+        cap = covariance_at(model, fc, np.zeros(0))
+        if cap.nu < DEGENERATE_VAR:
+            return 0.0, 0.0
+        return float(gauss_tail(u / math.sqrt(cap.nu))), 0.0
 
-    values, errs = _assemble(faces, worker, threads)
-    return MecResult(
-        u=u,
-        method="mu_approx",
-        per_face=tuple(zip(faces, values)),
-        total=math.fsum(values),
-        err_est=math.fsum(errs),
+    return _face_sum(
+        "mu_approx",
+        domain,
+        u,
+        vertex,
+        lambda fc: _face_term_mu_result(model, fc, u, spec),
+        threads,
     )
 
 
@@ -518,17 +514,6 @@ class LaplaceInputs:
     theta_hess: np.ndarray
     classification: str
     grad_nu: np.ndarray
-
-
-def _theta_sq_on_face(model: FieldModel, face: Face, x_free: np.ndarray) -> float:
-    """theta_{J,t}^2 as a function of the face's free coordinates.
-
-    Evaluates through the closed-face embedding (no open-face check) so
-    finite-difference stencils may touch the boundary.
-    """
-    ctx = FaceContext(model, face)
-    d = ctx.arrays(np.atleast_1d(x_free)[None, :])
-    return float(d.theta_sq[0])
 
 
 def tau_hessian(

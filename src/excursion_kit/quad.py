@@ -7,14 +7,16 @@ Three entry points share one adaptive core:
 * :func:`integrate_tail` integrates over a half-line [u, inf) through the
   rational map x = u + s/(1-s).
 * :func:`integrate_cone` integrates over [u, inf) x (orthant cone), each
-  semi-infinite axis mapped back to (0, 1) the same way.
+  semi-infinite axis mapped back to (0, 1) the same way; its dimension is
+  capped at CONE_DIM_CAP.
 
 Integrands are vectorised: they receive an (m, d) array of points and must
 return m values.  Convergence of a box is judged by comparing the tensor
 rule with the sum over its 2^d dyadic children; boxes are split until the
 difference passes ``rel_tol`` (with an ``abs_tol`` floor for integrals that
-are numerically zero) or ``max_subdivisions`` levels are exhausted, in
-which case the result carries ``converged=False`` and a QuadratureWarning.
+are numerically zero), or until ``max_subdivisions`` levels or MAX_BOXES
+evaluated boxes are exhausted, in which case the result carries
+``converged=False`` and a QuadratureWarning.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,6 +42,11 @@ __all__ = [
     "integrate_cone",
 ]
 
+# dimension cap of integrate_cone, the x part included
+CONE_DIM_CAP = 4
+# safety cap on the number of boxes one integral evaluates
+MAX_BOXES = 200_000
+
 
 @dataclass(frozen=True)
 class QuadSpec:
@@ -50,8 +57,6 @@ class QuadSpec:
     rel_tol: relative acceptance threshold per box.
     abs_tol: absolute scale under which refinement stops (zero integrals).
     max_subdivisions: dyadic depth cap.
-    cone_dim_cap: dimension cap for integrate_cone.
-    max_boxes: safety cap on the number of evaluated boxes.
     """
 
     order_per_axis: int = 24
@@ -59,8 +64,6 @@ class QuadSpec:
     rel_tol: float = 1e-6
     abs_tol: float = 1e-14
     max_subdivisions: int = 12
-    cone_dim_cap: int = 4
-    max_boxes: int = 200_000
 
     def __post_init__(self):
         if self.order_per_axis < 2:
@@ -179,7 +182,7 @@ def integrate_box(f, lower, upper, spec: QuadSpec = QuadSpec()) -> QuadResult:
         refined = math.fsum(cvals)
         diff = abs(refined - bval)
         ok = diff <= spec.rel_tol * abs(refined) or diff <= spec.abs_tol
-        if ok or depth >= spec.max_subdivisions or boxes_used > spec.max_boxes:
+        if ok or depth >= spec.max_subdivisions or boxes_used > MAX_BOXES:
             total += refined
             err += diff
             if not ok:
@@ -226,15 +229,15 @@ def integrate_cone(
 
     The integrand sees points (x, y_1, ..., y_c) with the cone coordinates
     in the cone's listed axis order; pass ``u=None`` to drop the x part.
-    Dimension (x included) is capped at ``spec.cone_dim_cap``.
+    Dimension (x included) is capped at CONE_DIM_CAP.
     """
     cdim = cone.dim
     dims = cdim + (0 if u is None else 1)
     if dims == 0:
         raise ValueError("nothing to integrate: empty cone and no x part")
-    if dims > spec.cone_dim_cap:
+    if dims > CONE_DIM_CAP:
         raise CapabilityError(
-            f"cone integral dimension {dims} exceeds cap {spec.cone_dim_cap}; "
+            f"cone integral dimension {dims} exceeds cap {CONE_DIM_CAP}; "
             "use the Monte Carlo fallback"
         )
     signs = cone.signs()

@@ -77,6 +77,26 @@ def test_bad_domain_is_config_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "overrides, flags",
+    [
+        ({"quad": {"order_per_axis": 1}}, []),
+        ({"quad": {"rel_tol": 0}}, []),
+        ({}, ["--quad-order", "1"]),
+        ({}, ["--rel-tol", "-1"]),
+        ({"threads": "two"}, []),
+        ({"seed": "x"}, []),
+        ({"levels": ["a"]}, []),
+        ({"mc": {"reps": "many"}}, []),
+    ],
+)
+def test_malformed_values_are_config_errors(tmp_path, capsys, overrides, flags):
+    cfg = write_config(tmp_path, **overrides)
+    code = cli.main(["faces", "--config", cfg, *flags])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 # ---------------------------------------------------------------------------
 # compute
 # ---------------------------------------------------------------------------

@@ -6,11 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erfc
 
-from excursion_kit.errors import CapabilityError, DegeneracyError
+from excursion_kit.errors import CapabilityError
 from excursion_kit.gauss import (
     MvnProblem,
-    condition,
-    condition_block,
     gauss_tail,
     hermite,
     hermite_tail_identity_check,
@@ -73,62 +71,13 @@ def test_hermite_tail_identity_residuals():
 
 
 # ---------------------------------------------------------------------------
-# Conditioning: brute-force Schur oracle
+# MVN probabilities
 # ---------------------------------------------------------------------------
 
 
 def random_spd(rng, n):
     a = rng.standard_normal((n, n))
     return a @ a.T + n * np.eye(n)
-
-
-def schur_oracle(cov, target, conditioners):
-    """Textbook conditional mean coefficients and variance via explicit solve."""
-    c = np.asarray(cov, dtype=float)
-    s_tt = c[target, target]
-    s_tc = c[np.ix_([target], conditioners)][0]
-    s_cc = c[np.ix_(conditioners, conditioners)]
-    coef = np.linalg.solve(s_cc, s_tc)
-    return coef, s_tt - s_tc @ coef
-
-
-def test_condition_matches_dense_solve():
-    rng = np.random.default_rng(7)
-    for n in (2, 3, 5, 8):
-        cov = random_spd(rng, n)
-        target = int(rng.integers(n))
-        conditioners = [j for j in range(n) if j != target]
-        cg = condition(cov, target, conditioners)
-        coef, var = schur_oracle(cov, target, conditioners)
-        assert np.allclose(cg.mean_coef, coef, rtol=1e-10, atol=1e-12)
-        assert cg.cond_var == pytest.approx(var, rel=1e-10)
-
-
-def test_condition_block_matches_dense_solve():
-    rng = np.random.default_rng(8)
-    cov = random_spd(rng, 6)
-    targets = [0, 2, 5]
-    conds = [1, 3, 4]
-    cc, coef = condition_block(cov, targets, conds)
-    s_tt = cov[np.ix_(targets, targets)]
-    s_tc = cov[np.ix_(targets, conds)]
-    s_cc = cov[np.ix_(conds, conds)]
-    want_coef = np.linalg.solve(s_cc, s_tc.T).T
-    want_cc = s_tt - s_tc @ np.linalg.solve(s_cc, s_tc.T)
-    assert np.allclose(coef, want_coef, rtol=1e-10, atol=1e-12)
-    assert np.allclose(cc, want_cc, rtol=1e-10, atol=1e-12)
-    assert np.allclose(cc, cc.T)
-
-
-def test_condition_rejects_singular():
-    cov = np.ones((3, 3))
-    with pytest.raises(DegeneracyError):
-        condition(cov, 0, [1, 2])
-
-
-# ---------------------------------------------------------------------------
-# MVN probabilities
-# ---------------------------------------------------------------------------
 
 
 def test_mvn_univariate_is_exact():

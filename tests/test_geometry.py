@@ -117,6 +117,13 @@ def test_face_cap():
         enumerate_faces(dom)
 
 
+def test_face_cap_is_six():
+    assert len(enumerate_faces(RectDomain([0.0] * 6, [1.0] * 6))) == 3**6
+    dom = RectDomain([0.0] * 7, [1.0] * 7)
+    with pytest.raises(DomainError, match="N=6"):
+        enumerate_faces(dom)
+
+
 @st.composite
 def domains(draw, max_dim=4):
     n = draw(st.integers(1, max_dim))

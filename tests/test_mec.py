@@ -360,6 +360,13 @@ def test_mean_ec_dimension_cap():
         mean_euler_characteristic(m, dom, 3.0, SPEC)
 
 
+def test_mu_dimension_cap():
+    m = SpectralSumField(freqs=np.eye(7), weights=np.full(7, 0.5), offset_var=1.0)
+    dom = RectDomain([0.0] * 7, [1.0] * 7)
+    with pytest.raises(CapabilityError, match="N=6"):
+        excursion_prob_mu(m, dom, 3.0, SPEC)
+
+
 def test_threading_is_bit_stable():
     dom = RectDomain([0.0, 0.0], [PI, PI])
     a = mean_euler_characteristic(cosine(), dom, 7.0, SPEC, threads=1)
