@@ -40,9 +40,9 @@ from .geometry import DomainError, Face, RectDomain, enumerate_faces, face_label
 from .mec import (
     _laplace_factors,
     _laplace_ledger,
+    _mean_ec_levels,
+    _mu_levels,
     condition_check,
-    excursion_prob_mu,
-    mean_euler_characteristic,
     prepare_laplace_inputs,
 )
 from .quad import QuadSpec
@@ -84,10 +84,17 @@ class RunConfig:
 
 
 def _num(kind, value, what: str):
-    """kind(value) for a config or flag value; ConfigError when it does not convert."""
+    """kind(value) for a config or flag value; ConfigError when it does not
+    convert, when it is a JSON boolean, or when an int setting is given a
+    non-integral number."""
     try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
+        if isinstance(value, bool):
+            raise TypeError("boolean")
+        out = kind(value)
+        if kind is int and isinstance(value, float) and out != value:
+            raise ValueError("not integral")
+        return out
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{what} must be {kind.__name__}, got {value!r}") from exc
 
 
@@ -193,13 +200,18 @@ def build_config(data: dict, args: argparse.Namespace) -> RunConfig:
     extra = set(quad_cfg) - _QUAD_KEYS
     if extra:
         raise ConfigError(f"unknown quad keys: {sorted(extra)}")
+    adaptive = quad_cfg.get("adaptive", True)
+    if not isinstance(adaptive, bool):
+        raise ConfigError(f"quad adaptive must be true or false, got {adaptive!r}")
     try:
         quad = QuadSpec(
-            order_per_axis=int(quad_cfg.get("order_per_axis", 24)),
-            adaptive=bool(quad_cfg.get("adaptive", True)),
-            rel_tol=float(quad_cfg.get("rel_tol", 1e-6)),
-            abs_tol=float(quad_cfg.get("abs_tol", 1e-14)),
-            max_subdivisions=int(quad_cfg.get("max_subdivisions", 12)),
+            order_per_axis=_num(int, quad_cfg.get("order_per_axis", 24), "quad order_per_axis"),
+            adaptive=adaptive,
+            rel_tol=_num(float, quad_cfg.get("rel_tol", 1e-6), "quad rel_tol"),
+            abs_tol=_num(float, quad_cfg.get("abs_tol", 1e-14), "quad abs_tol"),
+            max_subdivisions=_num(
+                int, quad_cfg.get("max_subdivisions", 12), "quad max_subdivisions"
+            ),
         )
         if getattr(args, "quad_order", None) is not None:
             quad = dataclasses.replace(quad, order_per_axis=int(args.quad_order))
@@ -215,6 +227,11 @@ def build_config(data: dict, args: argparse.Namespace) -> RunConfig:
     if extra:
         raise ConfigError(f"unknown mc keys: {sorted(extra)}")
     grid = mc_cfg.get("grid", 64)
+    if isinstance(grid, list):
+        # one grid size per axis
+        grid = tuple(_num(int, p, "mc grid") for p in grid)
+    else:
+        grid = _num(int, grid, "mc grid")
     reps = _num(int, mc_cfg.get("reps", 10_000), "mc reps")
     if getattr(args, "grid", None) is not None:
         grid = int(args.grid)
@@ -333,22 +350,20 @@ def cmd_compute(cfg: RunConfig) -> int:
     header = ["level", "method", "total", *labels, "err_est"]
     rows: list[list] = []
 
-    if cfg.method == "laplace":
+    # each face is integrated once for all levels
+    if cfg.method == "mu_approx":
+        results = _mu_levels(cfg.model, cfg.domain, cfg.levels, cfg.quad, cfg.threads)
+    elif cfg.method == "mean_ec":
+        results = _mean_ec_levels(
+            cfg.model, cfg.domain, cfg.levels, cfg.quad, cfg.seed, cfg.threads
+        )
+    else:
         # everything but the tail Psi(u / sigma_T) is level-free
         inputs = prepare_laplace_inputs(cfg.model, cfg.domain)
         laplace = _laplace_factors(cfg.model, cfg.domain, inputs, cfg.seed)
+        results = [_laplace_ledger(laplace, u) for u in cfg.levels]
 
-    for u in cfg.levels:
-        if cfg.method == "mu_approx":
-            res = excursion_prob_mu(
-                cfg.model, cfg.domain, u, cfg.quad, threads=cfg.threads
-            )
-        elif cfg.method == "mean_ec":
-            res = mean_euler_characteristic(
-                cfg.model, cfg.domain, u, cfg.quad, cfg.seed, threads=cfg.threads
-            )
-        else:
-            res = _laplace_ledger(laplace, u)
+    for u, res in zip(cfg.levels, results):
         ledger = res.by_label()
         rows.append([u, cfg.method, res.total, *(ledger[l] for l in labels), res.err_est])
 

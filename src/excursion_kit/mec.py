@@ -182,30 +182,27 @@ class FaceContext:
 
 
 def _face_term_mu_result(
-    model: FieldModel, face: Face, u: float, spec: QuadSpec
-) -> QuadResult:
+    model: FieldModel, face: Face, levels: tuple[float, ...], spec: QuadSpec
+) -> list[QuadResult]:
     ctx = FaceContext(model, face)
     k = face.k
 
     def integrand(pts):
         d = ctx.arrays(pts)
-        out = np.zeros(pts.shape[0])
+        out = np.zeros((len(levels), pts.shape[0]))
         mask = d.theta_sq >= DEGENERATE_VAR
         if mask.any():
             th = np.sqrt(d.theta_sq[mask])
-            z = u / th
-            out[mask] = (
-                d.det_diff[mask]
-                * th ** (-k)
-                * hermite(k - 1, z)
-                * np.exp(-0.5 * z * z)
-            )
+            scale = d.det_diff[mask] * th ** (-k)
+            for row, u in zip(out, levels):
+                z = u / th
+                row[mask] = scale * hermite(k - 1, z) * np.exp(-0.5 * z * z)
         return out
 
-    res = integrate_face(face, integrand, spec)
-    return QuadResult(
-        ctx.pref_mu * res.value, ctx.pref_mu * res.err_est, res.converged
-    )
+    return [
+        QuadResult(ctx.pref_mu * res.value, ctx.pref_mu * res.err_est, res.converged)
+        for res in integrate_face(face, integrand, spec)
+    ]
 
 
 def face_term_mu(
@@ -214,7 +211,7 @@ def face_term_mu(
     """Leading Kac-Rice term of a k >= 1 face for the mu approximation."""
     if face.k < 1:
         raise ValueError("face_term_mu needs a face with k >= 1")
-    return _face_term_mu_result(model, face, float(u), spec).value
+    return _face_term_mu_result(model, face, (float(u),), spec)[0].value
 
 
 def _vertex_term_result(
@@ -244,13 +241,13 @@ def vertex_term(model: FieldModel, vertex: Face, u: float, seed: int = 0) -> flo
 
 
 def _face_term_mean_ec_result(
-    model: FieldModel, face: Face, u: float, spec: QuadSpec
-) -> QuadResult:
+    model: FieldModel, face: Face, levels: tuple[float, ...], spec: QuadSpec
+) -> list[QuadResult]:
     k = face.k
     q = model.dim - k
     if q == 0:
         # empty cone and theta = gamma: the x-integral leaves the mu integrand
-        return _face_term_mu_result(model, face, u, spec)
+        return _face_term_mu_result(model, face, levels, spec)
     ctx = FaceContext(model, face)
     try:
         chol = np.linalg.cholesky(ctx.schur_ff)
@@ -274,19 +271,25 @@ def _face_term_mean_ec_result(
         s = z[:, k:]
         wy = (signs * s / (1.0 - s)) @ white_t
         # X given the gradients has mean b_t S^-1 y and variance gamma_t^2
-        a = (u - np.einsum("mj,mj->m", d.b @ white_t, wy)) / gam
-        expo = log_norm - 0.5 * (np.einsum("mj,mj->m", wy, wy) + a * a)
+        mean = np.einsum("mj,mj->m", d.b @ white_t, wy)
+        wy_sq = np.einsum("mj,mj->m", wy, wy)
         jac = np.prod((1.0 - s) ** -2.0, axis=1)
         weight = np.where(ok, d.det_diff * gam ** (-k), 0.0)
-        return weight * hermite(k - 1, a) * np.exp(expo) * jac
+        out = np.empty((len(levels), z.shape[0]))
+        for row, u in zip(out, levels):
+            a = (u - mean) / gam
+            expo = log_norm - 0.5 * (wy_sq + a * a)
+            row[:] = weight * hermite(k - 1, a) * np.exp(expo) * jac
+        return out
 
     lo, hi = face.free_bounds()
-    res = integrate_box(
+    results = integrate_box(
         integrand, np.concatenate([lo, np.zeros(q)]), np.concatenate([hi, np.ones(q)]), spec
     )
-    return QuadResult(
-        ctx.pref_mec * res.value, ctx.pref_mec * res.err_est, res.converged
-    )
+    return [
+        QuadResult(ctx.pref_mec * res.value, ctx.pref_mec * res.err_est, res.converged)
+        for res in results
+    ]
 
 
 def face_term_mean_ec(
@@ -306,7 +309,7 @@ def face_term_mean_ec(
     """
     if face.k < 1:
         raise ValueError("face_term_mean_ec needs a face with k >= 1")
-    return _face_term_mean_ec_result(model, face, float(u), spec).value
+    return _face_term_mean_ec_result(model, face, (float(u),), spec)[0].value
 
 
 # ---------------------------------------------------------------------------
@@ -322,36 +325,72 @@ def _face_seed(seed: int, index: int) -> int:
 def _face_sum(
     method: str,
     domain: RectDomain,
-    u: float,
-    vertex: Callable[[int, Face], tuple],
-    face: Callable[[Face], tuple],
+    levels: tuple[float, ...],
+    vertex: Callable[[int, Face], list],
+    face: Callable[[Face], list],
     threads: int,
-) -> MecResult:
+) -> list[MecResult]:
     """Sum of a vertex term per vertex and a Kac-Rice integral per k >= 1 face.
 
     ``vertex(i, f)`` evaluates the vertex f at enumeration index i and
-    ``face(f)`` a face of dimension k >= 1; each returns a tuple that starts
-    (value, err_est).  The ledger keeps one entry per face in enumeration
-    order and the total is their ordered sum, so results are bit-stable for
-    a fixed seed regardless of thread count.
+    ``face(f)`` a face of dimension k >= 1; each returns one tuple per
+    level, in the order of ``levels``, that starts (value, err_est).  A face
+    kernel integrates all levels in one quadrature pass.  The result holds
+    one MecResult per level.  Each ledger keeps one entry per face in
+    enumeration order and its total is their ordered sum, so results are
+    bit-stable for a fixed seed regardless of thread count.
     """
     faces = enumerate_faces(domain)
 
-    def term(i: int, fc: Face) -> tuple:
-        return (vertex(i, fc) if fc.k == 0 else face(fc))[:2]
+    def terms(i: int, fc: Face) -> list:
+        return [t[:2] for t in (vertex(i, fc) if fc.k == 0 else face(fc))]
 
     if threads <= 1:
-        results = [term(i, f) for i, f in enumerate(faces)]
+        per_face = [terms(i, f) for i, f in enumerate(faces)]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(term, range(len(faces)), faces))
-    values = [v for v, _ in results]
-    return MecResult(
-        u=u,
-        method=method,
-        per_face=tuple(zip(faces, values)),
-        total=math.fsum(values),
-        err_est=math.fsum(e for _, e in results),
+            per_face = list(pool.map(terms, range(len(faces)), faces))
+    out = []
+    for j, u in enumerate(levels):
+        values = [ts[j][0] for ts in per_face]
+        out.append(
+            MecResult(
+                u=u,
+                method=method,
+                per_face=tuple(zip(faces, values)),
+                total=math.fsum(values),
+                err_est=math.fsum(ts[j][1] for ts in per_face),
+            )
+        )
+    return out
+
+
+def _mean_ec_levels(
+    model: FieldModel,
+    domain: RectDomain,
+    levels,
+    spec: QuadSpec,
+    seed: int,
+    threads: int,
+) -> list[MecResult]:
+    """mean_euler_characteristic at every level, one quadrature pass per face."""
+    if domain.dim > MEAN_EC_DIM_CAP:
+        raise CapabilityError(
+            f"mean Euler characteristic capped at N={MEAN_EC_DIM_CAP} (got N={domain.dim})"
+        )
+    levels = tuple(float(u) for u in levels)
+
+    def vertex(i: int, fc: Face) -> list[MvnResult]:
+        vseed = _face_seed(seed, i)
+        return [_vertex_term_result(model, fc, u, vseed) for u in levels]
+
+    return _face_sum(
+        "mean_ec",
+        domain,
+        levels,
+        vertex,
+        lambda fc: _face_term_mean_ec_result(model, fc, levels, spec),
+        threads,
     )
 
 
@@ -370,17 +409,35 @@ def mean_euler_characteristic(
     contributes its extended-outward-maxima mean.  Bit-stable for a fixed
     seed regardless of thread count.
     """
-    if domain.dim > MEAN_EC_DIM_CAP:
+    return _mean_ec_levels(model, domain, (u,), spec, seed, threads)[0]
+
+
+def _mu_levels(
+    model: FieldModel,
+    domain: RectDomain,
+    levels,
+    spec: QuadSpec,
+    threads: int,
+) -> list[MecResult]:
+    """excursion_prob_mu at every level, one quadrature pass per face."""
+    if domain.dim > MU_DIM_CAP:
         raise CapabilityError(
-            f"mean Euler characteristic capped at N={MEAN_EC_DIM_CAP} (got N={domain.dim})"
+            f"mu approximation capped at N={MU_DIM_CAP} (got N={domain.dim})"
         )
-    u = float(u)
+    levels = tuple(float(u) for u in levels)
+
+    def vertex(i: int, fc: Face) -> list[tuple[float, float]]:
+        cap = covariance_at(model, fc, np.zeros(0))
+        if cap.nu < DEGENERATE_VAR:
+            return [(0.0, 0.0)] * len(levels)
+        return [(float(gauss_tail(u / math.sqrt(cap.nu))), 0.0) for u in levels]
+
     return _face_sum(
-        "mean_ec",
+        "mu_approx",
         domain,
-        u,
-        lambda i, fc: _vertex_term_result(model, fc, u, _face_seed(seed, i)),
-        lambda fc: _face_term_mean_ec_result(model, fc, u, spec),
+        levels,
+        vertex,
+        lambda fc: _face_term_mu_result(model, fc, levels, spec),
         threads,
     )
 
@@ -394,26 +451,7 @@ def excursion_prob_mu(
     threads: int = 1,
 ) -> MecResult:
     """Leading-order excursion probability: vertex tails + mu face terms."""
-    if domain.dim > MU_DIM_CAP:
-        raise CapabilityError(
-            f"mu approximation capped at N={MU_DIM_CAP} (got N={domain.dim})"
-        )
-    u = float(u)
-
-    def vertex(i: int, fc: Face) -> tuple[float, float]:
-        cap = covariance_at(model, fc, np.zeros(0))
-        if cap.nu < DEGENERATE_VAR:
-            return 0.0, 0.0
-        return float(gauss_tail(u / math.sqrt(cap.nu))), 0.0
-
-    return _face_sum(
-        "mu_approx",
-        domain,
-        u,
-        vertex,
-        lambda fc: _face_term_mu_result(model, fc, u, spec),
-        threads,
-    )
+    return _mu_levels(model, domain, (u,), spec, threads)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,17 @@ Three entry points share one adaptive core:
   semi-infinite axis mapped back to (0, 1) the same way; its dimension is
   capped at CONE_DIM_CAP.
 
-Integrands are vectorised: they receive an (m, d) array of points and must
-return m values.  Convergence of a box is judged by comparing the tensor
-rule with the sum over its 2^d dyadic children; boxes are split until the
-difference passes ``rel_tol`` (with an ``abs_tol`` floor for integrals that
-are numerically zero), or until ``max_subdivisions`` levels or MAX_BOXES
-evaluated boxes are exhausted, in which case the result carries
-``converged=False`` and a QuadratureWarning.
+Integrands are vectorised: they receive an (m, d) array of points and
+return m values, or an (L, m) array holding L integrands that share the
+points (one row each, e.g. one per level).  Convergence of a box is judged
+by comparing the tensor rule with the sum over its 2^d dyadic children;
+boxes are split until the difference passes ``rel_tol`` (with an
+``abs_tol`` floor for integrals that are numerically zero), or until
+``max_subdivisions`` levels or MAX_BOXES evaluated boxes are exhausted, in
+which case the result carries ``converged=False`` and a QuadratureWarning.
+Each row of an (L, m) integrand keeps its own refinement tree, so its
+result is bit-identical to integrating that row alone; one integrand call
+per box serves every row still refining it.
 """
 
 from __future__ import annotations
@@ -118,23 +122,35 @@ def _tensor_nodes(order: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
     return pts, wt
 
 
-def _eval_box(f, lo, hi, order):
-    """Tensor Gauss-Legendre estimate of f over the box [lo, hi]."""
+def _eval_box(f, lo, hi, order, rows=None) -> list[float]:
+    """Tensor Gauss-Legendre estimates of f over the box [lo, hi].
+
+    f returns (m,) values, read as one row, or (L, m) values.  The result
+    holds the estimates of the listed rows (all by default), each one
+    contiguous row dotted with the weights.
+    """
     dim = lo.shape[0]
     pts01, wts = _tensor_nodes(order, dim)
     widths = hi - lo
     pts = lo + pts01 * widths
+    m = pts.shape[0]
     vals = np.asarray(f(pts), dtype=float)
-    if vals.shape != (pts.shape[0],):
+    if vals.ndim == 1:
+        vals = vals[None, :]
+    if vals.ndim != 2 or vals.shape[1] != m:
         raise QuadratureError(
-            f"integrand returned shape {vals.shape}, expected ({pts.shape[0]},)"
+            f"integrand returned shape {vals.shape}, expected ({m},) or (L, {m})"
         )
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        t_bad = pts[int(np.argmax(bad))]
-        raise QuadratureError(f"integrand non-finite at t = {t_bad.tolist()}")
+    vals = np.ascontiguousarray(vals)
     vol = float(np.prod(widths))
-    return float(vals @ wts) * vol
+    out = []
+    for r in range(vals.shape[0]) if rows is None else rows:
+        bad = ~np.isfinite(vals[r])
+        if bad.any():
+            t_bad = pts[int(np.argmax(bad))]
+            raise QuadratureError(f"integrand non-finite at t = {t_bad.tolist()}")
+        out.append(float(vals[r] @ wts) * vol)
+    return out
 
 
 def _split(lo, hi):
@@ -154,8 +170,17 @@ def _split(lo, hi):
     return children
 
 
-def integrate_box(f, lower, upper, spec: QuadSpec = QuadSpec()) -> QuadResult:
-    """Adaptive tensor integration of f over a rectangle [lower, upper]."""
+def integrate_box(f, lower, upper, spec: QuadSpec = QuadSpec()):
+    """Adaptive tensor integration of f over a rectangle [lower, upper].
+
+    An integrand returning (m,) values gives one QuadResult.  One returning
+    (L, m) values gives a list of L QuadResults, each bit-identical to
+    integrating its row alone: every row keeps its own refinement tree,
+    depth and MAX_BOXES count, visited in the same depth-first order, and
+    warns on its own when it does not converge.  A box is evaluated once
+    for all rows still refining it.  The (L, m) value array is the only
+    buffer that grows with L (about 5 MB for two rows of a 24^4-node box).
+    """
     lo = np.atleast_1d(np.asarray(lower, dtype=float))
     hi = np.atleast_1d(np.asarray(upper, dtype=float))
     if lo.shape != hi.shape or lo.ndim != 1:
@@ -163,47 +188,67 @@ def integrate_box(f, lower, upper, spec: QuadSpec = QuadSpec()) -> QuadResult:
     if np.any(hi <= lo):
         raise ValueError("need lower < upper on every axis")
     order = spec.order_per_axis
-    coarse = _eval_box(f, lo, hi, order)
+    one_row = False
+
+    def root(pts):
+        nonlocal one_row
+        vals = np.asarray(f(pts), dtype=float)
+        one_row = vals.ndim == 1
+        return vals
+
+    coarse = _eval_box(root, lo, hi, order)
+    n_rows = len(coarse)
     if not spec.adaptive:
         # single pass: no refinement, hence no error estimate
-        return QuadResult(coarse, math.nan, True)
+        results = [QuadResult(c, math.nan, True) for c in coarse]
+        return results[0] if one_row else results
 
-    total = 0.0
-    err = 0.0
-    converged = True
-    boxes_used = 1
-    # stack holds (lo, hi, coarse value, depth)
-    stack = [(lo, hi, coarse, 0)]
+    total = [0.0] * n_rows
+    err = [0.0] * n_rows
+    converged = [True] * n_rows
+    boxes_used = [1] * n_rows
+    # stack holds (lo, hi, {row: coarse value} of the rows still refining
+    # the box, depth)
+    stack = [(lo, hi, dict(enumerate(coarse)), 0)]
     while stack:
-        blo, bhi, bval, depth = stack.pop()
+        blo, bhi, bvals, depth = stack.pop()
         children = _split(blo, bhi)
-        boxes_used += len(children)
-        cvals = [_eval_box(f, clo, chi, order) for clo, chi in children]
-        refined = math.fsum(cvals)
-        diff = abs(refined - bval)
-        ok = diff <= spec.rel_tol * abs(refined) or diff <= spec.abs_tol
-        if ok or depth >= spec.max_subdivisions or boxes_used > MAX_BOXES:
-            total += refined
-            err += diff
-            if not ok:
-                converged = False
-        else:
-            for (clo, chi), cval in zip(children, cvals):
-                stack.append((clo, chi, cval, depth + 1))
-    if not converged:
-        warnings.warn(
-            f"adaptive quadrature stopped at depth {spec.max_subdivisions} "
-            f"with estimates {total:.17g} (refined) and err ~ {err:.3g}",
-            QuadratureWarning,
-            stacklevel=2,
-        )
-    return QuadResult(total, err, converged)
+        rows = list(bvals)
+        cvals = [_eval_box(f, clo, chi, order, rows) for clo, chi in children]
+        still_open = []
+        for j, r in enumerate(rows):
+            boxes_used[r] += len(children)
+            refined = math.fsum(cv[j] for cv in cvals)
+            diff = abs(refined - bvals[r])
+            ok = diff <= spec.rel_tol * abs(refined) or diff <= spec.abs_tol
+            if ok or depth >= spec.max_subdivisions or boxes_used[r] > MAX_BOXES:
+                total[r] += refined
+                err[r] += diff
+                if not ok:
+                    converged[r] = False
+            else:
+                still_open.append(j)
+        if still_open:
+            for (clo, chi), cv in zip(children, cvals):
+                stack.append((clo, chi, {rows[j]: cv[j] for j in still_open}, depth + 1))
+    for r in range(n_rows):
+        if not converged[r]:
+            row = "" if one_row else f"row {r}: "
+            warnings.warn(
+                f"{row}adaptive quadrature stopped at depth {spec.max_subdivisions} "
+                f"with estimates {total[r]:.17g} (refined) and err ~ {err[r]:.3g}",
+                QuadratureWarning,
+                stacklevel=2,
+            )
+    results = [QuadResult(total[r], err[r], converged[r]) for r in range(n_rows)]
+    return results[0] if one_row else results
 
 
-def integrate_face(face: Face, f, spec: QuadSpec = QuadSpec()) -> QuadResult:
+def integrate_face(face: Face, f, spec: QuadSpec = QuadSpec()):
     """Integrate f over the free coordinates of an open face (k >= 1).
 
-    f receives an (m, k) array of free-coordinate points.
+    f receives an (m, k) array of free-coordinate points; as in
+    :func:`integrate_box`, (L, m) values give a list of L results.
     """
     if face.k < 1:
         raise ValueError("face must have at least one free axis")

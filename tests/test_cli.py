@@ -88,6 +88,11 @@ def test_bad_domain_is_config_error(tmp_path, capsys):
         ({"seed": "x"}, []),
         ({"levels": ["a"]}, []),
         ({"mc": {"reps": "many"}}, []),
+        ({"quad": {"adaptive": "false"}}, []),
+        ({"mc": {"grid": "x"}}, []),
+        ({"seed": 2.7}, []),
+        ({"mc": {"reps": 100.9}}, []),
+        ({"threads": True}, []),
     ],
 )
 def test_malformed_values_are_config_errors(tmp_path, capsys, overrides, flags):
@@ -142,6 +147,22 @@ def test_compute_interior_column_agrees_across_methods(tmp_path, capsys):
     _, rows_b = parse_csv(out_b)
     col = header.index("2|{1,2}|{}")
     assert float(rows_a[0][col]) == pytest.approx(float(rows_b[0][col]), rel=1e-6)
+
+
+@pytest.mark.parametrize("method", ["mu_approx", "mean_ec"])
+def test_level_grid_rows_equal_single_level_runs(tmp_path, capsys, method):
+    # one quadrature pass serves the whole grid; every row must read as if
+    # its level had been computed alone
+    cfg = write_config(tmp_path, method=method)
+    flags = ["compute", "--config", cfg, "--threads", "2"]
+    code, out = run(capsys, [*flags, "--levels", "2:14:1"])
+    assert code == 0
+    header, *rows = out.splitlines(keepends=True)
+    assert len(rows) == 13
+    for u, row in zip(range(2, 15), rows):
+        code, single = run(capsys, [*flags, "--levels", f"{u}:{u}:1"])
+        assert code == 0
+        assert single.splitlines(keepends=True) == [header, row], u
 
 
 def test_compute_rejects_mc_method(tmp_path, capsys):

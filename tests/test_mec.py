@@ -375,6 +375,33 @@ def test_threading_is_bit_stable():
     assert [(v) for _, v in a.per_face] == [(v) for _, v in b.per_face]
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("method", ["mu_approx", "mean_ec"])
+def test_level_vector_equals_single_levels(method, threads):
+    # at order 4 every level refines its own tree: mu evaluates 873, 1057
+    # and 1197 boxes at u = 1, 4, 9 and mean EC 7769, 6537 and 2905, so the
+    # shared pass must keep each level's tree apart to match bit for bit
+    dom = RectDomain([0.0, 0.0], [1.5 * PI, PI])
+    spec = QuadSpec(order_per_axis=4, rel_tol=1e-8)
+    levels = (1.0, 4.0, 9.0)
+    if method == "mu_approx":
+        batch = mec._mu_levels(cosine(), dom, levels, spec, threads)
+        single = [excursion_prob_mu(cosine(), dom, u, spec, threads=threads) for u in levels]
+    else:
+        batch = mec._mean_ec_levels(cosine(), dom, levels, spec, 0, threads)
+        single = [
+            mean_euler_characteristic(cosine(), dom, u, spec, 0, threads=threads)
+            for u in levels
+        ]
+    assert len(batch) == len(levels)
+    for got, want in zip(batch, single):
+        assert (got.u, got.method) == (want.u, want.method)
+        assert [f for f, _ in got.per_face] == [f for f, _ in want.per_face]
+        assert [v for _, v in got.per_face] == [v for _, v in want.per_face]
+        assert got.total == want.total
+        assert got.err_est == want.err_est
+
+
 # ---------------------------------------------------------------------------
 # condition_check
 # ---------------------------------------------------------------------------

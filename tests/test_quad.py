@@ -92,6 +92,51 @@ def test_nonconvergence_warns():
     assert not res.converged
 
 
+def test_rows_match_single_row_runs():
+    # a smooth row settles after one split, a narrow off-centre bump needs
+    # many levels; each row must come out exactly as integrated alone
+    calls = {"smooth": 0, "bump": 0}
+
+    def smooth(t):
+        calls["smooth"] += 1
+        return np.exp(-t[:, 0] - t[:, 1])
+
+    def bump(t):
+        calls["bump"] += 1
+        r2 = (t[:, 0] - 0.3) ** 2 + (t[:, 1] - 0.7) ** 2
+        return np.exp(-0.5 * r2 / 0.02**2)
+
+    spec = QuadSpec(order_per_axis=8, rel_tol=1e-10)
+    lo, hi = [0.0, 0.0], [1.0, 1.0]
+    alone = []
+    for g in (smooth, bump):
+        alone.append(integrate_box(g, lo, hi, spec))
+    assert calls["smooth"] < calls["bump"]
+    both = integrate_box(lambda t: np.stack([smooth(t), bump(t)]), lo, hi, spec)
+    assert len(both) == 2
+    for got, want in zip(both, alone):
+        assert got.value == want.value
+        assert got.err_est == want.err_est
+        assert got.converged == want.converged
+
+
+def test_unconverged_row_warns_once():
+    # the kink row cannot meet the tolerance at depth 1, the polynomial row
+    # can; only the kink row warns, and it is named
+    def f(t):
+        return np.stack([t[:, 0] ** 2, np.abs(t[:, 0] - 0.5) ** 0.3])
+
+    spec = QuadSpec(rel_tol=1e-15, abs_tol=1e-300, max_subdivisions=1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        poly, kink = integrate_box(f, [0.0], [1.0], spec)
+    quad_warnings = [w for w in caught if issubclass(w.category, QuadratureWarning)]
+    assert len(quad_warnings) == 1
+    assert "row 1" in str(quad_warnings[0].message)
+    assert poly.converged and not kink.converged
+    assert poly.value == pytest.approx(1 / 3, rel=1e-14)
+
+
 def test_non_adaptive_single_pass():
     res = integrate_box(
         lambda t: t[:, 0] ** 2, [0.0], [1.0], QuadSpec(adaptive=False)
