@@ -64,7 +64,7 @@ _CONFIG_KEYS = {
     "out",
     "report",
 }
-_QUAD_KEYS = {"order_per_axis", "rel_tol", "abs_tol", "adaptive", "max_subdivisions"}
+_QUAD_KEYS = {"order_per_axis", "rel_tol", "abs_tol", "max_subdivisions"}
 _MC_KEYS = {"grid", "reps"}
 
 
@@ -132,6 +132,8 @@ def _levels_from_config(spec) -> tuple[float, ...]:
         levels = tuple(_num(float, v, "level") for v in spec)
         if not levels:
             raise ConfigError("levels list must be nonempty")
+        if not all(math.isfinite(u) for u in levels):
+            raise ConfigError("levels must be finite")
         if any(b <= a for a, b in zip(levels, levels[1:])):
             raise ConfigError("levels must be strictly increasing")
         return levels
@@ -200,13 +202,9 @@ def build_config(data: dict, args: argparse.Namespace) -> RunConfig:
     extra = set(quad_cfg) - _QUAD_KEYS
     if extra:
         raise ConfigError(f"unknown quad keys: {sorted(extra)}")
-    adaptive = quad_cfg.get("adaptive", True)
-    if not isinstance(adaptive, bool):
-        raise ConfigError(f"quad adaptive must be true or false, got {adaptive!r}")
     try:
         quad = QuadSpec(
             order_per_axis=_num(int, quad_cfg.get("order_per_axis", 24), "quad order_per_axis"),
-            adaptive=adaptive,
             rel_tol=_num(float, quad_cfg.get("rel_tol", 1e-6), "quad rel_tol"),
             abs_tol=_num(float, quad_cfg.get("abs_tol", 1e-14), "quad abs_tol"),
             max_subdivisions=_num(
@@ -390,7 +388,8 @@ def cmd_mc(cfg: RunConfig) -> int:
     ]
     rows: list[list] = []
     for u in cfg.levels:
-        dual = mc_mod.sup_prob_dual_resolution(
+        # mc_mean_ec rejects N > 3 before its first sweep, so it goes first
+        mean_chi, chi_se = mc_mod.mc_mean_ec(
             cfg.model,
             cfg.domain,
             u,
@@ -399,7 +398,7 @@ def cmd_mc(cfg: RunConfig) -> int:
             cfg.seed,
             threads=cfg.threads,
         )
-        mean_chi, chi_se = mc_mod.mc_mean_ec(
+        dual = mc_mod.sup_prob_dual_resolution(
             cfg.model,
             cfg.domain,
             u,

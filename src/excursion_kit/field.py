@@ -364,6 +364,10 @@ def covariance_at(model: FieldModel, face: Face, t_free) -> CovarianceAtPoint:
 # H2 scan
 # ---------------------------------------------------------------------------
 
+# interior grid points per axis of check_h2, and the eigenvalue it flags below
+H2_GRID = 33
+H2_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class H2Report:
@@ -387,24 +391,20 @@ def _interior_grid(domain: RectDomain, per_axis: int) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-def check_h2(
-    model: FieldModel, domain: RectDomain, grid_per_axis: int = 33, tol: float = 1e-10
-) -> H2Report:
+def check_h2(model: FieldModel, domain: RectDomain) -> H2Report:
     """Scan min eig(Lambda - Lambda(t)) over a uniform interior grid.
 
-    Report-only: flags when the scanned minimum drops below tol.  Note the
-    check is as fine as its grid; singular crossings between grid points
-    need a grid that straddles them closely.
+    Report-only: flags when the scanned minimum drops below H2_TOL.  The
+    grid has H2_GRID points per axis (fewer in high dimension); singular
+    crossings between grid points go unseen.
     """
-    if grid_per_axis < 2:
-        raise ValueError("grid_per_axis must be at least 2")
-    pts = _interior_grid(domain, grid_per_axis)
+    pts = _interior_grid(domain, H2_GRID)
     lam = model.lambda_mat
     diff = lam - model.lambda_at(pts)
     eigs = np.linalg.eigvalsh(diff)[..., 0]
     i0 = int(np.argmin(eigs))
     best_t, best_e = pts[i0], float(eigs[i0])
-    return H2Report(flagged=best_e < tol, min_eig=best_e, argmin=best_t, tol=tol)
+    return H2Report(flagged=best_e < H2_TOL, min_eig=best_e, argmin=best_t, tol=H2_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -416,21 +416,27 @@ def check_h2(
 class MaxVarianceResult:
     """Global maximum of nu over the closed rectangle.
 
-    candidates lists the distinct near-optimal points (within tie_tol of
+    candidates lists the distinct near-optimal points (within TIE_TOL of
     the max); more than one entry means the maximizer is ambiguous.
+    face_maxima holds every point the scan polished, as (nu, point, face)
+    in face enumeration order: each vertex, and one to three polished local
+    maxima of each k >= 1 face's closure.
     """
 
     sigma_sq: float
     point: np.ndarray
     face: Face
     candidates: tuple[tuple[float, tuple[float, ...]], ...]
-    tie_tol: float
+    face_maxima: tuple[tuple[float, np.ndarray, Face], ...]
 
     @property
     def tied(self) -> bool:
         return len(self.candidates) > 1
 
 
+# max_variance: scan points per face axis, the projected-gradient size that
+# ends a polish, and the gap under the max within which points tie
+MAX_VAR_GRID = 64
 GRAD_TOL = 1e-10
 TIE_TOL = 1e-8
 
@@ -485,32 +491,24 @@ def _refine_on_face(model: FieldModel, face: Face, x0: np.ndarray) -> np.ndarray
     return x
 
 
-def max_variance(
-    model: FieldModel,
-    domain: RectDomain,
-    grid_per_axis: int = 64,
-    tie_tol: float = TIE_TOL,
-) -> MaxVarianceResult:
+def max_variance(model: FieldModel, domain: RectDomain) -> MaxVarianceResult:
     """Maximise nu over the closed rectangle: face-wise scan plus polish.
 
-    Every face is scanned on a uniform grid of its free coordinates and the
-    best grid point is refined by projected Newton/gradient ascent.  Distinct
-    refined candidates within tie_tol of the best value are all reported.
+    Every k >= 1 face is scanned on a uniform grid of its closure's free
+    coordinates, MAX_VAR_GRID points per axis, and its three best grid
+    points are refined by projected Newton/gradient ascent on the closed
+    face; vertices are evaluated as they are.  All these points are kept in
+    ``face_maxima``.  Distinct points within TIE_TOL of the best value are
+    all reported as candidates.
     """
-    n = domain.dim
-    cands: list[tuple[float, np.ndarray]] = []
+    cands: list[tuple[float, np.ndarray, Face]] = []
     for fc in enumerate_faces(domain):
         if fc.k == 0:
-            t = np.array(
-                [
-                    domain.upper[j] if e else domain.lower[j]
-                    for j, e in fc.epsilon
-                ]
-            )
-            cands.append((float(model.variance(t)), t))
+            t = fc.fixed_values()
+            cands.append((float(model.variance(t)), t, fc))
             continue
         lo, hi = fc.free_bounds()
-        per_axis = max(2, min(grid_per_axis, int(round(4e6 ** (1.0 / fc.k)))))
+        per_axis = max(2, min(MAX_VAR_GRID, int(round(4e6 ** (1.0 / fc.k)))))
         axes = [np.linspace(lo[i], hi[i], per_axis) for i in range(fc.k)]
         mesh = np.meshgrid(*axes, indexing="ij")
         pts_free = np.stack([m.ravel() for m in mesh], axis=-1)
@@ -522,13 +520,13 @@ def max_variance(
         for idx in order[: min(3, len(order))]:
             xf = _refine_on_face(model, fc, pts_free[idx])
             t = embed_points(fc, xf[None, :])[0]
-            cands.append((float(model.variance(t)), t))
+            cands.append((float(model.variance(t)), t, fc))
 
-    best_val = max(v for v, _ in cands)
+    best_val = max(v for v, _, _ in cands)
     scale = max(1.0, float(np.max(np.abs(domain.lower_arr))), float(np.max(np.abs(domain.upper_arr))))
     distinct: list[tuple[float, np.ndarray]] = []
-    for v, t in sorted(cands, key=lambda p: -p[0]):
-        if v < best_val - tie_tol:
+    for v, t, _ in sorted(cands, key=lambda p: -p[0]):
+        if v < best_val - TIE_TOL:
             break
         if all(np.linalg.norm(t - t2) > 1e-6 * scale for _, t2 in distinct):
             distinct.append((v, t))
@@ -539,13 +537,20 @@ def max_variance(
         point=best_t,
         face=host,
         candidates=tuple((v, tuple(t)) for v, t in distinct),
-        tie_tol=tie_tol,
+        face_maxima=tuple(cands),
     )
 
 
 # ---------------------------------------------------------------------------
 # Derivative consistency
 # ---------------------------------------------------------------------------
+
+# derivative_consistency: sample points, their seed, the step per unit of
+# side length, and the error the report passes within
+DERIV_POINTS = 100
+DERIV_SEED = 0
+DERIV_STEP = 1e-5
+DERIV_RTOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -559,24 +564,19 @@ class DerivativeReport:
         return self.max_grad_err <= self.rtol and self.max_hess_err <= self.rtol
 
 
-def derivative_consistency(
-    model: FieldModel,
-    domain: RectDomain,
-    n_points: int = 100,
-    seed: int = 0,
-    step_scale: float = 1e-5,
-    rtol: float = 1e-5,
-) -> DerivativeReport:
+def derivative_consistency(model: FieldModel, domain: RectDomain) -> DerivativeReport:
     """Central finite differences of nu versus grad_variance / hess_variance.
 
-    Errors are relative to a curvature scale so the check is meaningful for
-    flat and strongly varying models alike.
+    DERIV_POINTS points drawn with DERIV_SEED inside the rectangle, steps
+    DERIV_STEP times each side.  Errors are relative to a curvature scale
+    so the check is meaningful for flat and strongly varying models alike;
+    the report passes when both stay within DERIV_RTOL.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(DERIV_SEED)
     lo, hi = domain.lower_arr, domain.upper_arr
     span = hi - lo
-    pts = lo + (0.05 + 0.9 * rng.random((n_points, domain.dim))) * span
-    h = step_scale * span
+    pts = lo + (0.05 + 0.9 * rng.random((DERIV_POINTS, domain.dim))) * span
+    h = DERIV_STEP * span
     n = domain.dim
     lam_scale = max(np.max(np.abs(model.lambda_mat)), 1e-12)
 
@@ -595,7 +595,7 @@ def derivative_consistency(
             gm = model.grad_variance(t - ei)
             fd_row = (gp - gm) / (2 * h[i])
             max_h = max(max_h, float(np.max(np.abs(fd_row - hess[i]))) / lam_scale)
-    return DerivativeReport(max_grad_err=max_g, max_hess_err=max_h, rtol=rtol)
+    return DerivativeReport(max_grad_err=max_g, max_hess_err=max_h, rtol=DERIV_RTOL)
 
 
 # ---------------------------------------------------------------------------

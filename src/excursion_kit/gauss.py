@@ -41,6 +41,8 @@ MAX_MVN_DIM = 12
 # number of independent randomizations used for the error estimate.
 MVN_QMC_POINTS = 2 ** 13
 MVN_QMC_RANDOMIZATIONS = 12
+# err_est above which mvn_prob sets its warning flag
+MVN_ACCURACY = 1e-6
 
 
 def hermite(k: int, x):
@@ -111,13 +113,12 @@ class MvnProblem:
     """Centred Gaussian rectangle problem P(lower <= Z <= upper).
 
     cov must be symmetric positive semidefinite with dimension <= 12;
-    bounds may be +-inf.  An optional mean shifts the rectangle.
+    bounds may be +-inf.
     """
 
     cov: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    mean: np.ndarray | None = None
 
     def __post_init__(self):
         cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
@@ -134,15 +135,9 @@ class MvnProblem:
             raise ValueError("covariance must be symmetric")
         if np.any(lo > hi):
             raise ValueError("need lower <= upper in every coordinate")
-        mean = self.mean
-        if mean is not None:
-            mean = np.atleast_1d(np.asarray(mean, dtype=float))
-            if mean.shape != (d,):
-                raise ValueError("mean must match the covariance dimension")
         object.__setattr__(self, "cov", cov)
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
-        object.__setattr__(self, "mean", mean)
 
     @property
     def dim(self) -> int:
@@ -273,20 +268,17 @@ def _sov_integrate(L, a, b, w):
     return prob
 
 
-def mvn_prob(problem: MvnProblem, accuracy: float = 1e-6, seed: int = 0) -> MvnResult:
-    """P(lower <= Z <= upper) for Z ~ N(mean, cov) by randomized QMC.
+def mvn_prob(problem: MvnProblem, seed: int = 0) -> MvnResult:
+    """P(lower <= Z <= upper) for Z ~ N(0, cov) by randomized QMC.
 
     Separation of variables on the reordered Cholesky factor; the outer
     average runs MVN_QMC_RANDOMIZATIONS independently scrambled Sobol
     streams of MVN_QMC_POINTS points each.  err_est is three standard
     errors of the randomization mean; the warning flag is set when it
-    exceeds the requested accuracy.  Deterministic for a fixed seed.
+    exceeds MVN_ACCURACY.  Deterministic for a fixed seed.
     """
     a = problem.lower.copy()
     b = problem.upper.copy()
-    if problem.mean is not None:
-        a = a - problem.mean
-        b = b - problem.mean
     if np.any(a >= b):
         return MvnResult(0.0, 0.0, False)
     d = problem.dim
@@ -309,4 +301,4 @@ def mvn_prob(problem: MvnProblem, accuracy: float = 1e-6, seed: int = 0) -> MvnR
     p = float(np.mean(estimates))
     stderr = float(np.std(estimates, ddof=1) / math.sqrt(MVN_QMC_RANDOMIZATIONS))
     err = 3.0 * stderr
-    return MvnResult(min(max(p, 0.0), 1.0), err, err > accuracy)
+    return MvnResult(min(max(p, 0.0), 1.0), err, err > MVN_ACCURACY)

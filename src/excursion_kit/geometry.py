@@ -74,10 +74,6 @@ class RectDomain:
     def upper_arr(self) -> np.ndarray:
         return np.asarray(self.upper, dtype=float)
 
-    @property
-    def widths(self) -> np.ndarray:
-        return self.upper_arr - self.lower_arr
-
     def contains(self, t: Sequence[float], tol: float = 0.0) -> bool:
         t = np.asarray(t, dtype=float)
         return bool(
@@ -139,9 +135,6 @@ class Face:
         lo, hi = self.domain.lower_arr, self.domain.upper_arr
         sig = list(self.sigma)
         return lo[sig], hi[sig]
-
-    def label(self) -> str:
-        return face_label(self)
 
 
 @dataclass(frozen=True)

@@ -44,8 +44,11 @@ __all__ = [
     "load_realization",
 ]
 
-# replicates per work item; fixed so results never depend on thread count
+# replicates per work item, and the largest value block one item may hold;
+# the layout depends only on the replicate count and the grid, so results
+# never depend on thread count
 CHUNK = 512
+MAX_BLOCK_BYTES = 256 * 2**20
 
 
 @dataclass(frozen=True)
@@ -305,8 +308,11 @@ def _as_grid(domain: RectDomain, grid) -> GridSpec:
     return GridSpec(domain, grid)
 
 
-def _chunk_ranges(reps: int) -> list[tuple[int, int]]:
-    return [(start, min(start + CHUNK, reps)) for start in range(0, reps, CHUNK)]
+def _chunk_ranges(reps: int, n_points: int) -> list[tuple[int, int]]:
+    """Replicate ranges of CHUNK rows, fewer when a block would pass
+    MAX_BLOCK_BYTES."""
+    rows = max(1, min(CHUNK, MAX_BLOCK_BYTES // (8 * n_points)))
+    return [(start, min(start + rows, reps)) for start in range(0, reps, rows)]
 
 
 def _sweep(
@@ -319,8 +325,9 @@ def _sweep(
 ):
     """Run reducer(values_block, start) over fixed replicate chunks.
 
-    The chunk layout depends only on ``reps``, so outputs are identical for
-    any thread count.  ``reducer`` must be a pure function of its block.
+    The chunk layout depends only on ``reps`` and the grid size, so outputs
+    are identical for any thread count.  ``reducer`` must be a pure function
+    of its block.
     """
     basis = _basis(model, grid.points())
     ncoef = basis.shape[0]
@@ -333,7 +340,7 @@ def _sweep(
         block = coefs @ basis  # (chunk, n_points)
         return reducer(block, start)
 
-    ranges = _chunk_ranges(reps)
+    ranges = _chunk_ranges(reps, grid.n_points)
     if threads <= 1:
         return [run(rr) for rr in ranges]
     with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -41,7 +41,6 @@ from .field import (
     DEGENERATE_VAR,
     NEG_TOL,
     FieldModel,
-    _refine_on_face,
     covariance_at,
     max_variance,
 )
@@ -52,6 +51,7 @@ from .geometry import (
     embed_points,
     enumerate_faces,
     face_label,
+    face_of_point,
     outward_cone,
 )
 from .quad import QuadResult, QuadSpec, integrate_box, integrate_face
@@ -83,6 +83,8 @@ CLASS_INTERIOR = "interior-critical"
 # fixed-direction derivative threshold separating the regular and
 # zero-gradient boundary regimes
 GRAD_ZERO_TOL = 1e-8
+# condition_check: gap under sigma_T^2 within which a point is near-maximal
+CONDITION_VAR_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -461,79 +463,41 @@ def excursion_prob_mu(
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """Scan for near-maximal variance points with flat fixed directions."""
+    """Near-maximal variance points with flat fixed directions."""
 
     satisfied: bool
     sigma_sq: float
     violations: tuple[tuple[Face, tuple[float, ...], tuple[float, ...]], ...]
-    var_tol: float
-    grad_tol: float
 
 
-def condition_check(
-    model: FieldModel,
-    domain: RectDomain,
-    var_tol: float = 1e-6,
-    grad_tol: float = GRAD_ZERO_TOL,
-) -> ConditionReport:
+def condition_check(model: FieldModel, domain: RectDomain) -> ConditionReport:
     """Check the boundary-maximum regularity condition face by face.
 
-    For every face J, hunts points of the open face where nu comes within
-    var_tol of the global maximum; at each, the condition fails when some
-    pinned-direction derivative nu_j vanishes (|nu_j| < grad_tol).  Interior
-    faces have no pinned directions and are vacuously fine.
+    Reads the points that max_variance polished: every vertex and up to
+    three local maxima of each face's closure.  A point violates the
+    condition when, after polishing, nu there is within CONDITION_VAR_TOL
+    of sigma_T^2, the point lies in the open face it was polished on, and
+    some pinned-direction derivative vanishes (|nu_j| < GRAD_ZERO_TOL).
+    Each distinct point is reported once, as (face, point, pinned
+    derivatives).  The interior face has no pinned directions and never
+    violates.
     """
     mv = max_variance(model, domain)
-    sigma_sq = mv.sigma_sq
-    scale = max(
-        1.0,
-        float(np.max(np.abs(domain.lower_arr))),
-        float(np.max(np.abs(domain.upper_arr))),
-    )
     violations = []
-    for fc in enumerate_faces(domain):
-        if not fc.fixed:
-            continue  # nothing to check on the interior face
-        # candidate near-max points on the closed face
-        cands: list[np.ndarray] = []
-        if fc.k == 0:
-            cands.append(fc.fixed_values())
-        else:
-            lo, hi = fc.free_bounds()
-            axes = [np.linspace(lo[i], hi[i], 33) for i in range(fc.k)]
-            mesh = np.meshgrid(*axes, indexing="ij")
-            pts_free = np.stack([m.ravel() for m in mesh], axis=-1)
-            vals = model.variance(embed_points(fc, pts_free))
-            order = np.argsort(vals)[::-1][:10]
-            for idx in order:
-                if vals[idx] < sigma_sq - 10 * var_tol:
-                    break
-                xf = _refine_on_face(model, fc, pts_free[idx])
-                cands.append(embed_points(fc, xf[None, :])[0])
-        seen: list[np.ndarray] = []
-        for t in cands:
-            if any(np.linalg.norm(t - s) < 1e-6 * scale for s in seen):
-                continue
-            seen.append(t)
-            if float(model.variance(t)) < sigma_sq - var_tol:
-                continue
-            # the point must lie in the open face: free coords strictly inside
-            on_open = all(
-                domain.lower[j] + 1e-7 * scale < t[j] < domain.upper[j] - 1e-7 * scale
-                for j in fc.sigma
-            )
-            if not on_open:
-                continue
-            grad = model.grad_variance(t)
-            gf = np.array([grad[j] for j in fc.fixed])
-            if np.any(np.abs(gf) < grad_tol):
-                violations.append((fc, tuple(map(float, t)), tuple(map(float, gf))))
+    for v, t, fc in mv.face_maxima:
+        # near sigma_T^2, in the open face (a point on its boundary belongs
+        # to a smaller face), and not reported yet
+        if (
+            v < mv.sigma_sq - CONDITION_VAR_TOL
+            or face_of_point(domain, t, tol=1e-7) != fc
+            or any(np.allclose(t, s, rtol=1e-6, atol=1e-6) for _, s, _ in violations)
+        ):
+            continue
+        gf = model.grad_variance(t)[list(fc.fixed)]
+        if np.any(np.abs(gf) < GRAD_ZERO_TOL):
+            violations.append((fc, tuple(map(float, t)), tuple(map(float, gf))))
     return ConditionReport(
-        satisfied=not violations,
-        sigma_sq=sigma_sq,
-        violations=tuple(violations),
-        var_tol=var_tol,
-        grad_tol=grad_tol,
+        satisfied=not violations, sigma_sq=mv.sigma_sq, violations=tuple(violations)
     )
 
 
@@ -649,11 +613,7 @@ def _check_neg_def(mat: np.ndarray, what: str) -> None:
         raise NumericError(f"{what} is not negative definite (max eig {top:.3e})")
 
 
-def prepare_laplace_inputs(
-    model: FieldModel,
-    domain: RectDomain,
-    grad_tol: float = GRAD_ZERO_TOL,
-) -> LaplaceInputs:
+def prepare_laplace_inputs(model: FieldModel, domain: RectDomain) -> LaplaceInputs:
     """Locate the unique variance maximizer and classify it."""
     mv = max_variance(model, domain)
     if mv.tied:
@@ -671,9 +631,9 @@ def prepare_laplace_inputs(
     fg = np.abs(np.array([grad[j] for j in host.fixed]))
     if k == domain.dim:
         classification = CLASS_INTERIOR
-    elif fg.size and np.all(fg > grad_tol):
+    elif fg.size and np.all(fg > GRAD_ZERO_TOL):
         classification = CLASS_CORNER if k == 0 else CLASS_FACE
-    elif np.all(fg <= grad_tol):
+    elif np.all(fg <= GRAD_ZERO_TOL):
         classification = CLASS_FACE
     else:
         raise ClassificationError(

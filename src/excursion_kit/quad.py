@@ -57,14 +57,13 @@ class QuadSpec:
     """Quadrature controls.
 
     order_per_axis: Gauss-Legendre nodes per axis of each box.
-    adaptive: refine dyadically until tolerances hold.
     rel_tol: relative acceptance threshold per box.
     abs_tol: absolute scale under which refinement stops (zero integrals).
     max_subdivisions: dyadic depth cap.
+    The tolerances must be positive and finite.
     """
 
     order_per_axis: int = 24
-    adaptive: bool = True
     rel_tol: float = 1e-6
     abs_tol: float = 1e-14
     max_subdivisions: int = 12
@@ -72,8 +71,8 @@ class QuadSpec:
     def __post_init__(self):
         if self.order_per_axis < 2:
             raise ValueError("order_per_axis must be at least 2")
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
         if self.max_subdivisions < 0:
             raise ValueError("max_subdivisions must be nonnegative")
 
@@ -198,11 +197,6 @@ def integrate_box(f, lower, upper, spec: QuadSpec = QuadSpec()):
 
     coarse = _eval_box(root, lo, hi, order)
     n_rows = len(coarse)
-    if not spec.adaptive:
-        # single pass: no refinement, hence no error estimate
-        results = [QuadResult(c, math.nan, True) for c in coarse]
-        return results[0] if one_row else results
-
     total = [0.0] * n_rows
     err = [0.0] * n_rows
     converged = [True] * n_rows

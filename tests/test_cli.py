@@ -93,6 +93,12 @@ def test_bad_domain_is_config_error(tmp_path, capsys):
         ({"seed": 2.7}, []),
         ({"mc": {"reps": 100.9}}, []),
         ({"threads": True}, []),
+        ({"quad": {"rel_tol": math.inf}}, []),
+        ({"quad": {"abs_tol": math.nan}}, []),
+        ({}, ["--rel-tol", "inf"]),
+        ({}, ["--rel-tol", "nan"]),
+        ({"levels": [math.nan]}, []),
+        ({"levels": [2.0, math.inf]}, []),
     ],
 )
 def test_malformed_values_are_config_errors(tmp_path, capsys, overrides, flags):
@@ -295,6 +301,26 @@ def test_mc_too_few_reps(tmp_path, capsys):
     assert code == 2
 
 
+def test_mc_four_dimensional_exits_before_sweeping(tmp_path, capsys, monkeypatch):
+    # empirical EC stops at N = 3; the check must come before any replicate
+    # block is built
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("mc._sweep called")
+
+    monkeypatch.setattr(cli.mc_mod, "_sweep", no_sweep)
+    atoms = [{"freq": list(row), "weight": 0.5} for row in np.eye(4)]
+    cfg = write_config(
+        tmp_path,
+        field={"type": "spectral_sum", "atoms": atoms, "offset_var": 1.0},
+        domain={"lower": [0.0] * 4, "upper": [PI] * 4},
+        levels=[3.0],
+        mc={"grid": 24, "reps": 1000},
+    )
+    code = cli.main(["mc", "--config", cfg])
+    assert code == 3
+    assert "got N=4" in capsys.readouterr().err
+
+
 def test_mc_non_spectral_model_capability_exit(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
@@ -366,6 +392,16 @@ def test_validate_reports_condition_violation(tmp_path, capsys):
     code, out = run(capsys, ["validate", "--config", cfg])
     assert code == 5
     assert "FAIL condition_check" in out
+
+
+def test_validate_reports_flat_edge_between_grid_nodes(tmp_path, capsys):
+    # the maximizer (pi, pi) lies on the open edge t1 = pi, where nu_1 = 0,
+    # and t2 = pi falls between the nodes of a uniform grid on [0, 3pi/2]
+    cfg = write_config(tmp_path, domain={"lower": [0.0, 0.0], "upper": [PI, 1.5 * PI]})
+    code, out = run(capsys, ["validate", "--config", cfg])
+    assert code == 5
+    assert "FAIL condition_check" in out
+    assert "all checks passed" not in out
 
 
 # ---------------------------------------------------------------------------

@@ -109,6 +109,34 @@ def test_derivative_consistency_catches_fault_injection():
     assert not rep.passed
 
 
+@pytest.mark.parametrize(
+    "model",
+    [
+        GaussianIncrementField(dim=3, scale=0.8, offset_var=0.3),
+        FaultInjectedField(GaussianIncrementField(dim=2, scale=1.3), 1.25),
+        SpectralSumField(
+            freqs=np.array([[1.0, 0.4], [-0.3, 1.2]]),
+            weights=np.array([0.5, 0.7]),
+            offset_var=1.0,
+        ),
+    ],
+    ids=["gaussian_increment", "fault_injection", "spectral_sum"],
+)
+def test_third_variance_matches_hessian_differences(model):
+    # the fault-injected model scales only its Hessian; its third
+    # derivatives are the base model's
+    ref = getattr(model, "base", model)
+    h = 1e-5
+    for t in np.random.default_rng(3).uniform(-1.5, 1.5, size=(5, model.dim)):
+        third = model.third_variance(t)
+        fd = np.empty_like(third)
+        for j in range(model.dim):
+            e = np.zeros(model.dim)
+            e[j] = h
+            fd[..., j] = (ref.hess_variance(t + e) - ref.hess_variance(t - e)) / (2 * h)
+        assert np.allclose(third, fd, rtol=0, atol=1e-8)
+
+
 @st.composite
 def spectral_models(draw):
     n = draw(st.integers(1, 3))
@@ -187,7 +215,7 @@ def test_check_h2_flags_full_period_crossing():
     m = SpectralSumField(
         freqs=np.array([[1.0]]), weights=np.array([0.5]), offset_var=1.0
     )
-    rep = check_h2(m, RectDomain([2 * PI - 1.0], [2 * PI + 1.0]), grid_per_axis=33)
+    rep = check_h2(m, RectDomain([2 * PI - 1.0], [2 * PI + 1.0]))
     assert rep.flagged
     assert abs(rep.argmin[0] - 2 * PI) < 1e-9
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import excursion_kit.mc as mc_mod
 from excursion_kit.errors import CapabilityError, ConfigError
 from excursion_kit.field import CosineField, GaussianIncrementField, SpectralSumField
 from excursion_kit.geometry import RectDomain
@@ -250,6 +251,32 @@ def test_sup_prob_thread_count_invariance():
     m1 = mc_mean_ec(cosine(), dom, 2.0, 9, 700, seed=5, threads=1)
     m4 = mc_mean_ec(cosine(), dom, 2.0, 9, 700, seed=5, threads=4)
     assert m1 == m4
+
+
+def test_blocks_stay_under_the_byte_cap():
+    # 3-D grid 64 refines to 127^3 points: 512 rows would be about 8.4 GB
+    fine3 = 127**3
+    ranges = mc_mod._chunk_ranges(10_000, fine3)
+    assert max(b - a for a, b in ranges) * 8 * fine3 <= mc_mod.MAX_BLOCK_BYTES
+    assert ranges[-1][1] == 10_000
+    # the 255^2 fine grid of a 2-D grid-128 run keeps its 512-row blocks
+    assert mc_mod._chunk_ranges(10_000, 255**2)[0] == (0, mc_mod.CHUNK)
+
+
+def test_block_cap_leaves_results_unchanged(monkeypatch):
+    # reducers sum integers, so the chunk layout cannot move a result
+    dom = RectDomain([0.0, 0.0], [PI, PI])
+    want = [
+        empirical_sup_prob(cosine(), dom, 2.0, 9, 700, seed=5),
+        mc_mean_ec(cosine(), dom, 2.0, 9, 700, seed=5),
+    ]
+    monkeypatch.setattr(mc_mod, "MAX_BLOCK_BYTES", 3 * 8 * 81)
+    assert mc_mod._chunk_ranges(700, 81)[:2] == [(0, 3), (3, 6)]
+    got = [
+        empirical_sup_prob(cosine(), dom, 2.0, 9, 700, seed=5),
+        mc_mean_ec(cosine(), dom, 2.0, 9, 700, seed=5),
+    ]
+    assert got == want
 
 
 def test_sup_prob_needs_enough_reps():

@@ -421,6 +421,20 @@ def test_condition_check_violated_at_flat_corner():
     assert max(abs(g) for g in grads) < 1e-8
 
 
+@pytest.mark.parametrize("top", [1.5 * PI, 1.7 * PI])
+def test_condition_check_finds_flat_edge_maximizer_off_grid(top):
+    # sigma_T^2 = 5 at (pi, pi) on the open edge t1 = pi, where
+    # nu_1 = sin(pi) = 0; t2 = pi is no node of a uniform grid on [0, top]
+    rep = condition_check(cosine(), RectDomain([0.0, 0.0], [PI, top]))
+    assert not rep.satisfied
+    assert rep.sigma_sq == pytest.approx(5.0, abs=1e-9)
+    assert len(rep.violations) == 1
+    face, point, grads = rep.violations[0]
+    assert face_label(face) == "1|{2}|{1:1}"
+    assert np.allclose(point, [PI, PI], atol=1e-6)
+    assert abs(grads[0]) < 1e-8
+
+
 def test_condition_check_interior_max_vacuous():
     rep = condition_check(cosine(), RectDomain([2.0, 2.0], [4.0, 4.0]))
     assert rep.satisfied
@@ -496,6 +510,25 @@ def test_laplace_classifications():
     assert edge_c.face.sigma == (0,)
     inter = prepare_laplace_inputs(cosine(), RectDomain([0.0, 0.0], [1.5 * PI, 1.5 * PI]))
     assert inter.classification == "interior-critical"
+
+
+class NoThirdCosine(SpectralSumField):
+    """The cosine field without analytic third derivatives."""
+
+    def _g_third(self, h):
+        return None
+
+
+def test_laplace_without_third_derivatives_matches_reference():
+    # face-critical host: the tau Hessian comes from finite differences
+    m = NoThirdCosine(freqs=np.eye(2), weights=np.array([0.5, 0.5]), offset_var=1.0)
+    assert m.third_variance(np.zeros(2)) is None
+    dom, ref = closed_forms()[1]
+    inputs = prepare_laplace_inputs(m, dom)
+    assert inputs.classification == "face-critical"
+    assert inputs.face.sigma == (0,)
+    for u in (5.0, 8.0):
+        assert laplace_closed_form(m, dom, u, inputs) == pytest.approx(ref(u), rel=1e-7)
 
 
 # ---------------------------------------------------------------------------

@@ -137,14 +137,6 @@ def test_unconverged_row_warns_once():
     assert poly.value == pytest.approx(1 / 3, rel=1e-14)
 
 
-def test_non_adaptive_single_pass():
-    res = integrate_box(
-        lambda t: t[:, 0] ** 2, [0.0], [1.0], QuadSpec(adaptive=False)
-    )
-    assert res.value == pytest.approx(1 / 3, rel=1e-14)
-    assert math.isnan(res.err_est)
-
-
 def test_nonfinite_integrand_raises():
     def f(t):
         with np.errstate(invalid="ignore"):

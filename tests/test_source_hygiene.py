@@ -3,6 +3,10 @@
 Every module-level import in ``src/excursion_kit`` must be used: the module
 references the bound name or re-exports it through ``__all__``.  The package
 ``__init__`` exists to re-export and is exempt.
+
+Every module-level private function, class and constant (a name starting
+with one underscore) must be referenced somewhere in the package, so a
+removed caller cannot leave its helper behind.
 """
 
 import ast
@@ -40,3 +44,34 @@ def test_no_unused_module_imports(path):
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     unused = sorted(imported - used - _exported(tree))
     assert not unused, f"{path.name} imports but never uses: {unused}"
+
+
+def _module_definitions(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for t in targets:
+                if isinstance(t, ast.Name):
+                    yield t.id
+
+
+def test_no_unreferenced_private_helpers():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in PKG.glob("*.py")}
+    referenced = set()
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                referenced.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                referenced.add(n.attr)
+            elif isinstance(n, ast.ImportFrom):
+                referenced.update(alias.name for alias in n.names)
+    unreferenced = sorted(
+        f"{name}.{defn}"
+        for name, tree in trees.items()
+        for defn in _module_definitions(tree)
+        if defn.startswith("_") and not defn.startswith("__") and defn not in referenced
+    )
+    assert not unreferenced, f"private definitions nobody references: {unreferenced}"
