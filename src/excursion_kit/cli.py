@@ -386,42 +386,25 @@ def cmd_mc(cfg: RunConfig) -> int:
         "grid_fine",
         "bias_flag",
     ]
-    rows: list[list] = []
-    for u in cfg.levels:
-        # mc_mean_ec rejects N > 3 before its first sweep, so it goes first
-        mean_chi, chi_se = mc_mod.mc_mean_ec(
-            cfg.model,
-            cfg.domain,
+    results = mc_mod._mc_levels(
+        cfg.model, cfg.domain, cfg.levels, cfg.mc_grid, cfg.mc_reps, cfg.seed, cfg.threads
+    )
+    rows = [
+        [
             u,
-            cfg.mc_grid,
+            res["p_coarse"],
+            res["stderr_coarse"],
+            res["mean_chi"],
+            res["chi_stderr"],
+            "x".join(str(p) for p in res["grid_coarse"]),
             cfg.mc_reps,
-            cfg.seed,
-            threads=cfg.threads,
-        )
-        dual = mc_mod.sup_prob_dual_resolution(
-            cfg.model,
-            cfg.domain,
-            u,
-            cfg.mc_grid,
-            cfg.mc_reps,
-            cfg.seed,
-            threads=cfg.threads,
-        )
-        rows.append(
-            [
-                u,
-                dual["p_coarse"],
-                dual["stderr_coarse"],
-                mean_chi,
-                chi_se,
-                "x".join(str(p) for p in dual["grid_coarse"]),
-                cfg.mc_reps,
-                dual["p_fine"],
-                dual["stderr_fine"],
-                "x".join(str(p) for p in dual["grid_fine"]),
-                dual["bias_flag"],
-            ]
-        )
+            res["p_fine"],
+            res["stderr_fine"],
+            "x".join(str(p) for p in res["grid_fine"]),
+            res["bias_flag"],
+        ]
+        for u, res in zip(cfg.levels, results)
+    ]
     _emit(_csv_text(header, rows), cfg.out)
     _maybe_report(cfg, "mc", header, rows)
     return 0

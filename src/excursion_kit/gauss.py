@@ -20,6 +20,7 @@ import numpy as np
 from scipy.special import erfc, ndtri
 from scipy.stats import qmc
 
+from . import quad
 from .errors import CapabilityError, DegeneracyError
 
 __all__ = [
@@ -93,7 +94,6 @@ def hermite_tail_identity_check(k: int, u: float) -> float:
     """
     if k < 1:
         raise ValueError("identity requires k >= 1")
-    from . import quad  # local import; quad has no dependency on this module
 
     def g(x):
         return hermite(k, x) * np.exp(-0.5 * np.asarray(x, dtype=float) ** 2)

@@ -5,9 +5,17 @@ Finite spectral-sum fields admit exact simulation: a realization is
     X(t) = sigma0 xi0 + sum_m sqrt(w_m) [xi_m (cos<t,f_m> - 1) + xi'_m sin<t,f_m>]
 
 with iid standard normals drawn once per replicate from a counter-based
-Philox stream keyed by (seed, replicate).  Coefficient layout is fixed as
+Philox stream keyed by (seed, replicate); one bit generator per chunk of
+replicates is re-keyed for each of them.  Coefficient layout is fixed as
 [xi0, xi_1, xi'_1, xi_2, xi'_2, ...]; regenerating a replicate is therefore
 bit-identical, independent of chunking or thread count.
+
+The grid maximum of a replicate does not depend on the level, so one sweep
+over a grid serves every level: each chunk draws its coefficients, runs one
+GEMM against the basis and takes each row's maximum once, then compares it
+with every level (and, for Euler counts, thresholds the same block per
+level).  The ``mc`` command runs one coarse and one fine sweep however many
+levels it has; the public estimators are its one-level cases.
 
 The empirical Euler characteristic uses the vertex-based closed cubical
 complex: a d-cell of the grid is occupied iff all its 2^d corners sit at or
@@ -18,6 +26,7 @@ rasterization) and serves as the cross-check oracle.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -115,20 +124,23 @@ def _require_spectral(model: FieldModel) -> SpectralSumField:
     return model
 
 
-def _rng(seed: int, replicate: int) -> np.random.Generator:
-    key = np.array([seed, replicate], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _coefficients(model: SpectralSumField, seed: int, start: int, stop: int) -> np.ndarray:
+    """Coefficient rows [sigma0 xi0, sqrt(w_m) xi_m, sqrt(w_m) xi'_m, ...] of
+    replicates start..stop-1.
 
-
-def _coefficients(model: SpectralSumField, seed: int, replicate: int) -> np.ndarray:
-    """Per-replicate coefficient vector [sigma0 xi0, sqrt(w_m) xi_m, sqrt(w_m) xi'_m, ...]."""
-    draws = _rng(seed, replicate).standard_normal(1 + 2 * model.n_atoms)
-    coefs = np.empty_like(draws)
-    coefs[0] = math.sqrt(model.offset_var) * draws[0]
-    sw = np.sqrt(model.weights)
-    coefs[1::2] = sw * draws[1::2]
-    coefs[2::2] = sw * draws[2::2]
-    return coefs
+    Row r holds the draws of a fresh Philox keyed by (seed, r): one bit
+    generator is re-keyed per replicate by assigning its freshly constructed
+    state with the key replaced, which also resets the counter and buffer.
+    """
+    bitgen = np.random.Philox(key=np.array([seed, start], dtype=np.uint64))
+    gen, fresh = np.random.Generator(bitgen), bitgen.state
+    draws = np.empty((stop - start, 1 + 2 * model.n_atoms))
+    for i, r in enumerate(range(start, stop)):
+        fresh["state"]["key"][1] = r
+        bitgen.state = fresh
+        draws[i] = gen.standard_normal(draws.shape[1])
+    scale = np.repeat(np.sqrt(model.weights), 2)
+    return draws * np.concatenate(([math.sqrt(model.offset_var)], scale))
 
 
 def _basis(model: SpectralSumField, pts: np.ndarray) -> np.ndarray:
@@ -150,7 +162,7 @@ def sample_field(
     if grid.domain.dim != sp.dim:
         raise ConfigError("grid dimension does not match the model")
     basis = _basis(sp, grid.points())
-    coefs = _coefficients(sp, seed, replicate)
+    coefs = _coefficients(sp, seed, replicate, replicate + 1)[0]
     values = (coefs @ basis).reshape(grid.shape)
     return Realization(grid=grid, values=values, seed=int(seed), replicate=int(replicate))
 
@@ -174,8 +186,6 @@ def _cell_counts(mask: np.ndarray, ndim: int) -> list[np.ndarray]:
 
     counts = [count(mask)]
     # d-cells: AND of the 2^d corners over every choice of d axes
-    import itertools
-
     for d in range(1, ndim + 1):
         total = None
         for axes in itertools.combinations(range(ndim), d):
@@ -193,6 +203,16 @@ def _cell_counts(mask: np.ndarray, ndim: int) -> list[np.ndarray]:
     return counts
 
 
+def _euler(counts):
+    """chi = sum_d (-1)^d n_d, for scalar or per-replicate cell counts."""
+    return sum((-1) ** d * c for d, c in enumerate(counts))
+
+
+def _check_ec_dim(ndim: int) -> None:
+    if ndim not in (1, 2, 3):
+        raise CapabilityError(f"empirical EC supports N in {{1,2,3}}, got N={ndim}")
+
+
 def empirical_ec(values, u: float) -> EcCount:
     """Euler characteristic of the thresholded grid via cubical cell counts.
 
@@ -202,15 +222,9 @@ def empirical_ec(values, u: float) -> EcCount:
         arr = values.values
     else:
         arr = np.asarray(values)
-    ndim = arr.ndim
-    if ndim not in (1, 2, 3):
-        raise CapabilityError(f"empirical EC supports N in {{1,2,3}}, got N={ndim}")
-    mask = arr >= u
-    counts = [int(c) for c in _cell_counts(mask, ndim)]
-    chi = 0
-    for d, c in enumerate(counts):
-        chi += (-1) ** d * c
-    return EcCount(n_d=tuple(counts), chi=chi)
+    _check_ec_dim(arr.ndim)
+    counts = [int(c) for c in _cell_counts(arr >= u, arr.ndim)]
+    return EcCount(n_d=tuple(counts), chi=_euler(counts))
 
 
 def ec_oracle_2d(mask) -> int:
@@ -238,25 +252,14 @@ def ec_oracle_2d(mask) -> int:
     if r > 1 and c > 1:
         ref[1::2, 1::2] = mask[:-1, :-1] & mask[:-1, 1:] & mask[1:, :-1] & mask[1:, 1:]
 
-    components = _label_components(ref)
-    padded = np.pad(ref, 1, constant_values=False)
-    comp_labels, comp_count = _label_with_array(~padded)
-    border = np.zeros_like(comp_labels, dtype=bool)
-    border[0, :] = border[-1, :] = True
-    border[:, 0] = border[:, -1] = True
-    outer = set(np.unique(comp_labels[border & ~padded]))
-    outer.discard(0)
-    holes = comp_count - len(outer)
-    return components - holes
+    # the padding ring joins every complement pixel on the border into one
+    # outer component
+    holes = _count_components(~np.pad(ref, 1, constant_values=False)) - 1
+    return _count_components(ref) - holes
 
 
-def _label_components(mask: np.ndarray) -> int:
-    return _label_with_array(mask)[1]
-
-
-def _label_with_array(mask: np.ndarray) -> tuple[np.ndarray, int]:
-    """4-connectivity connected-component labelling via union-find."""
-    rows, cols = mask.shape
+def _count_components(mask: np.ndarray) -> int:
+    """Number of 4-connected components of a 2-D mask, via union-find."""
     idx = np.full(mask.shape, -1, dtype=np.int64)
     flat = np.flatnonzero(mask)
     idx.ravel()[flat] = np.arange(flat.size)
@@ -281,16 +284,7 @@ def _label_with_array(mask: np.ndarray) -> tuple[np.ndarray, int]:
     for i, j in zip(*np.nonzero(both)):
         union(idx[i, j], idx[i + 1, j])
 
-    labels = np.zeros(mask.shape, dtype=np.int64)
-    roots: dict[int, int] = {}
-    for k in range(flat.size):
-        r = find(k)
-        if r not in roots:
-            roots[r] = len(roots) + 1
-    if flat.size:
-        root_of = np.array([roots[find(k)] for k in range(flat.size)], dtype=np.int64)
-        labels.ravel()[flat] = root_of
-    return labels, len(roots)
+    return len({find(k) for k in range(flat.size)})
 
 
 # ---------------------------------------------------------------------------
@@ -298,14 +292,18 @@ def _label_with_array(mask: np.ndarray) -> tuple[np.ndarray, int]:
 # ---------------------------------------------------------------------------
 
 
-def _as_grid(domain: RectDomain, grid) -> GridSpec:
-    if isinstance(grid, GridSpec):
-        if grid.domain is not domain and (
-            grid.domain.lower != domain.lower or grid.domain.upper != domain.upper
-        ):
-            raise ConfigError("grid was built on a different domain")
-        return grid
-    return GridSpec(domain, grid)
+def _checked(
+    model: FieldModel, domain: RectDomain, grid, reps: int
+) -> tuple[SpectralSumField, GridSpec]:
+    """The spectral model and the grid on ``domain``, once reps >= 100."""
+    sp = _require_spectral(model)
+    if not isinstance(grid, GridSpec):
+        grid = GridSpec(domain, grid)
+    elif grid.domain != domain:
+        raise ConfigError("grid was built on a different domain")
+    if reps < 100:
+        raise ConfigError("need at least 100 replicates")
+    return sp, grid
 
 
 def _chunk_ranges(reps: int, n_points: int) -> list[tuple[int, int]]:
@@ -316,35 +314,86 @@ def _chunk_ranges(reps: int, n_points: int) -> list[tuple[int, int]]:
 
 
 def _sweep(
-    model: SpectralSumField,
-    grid: GridSpec,
-    seed: int,
-    reps: int,
-    reducer,
-    threads: int = 1,
-):
-    """Run reducer(values_block, start) over fixed replicate chunks.
+    model: SpectralSumField, grid: GridSpec, seed: int, reps: int, levels, threads: int, ec=False
+) -> list[tuple[float, ...]]:
+    """Per-level estimates over one grid, for every level at once.
 
-    The chunk layout depends only on ``reps`` and the grid size, so outputs
-    are identical for any thread count.  ``reducer`` must be a pure function
-    of its block.
+    Each chunk of replicates draws its coefficient rows, forms its value
+    block with one GEMM and takes each row's maximum once, since the grid
+    maximum does not depend on the level.  Per level it counts the rows
+    whose maximum reaches the level; with ``ec`` it also sums chi and chi^2
+    of that level's excursion mask, from the same block.  Returns per level
+    (p, stderr), or with ``ec`` (p, stderr, mean_chi, chi_stderr).
+
+    The chunk layout depends only on ``reps`` and the grid size, and every
+    sum is over integers, so results are identical for any thread count.
     """
     basis = _basis(model, grid.points())
-    ncoef = basis.shape[0]
+    levels = np.asarray(levels, dtype=float)
 
     def run(rng_range):
-        start, stop = rng_range
-        coefs = np.empty((stop - start, ncoef))
-        for r in range(start, stop):
-            coefs[r - start] = _coefficients(model, seed, r)
-        block = coefs @ basis  # (chunk, n_points)
-        return reducer(block, start)
+        block = _coefficients(model, seed, *rng_range) @ basis  # (chunk, n_points)
+        sums = [np.count_nonzero(block.max(axis=1) >= levels[:, None], axis=1)]
+        if ec:
+            masks = ((block >= u).reshape((-1,) + grid.shape) for u in levels)
+            chi = np.array([_euler(_cell_counts(m, grid.domain.dim)) for m in masks])
+            sums += [chi.sum(axis=1), (chi * chi).sum(axis=1)]
+        return sums
 
     ranges = _chunk_ranges(reps, grid.n_points)
     if threads <= 1:
-        return [run(rr) for rr in ranges]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(run, ranges))
+        parts = [run(rr) for rr in ranges]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(run, ranges))
+    out = []
+    for hits, *chi_sums in zip(*np.sum(parts, axis=0).tolist()):
+        p = hits / reps
+        est = (p, math.sqrt(p * (1.0 - p) / reps))
+        if chi_sums:
+            mean = chi_sums[0] / reps
+            var = max(chi_sums[1] - reps * mean * mean, 0.0) / (reps - 1)
+            est += (mean, math.sqrt(var / reps))
+        out.append(est)
+    return out
+
+
+def _dual(
+    model: SpectralSumField, grid: GridSpec, levels, reps: int, seed: int, threads: int, ec=False
+) -> list[dict]:
+    """sup_prob_dual_resolution's dict per level, from one sweep per grid;
+    with ``ec`` each also carries ``mean_chi`` and ``chi_stderr``."""
+    fine = GridSpec(grid.domain, tuple(2 * p - 1 for p in grid.points_per_axis))
+    coarse = _sweep(model, grid, seed, reps, levels, threads, ec)
+    rows = []
+    for (p1, s1, *chi), (p2, s2) in zip(coarse, _sweep(model, fine, seed, reps, levels, threads)):
+        row = {
+            "p_coarse": p1,
+            "stderr_coarse": s1,
+            "p_fine": p2,
+            "stderr_fine": s2,
+            "grid_coarse": grid.points_per_axis,
+            "grid_fine": fine.points_per_axis,
+            "bias_flag": abs(p2 - p1) > max(math.hypot(s1, s2), 1e-12),
+        }
+        if chi:
+            row["mean_chi"], row["chi_stderr"] = chi
+        rows.append(row)
+    return rows
+
+
+def _mc_levels(
+    model: FieldModel, domain: RectDomain, levels, grid, reps: int, seed: int, threads: int
+) -> list[dict]:
+    """Every level of an ``mc`` command from one coarse and one fine sweep.
+
+    Per level, the sup_prob_dual_resolution dict plus ``mean_chi`` and
+    ``chi_stderr`` from mc_mean_ec; each equals the one-level call.  Every
+    input is checked before the first replicate block is built.
+    """
+    sp, gs = _checked(model, domain, grid, reps)
+    _check_ec_dim(domain.dim)
+    return _dual(sp, gs, levels, reps, seed, threads, ec=True)
 
 
 def empirical_sup_prob(
@@ -362,19 +411,8 @@ def empirical_sup_prob(
     The discrete maximum underestimates the continuous supremum; the bias
     shrinks with grid refinement (see sup_prob_dual_resolution).
     """
-    sp = _require_spectral(model)
-    gs = _as_grid(domain, grid)
-    if reps < 100:
-        raise ConfigError("need at least 100 replicates")
-
-    def reducer(block, start):
-        return int(np.count_nonzero(block.max(axis=1) >= u))
-
-    counts = _sweep(sp, gs, seed, reps, reducer, threads)
-    hits = sum(counts)
-    p = hits / reps
-    stderr = math.sqrt(p * (1.0 - p) / reps)
-    return p, stderr
+    sp, gs = _checked(model, domain, grid, reps)
+    return _sweep(sp, gs, seed, reps, [u], threads)[0]
 
 
 def sup_prob_dual_resolution(
@@ -393,20 +431,8 @@ def sup_prob_dual_resolution(
     coefficients the refined estimate can only grow.  Flags when the two
     estimates differ by more than the combined MC error.
     """
-    gs = _as_grid(domain, grid)
-    fine = GridSpec(domain, tuple(2 * p - 1 for p in gs.points_per_axis))
-    p1, s1 = empirical_sup_prob(model, domain, u, gs, reps, seed, threads=threads)
-    p2, s2 = empirical_sup_prob(model, domain, u, fine, reps, seed, threads=threads)
-    err = math.hypot(s1, s2)
-    return {
-        "p_coarse": p1,
-        "stderr_coarse": s1,
-        "p_fine": p2,
-        "stderr_fine": s2,
-        "grid_coarse": gs.points_per_axis,
-        "grid_fine": fine.points_per_axis,
-        "bias_flag": abs(p2 - p1) > max(err, 1e-12),
-    }
+    sp, gs = _checked(model, domain, grid, reps)
+    return _dual(sp, gs, [u], reps, seed, threads)[0]
 
 
 def mc_mean_ec(
@@ -420,30 +446,9 @@ def mc_mean_ec(
     threads: int = 1,
 ) -> tuple[float, float]:
     """Mean empirical Euler characteristic over replicates, with stderr."""
-    sp = _require_spectral(model)
-    gs = _as_grid(domain, grid)
-    if reps < 100:
-        raise ConfigError("need at least 100 replicates")
-    ndim = domain.dim
-    if ndim not in (1, 2, 3):
-        raise CapabilityError(f"empirical EC supports N in {{1,2,3}}, got N={ndim}")
-    shape = gs.shape
-
-    def reducer(block, start):
-        mask = (block >= u).reshape((block.shape[0],) + shape)
-        counts = _cell_counts(mask, ndim)
-        chi = np.zeros(block.shape[0], dtype=np.int64)
-        for d, c in enumerate(counts):
-            chi += (-1) ** d * c
-        return int(chi.sum()), int((chi * chi).sum())
-
-    parts = _sweep(sp, gs, seed, reps, reducer, threads)
-    s1 = sum(p[0] for p in parts)
-    s2 = sum(p[1] for p in parts)
-    mean = s1 / reps
-    var = max(s2 - reps * mean * mean, 0.0) / (reps - 1)
-    stderr = math.sqrt(var / reps)
-    return mean, stderr
+    sp, gs = _checked(model, domain, grid, reps)
+    _check_ec_dim(domain.dim)
+    return _sweep(sp, gs, seed, reps, [u], threads, ec=True)[0][2:]
 
 
 # ---------------------------------------------------------------------------
@@ -479,19 +484,26 @@ def save_realization(real: Realization, path: str) -> str:
 
 
 def load_realization(path: str) -> Realization:
-    """Inverse of save_realization; values are bit-identical."""
+    """Inverse of save_realization; values are bit-identical.
+
+    Raises ConfigError unless the sidecar records dtype '<f8', order 'C' and
+    integer shape, seed and replicate, and the data file holds exactly the
+    values its shape needs.
+    """
     sidecar = path + ".json"
     if not os.path.exists(sidecar):
         raise ConfigError(f"missing sidecar header {sidecar}")
     with open(sidecar, "r", encoding="utf-8") as fh:
         header = json.load(fh)
-    shape = tuple(int(s) for s in header["shape"])
+    if header.get("dtype") != "<f8" or header.get("order") != "C":
+        raise ConfigError(f"{sidecar}: only dtype '<f8' in order 'C' can be read")
+    shape, seed, replicate = (header.get(k) for k in ("shape", "seed", "replicate"))
+    ints = [*shape, seed, replicate] if isinstance(shape, list) else [shape]
+    if any(isinstance(v, bool) or not isinstance(v, int) for v in ints):
+        raise ConfigError(f"{sidecar}: shape, seed and replicate must be integers")
     domain = RectDomain(header["domain"]["lower"], header["domain"]["upper"])
-    values = np.fromfile(path, dtype="<f8").reshape(shape)
     grid = GridSpec(domain, shape)
-    return Realization(
-        grid=grid,
-        values=values,
-        seed=int(header["seed"]),
-        replicate=int(header["replicate"]),
-    )
+    values = np.fromfile(path, dtype="<f8")
+    if values.size != grid.n_points:
+        raise ConfigError(f"{path} holds {values.size} values; its shape needs {grid.n_points}")
+    return Realization(grid=grid, values=values.reshape(grid.shape), seed=seed, replicate=replicate)

@@ -321,6 +321,24 @@ def test_mc_four_dimensional_exits_before_sweeping(tmp_path, capsys, monkeypatch
     assert "got N=4" in capsys.readouterr().err
 
 
+def test_mc_sweeps_each_grid_once_for_all_levels(tmp_path, capsys, monkeypatch):
+    # the grid maximum does not depend on the level, so a command runs one
+    # coarse sweep (maxima and EC) and one fine sweep, whatever its levels
+    sweep = cli.mc_mod._sweep
+    grids = []
+
+    def counting_sweep(model, grid, *args, **kwargs):
+        grids.append(grid.points_per_axis)
+        return sweep(model, grid, *args, **kwargs)
+
+    monkeypatch.setattr(cli.mc_mod, "_sweep", counting_sweep)
+    cfg = write_config(tmp_path, levels=[1.5, 2.0, 2.5], mc={"grid": 9, "reps": 150})
+    code, out = run(capsys, ["mc", "--config", cfg])
+    assert code == 0
+    assert len(parse_csv(out)[1]) == 3
+    assert grids == [(9, 9), (17, 17)]
+
+
 def test_mc_non_spectral_model_capability_exit(tmp_path, capsys):
     cfg = write_config(
         tmp_path,

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -269,14 +270,52 @@ def test_block_cap_leaves_results_unchanged(monkeypatch):
     want = [
         empirical_sup_prob(cosine(), dom, 2.0, 9, 700, seed=5),
         mc_mean_ec(cosine(), dom, 2.0, 9, 700, seed=5),
+        mc_mod._mc_levels(cosine(), dom, (2.0, 2.5), 9, 700, 5, 1),
     ]
     monkeypatch.setattr(mc_mod, "MAX_BLOCK_BYTES", 3 * 8 * 81)
     assert mc_mod._chunk_ranges(700, 81)[:2] == [(0, 3), (3, 6)]
     got = [
         empirical_sup_prob(cosine(), dom, 2.0, 9, 700, seed=5),
         mc_mean_ec(cosine(), dom, 2.0, 9, 700, seed=5),
+        mc_mod._mc_levels(cosine(), dom, (2.0, 2.5), 9, 700, 5, 1),
     ]
     assert got == want
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_mc_levels_equal_one_level_calls(threads):
+    # one coarse and one fine sweep serve every level; 700 reps make two
+    # chunks, so threads=2 runs them concurrently
+    dom = RectDomain([0.0, 0.0], [PI, PI])
+    levels = (1.5, 2.0, 2.5)
+    rows = mc_mod._mc_levels(cosine(), dom, levels, 9, 700, 5, threads)
+    assert len(rows) == len(levels)
+    for u, row in zip(levels, rows):
+        dual = sup_prob_dual_resolution(cosine(), dom, u, 9, 700, seed=5, threads=threads)
+        mean, se = mc_mean_ec(cosine(), dom, u, 9, 700, seed=5, threads=threads)
+        assert row == {**dual, "mean_chi": mean, "chi_stderr": se}
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_coefficients_match_a_fresh_generator_per_replicate(seed):
+    # the re-keyed generator must draw what a Philox built for (seed, r) draws
+    model = SpectralSumField(
+        freqs=np.array([[1.0, 0.0], [0.3, 1.2], [0.0, 0.7]]),
+        weights=np.array([0.5, 0.2, 1.3]),
+        offset_var=0.8,
+    )
+    sw = np.sqrt(model.weights)
+    for start, stop in [(0, 1), (1, 700), (700, 2000)]:
+        got = mc_mod._coefficients(model, seed, start, stop)
+        assert got.shape == (stop - start, 7)
+        for r in range(start, stop):
+            key = np.array([seed, r], dtype=np.uint64)
+            draws = np.random.Generator(np.random.Philox(key=key)).standard_normal(7)
+            want = np.empty(7)
+            want[0] = math.sqrt(model.offset_var) * draws[0]
+            want[1::2] = sw * draws[1::2]
+            want[2::2] = sw * draws[2::2]
+            assert np.array_equal(got[r - start], want)
 
 
 def test_sup_prob_needs_enough_reps():
@@ -365,6 +404,56 @@ def cosine_1d():
 def test_load_requires_sidecar(tmp_path):
     path = str(tmp_path / "orphan.bin")
     np.zeros(4).tofile(path)
+    with pytest.raises(ConfigError):
+        load_realization(path)
+
+
+def saved_realization(tmp_path):
+    grid = GridSpec(RectDomain([0.0, 0.5], [PI, 2.0]), (9, 7))
+    path = str(tmp_path / "field.bin")
+    return path, save_realization(sample_field(cosine(), grid, 13, 2), path)
+
+
+MISSING = object()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        pytest.param("dtype", ">f8", id="big-endian"),
+        pytest.param("dtype", MISSING, id="no-dtype"),
+        pytest.param("order", "F", id="fortran-order"),
+        pytest.param("shape", [9, 8], id="shape-too-large"),
+        pytest.param("shape", [9.0, 7], id="float-shape"),
+        pytest.param("shape", "9x7", id="string-shape"),
+        pytest.param("shape", MISSING, id="no-shape"),
+        pytest.param("seed", "abc", id="string-seed"),
+        pytest.param("seed", 1.5, id="float-seed"),
+        pytest.param("seed", True, id="boolean-seed"),
+        pytest.param("seed", MISSING, id="no-seed"),
+        pytest.param("replicate", "2", id="string-replicate"),
+        pytest.param("replicate", MISSING, id="no-replicate"),
+    ],
+)
+def test_load_rejects_malformed_sidecar(tmp_path, key, value):
+    path, sidecar = saved_realization(tmp_path)
+    with open(sidecar, encoding="utf-8") as fh:
+        header = json.load(fh)
+    if value is MISSING:
+        del header[key]
+    else:
+        header[key] = value
+    with open(sidecar, "w", encoding="utf-8") as fh:
+        json.dump(header, fh)
+    with pytest.raises(ConfigError):
+        load_realization(path)
+
+
+@pytest.mark.parametrize("extra", [1, -1])
+def test_load_rejects_data_of_another_size(tmp_path, extra):
+    path, _ = saved_realization(tmp_path)
+    values = np.fromfile(path, dtype="<f8")
+    np.resize(values, values.size + extra).astype("<f8").tofile(path)
     with pytest.raises(ConfigError):
         load_realization(path)
 

@@ -7,6 +7,8 @@ references the bound name or re-exports it through ``__all__``.  The package
 Every module-level private function, class and constant (a name starting
 with one underscore) must be referenced somewhere in the package, so a
 removed caller cannot leave its helper behind.
+
+No function imports anything: every dependency of a module shows at its top.
 """
 
 import ast
@@ -75,3 +77,17 @@ def test_no_unreferenced_private_helpers():
         if defn.startswith("_") and not defn.startswith("__") and defn not in referenced
     )
     assert not unreferenced, f"private definitions nobody references: {unreferenced}"
+
+
+def test_no_imports_inside_functions():
+    nested = sorted(
+        {
+            f"{path.name}:{fn.name}"
+            for path in PKG.glob("*.py")
+            for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(fn)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+        }
+    )
+    assert not nested, f"functions with their own imports: {nested}"
