@@ -12,6 +12,9 @@ for the excursion probability once u is moderately large), while both
 approach the closed form from above much more slowly.  Useful when judging
 whether a disagreement is grid bias, MC noise, or genuine asymptotic error.
 
+All levels share one coarse and one fine replicate sweep and one mean-EC
+quadrature pass per face; ``--levels`` is parsed as the CLI parses it.
+
 Usage:
     python3 scripts/mc_crosscheck.py --reps 20000 --grid 64 --levels 3:6:1
 """
@@ -20,11 +23,12 @@ import argparse
 import math
 import sys
 
+from excursion_kit.cli import _parse_levels_flag
 from excursion_kit.field import CosineField
 from excursion_kit.gauss import gauss_tail
 from excursion_kit.geometry import RectDomain
-from excursion_kit.mc import mc_mean_ec, sup_prob_dual_resolution
-from excursion_kit.mec import mean_euler_characteristic
+from excursion_kit.mc import _mc_levels
+from excursion_kit.mec import _mean_ec_levels
 from excursion_kit.quad import QuadSpec
 
 PI = math.pi
@@ -39,12 +43,7 @@ def main(argv=None):
     ap.add_argument("--threads", type=int, default=4)
     args = ap.parse_args(argv)
 
-    a, b, s = (float(x) for x in args.levels.split(":"))
-    levels = []
-    u = a
-    while u <= b + 1e-9:
-        levels.append(u)
-        u += s
+    levels = _parse_levels_flag(args.levels)
 
     model = CosineField()
     dom = RectDomain([0.0, 0.0], [PI, PI])
@@ -59,19 +58,14 @@ def main(argv=None):
         "   u     p_hat      p_fine     +/-        mean_ec    mc_chi     "
         "p/mec    p/closed"
     )
-    for u in levels:
-        dual = sup_prob_dual_resolution(
-            model, dom, u, args.grid, args.reps, args.seed, threads=args.threads
-        )
-        mec_total = mean_euler_characteristic(model, dom, u, spec).total
-        chi, chi_se = mc_mean_ec(
-            model, dom, u, args.grid, args.reps, args.seed, threads=args.threads
-        )
-        p = dual["p_fine"]
+    sims = _mc_levels(model, dom, levels, args.grid, args.reps, args.seed, args.threads)
+    mecs = _mean_ec_levels(model, dom, levels, spec, seed=0, threads=1)
+    for u, sim, mec in zip(levels, sims, mecs):
+        p = sim["p_fine"]
         print(
-            f"  {u:4.2f}  {dual['p_coarse']:.6f}  {p:.6f}  {dual['stderr_fine']:.6f}"
-            f"  {mec_total:.6f}  {chi:8.5f}  {p / mec_total:7.4f}  {p / closed(u):7.4f}"
-            + ("  [bias flag]" if dual["bias_flag"] else "")
+            f"  {u:4.2f}  {sim['p_coarse']:.6f}  {p:.6f}  {sim['stderr_fine']:.6f}"
+            f"  {mec.total:.6f}  {sim['mean_chi']:8.5f}  {p / mec.total:7.4f}"
+            f"  {p / closed(u):7.4f}" + ("  [bias flag]" if sim["bias_flag"] else "")
         )
     return 0
 

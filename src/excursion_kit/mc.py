@@ -486,22 +486,33 @@ def save_realization(real: Realization, path: str) -> str:
 def load_realization(path: str) -> Realization:
     """Inverse of save_realization; values are bit-identical.
 
-    Raises ConfigError unless the sidecar records dtype '<f8', order 'C' and
-    integer shape, seed and replicate, and the data file holds exactly the
+    Raises ConfigError unless the sidecar is a JSON object that records
+    dtype '<f8', order 'C', integer shape, seed and replicate, and a domain
+    with lower < upper on every axis, and the data file holds exactly the
     values its shape needs.
     """
     sidecar = path + ".json"
     if not os.path.exists(sidecar):
         raise ConfigError(f"missing sidecar header {sidecar}")
     with open(sidecar, "r", encoding="utf-8") as fh:
-        header = json.load(fh)
+        try:
+            header = json.load(fh)
+        except ValueError as exc:
+            raise ConfigError(f"{sidecar}: not valid JSON") from exc
+    if not isinstance(header, dict):
+        raise ConfigError(f"{sidecar}: header must be a JSON object")
     if header.get("dtype") != "<f8" or header.get("order") != "C":
         raise ConfigError(f"{sidecar}: only dtype '<f8' in order 'C' can be read")
     shape, seed, replicate = (header.get(k) for k in ("shape", "seed", "replicate"))
     ints = [*shape, seed, replicate] if isinstance(shape, list) else [shape]
     if any(isinstance(v, bool) or not isinstance(v, int) for v in ints):
         raise ConfigError(f"{sidecar}: shape, seed and replicate must be integers")
-    domain = RectDomain(header["domain"]["lower"], header["domain"]["upper"])
+    try:
+        domain = RectDomain(header["domain"]["lower"], header["domain"]["upper"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(
+            f"{sidecar}: domain needs finite lower and upper lists with lower < upper"
+        ) from exc
     grid = GridSpec(domain, shape)
     values = np.fromfile(path, dtype="<f8")
     if values.size != grid.n_points:

@@ -265,28 +265,36 @@ def _face_term_mean_ec_result(
     )
     signs = outward_cone(face).signs()
 
-    def integrand(z):
-        # z = (free face coordinates, cone coordinates s in [0, 1)^q)
-        d = ctx.arrays(z[:, :k])
+    def integrand(x, s):
+        # x holds free face coordinates (n_x, k), s cone coordinates in
+        # [0, 1)^q (n_y, q); the joint nodes are their product, x-major.
+        # The field runs once per face point and the cone factors once per
+        # cone point; both broadcast to (n_x, n_y), and every per-node
+        # expression is the one of the unsplit integrand.
+        d = ctx.arrays(x)
         ok = (d.gamma_sq >= DEGENERATE_VAR) & (d.theta_sq >= DEGENERATE_VAR)
         gam = np.sqrt(np.where(ok, d.gamma_sq, 1.0))
-        s = z[:, k:]
+        weight = np.where(ok, d.det_diff * gam ** (-k), 0.0)[:, None]
+        gam = gam[:, None]
         wy = (signs * s / (1.0 - s)) @ white_t
         # X given the gradients has mean b_t S^-1 y and variance gamma_t^2
-        mean = np.einsum("mj,mj->m", d.b @ white_t, wy)
+        mean = np.einsum("ij,mj->im", d.b @ white_t, wy)
         wy_sq = np.einsum("mj,mj->m", wy, wy)
         jac = np.prod((1.0 - s) ** -2.0, axis=1)
-        weight = np.where(ok, d.det_diff * gam ** (-k), 0.0)
-        out = np.empty((len(levels), z.shape[0]))
+        out = np.empty((len(levels), x.shape[0], s.shape[0]))
         for row, u in zip(out, levels):
             a = (u - mean) / gam
             expo = log_norm - 0.5 * (wy_sq + a * a)
             row[:] = weight * hermite(k - 1, a) * np.exp(expo) * jac
-        return out
+        return out.reshape(len(levels), -1)
 
     lo, hi = face.free_bounds()
     results = integrate_box(
-        integrand, np.concatenate([lo, np.zeros(q)]), np.concatenate([hi, np.ones(q)]), spec
+        integrand,
+        np.concatenate([lo, np.zeros(q)]),
+        np.concatenate([hi, np.ones(q)]),
+        spec,
+        split=k,
     )
     return [
         QuadResult(ctx.pref_mec * res.value, ctx.pref_mec * res.err_est, res.converged)

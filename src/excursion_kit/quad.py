@@ -12,15 +12,25 @@ Three entry points share one adaptive core:
 
 Integrands are vectorised: they receive an (m, d) array of points and
 return m values, or an (L, m) array holding L integrands that share the
-points (one row each, e.g. one per level).  Convergence of a box is judged
-by comparing the tensor rule with the sum over its 2^d dyadic children;
-boxes are split until the difference passes ``rel_tol`` (with an
-``abs_tol`` floor for integrals that are numerically zero), or until
-``max_subdivisions`` levels or MAX_BOXES evaluated boxes are exhausted, in
-which case the result carries ``converged=False`` and a QuadratureWarning.
-Each row of an (L, m) integrand keeps its own refinement tree, so its
-result is bit-identical to integrating that row alone; one integrand call
-per box serves every row still refining it.
+points (one row each, e.g. one per level).
+
+A box integrand can also be split: with ``split=k`` it receives the nodes
+of the k leading axes, x of shape (n_x, k), and those of the d - k
+trailing axes, y of shape (n_y, d - k), and returns its values over their
+product in x-major order (value j * n_y + i belongs to (x_j, y_i)).  That
+is the row-major order of the unsplit (m, d) nodes, so the weights, the
+estimates and the refinement are unchanged; an integrand whose costly part
+depends on x alone evaluates it at n_x points instead of m = n_x * n_y.
+The mean-EC joint boxes split the face axes from the cone axes this way.
+
+Convergence of a box is judged by comparing the tensor rule with the sum
+over its 2^d dyadic children; boxes are split until the difference passes
+``rel_tol`` (with an ``abs_tol`` floor for integrals that are numerically
+zero), or until ``max_subdivisions`` levels or MAX_BOXES evaluated boxes
+are exhausted, in which case the result carries ``converged=False`` and a
+QuadratureWarning.  Each row of an (L, m) integrand keeps its own
+refinement tree, so its result is bit-identical to integrating that row
+alone; one integrand call per box serves every row still refining it.
 """
 
 from __future__ import annotations
@@ -121,19 +131,27 @@ def _tensor_nodes(order: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
     return pts, wt
 
 
-def _eval_box(f, lo, hi, order, rows=None) -> list[float]:
+def _eval_box(f, lo, hi, order, rows=None, split=None) -> list[float]:
     """Tensor Gauss-Legendre estimates of f over the box [lo, hi].
 
     f returns (m,) values, read as one row, or (L, m) values.  The result
     holds the estimates of the listed rows (all by default), each one
-    contiguous row dotted with the weights.
+    contiguous row dotted with the weights.  With ``split=k`` f is called
+    as f(x, y) on the nodes of the k leading and of the trailing axes, and
+    its values are read in x-major order, the row-major order of the
+    unsplit nodes.
     """
     dim = lo.shape[0]
     pts01, wts = _tensor_nodes(order, dim)
     widths = hi - lo
-    pts = lo + pts01 * widths
-    m = pts.shape[0]
-    vals = np.asarray(f(pts), dtype=float)
+    if split is None:
+        pts = lo + pts01 * widths
+        vals = np.asarray(f(pts), dtype=float)
+    else:
+        x = lo[:split] + _tensor_nodes(order, split)[0] * widths[:split]
+        y = lo[split:] + _tensor_nodes(order, dim - split)[0] * widths[split:]
+        vals = np.asarray(f(x, y), dtype=float)
+    m = pts01.shape[0]
     if vals.ndim == 1:
         vals = vals[None, :]
     if vals.ndim != 2 or vals.shape[1] != m:
@@ -146,7 +164,7 @@ def _eval_box(f, lo, hi, order, rows=None) -> list[float]:
     for r in range(vals.shape[0]) if rows is None else rows:
         bad = ~np.isfinite(vals[r])
         if bad.any():
-            t_bad = pts[int(np.argmax(bad))]
+            t_bad = lo + pts01[int(np.argmax(bad))] * widths
             raise QuadratureError(f"integrand non-finite at t = {t_bad.tolist()}")
         out.append(float(vals[r] @ wts) * vol)
     return out
@@ -169,7 +187,7 @@ def _split(lo, hi):
     return children
 
 
-def integrate_box(f, lower, upper, spec: QuadSpec = QuadSpec()):
+def integrate_box(f, lower, upper, spec: QuadSpec = QuadSpec(), *, split=None):
     """Adaptive tensor integration of f over a rectangle [lower, upper].
 
     An integrand returning (m,) values gives one QuadResult.  One returning
@@ -179,6 +197,11 @@ def integrate_box(f, lower, upper, spec: QuadSpec = QuadSpec()):
     warns on its own when it does not converge.  A box is evaluated once
     for all rows still refining it.  The (L, m) value array is the only
     buffer that grows with L (about 5 MB for two rows of a 24^4-node box).
+
+    With ``split=k`` (0 < k < d) f is called as f(x, y) on the nodes of the
+    k leading axes and of the d - k trailing axes of every box, and returns
+    its values over their product in x-major order (see the module
+    docstring); the results are those of the unsplit integrand.
     """
     lo = np.atleast_1d(np.asarray(lower, dtype=float))
     hi = np.atleast_1d(np.asarray(upper, dtype=float))
@@ -186,16 +209,18 @@ def integrate_box(f, lower, upper, spec: QuadSpec = QuadSpec()):
         raise ValueError("lower/upper must be matching vectors")
     if np.any(hi <= lo):
         raise ValueError("need lower < upper on every axis")
+    if split is not None and not 0 < split < lo.shape[0]:
+        raise ValueError("split must leave at least one axis on each side")
     order = spec.order_per_axis
     one_row = False
 
-    def root(pts):
+    def root(*nodes):
         nonlocal one_row
-        vals = np.asarray(f(pts), dtype=float)
+        vals = np.asarray(f(*nodes), dtype=float)
         one_row = vals.ndim == 1
         return vals
 
-    coarse = _eval_box(root, lo, hi, order)
+    coarse = _eval_box(root, lo, hi, order, split=split)
     n_rows = len(coarse)
     total = [0.0] * n_rows
     err = [0.0] * n_rows
@@ -208,7 +233,7 @@ def integrate_box(f, lower, upper, spec: QuadSpec = QuadSpec()):
         blo, bhi, bvals, depth = stack.pop()
         children = _split(blo, bhi)
         rows = list(bvals)
-        cvals = [_eval_box(f, clo, chi, order, rows) for clo, chi in children]
+        cvals = [_eval_box(f, clo, chi, order, rows, split) for clo, chi in children]
         still_open = []
         for j, r in enumerate(rows):
             boxes_used[r] += len(children)

@@ -433,18 +433,31 @@ MISSING = object()
         pytest.param("seed", MISSING, id="no-seed"),
         pytest.param("replicate", "2", id="string-replicate"),
         pytest.param("replicate", MISSING, id="no-replicate"),
+        pytest.param(None, '{"shape": [9, 7],', id="not-json"),
+        pytest.param(None, "[9, 7]", id="json-list"),
+        pytest.param("domain", MISSING, id="no-domain"),
+        pytest.param("domain", "x", id="string-domain"),
+        pytest.param("domain", {"upper": [PI, 2.0]}, id="domain-without-lower"),
+        pytest.param(
+            "domain", {"lower": [0.0, 2.0], "upper": [PI, 2.0]}, id="domain-lower-not-below-upper"
+        ),
     ],
 )
 def test_load_rejects_malformed_sidecar(tmp_path, key, value):
+    # key None replaces the whole sidecar text with value
     path, sidecar = saved_realization(tmp_path)
     with open(sidecar, encoding="utf-8") as fh:
         header = json.load(fh)
-    if value is MISSING:
-        del header[key]
+    if key is None:
+        text = value
     else:
-        header[key] = value
+        if value is MISSING:
+            del header[key]
+        else:
+            header[key] = value
+        text = json.dumps(header)
     with open(sidecar, "w", encoding="utf-8") as fh:
-        json.dump(header, fh)
+        fh.write(text)
     with pytest.raises(ConfigError):
         load_realization(path)
 

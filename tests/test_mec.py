@@ -254,6 +254,29 @@ def test_mean_ec_faces_match_nested_oracle_3d():
     assert_faces_match_oracle(m, long, ("1|{3}|{1:1,2:1}",), 6.0)
 
 
+@pytest.mark.filterwarnings("ignore::excursion_kit.errors.QuadratureWarning")
+def test_mean_ec_joint_box_runs_the_field_at_face_points_only(monkeypatch):
+    # a joint box over a k-face x its q-dimensional cone has order^(k+q)
+    # nodes but only order^k distinct face points; the field sees each once
+    # per box (one split level is enough to see every box take that path)
+    spec = QuadSpec(order_per_axis=6, rel_tol=1e-4, max_subdivisions=1)
+    sizes = []
+    arrays = mec.FaceContext.arrays
+
+    def spy(self, pts):
+        sizes.append(pts.shape[0])
+        return arrays(self, pts)
+
+    monkeypatch.setattr(mec.FaceContext, "arrays", spy)
+    m, dom = spectral3()
+    for model, domain in ((cosine(), RectDomain([0.0, 0.0], [PI, PI])), (m, dom)):
+        for face in enumerate_faces(domain):
+            if 1 <= face.k < domain.dim:
+                sizes.clear()
+                face_term_mean_ec(model, face, 6.0, spec)
+                assert sizes and set(sizes) == {6**face.k}, face_label(face)
+
+
 @pytest.mark.parametrize("upper", [[PI, PI], [1.5 * PI, PI]])
 @pytest.mark.parametrize("u", [2.5, 6.0])
 def test_mean_ec_err_est_covers_quadrature_error(upper, u):

@@ -8,6 +8,7 @@ from excursion_kit.errors import CapabilityError, QuadratureError, QuadratureWar
 from excursion_kit.gauss import gauss_tail, hermite
 from excursion_kit.geometry import Face, OutwardCone, RectDomain
 from excursion_kit.quad import (
+    QuadResult,
     QuadSpec,
     TailMap,
     integrate_box,
@@ -135,6 +136,75 @@ def test_unconverged_row_warns_once():
     assert "row 1" in str(quad_warnings[0].message)
     assert poly.converged and not kink.converged
     assert poly.value == pytest.approx(1 / 3, rel=1e-14)
+
+
+def split_of(h):
+    """h as a split integrand: h at every (x, y) pair, x-major; records shapes."""
+    shapes = []
+
+    def g(x, y):
+        shapes.append((x.shape, y.shape))
+        return h(np.hstack([np.repeat(x, len(y), axis=0), np.tile(y, (len(x), 1))]))
+
+    return g, shapes
+
+
+def assert_same_results(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert (a.value, a.err_est, a.converged) == (b.value, b.err_est, b.converged)
+
+
+@pytest.mark.parametrize("split", [1, 2])
+def test_split_integrand_matches_flat_nodes(split):
+    def h(t):
+        return np.exp(-t[:, 0] - 2.0 * t[:, 1]) * np.cos(t[:, 2])
+
+    spec = QuadSpec(order_per_axis=4, rel_tol=1e-8)
+    lo, hi = [0.0, 0.5, -1.0], [1.0, 2.0, 1.5]
+    g, shapes = split_of(h)
+    got = integrate_box(g, lo, hi, spec, split=split)
+    want = integrate_box(h, lo, hi, spec)
+    assert isinstance(got, QuadResult)
+    assert_same_results([got], [want])
+    assert len(shapes) > 1 + 8
+    assert set(shapes) == {((4**split, split), (4 ** (3 - split), 3 - split))}
+
+
+def test_split_rows_match_flat_rows():
+    # the rows refine to different depths, as in test_rows_match_single_row_runs
+    def h(t):
+        r2 = (t[:, 0] - 0.3) ** 2 + (t[:, 1] - 0.7) ** 2
+        return np.stack([np.exp(-t[:, 0] - t[:, 1]), np.exp(-0.5 * r2 / 0.02**2)])
+
+    spec = QuadSpec(order_per_axis=8, rel_tol=1e-10)
+    g, _ = split_of(h)
+    got = integrate_box(g, [0.0, 0.0], [1.0, 1.0], spec, split=1)
+    assert_same_results(got, integrate_box(h, [0.0, 0.0], [1.0, 1.0], spec))
+
+
+def test_split_unconverged_row_warns_once():
+    def h(t):
+        return np.stack([t[:, 0] ** 2 * t[:, 1], np.abs(t[:, 1] - 0.5) ** 0.3])
+
+    spec = QuadSpec(rel_tol=1e-15, abs_tol=1e-300, max_subdivisions=1)
+    g, _ = split_of(h)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = integrate_box(g, [0.0, 0.0], [1.0, 1.0], spec, split=1)
+    quad_warnings = [w for w in caught if issubclass(w.category, QuadratureWarning)]
+    assert len(quad_warnings) == 1
+    assert "row 1" in str(quad_warnings[0].message)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", QuadratureWarning)
+        want = integrate_box(h, [0.0, 0.0], [1.0, 1.0], spec)
+    assert_same_results(got, want)
+    assert got[0].converged and not got[1].converged
+
+
+@pytest.mark.parametrize("split", [0, 2])
+def test_split_needs_axes_on_both_sides(split):
+    with pytest.raises(ValueError, match="split"):
+        integrate_box(lambda x, y: np.ones(len(x) * len(y)), [0.0, 0.0], [1.0, 1.0], split=split)
 
 
 def test_nonfinite_integrand_raises():
