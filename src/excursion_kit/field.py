@@ -61,6 +61,10 @@ COND_CAP = 1e12
 NEG_TOL = 1e-10
 # variance below which conditional quantities are treated as degenerate
 DEGENERATE_VAR = 1e-14
+# most points per field evaluation in max_variance's scan and in
+# mec.FaceContext.arrays, so their memory does not grow with the scan grid or
+# the quadrature box
+POINT_BLOCK = 2**15
 
 
 class FieldModel:
@@ -434,11 +438,16 @@ class MaxVarianceResult:
         return len(self.candidates) > 1
 
 
-# max_variance: scan points per face axis, the projected-gradient size that
-# ends a polish, and the gap under the max within which points tie
+# max_variance: scan points per face axis, and the scan-point budget of one
+# face, which caps the per-axis count at round(MAX_VAR_POINTS^(1/k)) on a
+# k-face (45 for k = 4); the projected-gradient size that ends a polish, and
+# the gap under the max within which points tie
 MAX_VAR_GRID = 64
+MAX_VAR_POINTS = 4e6
 GRAD_TOL = 1e-10
 TIE_TOL = 1e-8
+# polish starts per k >= 1 face
+MAX_VAR_STARTS = 3
 
 
 def _refine_on_face(model: FieldModel, face: Face, x0: np.ndarray) -> np.ndarray:
@@ -491,15 +500,56 @@ def _refine_on_face(model: FieldModel, face: Face, x0: np.ndarray) -> np.ndarray
     return x
 
 
+def _top_points(vals: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The MAX_VAR_STARTS best (value, index) pairs: value descending, then
+    index ascending, so exact ties go to the lowest index."""
+    n = MAX_VAR_STARTS
+    if len(vals) > n:
+        keep = vals >= np.partition(vals, len(vals) - n)[len(vals) - n]
+        vals, idx = vals[keep], idx[keep]
+    order = np.lexsort((idx, -vals))[:n]
+    return vals[order], idx[order]
+
+
+def _scan_starts(model: FieldModel, face: Face, axes: list[np.ndarray]) -> np.ndarray:
+    """Free coordinates of the best grid points of a face, best first.
+
+    The grid is the row-major product of ``axes``; it is evaluated
+    POINT_BLOCK points at a time, each block's points taken from the axes by
+    their multi-indices, which are the values of the full meshgrid.  A
+    running top list keeps the ranking of _top_points, so the starts do not
+    depend on the block size.
+    """
+    shape = tuple(len(a) for a in axes)
+    size = math.prod(shape)
+    best_vals, best_idx = np.empty(0), np.empty(0, dtype=np.intp)
+    for lo in range(0, size, POINT_BLOCK):
+        idx = np.arange(lo, min(lo + POINT_BLOCK, size))
+        pts_free = np.stack(
+            [ax[i] for ax, i in zip(axes, np.unravel_index(idx, shape))], axis=-1
+        )
+        vals = model.variance(embed_points(face, pts_free))
+        best_vals, best_idx = _top_points(
+            np.concatenate([best_vals, vals]), np.concatenate([best_idx, idx])
+        )
+    return np.stack(
+        [ax[i] for ax, i in zip(axes, np.unravel_index(best_idx, shape))], axis=-1
+    )
+
+
 def max_variance(model: FieldModel, domain: RectDomain) -> MaxVarianceResult:
     """Maximise nu over the closed rectangle: face-wise scan plus polish.
 
     Every k >= 1 face is scanned on a uniform grid of its closure's free
-    coordinates, MAX_VAR_GRID points per axis, and its three best grid
-    points are refined by projected Newton/gradient ascent on the closed
-    face; vertices are evaluated as they are.  All these points are kept in
-    ``face_maxima``.  Distinct points within TIE_TOL of the best value are
-    all reported as candidates.
+    coordinates with min(MAX_VAR_GRID, round(MAX_VAR_POINTS^(1/k))) points
+    per axis: 64 for k <= 3 and 45 for k = 4.  The grid is evaluated in
+    blocks of at most POINT_BLOCK points, so memory does not grow with it.
+    Its MAX_VAR_STARTS best points, ranked by value descending and then by
+    row-major grid index ascending (exact ties go to the lowest index,
+    whatever the block size), are refined in that order by projected
+    Newton/gradient ascent on the closed face; vertices are evaluated as
+    they are.  All these points are kept in ``face_maxima``.  Distinct
+    points within TIE_TOL of the best value are all reported as candidates.
     """
     cands: list[tuple[float, np.ndarray, Face]] = []
     for fc in enumerate_faces(domain):
@@ -508,17 +558,12 @@ def max_variance(model: FieldModel, domain: RectDomain) -> MaxVarianceResult:
             cands.append((float(model.variance(t)), t, fc))
             continue
         lo, hi = fc.free_bounds()
-        per_axis = max(2, min(MAX_VAR_GRID, int(round(4e6 ** (1.0 / fc.k)))))
+        per_axis = max(2, min(MAX_VAR_GRID, int(round(MAX_VAR_POINTS ** (1.0 / fc.k)))))
         axes = [np.linspace(lo[i], hi[i], per_axis) for i in range(fc.k)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts_free = np.stack([m.ravel() for m in mesh], axis=-1)
-        pts = embed_points(fc, pts_free)
-        vals = model.variance(pts)
-        order = np.argsort(vals)[::-1]
         # polish the few best grid points; distinct starts may find
         # distinct maximizers on the same face
-        for idx in order[: min(3, len(order))]:
-            xf = _refine_on_face(model, fc, pts_free[idx])
+        for x0 in _scan_starts(model, fc, axes):
+            xf = _refine_on_face(model, fc, x0)
             t = embed_points(fc, xf[None, :])[0]
             cands.append((float(model.variance(t)), t, fc))
 

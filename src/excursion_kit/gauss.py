@@ -277,28 +277,47 @@ def mvn_prob(problem: MvnProblem, seed: int = 0) -> MvnResult:
     errors of the randomization mean; the warning flag is set when it
     exceeds MVN_ACCURACY.  Deterministic for a fixed seed.
     """
-    a = problem.lower.copy()
-    b = problem.upper.copy()
-    if np.any(a >= b):
-        return MvnResult(0.0, 0.0, False)
-    d = problem.dim
-    L, a, b = _ordered_cholesky(problem.cov, a, b)
+    return _mvn_probs([problem], seed)[0]
 
-    if d == 1:
+
+def _mvn_probs(problems: list[MvnProblem], seed: int) -> list[MvnResult]:
+    """mvn_prob of each problem, all of one dimension, with one seed.
+
+    Each randomization's QMC points are drawn once and integrated for every
+    problem, so each result equals its own mvn_prob call while the Sobol
+    engines are built once for all of them.
+    """
+    d = problems[0].dim
+    if any(pb.dim != d for pb in problems):
+        raise ValueError("problems must share one dimension")
+    out: list[MvnResult | None] = [None] * len(problems)
+    todo = []
+    for i, pb in enumerate(problems):
+        a = pb.lower.copy()
+        b = pb.upper.copy()
+        if np.any(a >= b):
+            out[i] = MvnResult(0.0, 0.0, False)
+            continue
+        L, a, b = _ordered_cholesky(pb.cov, a, b)
+        if d > 1:
+            todo.append((i, L, a, b))
+            continue
         if L[0, 0] > 0:
-            p = float(_interval_mass(a[0] / L[0, 0], b[0] / L[0, 0]))
+            p = _interval_mass(a[0] / L[0, 0], b[0] / L[0, 0])
         else:
             p = float(a[0] <= 0.0 <= b[0])
-        return MvnResult(max(p, 0.0), 0.0, False)
-
-    ss = np.random.SeedSequence(int(seed))
-    children = ss.spawn(MVN_QMC_RANDOMIZATIONS)
-    estimates = np.empty(MVN_QMC_RANDOMIZATIONS)
-    for r, child in enumerate(children):
-        sob = qmc.Sobol(d=d - 1, scramble=True, seed=np.random.default_rng(child))
-        w = sob.random(MVN_QMC_POINTS)
-        estimates[r] = float(np.mean(_sov_integrate(L, a, b, w)))
-    p = float(np.mean(estimates))
-    stderr = float(np.std(estimates, ddof=1) / math.sqrt(MVN_QMC_RANDOMIZATIONS))
-    err = 3.0 * stderr
-    return MvnResult(min(max(p, 0.0), 1.0), err, err > MVN_ACCURACY)
+        out[i] = MvnResult(max(p, 0.0), 0.0, False)
+    if todo:
+        ss = np.random.SeedSequence(int(seed))
+        estimates = np.empty((len(todo), MVN_QMC_RANDOMIZATIONS))
+        for r, child in enumerate(ss.spawn(MVN_QMC_RANDOMIZATIONS)):
+            sob = qmc.Sobol(d=d - 1, scramble=True, seed=np.random.default_rng(child))
+            w = sob.random(MVN_QMC_POINTS)
+            for j, (_, L, a, b) in enumerate(todo):
+                estimates[j, r] = float(np.mean(_sov_integrate(L, a, b, w)))
+        for (i, *_), est in zip(todo, estimates):
+            p = float(np.mean(est))
+            stderr = float(np.std(est, ddof=1) / math.sqrt(MVN_QMC_RANDOMIZATIONS))
+            err = 3.0 * stderr
+            out[i] = MvnResult(min(max(p, 0.0), 1.0), err, err > MVN_ACCURACY)
+    return out

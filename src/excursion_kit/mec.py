@@ -40,11 +40,12 @@ from .errors import (
 from .field import (
     DEGENERATE_VAR,
     NEG_TOL,
+    POINT_BLOCK,
     FieldModel,
     covariance_at,
     max_variance,
 )
-from .gauss import MvnProblem, MvnResult, gauss_tail, hermite, mvn_prob
+from .gauss import MvnProblem, MvnResult, _mvn_probs, gauss_tail, hermite, mvn_prob
 from .geometry import (
     Face,
     RectDomain,
@@ -147,7 +148,20 @@ class FaceContext:
     def arrays(self, pts: np.ndarray) -> _FaceData:
         """Evaluate theta^2, gamma^2, |Lambda_J - Lambda_J(t)| and the
         cross-covariance of (X, fixed gradients) given the free gradients at
-        a block of face points."""
+        an (m, k) array of face points.
+
+        The field runs on at most POINT_BLOCK points at a time, so memory
+        does not grow with m.  Every expression is per point, so the blocks
+        concatenate to the values of one unblocked evaluation."""
+        if len(pts) <= POINT_BLOCK:
+            return self._block_arrays(pts)
+        blocks = [
+            self._block_arrays(pts[i : i + POINT_BLOCK])
+            for i in range(0, len(pts), POINT_BLOCK)
+        ]
+        return _FaceData(*(np.concatenate(col) for col in zip(*blocks)))
+
+    def _block_arrays(self, pts: np.ndarray) -> _FaceData:
         face = self.face
         t = embed_points(face, pts)
         nu = np.atleast_1d(self.model.variance(t))
@@ -216,9 +230,14 @@ def face_term_mu(
     return _face_term_mu_result(model, face, (float(u),), spec)[0].value
 
 
-def _vertex_term_result(
-    model: FieldModel, vertex: Face, u: float, seed: int
-) -> MvnResult:
+def _vertex_term_results(
+    model: FieldModel, vertex: Face, levels: tuple[float, ...], seed: int
+) -> list[MvnResult]:
+    """The vertex orthant probability at every level, one per level.
+
+    The levels share the covariance and, through one seed, the QMC points
+    of every randomization; each result equals a one-level call.
+    """
     cap = covariance_at(model, vertex, np.zeros(0))
     n = model.dim
     cov = np.empty((n + 1, n + 1))
@@ -226,13 +245,15 @@ def _vertex_term_result(
     cov[0, 1:] = cap.c
     cov[1:, 0] = cap.c
     cov[1:, 1:] = cap.lam
-    cone = outward_cone(vertex)
-    lo = np.empty(n + 1)
-    hi = np.empty(n + 1)
-    lo[0], hi[0] = u, np.inf
-    clo, chi = cone.bounds()
-    lo[1:], hi[1:] = clo, chi
-    return mvn_prob(MvnProblem(cov, lo, hi), seed=seed)
+    clo, chi = outward_cone(vertex).bounds()
+    hi = np.r_[np.inf, chi]
+    return _mvn_probs([MvnProblem(cov, np.r_[u, clo], hi) for u in levels], seed)
+
+
+def _vertex_term_result(
+    model: FieldModel, vertex: Face, u: float, seed: int
+) -> MvnResult:
+    return _vertex_term_results(model, vertex, (u,), seed)[0]
 
 
 def vertex_term(model: FieldModel, vertex: Face, u: float, seed: int = 0) -> float:
@@ -391,8 +412,7 @@ def _mean_ec_levels(
     levels = tuple(float(u) for u in levels)
 
     def vertex(i: int, fc: Face) -> list[MvnResult]:
-        vseed = _face_seed(seed, i)
-        return [_vertex_term_result(model, fc, u, vseed) for u in levels]
+        return _vertex_term_results(model, fc, levels, _face_seed(seed, i))
 
     return _face_sum(
         "mean_ec",

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import excursion_kit.field as field
 from excursion_kit.errors import ConfigError, DegenerateModelError
 from excursion_kit.field import (
     CosineField,
@@ -18,7 +20,14 @@ from excursion_kit.field import (
     field_to_dict,
     max_variance,
 )
-from excursion_kit.geometry import Face, RectDomain, enumerate_faces, face_of_point
+from excursion_kit.geometry import (
+    Face,
+    RectDomain,
+    embed_points,
+    enumerate_faces,
+    face_label,
+    face_of_point,
+)
 
 PI = math.pi
 
@@ -252,6 +261,87 @@ def test_max_variance_reports_ties():
     res = max_variance(cosine(), RectDomain([0.0, 0.0], [4 * PI, PI / 2]))
     assert res.tied
     assert len(res.candidates) >= 2
+
+
+def spectral4():
+    # four unit-frequency atoms of weight 1/2 and unit offset on [0, pi]^4
+    m = SpectralSumField(freqs=np.eye(4), weights=np.full(4, 0.5), offset_var=1.0)
+    return m, RectDomain([0.0] * 4, [PI] * 4)
+
+
+def oblique3():
+    # non-separable: every atom but the last couples two or three axes
+    freqs = [[1.0, 0.5, 0.0], [0.3, 1.0, 0.2], [0.0, 0.4, 1.1], [0.7, -0.6, 0.5]]
+    m = SpectralSumField(freqs=freqs, weights=[0.5, 0.4, 0.3, 0.2], offset_var=1.0)
+    return m, RectDomain([0.0] * 3, [2.5, 2.0, 1.5])
+
+
+def whole_grid_face_maxima(model, domain):
+    """max_variance's polished points from each face's whole scan grid at
+    once, best value first and then lowest row-major index."""
+    out = []
+    for fc in enumerate_faces(domain):
+        if fc.k == 0:
+            t = fc.fixed_values()
+            out.append((float(model.variance(t)), t, fc))
+            continue
+        lo, hi = fc.free_bounds()
+        n = max(2, min(field.MAX_VAR_GRID, int(round(field.MAX_VAR_POINTS ** (1.0 / fc.k)))))
+        mesh = np.meshgrid(*(np.linspace(lo[i], hi[i], n) for i in range(fc.k)), indexing="ij")
+        pts_free = np.stack([m.ravel() for m in mesh], axis=-1)
+        vals = model.variance(embed_points(fc, pts_free))
+        for idx in np.lexsort((np.arange(len(vals)), -vals))[:3]:
+            xf = field._refine_on_face(model, fc, pts_free[idx])
+            t = embed_points(fc, xf[None, :])[0]
+            out.append((float(model.variance(t)), t, fc))
+    return out
+
+
+def test_max_variance_memory_does_not_grow_with_the_scan_grid():
+    # the interior face of [0, pi]^4 has 45^4 ~ 4.1 M scan points; evaluated
+    # whole, its grid, embedded points and phases peak near 750 MB
+    model, dom = spectral4()
+    tracemalloc.start()
+    try:
+        res = max_variance(model, dom)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.sigma_sq == pytest.approx(9.0, abs=1e-9)
+    assert peak < 64 * 2**20
+
+
+@pytest.mark.parametrize("case", ["spectral4", "oblique3"])
+def test_max_variance_blocks_match_the_whole_grid(case, monkeypatch):
+    model, dom = spectral4() if case == "spectral4" else oblique3()
+    if case == "spectral4":
+        # 24^4 interior points keep the whole-grid reference small and
+        # still span eleven blocks; the 3-D faces keep 64^3 points
+        monkeypatch.setattr(field, "MAX_VAR_POINTS", 24.0**4)
+    want = whole_grid_face_maxima(model, dom)
+    got = max_variance(model, dom).face_maxima
+    assert len(got) == len(want)
+    for (v, t, fc), (v2, t2, fc2) in zip(got, want):
+        assert fc == fc2 and v == v2 and np.array_equal(t, t2), face_label(fc)
+
+
+def test_max_variance_ties_polish_the_lowest_grid_index(monkeypatch):
+    # nu depends on t1 only, so scan points that differ only in t2 tie
+    # exactly; the starts are the lowest row-major indices among the tied
+    # best, whatever the block size, and the polish never moves t2
+    model = SpectralSumField(freqs=[[1.0, 0.0]], weights=[0.5], offset_var=1.0)
+    dom = RectDomain([0.0, 0.0], [1.5 * PI, 1.0])
+    faces = [fc for fc in enumerate_faces(dom) if 1 in fc.sigma]
+
+    def t2_of_starts():
+        res = max_variance(model, dom)
+        return {face_label(fc): [t[1] for _, t, f in res.face_maxima if f == fc] for fc in faces}
+
+    first = list(np.linspace(0.0, 1.0, field.MAX_VAR_GRID)[:3])
+    want = {face_label(fc): first for fc in faces}
+    assert t2_of_starts() == want
+    monkeypatch.setattr(field, "POINT_BLOCK", 5)
+    assert t2_of_starts() == want
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erfc
 
+from excursion_kit import gauss
 from excursion_kit.errors import CapabilityError
 from excursion_kit.gauss import (
     MvnProblem,
@@ -186,6 +187,18 @@ def test_mvn_deterministic_for_fixed_seed():
     a = mvn_prob(prob, seed=21)
     b = mvn_prob(prob, seed=21)
     assert a.p == b.p and a.err_est == b.err_est
+
+
+def test_mvn_probs_equal_single_calls():
+    cov = np.array([[1.0, 0.2, 0.1], [0.2, 1.0, 0.3], [0.1, 0.3, 1.0]])
+    problems = [
+        MvnProblem(cov=cov, lower=[-1, -1, -1], upper=[1, 1, 1]),
+        MvnProblem(cov=cov, lower=[1, -1, -1], upper=[1, 1, 1]),  # empty box
+        MvnProblem(cov=cov, lower=[2, 0, -np.inf], upper=[np.inf, np.inf, 0]),
+    ]
+    assert gauss._mvn_probs(problems, 21) == [mvn_prob(p, seed=21) for p in problems]
+    with pytest.raises(ValueError):
+        gauss._mvn_probs([problems[0], MvnProblem(cov=[[1.0]], lower=[0], upper=[1])], 21)
 
 
 def test_mvn_dimension_cap():

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import excursion_kit.gauss as gauss
 import excursion_kit.mec as mec
 from excursion_kit.errors import (
     AmbiguousMaximizerError,
@@ -11,7 +12,7 @@ from excursion_kit.errors import (
     NumericError,
 )
 from excursion_kit.field import DEGENERATE_VAR, CosineField, SpectralSumField, covariance_at
-from excursion_kit.gauss import gauss_tail, hermite
+from excursion_kit.gauss import MvnProblem, gauss_tail, hermite, mvn_prob
 from excursion_kit.geometry import Face, RectDomain, enumerate_faces, face_label, outward_cone
 from excursion_kit.mec import (
     condition_check,
@@ -396,6 +397,61 @@ def test_threading_is_bit_stable():
     b = mean_euler_characteristic(cosine(), dom, 7.0, SPEC, threads=4)
     assert a.total == b.total
     assert [(v) for _, v in a.per_face] == [(v) for _, v in b.per_face]
+
+
+def test_face_arrays_blocks_equal_one_unblocked_evaluation(monkeypatch):
+    # oblique frequencies couple every axis; the 24^4 Gauss-Legendre nodes
+    # of an interior-face box span eleven blocks
+    rng = np.random.default_rng(4)
+    model = SpectralSumField(
+        freqs=rng.normal(size=(6, 4)), weights=rng.uniform(0.2, 1.0, 6), offset_var=1.0
+    )
+    face = enumerate_faces(RectDomain([0.0] * 4, [2.0, 1.5, 1.8, 1.2]))[0]
+    lo, hi = face.free_bounds()
+    x = 0.5 * (np.polynomial.legendre.leggauss(24)[0] + 1.0)
+    mesh = np.meshgrid(*(lo[i] + (hi[i] - lo[i]) * x for i in range(4)), indexing="ij")
+    pts = np.stack([m.ravel() for m in mesh], axis=-1)
+    assert face.k == 4 and len(pts) > mec.POINT_BLOCK
+    ctx = mec.FaceContext(model, face)
+    blocked = ctx.arrays(pts)
+    monkeypatch.setattr(mec, "POINT_BLOCK", len(pts))
+    whole = ctx.arrays(pts)
+    for name, got, want in zip(whole._fields, blocked, whole):
+        assert got.shape == want.shape and np.array_equal(got, want), name
+
+
+def test_vertex_levels_share_one_set_of_qmc_points(monkeypatch):
+    # the levels of a vertex differ only in the bound on X, so each of the
+    # 12 randomizations builds its Sobol points once for all of them; every
+    # level still equals its own mvn_prob call
+    model = SpectralSumField(
+        freqs=[[1.0, 0.5, 0.0], [0.3, 1.0, 0.2], [0.0, 0.4, 1.1], [0.7, -0.6, 0.5]],
+        weights=[0.5, 0.4, 0.3, 0.2],
+        offset_var=1.0,
+    )
+    dom = RectDomain([0.0] * 3, [2.5, 2.0, 1.5])
+    levels = (3.0, 4.0, 5.0, 6.0, 7.0, 8.0)
+    built = []
+    sobol = gauss.qmc.Sobol
+
+    def counting_sobol(*args, **kwargs):
+        built.append(kwargs.get("d"))
+        return sobol(*args, **kwargs)
+
+    monkeypatch.setattr(gauss.qmc, "Sobol", counting_sobol)
+    for i, fc in enumerate(f for f in enumerate_faces(dom) if f.k == 0):
+        seed = mec._face_seed(0, i)
+        built.clear()
+        got = mec._vertex_term_results(model, fc, levels, seed)
+        assert built == [3] * 12, face_label(fc)
+        cap = covariance_at(model, fc, np.zeros(0))
+        cov = np.block([[np.array([[cap.nu]]), cap.c[None, :]], [cap.c[:, None], cap.lam]])
+        clo, chi = outward_cone(fc).bounds()
+        want = [
+            mvn_prob(MvnProblem(cov, np.r_[u, clo], np.r_[np.inf, chi]), seed=seed)
+            for u in levels
+        ]
+        assert got == want, face_label(fc)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
