@@ -381,18 +381,28 @@ class H2Report:
     tol: float
 
 
-def _interior_grid(domain: RectDomain, per_axis: int) -> np.ndarray:
-    """Uniform interior grid, capped so the total point count stays sane."""
+def _grid_blocks(axes: list[np.ndarray]):
+    """The row-major product of ``axes`` as (indices, points) blocks of at
+    most POINT_BLOCK points.  Each block's points are taken from the axes by
+    their multi-indices, which are the values of the full meshgrid."""
+    shape = tuple(len(a) for a in axes)
+    size = math.prod(shape)
+    for lo in range(0, size, POINT_BLOCK):
+        idx = np.arange(lo, min(lo + POINT_BLOCK, size))
+        yield idx, np.stack([ax[i] for ax, i in zip(axes, np.unravel_index(idx, shape))], axis=-1)
+
+
+def _interior_axes(domain: RectDomain, per_axis: int) -> list[np.ndarray]:
+    """Axes of a uniform interior grid, capped so the total point count
+    stays sane."""
     n = domain.dim
     per_axis = max(2, min(per_axis, int(round(2e5 ** (1.0 / n)))))
-    axes = [
+    return [
         domain.lower[i]
         + (domain.upper[i] - domain.lower[i])
         * (np.arange(1, per_axis + 1) / (per_axis + 1))
         for i in range(n)
     ]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
 def check_h2(model: FieldModel, domain: RectDomain) -> H2Report:
@@ -400,14 +410,17 @@ def check_h2(model: FieldModel, domain: RectDomain) -> H2Report:
 
     Report-only: flags when the scanned minimum drops below H2_TOL.  The
     grid has H2_GRID points per axis (fewer in high dimension); singular
-    crossings between grid points go unseen.
+    crossings between grid points go unseen.  It is evaluated POINT_BLOCK
+    points at a time, and only a strictly smaller eigenvalue replaces the
+    running minimum, so exact ties go to the lowest row-major grid index.
     """
-    pts = _interior_grid(domain, H2_GRID)
     lam = model.lambda_mat
-    diff = lam - model.lambda_at(pts)
-    eigs = np.linalg.eigvalsh(diff)[..., 0]
-    i0 = int(np.argmin(eigs))
-    best_t, best_e = pts[i0], float(eigs[i0])
+    best_e, best_t = math.inf, None
+    for _, pts in _grid_blocks(_interior_axes(domain, H2_GRID)):
+        eigs = np.linalg.eigvalsh(lam - model.lambda_at(pts))[..., 0]
+        i0 = int(np.argmin(eigs))
+        if eigs[i0] < best_e:
+            best_e, best_t = float(eigs[i0]), pts[i0].copy()
     return H2Report(flagged=best_e < H2_TOL, min_eig=best_e, argmin=best_t, tol=H2_TOL)
 
 
@@ -514,24 +527,17 @@ def _top_points(vals: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarr
 def _scan_starts(model: FieldModel, face: Face, axes: list[np.ndarray]) -> np.ndarray:
     """Free coordinates of the best grid points of a face, best first.
 
-    The grid is the row-major product of ``axes``; it is evaluated
-    POINT_BLOCK points at a time, each block's points taken from the axes by
-    their multi-indices, which are the values of the full meshgrid.  A
-    running top list keeps the ranking of _top_points, so the starts do not
-    depend on the block size.
+    The grid is the row-major product of ``axes``, evaluated block by block
+    (_grid_blocks).  A running top list keeps the ranking of _top_points, so
+    the starts do not depend on the block size.
     """
-    shape = tuple(len(a) for a in axes)
-    size = math.prod(shape)
     best_vals, best_idx = np.empty(0), np.empty(0, dtype=np.intp)
-    for lo in range(0, size, POINT_BLOCK):
-        idx = np.arange(lo, min(lo + POINT_BLOCK, size))
-        pts_free = np.stack(
-            [ax[i] for ax, i in zip(axes, np.unravel_index(idx, shape))], axis=-1
-        )
+    for idx, pts_free in _grid_blocks(axes):
         vals = model.variance(embed_points(face, pts_free))
         best_vals, best_idx = _top_points(
             np.concatenate([best_vals, vals]), np.concatenate([best_idx, idx])
         )
+    shape = tuple(len(a) for a in axes)
     return np.stack(
         [ax[i] for ax, i in zip(axes, np.unravel_index(best_idx, shape))], axis=-1
     )

@@ -11,11 +11,14 @@ replicates is re-keyed for each of them.  Coefficient layout is fixed as
 bit-identical, independent of chunking or thread count.
 
 The grid maximum of a replicate does not depend on the level, so one sweep
-over a grid serves every level: each chunk draws its coefficients, runs one
-GEMM against the basis and takes each row's maximum once, then compares it
-with every level (and, for Euler counts, thresholds the same block per
-level).  The ``mc`` command runs one coarse and one fine sweep however many
-levels it has; the public estimators are its one-level cases.
+over a grid serves every level: each chunk draws its coefficients once, then
+forms its values tile by tile, a GEMM of a few replicate rows against the
+basis small enough to stay in cache.  Each tile's row maxima are taken once
+and compared with every level (and, for Euler counts, the same tile is
+thresholded per level) before the next tile overwrites it, so the chunk's
+whole value block never exists.  The ``mc`` command runs one coarse and one
+fine sweep however many levels it has; the public estimators are its
+one-level cases.
 
 The empirical Euler characteristic uses the vertex-based closed cubical
 complex: a d-cell of the grid is occupied iff all its 2^d corners sit at or
@@ -53,11 +56,11 @@ __all__ = [
     "load_realization",
 ]
 
-# replicates per work item, and the largest value block one item may hold;
-# the layout depends only on the replicate count and the grid, so results
-# never depend on thread count
+# replicates per work item, and the largest value tile one GEMM writes (one
+# replicate row when a row alone is larger); the layout depends only on the
+# replicate count and the grid, so results never depend on thread count
 CHUNK = 512
-MAX_BLOCK_BYTES = 256 * 2**20
+MAX_BLOCK_BYTES = 2 * 2**20
 
 
 @dataclass(frozen=True)
@@ -179,26 +182,28 @@ def _cell_counts(mask: np.ndarray, ndim: int) -> list[np.ndarray]:
     grid axes only, returning scalars or per-replicate vectors.
     """
     lead = mask.ndim - ndim
-    grid_axes = tuple(range(lead, mask.ndim))
 
     def count(arr):
-        return arr.sum(axis=grid_axes, dtype=np.int64)
+        # count_nonzero over a whole contiguous slice is far faster than a
+        # bool sum over axes
+        if lead == 0:
+            return np.count_nonzero(arr)
+        return np.array([np.count_nonzero(rep) for rep in arr], dtype=np.int64)
 
+    # the cells spanning a set of axes are the AND of their 2^d corners:
+    # the cells of its first d-1 axes ANDed with their shift along the last
+    cells = {(): mask}
     counts = [count(mask)]
-    # d-cells: AND of the 2^d corners over every choice of d axes
     for d in range(1, ndim + 1):
-        total = None
+        total = 0
         for axes in itertools.combinations(range(ndim), d):
-            cur = mask
-            for ax in axes:
-                a = ax + lead
-                lo = [slice(None)] * cur.ndim
-                hi = [slice(None)] * cur.ndim
-                lo[a] = slice(None, -1)
-                hi[a] = slice(1, None)
-                cur = cur[tuple(lo)] & cur[tuple(hi)]
-            c = count(cur)
-            total = c if total is None else total + c
+            cur = cells[axes[:-1]]
+            lo = [slice(None)] * cur.ndim
+            hi = [slice(None)] * cur.ndim
+            lo[lead + axes[-1]] = slice(None, -1)
+            hi[lead + axes[-1]] = slice(1, None)
+            cells[axes] = cur[tuple(lo)] & cur[tuple(hi)]
+            total = total + count(cells[axes])
         counts.append(total)
     return counts
 
@@ -306,11 +311,15 @@ def _checked(
     return sp, grid
 
 
-def _chunk_ranges(reps: int, n_points: int) -> list[tuple[int, int]]:
-    """Replicate ranges of CHUNK rows, fewer when a block would pass
-    MAX_BLOCK_BYTES."""
-    rows = max(1, min(CHUNK, MAX_BLOCK_BYTES // (8 * n_points)))
-    return [(start, min(start + rows, reps)) for start in range(0, reps, rows)]
+def _chunk_ranges(reps: int) -> list[tuple[int, int]]:
+    """Replicate ranges of CHUNK rows, the work items of a sweep."""
+    return [(start, min(start + CHUNK, reps)) for start in range(0, reps, CHUNK)]
+
+
+def _tile_rows(n_points: int) -> int:
+    """Replicate rows per value tile: its values fit MAX_BLOCK_BYTES, or it
+    is one row."""
+    return max(1, MAX_BLOCK_BYTES // (8 * n_points))
 
 
 def _sweep(
@@ -318,29 +327,36 @@ def _sweep(
 ) -> list[tuple[float, ...]]:
     """Per-level estimates over one grid, for every level at once.
 
-    Each chunk of replicates draws its coefficient rows, forms its value
-    block with one GEMM and takes each row's maximum once, since the grid
-    maximum does not depend on the level.  Per level it counts the rows
-    whose maximum reaches the level; with ``ec`` it also sums chi and chi^2
-    of that level's excursion mask, from the same block.  Returns per level
-    (p, stderr), or with ``ec`` (p, stderr, mean_chi, chi_stderr).
+    Each chunk of replicates draws its coefficient rows once and forms its
+    values in tiles of _tile_rows rows, one GEMM each.  A tile is reduced
+    while it is in cache: each row's maximum is taken once, since the grid
+    maximum does not depend on the level, and per level the rows whose
+    maximum reaches it are counted; with ``ec`` the chi and chi^2 sums of
+    that level's excursion masks are added from the same tile.  Returns per
+    level (p, stderr), or with ``ec`` (p, stderr, mean_chi, chi_stderr).
 
-    The chunk layout depends only on ``reps`` and the grid size, and every
-    sum is over integers, so results are identical for any thread count.
+    The chunk and tile layout depends only on ``reps`` and the grid size,
+    and every sum is over integers, so results are identical for any thread
+    count.
     """
     basis = _basis(model, grid.points())
     levels = np.asarray(levels, dtype=float)
+    rows = _tile_rows(grid.n_points)
 
     def run(rng_range):
-        block = _coefficients(model, seed, *rng_range) @ basis  # (chunk, n_points)
-        sums = [np.count_nonzero(block.max(axis=1) >= levels[:, None], axis=1)]
-        if ec:
-            masks = ((block >= u).reshape((-1,) + grid.shape) for u in levels)
-            chi = np.array([_euler(_cell_counts(m, grid.domain.dim)) for m in masks])
-            sums += [chi.sum(axis=1), (chi * chi).sum(axis=1)]
+        coefs = _coefficients(model, seed, *rng_range)
+        sums = np.zeros((3 if ec else 1, len(levels)), dtype=np.int64)
+        for lo in range(0, len(coefs), rows):
+            tile = coefs[lo : lo + rows] @ basis  # (rows, n_points)
+            sums[0] += np.count_nonzero(tile.max(axis=1) >= levels[:, None], axis=1)
+            if ec:
+                for i, u in enumerate(levels):
+                    mask = (tile >= u).reshape((-1,) + grid.shape)
+                    chi = _euler(_cell_counts(mask, grid.domain.dim))
+                    sums[1:, i] += chi.sum(), (chi * chi).sum()
         return sums
 
-    ranges = _chunk_ranges(reps, grid.n_points)
+    ranges = _chunk_ranges(reps)
     if threads <= 1:
         parts = [run(rr) for rr in ranges]
     else:

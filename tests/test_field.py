@@ -229,6 +229,59 @@ def test_check_h2_flags_full_period_crossing():
     assert abs(rep.argmin[0] - 2 * PI) < 1e-9
 
 
+def whole_grid_h2(model, domain):
+    """check_h2's report from its whole interior grid at once, the first
+    grid point winning exact ties."""
+    n = max(2, min(field.H2_GRID, int(round(2e5 ** (1.0 / domain.dim)))))
+    axes = [
+        lo + (hi - lo) * (np.arange(1, n + 1) / (n + 1))
+        for lo, hi in zip(domain.lower, domain.upper)
+    ]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    pts = np.stack([m.ravel() for m in mesh], axis=-1)
+    eigs = np.linalg.eigvalsh(model.lambda_mat - model.lambda_at(pts))[..., 0]
+    i0 = int(np.argmin(eigs))
+    return (bool(eigs[i0] < field.H2_TOL), float(eigs[i0]), pts[i0].tolist(), field.H2_TOL)
+
+
+def h2_fields(rep):
+    return (bool(rep.flagged), rep.min_eig, rep.argmin.tolist(), rep.tol)
+
+
+def test_check_h2_memory_stays_at_the_block():
+    # the 4-D interior grid has 21^4 = 194,481 points; scanned whole, its
+    # points, Lambda(t) stack and eigenvalue work peak near 53 MB
+    model, dom = spectral4()
+    tracemalloc.start()
+    try:
+        rep = check_h2(model, dom)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not rep.flagged
+    assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("case", ["spectral4", "oblique3", "zero_atom"])
+def test_check_h2_blocks_match_the_whole_grid(case, monkeypatch):
+    # spectral4 is separable, so its minimum is tied along whole grid
+    # planes and the lowest row-major index must win across blocks
+    if case == "spectral4":
+        model, dom = spectral4()
+    elif case == "oblique3":
+        model, dom = oblique3()
+    else:
+        model = SpectralSumField(
+            freqs=np.array([[0.0, 0.0], [1.0, 0.0]]), weights=np.array([1.0, 0.5]), offset_var=1.0
+        )
+        dom = RectDomain([0.0, 0.0], [3.0, 3.0])
+    want = whole_grid_h2(model, dom)
+    assert h2_fields(check_h2(model, dom)) == want
+    for block in (1000, 7):
+        monkeypatch.setattr(field, "POINT_BLOCK", block)
+        assert h2_fields(check_h2(model, dom)) == want
+
+
 # ---------------------------------------------------------------------------
 # Variance maximizer
 # ---------------------------------------------------------------------------

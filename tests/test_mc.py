@@ -1,5 +1,7 @@
+import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -255,31 +257,114 @@ def test_sup_prob_thread_count_invariance():
 
 
 def test_blocks_stay_under_the_byte_cap():
-    # 3-D grid 64 refines to 127^3 points: 512 rows would be about 8.4 GB
+    # a value tile holds as many rows as fit MAX_BLOCK_BYTES, and one row
+    # when a single row does not fit
+    for n_points in (9**2, 17**2, 128**2, 255**2, 20**3, 39**3):
+        rows = mc_mod._tile_rows(n_points)
+        assert rows * 8 * n_points <= mc_mod.MAX_BLOCK_BYTES
+        assert (rows + 1) * 8 * n_points > mc_mod.MAX_BLOCK_BYTES
+    # 3-D grid 64 refines to 127^3 points: one row is about 16 MB
     fine3 = 127**3
-    ranges = mc_mod._chunk_ranges(10_000, fine3)
-    assert max(b - a for a, b in ranges) * 8 * fine3 <= mc_mod.MAX_BLOCK_BYTES
+    assert 8 * fine3 > mc_mod.MAX_BLOCK_BYTES
+    assert mc_mod._tile_rows(fine3) == 1
+    # work items keep CHUNK rows whatever the grid
+    ranges = mc_mod._chunk_ranges(10_000)
+    assert ranges[0] == (0, mc_mod.CHUNK)
     assert ranges[-1][1] == 10_000
-    # the 255^2 fine grid of a 2-D grid-128 run keeps its 512-row blocks
-    assert mc_mod._chunk_ranges(10_000, 255**2)[0] == (0, mc_mod.CHUNK)
 
 
 def test_block_cap_leaves_results_unchanged(monkeypatch):
-    # reducers sum integers, so the chunk layout cannot move a result
+    # reducers sum integers, so the tile layout cannot move a result
     dom = RectDomain([0.0, 0.0], [PI, PI])
-    want = [
-        empirical_sup_prob(cosine(), dom, 2.0, 9, 700, seed=5),
-        mc_mean_ec(cosine(), dom, 2.0, 9, 700, seed=5),
-        mc_mod._mc_levels(cosine(), dom, (2.0, 2.5), 9, 700, 5, 1),
-    ]
-    monkeypatch.setattr(mc_mod, "MAX_BLOCK_BYTES", 3 * 8 * 81)
-    assert mc_mod._chunk_ranges(700, 81)[:2] == [(0, 3), (3, 6)]
-    got = [
-        empirical_sup_prob(cosine(), dom, 2.0, 9, 700, seed=5),
-        mc_mean_ec(cosine(), dom, 2.0, 9, 700, seed=5),
-        mc_mod._mc_levels(cosine(), dom, (2.0, 2.5), 9, 700, 5, 1),
-    ]
-    assert got == want
+
+    def results():
+        return [
+            empirical_sup_prob(cosine(), dom, 2.0, 9, 700, seed=5),
+            mc_mean_ec(cosine(), dom, 2.0, 9, 700, seed=5),
+            mc_mod._mc_levels(cosine(), dom, (2.0, 2.5), 9, 700, 5, 1),
+        ]
+
+    want = results()
+    for rows in (1, 2, 3):
+        monkeypatch.setattr(mc_mod, "MAX_BLOCK_BYTES", rows * 8 * 81)
+        assert mc_mod._tile_rows(81) == rows
+        assert results() == want
+
+
+def test_sweep_memory_stays_at_the_tile():
+    # one 512-row block of the 255^2 fine grid would be 266 MB; tiles keep
+    # the sweep near MAX_BLOCK_BYTES, with both work items in flight at once
+    dom = RectDomain([0.0, 0.0], [PI, PI])
+    for threads in (1, 2):
+        tracemalloc.start()
+        try:
+            rows = mc_mod._mc_levels(cosine(), dom, (3.0, 4.0), 128, 600, 0, threads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 2
+        assert peak < 32 * 2**20
+
+
+def bool_sum_cell_counts(mask, ndim):
+    """Occupied d-cell counts by AND-ing every axis set from the mask and
+    summing the bools over the grid axes."""
+    lead = mask.ndim - ndim
+    grid_axes = tuple(range(lead, mask.ndim))
+    counts = [mask.sum(axis=grid_axes, dtype=np.int64)]
+    for d in range(1, ndim + 1):
+        total = 0
+        for axes in itertools.combinations(range(ndim), d):
+            cur = mask
+            for ax in axes:
+                lo = [slice(None)] * cur.ndim
+                hi = [slice(None)] * cur.ndim
+                lo[lead + ax] = slice(None, -1)
+                hi[lead + ax] = slice(1, None)
+                cur = cur[tuple(lo)] & cur[tuple(hi)]
+            total = total + cur.sum(axis=grid_axes, dtype=np.int64)
+        counts.append(total)
+    return counts
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda ndim: st.tuples(
+            st.just(ndim),
+            st.booleans(),
+            st.sampled_from(["random", "all", "none"]),
+            arrays(
+                dtype=bool,
+                shape=st.tuples(*[st.integers(1, 7)] * (ndim + 1)),
+                elements=st.booleans(),
+            ),
+        )
+    )
+)
+def test_cell_counts_equal_bool_sums(case):
+    ndim, lead, fill, mask = case
+    if fill != "random":
+        mask = np.full(mask.shape, fill == "all")
+    if not lead:
+        mask = mask[0]
+    got = mc_mod._cell_counts(mask, ndim)
+    want = bool_sum_cell_counts(mask, ndim)
+    assert len(got) == ndim + 1
+    for g, w in zip(got, want):
+        assert np.shape(g) == np.shape(w)
+        assert np.array_equal(g, w)
+
+
+def test_mc_levels_thread_invariant_with_small_tiles(monkeypatch):
+    # 1100 reps make three work items, the last one short; 7-row tiles
+    # split each of them, and the last tile of every item is short too
+    monkeypatch.setattr(mc_mod, "MAX_BLOCK_BYTES", 7 * 8 * 81)
+    assert mc_mod._tile_rows(81) == 7
+    dom = RectDomain([0.0, 0.0], [PI, PI])
+    one = mc_mod._mc_levels(cosine(), dom, (1.5, 2.0, 2.5), 9, 1100, 3, 1)
+    two = mc_mod._mc_levels(cosine(), dom, (1.5, 2.0, 2.5), 9, 1100, 3, 2)
+    assert one == two
 
 
 @pytest.mark.parametrize("threads", [1, 2])
