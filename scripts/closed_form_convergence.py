@@ -20,6 +20,9 @@ so the table covers every level that
 tests/test_acceptance.py::test_03_quadrature_totals_track_reference_constants
 checks (5, 8, 12, 16).
 
+Each (method, rectangle) row is one level-vector call, and ``--levels`` is
+parsed as the CLI parses it.
+
 Usage:
     python3 scripts/closed_form_convergence.py [--levels 4:16:1] [--method both]
 """
@@ -28,6 +31,7 @@ import argparse
 import math
 import sys
 
+from excursion_kit.cli import parse_levels
 from excursion_kit.field import CosineField
 from excursion_kit.gauss import gauss_tail
 from excursion_kit.geometry import RectDomain
@@ -52,16 +56,6 @@ BENCHMARKS = [
 ]
 
 
-def parse_levels(text):
-    a, b, s = (float(x) for x in text.split(":"))
-    out = []
-    u = a
-    while u <= b + 1e-9:
-        out.append(u)
-        u += s
-    return out
-
-
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--levels", default="4:16:1")
@@ -73,17 +67,15 @@ def main(argv=None):
 
     methods = []
     if args.method in ("mu", "both"):
-        methods.append(("mu", lambda d, u: excursion_prob_mu(model, d, u, spec).total))
+        methods.append(("mu", excursion_prob_mu))
     if args.method in ("mean_ec", "both"):
-        methods.append(
-            ("mean_ec", lambda d, u: mean_euler_characteristic(model, d, u, spec).total)
-        )
+        methods.append(("mean_ec", mean_euler_characteristic))
 
     for mname, fn in methods:
         print(f"\n== {mname}: total(u) / closed_form(u) ==")
         print("domain               " + "".join(f"  u={u:<6.3g}" for u in levels))
         for label, dom, ref in BENCHMARKS:
-            ratios = [fn(dom, u) / ref(u) for u in levels]
+            ratios = [res.total / ref(res.u) for res in fn(model, dom, levels, spec)]
             print(label + " " + "".join(f"  {r:8.5f}" for r in ratios))
     return 0
 

@@ -23,12 +23,12 @@ import argparse
 import math
 import sys
 
-from excursion_kit.cli import _parse_levels_flag
+from excursion_kit.cli import parse_levels
 from excursion_kit.field import CosineField
 from excursion_kit.gauss import gauss_tail
 from excursion_kit.geometry import RectDomain
-from excursion_kit.mc import _mc_levels
-from excursion_kit.mec import _mean_ec_levels
+from excursion_kit.mc import mc_mean_ec
+from excursion_kit.mec import mean_euler_characteristic
 from excursion_kit.quad import QuadSpec
 
 PI = math.pi
@@ -43,7 +43,7 @@ def main(argv=None):
     ap.add_argument("--threads", type=int, default=4)
     args = ap.parse_args(argv)
 
-    levels = _parse_levels_flag(args.levels)
+    levels = parse_levels(args.levels)
 
     model = CosineField()
     dom = RectDomain([0.0, 0.0], [PI, PI])
@@ -58,8 +58,8 @@ def main(argv=None):
         "   u     p_hat      p_fine     +/-        mean_ec    mc_chi     "
         "p/mec    p/closed"
     )
-    sims = _mc_levels(model, dom, levels, args.grid, args.reps, args.seed, args.threads)
-    mecs = _mean_ec_levels(model, dom, levels, spec, seed=0, threads=1)
+    sims = mc_mean_ec(model, dom, levels, args.grid, args.reps, args.seed, threads=args.threads)
+    mecs = mean_euler_characteristic(model, dom, levels, spec)
     for u, sim, mec in zip(levels, sims, mecs):
         p = sim["p_fine"]
         print(

@@ -66,14 +66,10 @@ from .mec import (
     MecResult,
     condition_check,
     excursion_prob_mu,
-    face_term_mean_ec,
-    face_term_mu,
-    laplace_closed_form,
     laplace_mec_result,
     mean_euler_characteristic,
     prepare_laplace_inputs,
     tau_hessian,
-    vertex_term,
 )
 from .mc import (
     EcCount,
@@ -86,7 +82,6 @@ from .mc import (
     mc_mean_ec,
     sample_field,
     save_realization,
-    sup_prob_dual_resolution,
 )
 
 __version__ = "0.1.0"

@@ -38,17 +38,15 @@ from .field import (
 from .gauss import hermite_tail_identity_check
 from .geometry import DomainError, Face, RectDomain, enumerate_faces, face_label, outward_cone
 from .mec import (
-    _laplace_factors,
-    _laplace_ledger,
-    _mean_ec_levels,
-    _mu_levels,
     condition_check,
-    prepare_laplace_inputs,
+    excursion_prob_mu,
+    laplace_mec_result,
+    mean_euler_characteristic,
 )
 from .quad import QuadSpec
 from . import mc as mc_mod
 
-__all__ = ["RunConfig", "load_config", "main"]
+__all__ = ["RunConfig", "load_config", "main", "parse_levels"]
 
 METHODS = ("mu_approx", "mean_ec", "laplace", "mc")
 
@@ -116,7 +114,10 @@ def _levels_from_range(start: float, stop: float, step: float) -> tuple[float, .
     return tuple(out)
 
 
-def _parse_levels_flag(text: str) -> tuple[float, ...]:
+def parse_levels(text: str) -> tuple[float, ...]:
+    """Levels of a START:STOP:STEP range, each START + k STEP, as --levels
+    reads them; ConfigError unless the range is finite and increasing with
+    a positive step."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError(f"--levels expects START:STOP:STEP, got {text!r}")
@@ -186,7 +187,7 @@ def build_config(data: dict, args: argparse.Namespace) -> RunConfig:
         )
 
     if getattr(args, "levels", None) is not None:
-        levels = _parse_levels_flag(args.levels)
+        levels = parse_levels(args.levels)
     elif "levels" in data:
         levels = _levels_from_config(data["levels"])
     else:
@@ -348,18 +349,16 @@ def cmd_compute(cfg: RunConfig) -> int:
     header = ["level", "method", "total", *labels, "err_est"]
     rows: list[list] = []
 
-    # each face is integrated once for all levels
     if cfg.method == "mu_approx":
-        results = _mu_levels(cfg.model, cfg.domain, cfg.levels, cfg.quad, cfg.threads)
+        results = excursion_prob_mu(
+            cfg.model, cfg.domain, cfg.levels, cfg.quad, threads=cfg.threads
+        )
     elif cfg.method == "mean_ec":
-        results = _mean_ec_levels(
-            cfg.model, cfg.domain, cfg.levels, cfg.quad, cfg.seed, cfg.threads
+        results = mean_euler_characteristic(
+            cfg.model, cfg.domain, cfg.levels, cfg.quad, cfg.seed, threads=cfg.threads
         )
     else:
-        # everything but the tail Psi(u / sigma_T) is level-free
-        inputs = prepare_laplace_inputs(cfg.model, cfg.domain)
-        laplace = _laplace_factors(cfg.model, cfg.domain, inputs, cfg.seed)
-        results = [_laplace_ledger(laplace, u) for u in cfg.levels]
+        results = laplace_mec_result(cfg.model, cfg.domain, cfg.levels, cfg.seed)
 
     for u, res in zip(cfg.levels, results):
         ledger = res.by_label()
@@ -386,8 +385,8 @@ def cmd_mc(cfg: RunConfig) -> int:
         "grid_fine",
         "bias_flag",
     ]
-    results = mc_mod._mc_levels(
-        cfg.model, cfg.domain, cfg.levels, cfg.mc_grid, cfg.mc_reps, cfg.seed, cfg.threads
+    results = mc_mod.mc_mean_ec(
+        cfg.model, cfg.domain, cfg.levels, cfg.mc_grid, cfg.mc_reps, cfg.seed, threads=cfg.threads
     )
     rows = [
         [

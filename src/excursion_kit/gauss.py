@@ -5,9 +5,10 @@ Conventions used throughout the package:
 * ``hermite`` evaluates the probabilists' Hermite polynomial He_k
   (monic, orthogonal w.r.t. exp(-x^2/2)).
 * ``gauss_tail`` is Psi(u) = P(Z >= u) for a standard normal Z.
-* ``mvn_prob`` computes P(a <= Z <= b) for a centred Gaussian vector with
-  the given covariance, via separation of variables on a reordered
-  Cholesky factor integrated with randomized quasi-Monte Carlo points.
+* ``mvn_prob`` computes P(a <= Z <= b) for each of a sequence of centred
+  Gaussian rectangle problems of one dimension, via separation of variables
+  on a reordered Cholesky factor integrated with randomized quasi-Monte
+  Carlo points that the problems share.
 """
 
 from __future__ import annotations
@@ -268,26 +269,19 @@ def _sov_integrate(L, a, b, w):
     return prob
 
 
-def mvn_prob(problem: MvnProblem, seed: int = 0) -> MvnResult:
-    """P(lower <= Z <= upper) for Z ~ N(0, cov) by randomized QMC.
+def mvn_prob(problems: list[MvnProblem], seed: int = 0) -> list[MvnResult]:
+    """P(lower <= Z <= upper) for Z ~ N(0, cov) by randomized QMC, one result
+    per problem; the problems share one dimension.
 
     Separation of variables on the reordered Cholesky factor; the outer
     average runs MVN_QMC_RANDOMIZATIONS independently scrambled Sobol
-    streams of MVN_QMC_POINTS points each.  err_est is three standard
-    errors of the randomization mean; the warning flag is set when it
-    exceeds MVN_ACCURACY.  Deterministic for a fixed seed.
+    streams of MVN_QMC_POINTS points each.  Each stream's points are drawn
+    once and integrated for every problem, so a result does not depend on
+    the other problems of the call.  err_est is three standard errors of
+    the randomization mean; the warning flag is set when it exceeds
+    MVN_ACCURACY.  Deterministic for a fixed seed.
     """
-    return _mvn_probs([problem], seed)[0]
-
-
-def _mvn_probs(problems: list[MvnProblem], seed: int) -> list[MvnResult]:
-    """mvn_prob of each problem, all of one dimension, with one seed.
-
-    Each randomization's QMC points are drawn once and integrated for every
-    problem, so each result equals its own mvn_prob call while the Sobol
-    engines are built once for all of them.
-    """
-    d = problems[0].dim
+    d = problems[0].dim if problems else 0
     if any(pb.dim != d for pb in problems):
         raise ValueError("problems must share one dimension")
     out: list[MvnResult | None] = [None] * len(problems)

@@ -16,9 +16,10 @@ forms its values tile by tile, a GEMM of a few replicate rows against the
 basis small enough to stay in cache.  Each tile's row maxima are taken once
 and compared with every level (and, for Euler counts, the same tile is
 thresholded per level) before the next tile overwrites it, so the chunk's
-whole value block never exists.  The ``mc`` command runs one coarse and one
-fine sweep however many levels it has; the public estimators are its
-one-level cases.
+whole value block never exists.  Both estimators take a level sequence:
+``empirical_sup_prob`` is one sweep, and ``mc_mean_ec`` one coarse sweep
+with Euler counts plus ``empirical_sup_prob`` on the refined grid, however
+many levels there are.
 
 The empirical Euler characteristic uses the vertex-based closed cubical
 complex: a d-cell of the grid is occupied iff all its 2^d corners sit at or
@@ -51,7 +52,6 @@ __all__ = [
     "empirical_ec",
     "mc_mean_ec",
     "ec_oracle_2d",
-    "sup_prob_dual_resolution",
     "save_realization",
     "load_realization",
 ]
@@ -374,97 +374,66 @@ def _sweep(
     return out
 
 
-def _dual(
-    model: SpectralSumField, grid: GridSpec, levels, reps: int, seed: int, threads: int, ec=False
-) -> list[dict]:
-    """sup_prob_dual_resolution's dict per level, from one sweep per grid;
-    with ``ec`` each also carries ``mean_chi`` and ``chi_stderr``."""
-    fine = GridSpec(grid.domain, tuple(2 * p - 1 for p in grid.points_per_axis))
-    coarse = _sweep(model, grid, seed, reps, levels, threads, ec)
-    rows = []
-    for (p1, s1, *chi), (p2, s2) in zip(coarse, _sweep(model, fine, seed, reps, levels, threads)):
-        row = {
-            "p_coarse": p1,
-            "stderr_coarse": s1,
-            "p_fine": p2,
-            "stderr_fine": s2,
-            "grid_coarse": grid.points_per_axis,
-            "grid_fine": fine.points_per_axis,
-            "bias_flag": abs(p2 - p1) > max(math.hypot(s1, s2), 1e-12),
-        }
-        if chi:
-            row["mean_chi"], row["chi_stderr"] = chi
-        rows.append(row)
-    return rows
-
-
-def _mc_levels(
-    model: FieldModel, domain: RectDomain, levels, grid, reps: int, seed: int, threads: int
-) -> list[dict]:
-    """Every level of an ``mc`` command from one coarse and one fine sweep.
-
-    Per level, the sup_prob_dual_resolution dict plus ``mean_chi`` and
-    ``chi_stderr`` from mc_mean_ec; each equals the one-level call.  Every
-    input is checked before the first replicate block is built.
-    """
-    sp, gs = _checked(model, domain, grid, reps)
-    _check_ec_dim(domain.dim)
-    return _dual(sp, gs, levels, reps, seed, threads, ec=True)
-
-
 def empirical_sup_prob(
     model: FieldModel,
     domain: RectDomain,
-    u: float,
+    levels,
     grid,
     reps: int,
     seed: int = 0,
     *,
     threads: int = 1,
-) -> tuple[float, float]:
-    """Fraction of replicates whose grid maximum reaches u, with MC stderr.
+) -> list[tuple[float, float]]:
+    """Per level, the fraction of replicates whose grid maximum reaches it,
+    with its MC stderr, from one sweep.
 
     The discrete maximum underestimates the continuous supremum; the bias
-    shrinks with grid refinement (see sup_prob_dual_resolution).
+    shrinks with grid refinement (see mc_mean_ec).
     """
     sp, gs = _checked(model, domain, grid, reps)
-    return _sweep(sp, gs, seed, reps, [u], threads)[0]
-
-
-def sup_prob_dual_resolution(
-    model: FieldModel,
-    domain: RectDomain,
-    u: float,
-    grid,
-    reps: int,
-    seed: int = 0,
-    *,
-    threads: int = 1,
-) -> dict:
-    """p-hat at the requested grid and at its dyadic refinement (2R-1 points).
-
-    The refined grid contains every coarse point, so with shared replicate
-    coefficients the refined estimate can only grow.  Flags when the two
-    estimates differ by more than the combined MC error.
-    """
-    sp, gs = _checked(model, domain, grid, reps)
-    return _dual(sp, gs, [u], reps, seed, threads)[0]
+    return _sweep(sp, gs, seed, reps, levels, threads)
 
 
 def mc_mean_ec(
     model: FieldModel,
     domain: RectDomain,
-    u: float,
+    levels,
     grid,
     reps: int,
     seed: int = 0,
     *,
     threads: int = 1,
-) -> tuple[float, float]:
-    """Mean empirical Euler characteristic over replicates, with stderr."""
+) -> list[dict]:
+    """Per level, the mean empirical Euler characteristic and the sup
+    probability at the requested grid and at its refinement (2R-1 points).
+
+    One coarse sweep gives ``p_coarse``, ``stderr_coarse``, ``mean_chi``
+    and ``chi_stderr``; empirical_sup_prob on the refined grid gives
+    ``p_fine`` and ``stderr_fine``.  The refined grid contains every coarse
+    point, so with shared replicate coefficients the refined estimate can
+    only grow.  ``bias_flag`` is set when the two estimates differ by more
+    than the combined MC error.  Every input is checked before the first
+    sweep.
+    """
     sp, gs = _checked(model, domain, grid, reps)
     _check_ec_dim(domain.dim)
-    return _sweep(sp, gs, seed, reps, [u], threads, ec=True)[0][2:]
+    fine = GridSpec(domain, tuple(2 * p - 1 for p in gs.points_per_axis))
+    coarse = _sweep(sp, gs, seed, reps, levels, threads, ec=True)
+    refined = empirical_sup_prob(model, domain, levels, fine, reps, seed, threads=threads)
+    return [
+        {
+            "p_coarse": p1,
+            "stderr_coarse": s1,
+            "p_fine": p2,
+            "stderr_fine": s2,
+            "grid_coarse": gs.points_per_axis,
+            "grid_fine": fine.points_per_axis,
+            "bias_flag": abs(p2 - p1) > max(math.hypot(s1, s2), 1e-12),
+            "mean_chi": mean_chi,
+            "chi_stderr": chi_se,
+        }
+        for (p1, s1, mean_chi, chi_se), (p2, s2) in zip(coarse, refined)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Kac-Rice face terms, mean Euler characteristic, and Laplace closed forms.
 
-The three user-facing quantities are
+The three user-facing quantities are functions of the level u.  Each takes a
+level sequence and returns one MecResult ledger per level, equal to the
+ledger of a one-level call; the level-free work is done once for all levels.
 
 * ``excursion_prob_mu``: vertex tails plus per-face integrals of
   He_{k-1}(u/theta_t) exp(-u^2 / (2 theta_t^2)) -- the leading-order
@@ -12,7 +14,7 @@ The three user-facing quantities are
   form (Hermite tail identity), leaving one adaptive box integral over the
   face coordinates x the outward cone; the full-dimensional face has an
   empty cone and is the mu face term;
-* ``laplace_closed_form``: the closed-form asymptotic equivalent obtained
+* ``laplace_mec_result``: the closed-form asymptotic equivalent obtained
   by Laplace-expanding the face integrals around the variance maximizer.
 
 Face contributions are reported as positive magnitudes; alternating signs
@@ -45,7 +47,7 @@ from .field import (
     covariance_at,
     max_variance,
 )
-from .gauss import MvnProblem, MvnResult, _mvn_probs, gauss_tail, hermite, mvn_prob
+from .gauss import MvnProblem, MvnResult, gauss_tail, hermite, mvn_prob
 from .geometry import (
     Face,
     RectDomain,
@@ -60,15 +62,11 @@ from .quad import QuadResult, QuadSpec, integrate_box, integrate_face
 __all__ = [
     "MecResult",
     "LaplaceInputs",
-    "face_term_mu",
-    "vertex_term",
-    "face_term_mean_ec",
     "mean_euler_characteristic",
     "excursion_prob_mu",
     "ConditionReport",
     "condition_check",
     "prepare_laplace_inputs",
-    "laplace_closed_form",
     "laplace_mec_result",
     "tau_hessian",
     "tau_hessian_analytic",
@@ -221,15 +219,6 @@ def _face_term_mu_result(
     ]
 
 
-def face_term_mu(
-    model: FieldModel, face: Face, u: float, spec: QuadSpec = QuadSpec()
-) -> float:
-    """Leading Kac-Rice term of a k >= 1 face for the mu approximation."""
-    if face.k < 1:
-        raise ValueError("face_term_mu needs a face with k >= 1")
-    return _face_term_mu_result(model, face, (float(u),), spec)[0].value
-
-
 def _vertex_term_results(
     model: FieldModel, vertex: Face, levels: tuple[float, ...], seed: int
 ) -> list[MvnResult]:
@@ -247,25 +236,24 @@ def _vertex_term_results(
     cov[1:, 1:] = cap.lam
     clo, chi = outward_cone(vertex).bounds()
     hi = np.r_[np.inf, chi]
-    return _mvn_probs([MvnProblem(cov, np.r_[u, clo], hi) for u in levels], seed)
-
-
-def _vertex_term_result(
-    model: FieldModel, vertex: Face, u: float, seed: int
-) -> MvnResult:
-    return _vertex_term_results(model, vertex, (u,), seed)[0]
-
-
-def vertex_term(model: FieldModel, vertex: Face, u: float, seed: int = 0) -> float:
-    """P(X(t) >= u, grad X(t) in outward cone) at a vertex."""
-    if vertex.k != 0:
-        raise ValueError("vertex_term needs a face with k = 0")
-    return _vertex_term_result(model, vertex, float(u), seed).p
+    return mvn_prob([MvnProblem(cov, np.r_[u, clo], hi) for u in levels], seed)
 
 
 def _face_term_mean_ec_result(
     model: FieldModel, face: Face, levels: tuple[float, ...], spec: QuadSpec
 ) -> list[QuadResult]:
+    """Mean count of extended outward maxima above each level on a k >= 1 face.
+
+    The Kac-Rice integrand is He_k(x/gamma_t + gamma_t sum_j C_j(t) y_j)
+    against the conditional density of (X, boundary gradients y) given the
+    free gradient vanishing, over [u, inf) x outward cone.  Given y, X has
+    mean m_t(y) = b_t S^-1 y and variance gamma_t^2 (S the face's constant
+    conditional covariance of y), so the x-integral is He_{k-1}(a) phi(a)
+    with a = (u - m_t(y)) / gamma_t.  What remains is one adaptive
+    integral over the face's free coordinates x the cone, each cone axis
+    mapped onto [0, 1) by s / (1 - s); its error estimate is the term's.
+    For k = N the cone is empty and the term is the mu face term.
+    """
     k = face.k
     q = model.dim - k
     if q == 0:
@@ -307,7 +295,7 @@ def _face_term_mean_ec_result(
             a = (u - mean) / gam
             expo = log_norm - 0.5 * (wy_sq + a * a)
             row[:] = weight * hermite(k - 1, a) * np.exp(expo) * jac
-        return out.reshape(len(levels), -1)
+        return out.reshape(len(levels), x.shape[0] * s.shape[0])
 
     lo, hi = face.free_bounds()
     results = integrate_box(
@@ -321,26 +309,6 @@ def _face_term_mean_ec_result(
         QuadResult(ctx.pref_mec * res.value, ctx.pref_mec * res.err_est, res.converged)
         for res in results
     ]
-
-
-def face_term_mean_ec(
-    model: FieldModel, face: Face, u: float, spec: QuadSpec = QuadSpec()
-) -> float:
-    """Mean count of extended outward maxima above u on a k >= 1 face.
-
-    The Kac-Rice integrand is He_k(x/gamma_t + gamma_t sum_j C_j(t) y_j)
-    against the conditional density of (X, boundary gradients y) given the
-    free gradient vanishing, over [u, inf) x outward cone.  Given y, X has
-    mean m_t(y) = b_t S^-1 y and variance gamma_t^2 (S the face's constant
-    conditional covariance of y), so the x-integral is He_{k-1}(a) phi(a)
-    with a = (u - m_t(y)) / gamma_t.  What remains is one adaptive
-    integral over the face's free coordinates x the cone, each cone axis
-    mapped onto [0, 1) by s / (1 - s); its error estimate is the term's.
-    For k = N the cone is empty and the term is the mu face term.
-    """
-    if face.k < 1:
-        raise ValueError("face_term_mean_ec needs a face with k >= 1")
-    return _face_term_mean_ec_result(model, face, (float(u),), spec)[0].value
 
 
 # ---------------------------------------------------------------------------
@@ -396,15 +364,21 @@ def _face_sum(
     return out
 
 
-def _mean_ec_levels(
+def mean_euler_characteristic(
     model: FieldModel,
     domain: RectDomain,
     levels,
-    spec: QuadSpec,
-    seed: int,
-    threads: int,
+    spec: QuadSpec = QuadSpec(),
+    seed: int = 0,
+    *,
+    threads: int = 1,
 ) -> list[MecResult]:
-    """mean_euler_characteristic at every level, one quadrature pass per face."""
+    """Mean Euler characteristic of the excursion set above each level.
+
+    Vertices contribute joint orthant probabilities; every k >= 1 face
+    contributes its extended-outward-maxima mean, in one quadrature pass for
+    all levels.  Bit-stable for a fixed seed regardless of thread count.
+    """
     if domain.dim > MEAN_EC_DIM_CAP:
         raise CapabilityError(
             f"mean Euler characteristic capped at N={MEAN_EC_DIM_CAP} (got N={domain.dim})"
@@ -424,32 +398,16 @@ def _mean_ec_levels(
     )
 
 
-def mean_euler_characteristic(
-    model: FieldModel,
-    domain: RectDomain,
-    u: float,
-    spec: QuadSpec = QuadSpec(),
-    seed: int = 0,
-    *,
-    threads: int = 1,
-) -> MecResult:
-    """Mean Euler characteristic of the excursion set above u.
-
-    Vertices contribute joint orthant probabilities; every k >= 1 face
-    contributes its extended-outward-maxima mean.  Bit-stable for a fixed
-    seed regardless of thread count.
-    """
-    return _mean_ec_levels(model, domain, (u,), spec, seed, threads)[0]
-
-
-def _mu_levels(
+def excursion_prob_mu(
     model: FieldModel,
     domain: RectDomain,
     levels,
-    spec: QuadSpec,
-    threads: int,
+    spec: QuadSpec = QuadSpec(),
+    *,
+    threads: int = 1,
 ) -> list[MecResult]:
-    """excursion_prob_mu at every level, one quadrature pass per face."""
+    """Leading-order excursion probability at each level: vertex tails plus
+    mu face terms, each face in one quadrature pass for all levels."""
     if domain.dim > MU_DIM_CAP:
         raise CapabilityError(
             f"mu approximation capped at N={MU_DIM_CAP} (got N={domain.dim})"
@@ -470,18 +428,6 @@ def _mu_levels(
         lambda fc: _face_term_mu_result(model, fc, levels, spec),
         threads,
     )
-
-
-def excursion_prob_mu(
-    model: FieldModel,
-    domain: RectDomain,
-    u: float,
-    spec: QuadSpec = QuadSpec(),
-    *,
-    threads: int = 1,
-) -> MecResult:
-    """Leading-order excursion probability: vertex tails + mu face terms."""
-    return _mu_levels(model, domain, (u,), spec, threads)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -709,7 +655,7 @@ def _orthant_given_free(
     ctx = FaceContext(model, face)
     cone = outward_cone(face)
     lo, hi = cone.bounds()
-    return mvn_prob(MvnProblem(ctx.schur_ff, lo, hi), seed=seed)
+    return mvn_prob([MvnProblem(ctx.schur_ff, lo, hi)], seed)[0]
 
 
 def _adjacent_higher_faces(domain: RectDomain, host: Face) -> list[Face]:
@@ -726,24 +672,16 @@ def _adjacent_higher_faces(domain: RectDomain, host: Face) -> list[Face]:
     return out
 
 
-class _LaplaceFactors(NamedTuple):
-    """Level-free part of the Laplace ledger.
-
-    ``per_face`` lists every face in enumeration order with its factors
-    (f, p_1, ...): the face's term at level u is f * Psi(u / sigma_T) * p_1
-    * ..., multiplied left to right.  Faces without a term have no factors.
-    """
-
-    sigma_sq: float
-    per_face: list[tuple[Face, tuple[float, ...]]]
-
-
 def _laplace_factors(
     model: FieldModel,
     domain: RectDomain,
     inputs: LaplaceInputs,
     seed: int,
-) -> _LaplaceFactors:
+) -> list[tuple[Face, tuple[float, ...]]]:
+    """Level-free part of the Laplace ledger: every face in enumeration
+    order with its factors (f, p_1, ...).  The face's term at level u is
+    f * Psi(u / sigma_T) * p_1 * ..., multiplied left to right; faces
+    without a term have no factors."""
     t0 = inputs.t0
     host = inputs.face
     contrib: dict[tuple, tuple[float, ...]] = {}
@@ -777,61 +715,45 @@ def _laplace_factors(
                 pos = [fc.sigma.index(j) for j in extra]
                 cov_z = -hess[np.ix_(pos, pos)]
                 pz = mvn_prob(
-                    MvnProblem(
-                        cov_z, np.full(len(pos), -np.inf), np.zeros(len(pos))
-                    ),
-                    seed=_face_seed(seed, 2 * idx),
-                )
+                    [MvnProblem(cov_z, np.full(len(pos), -np.inf), np.zeros(len(pos)))],
+                    _face_seed(seed, 2 * idx),
+                )[0]
                 orth2 = _orthant_given_free(model, fc, _face_seed(seed, 2 * idx + 1))
                 contrib[key(fc)] = (f_fact, pz.p, orth2.p)
 
-    faces = enumerate_faces(domain)
-    return _LaplaceFactors(
-        inputs.sigma_sq, [(fc, contrib.get(key(fc), ())) for fc in faces]
-    )
-
-
-def _laplace_ledger(factors: _LaplaceFactors, u: float) -> MecResult:
-    """The Laplace ledger at level u from factors computed once per field."""
-    psi = float(gauss_tail(u / math.sqrt(factors.sigma_sq)))
-    terms = [
-        (fc, math.prod(fac[1:], start=fac[0] * psi) if fac else 0.0)
-        for fc, fac in factors.per_face
-    ]
-    return MecResult(
-        u=u,
-        method="laplace",
-        per_face=tuple(terms),
-        total=math.fsum(v for _, v in terms),
-        err_est=0.0,
-    )
-
-
-def laplace_closed_form(
-    model: FieldModel,
-    domain: RectDomain,
-    u: float,
-    inputs: LaplaceInputs | None = None,
-    seed: int = 0,
-) -> float:
-    """Closed-form asymptotic equivalent of the excursion quantities.
-
-    Dispatches on the maximizer classification: a regular corner gives the
-    plain tail Psi(u/sigma_T); a regular face maximizer adds the curvature
-    factor; a flat maximizer assembles the host face and all adjacent
-    higher faces with conditional orthant and ordering factors.
-    """
-    return laplace_mec_result(model, domain, u, inputs, seed).total
+    return [(fc, contrib.get(key(fc), ())) for fc in enumerate_faces(domain)]
 
 
 def laplace_mec_result(
     model: FieldModel,
     domain: RectDomain,
-    u: float,
-    inputs: LaplaceInputs | None = None,
+    levels,
     seed: int = 0,
-) -> MecResult:
-    """Ledger-shaped variant of laplace_closed_form for reporting."""
-    if inputs is None:
-        inputs = prepare_laplace_inputs(model, domain)
-    return _laplace_ledger(_laplace_factors(model, domain, inputs, seed), float(u))
+) -> list[MecResult]:
+    """Closed-form asymptotic equivalent of the excursion quantities, as a
+    ledger per level.
+
+    Dispatches on the maximizer classification: a regular corner gives the
+    plain tail Psi(u/sigma_T); a regular face maximizer adds the curvature
+    factor; a flat maximizer assembles the host face and all adjacent
+    higher faces with conditional orthant and ordering factors.  Only the
+    tail depends on u, so the maximizer and the factors are found once.
+    """
+    inputs = prepare_laplace_inputs(model, domain)
+    factors = _laplace_factors(model, domain, inputs, seed)
+    out = []
+    for u in map(float, levels):
+        psi = float(gauss_tail(u / math.sqrt(inputs.sigma_sq)))
+        terms = [
+            (fc, math.prod(fac[1:], start=fac[0] * psi) if fac else 0.0)
+            for fc, fac in factors
+        ]
+        out.append(
+            MecResult(
+                u=u,
+                method="laplace",
+                per_face=tuple(terms),
+                total=math.fsum(v for _, v in terms),
+            )
+        )
+    return out

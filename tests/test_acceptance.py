@@ -10,19 +10,13 @@ import math
 import numpy as np
 import pytest
 
+import excursion_kit.mc as mc
 import excursion_kit.mec as mec
 from excursion_kit.field import CosineField, SpectralSumField, covariance_at
 from excursion_kit.gauss import gauss_tail, hermite_tail_identity_check
 from excursion_kit.geometry import Face, RectDomain, enumerate_faces
-from excursion_kit.mc import ec_oracle_2d, empirical_ec, empirical_sup_prob, mc_mean_ec
-from excursion_kit.mec import (
-    excursion_prob_mu,
-    face_term_mean_ec,
-    face_term_mu,
-    mean_euler_characteristic,
-    tau_hessian,
-    vertex_term,
-)
+from excursion_kit.mc import ec_oracle_2d, empirical_ec, empirical_sup_prob
+from excursion_kit.mec import excursion_prob_mu, mean_euler_characteristic, tau_hessian
 from excursion_kit.quad import QuadSpec
 
 PI = math.pi
@@ -130,7 +124,7 @@ def test_03_quadrature_totals_track_reference_constants():
     ]
     problems = []
     for name, dom, fn, ref, (lo, hi), band_level, host in cases:
-        results = {u: fn(cosine(), dom, u, SPEC) for u in levels}
+        results = {res.u: res for res in fn(cosine(), dom, levels, SPEC)}
         ratios = {u: results[u].total / ref(u) for u in levels}
         r = ratios[band_level]
         if not (lo <= r <= hi):
@@ -160,8 +154,8 @@ def test_04_monte_carlo_agrees_with_analytic():
     # the paper's approximation of P(sup >= u) is the mean EC; at u=4 the
     # exact probability is still 1.17x the leading constant
     # (3 + 2 sqrt 2)/4 Psi(u/sqrt 5), so that constant is no target here
-    p_hat, se = empirical_sup_prob(cosine(), dom, 4.0, 128, 200_000, seed=4, threads=4)
-    target = mean_euler_characteristic(cosine(), dom, 4.0, SPEC).total
+    [(p_hat, se)] = empirical_sup_prob(cosine(), dom, [4.0], 128, 200_000, seed=4, threads=4)
+    target = mean_euler_characteristic(cosine(), dom, [4.0], SPEC)[0].total
     rel = abs(p_hat - target) / target
     if rel > 0.10:
         problems.append(
@@ -169,8 +163,11 @@ def test_04_monte_carlo_agrees_with_analytic():
             f"(rel dev {rel:.2%} > 10%)"
         )
 
-    mean_chi, chi_se = mc_mean_ec(cosine(), dom, 2.5, 128, 100_000, seed=3, threads=4)
-    want = mean_euler_characteristic(cosine(), dom, 2.5, SPEC).total
+    # the coarse sweep of mc_mean_ec alone: its refined sup probability is
+    # not checked here
+    sp, grid = mc._checked(cosine(), dom, 128, 100_000)
+    [(_, _, mean_chi, chi_se)] = mc._sweep(sp, grid, 3, 100_000, [2.5], 4, ec=True)
+    want = mean_euler_characteristic(cosine(), dom, [2.5], SPEC)[0].total
     tol = 3 * chi_se + 0.05 * abs(want)
     if abs(mean_chi - want) > tol:
         problems.append(
@@ -200,13 +197,13 @@ def test_05_vertex_term_factorizes_at_zero_gradient():
     cases.append((m3, v3, 3.0, 7.0, 3))
 
     for model, vert, u, nu, n in cases:
-        res = mec._vertex_term_result(model, vert, u, seed=0)
+        [res] = mec._vertex_term_results(model, vert, (u,), 0)
         want = gauss_tail(u / math.sqrt(nu)) / 2**n
         assert abs(res.p - want) <= 3 * max(res.err_est, 1e-12), (n, res.p, want)
 
     # headline case: quarter tail at the flat corner of [0, pi]^2
-    val = vertex_term(cosine(), v2, 3.0)
-    assert val == pytest.approx(0.25 * gauss_tail(3.0 / S5), rel=1e-5)
+    [val] = mec._vertex_term_results(cosine(), v2, (3.0,), 0)
+    assert val.p == pytest.approx(0.25 * gauss_tail(3.0 / S5), rel=1e-5)
 
 
 def test_06_euler_characteristic_routes_agree():
@@ -238,21 +235,21 @@ def test_07_structural_properties():
 
     dom = RectDomain([0.0, 0.0], [PI, PI])
     interior = enumerate_faces(dom)[0]
-    a = face_term_mean_ec(cosine(), interior, 6.0, SPEC)
-    b = face_term_mu(cosine(), interior, 6.0, SPEC)
-    assert a == pytest.approx(b, rel=1e-6)
+    [a] = mec._face_term_mean_ec_result(cosine(), interior, (6.0,), SPEC)
+    [b] = mec._face_term_mu_result(cosine(), interior, (6.0,), SPEC)
+    assert a.value == pytest.approx(b.value, rel=1e-6)
 
-    res = excursion_prob_mu(cosine(), dom, 7.0, SPEC)
+    [res] = excursion_prob_mu(cosine(), dom, [7.0], SPEC)
     assert res.total == pytest.approx(
         math.fsum(v for _, v in res.per_face), abs=1e-12 * max(1.0, abs(res.total))
     )
 
-    t1 = excursion_prob_mu(cosine(), dom, 7.0, SPEC, threads=1)
-    t4 = excursion_prob_mu(cosine(), dom, 7.0, SPEC, threads=4)
+    [t1] = excursion_prob_mu(cosine(), dom, [7.0], SPEC, threads=1)
+    [t4] = excursion_prob_mu(cosine(), dom, [7.0], SPEC, threads=4)
     assert t1.total == t4.total
     assert [v for _, v in t1.per_face] == [v for _, v in t4.per_face]
-    p1 = empirical_sup_prob(cosine(), dom, 2.0, 17, 600, seed=6, threads=1)
-    p4 = empirical_sup_prob(cosine(), dom, 2.0, 17, 600, seed=6, threads=4)
+    p1 = empirical_sup_prob(cosine(), dom, [2.0], 17, 600, seed=6, threads=1)
+    p4 = empirical_sup_prob(cosine(), dom, [2.0], 17, 600, seed=6, threads=4)
     assert p1 == p4
 
 

@@ -230,7 +230,7 @@ def test_floats_round_trip_exactly(tmp_path, capsys):
     cfg = write_config(tmp_path, levels=[7.0])
     _, out = run(capsys, ["compute", "--config", cfg])
     _, rows = parse_csv(out)
-    lib = excursion_prob_mu(CosineField(), RectDomain([0, 0], [PI, PI]), 7.0, QuadSpec())
+    [lib] = excursion_prob_mu(CosineField(), RectDomain([0, 0], [PI, PI]), [7.0], QuadSpec())
     assert float(rows[0][2]) == lib.total  # %.17g loses nothing
 
 

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erfc
 
-from excursion_kit import gauss
 from excursion_kit.errors import CapabilityError
 from excursion_kit.gauss import (
     MvnProblem,
@@ -82,7 +81,7 @@ def random_spd(rng, n):
 
 
 def test_mvn_univariate_is_exact():
-    res = mvn_prob(MvnProblem(cov=np.array([[4.0]]), lower=[-1.0], upper=[3.0]))
+    [res] = mvn_prob([MvnProblem(cov=np.array([[4.0]]), lower=[-1.0], upper=[3.0])])
     want = std_normal_cdf(1.5) - std_normal_cdf(-0.5)
     assert res.p == pytest.approx(want, abs=1e-15)
     assert res.err_est == 0.0
@@ -90,12 +89,12 @@ def test_mvn_univariate_is_exact():
 
 def test_mvn_far_upper_tail_keeps_relative_accuracy():
     # Phi(inf) - Phi(10) cancels to 0 in doubles; the tail must come from Psi
-    res = mvn_prob(MvnProblem(cov=np.array([[1.0]]), lower=[10.0], upper=[np.inf]))
+    [res] = mvn_prob([MvnProblem(cov=np.array([[1.0]]), lower=[10.0], upper=[np.inf])])
     assert res.p == pytest.approx(gauss_tail(10.0), rel=1e-12, abs=0.0)
     # both factors of an independent pair in the far tail, the second one
     # through the separation-of-variables draw
-    res = mvn_prob(
-        MvnProblem(cov=np.diag([1.0, 4.0]), lower=[9.0, 18.0], upper=[np.inf] * 2)
+    [res] = mvn_prob(
+        [MvnProblem(cov=np.diag([1.0, 4.0]), lower=[9.0, 18.0], upper=[np.inf] * 2)]
     )
     assert res.p == pytest.approx(gauss_tail(9.0) ** 2, rel=1e-12, abs=0.0)
 
@@ -104,7 +103,7 @@ def test_mvn_diagonal_factorizes():
     d = np.diag([1.0, 4.0, 0.25])
     lower = [-1.0, -2.0, 0.0]
     upper = [2.0, 2.0, 1.5]
-    res = mvn_prob(MvnProblem(cov=d, lower=lower, upper=upper), seed=3)
+    [res] = mvn_prob([MvnProblem(cov=d, lower=lower, upper=upper)], seed=3)
     want = 1.0
     for i in range(3):
         s = math.sqrt(d[i, i])
@@ -117,7 +116,7 @@ def test_mvn_equicorrelated_orthant_closed_form():
     # P = 1/8 + 3 arcsin(rho) / (4 pi)
     rho = 0.5
     cov = np.full((3, 3), rho) + (1 - rho) * np.eye(3)
-    res = mvn_prob(MvnProblem(cov=cov, lower=[0, 0, 0], upper=[np.inf] * 3), seed=5)
+    [res] = mvn_prob([MvnProblem(cov=cov, lower=[0, 0, 0], upper=[np.inf] * 3)], seed=5)
     want = 0.125 + 3 * math.asin(rho) / (4 * math.pi)
     assert abs(res.p - want) <= max(4 * res.err_est, 5e-6)
 
@@ -125,7 +124,7 @@ def test_mvn_equicorrelated_orthant_closed_form():
 def test_mvn_bivariate_orthant_closed_form():
     for rho in (-0.7, -0.2, 0.3, 0.9):
         cov = np.array([[1.0, rho], [rho, 1.0]])
-        res = mvn_prob(MvnProblem(cov=cov, lower=[0, 0], upper=[np.inf] * 2), seed=2)
+        [res] = mvn_prob([MvnProblem(cov=cov, lower=[0, 0], upper=[np.inf] * 2)], seed=2)
         want = 0.25 + math.asin(rho) / (2 * math.pi)
         assert abs(res.p - want) <= max(4 * res.err_est, 5e-6), rho
 
@@ -142,7 +141,7 @@ def test_mvn_against_plain_monte_carlo():
     inside = np.all((z >= lower) & (z <= upper), axis=1)
     p_mc = inside.mean()
     se_mc = math.sqrt(p_mc * (1 - p_mc) / n)
-    res = mvn_prob(MvnProblem(cov=cov, lower=lower, upper=upper), seed=13)
+    [res] = mvn_prob([MvnProblem(cov=cov, lower=lower, upper=upper)], seed=13)
     assert abs(res.p - p_mc) <= 4 * math.hypot(se_mc, max(res.err_est, 1e-9))
 
 
@@ -151,15 +150,11 @@ def test_mvn_permutation_invariance():
     cov = random_spd(rng, 3)
     lower = [-1.0, 0.0, -2.0]
     upper = [1.0, 2.0, 0.5]
-    base = mvn_prob(MvnProblem(cov=cov, lower=lower, upper=upper), seed=9)
+    [base] = mvn_prob([MvnProblem(cov=cov, lower=lower, upper=upper)], seed=9)
     perm = [2, 0, 1]
     cov_p = cov[np.ix_(perm, perm)]
-    res = mvn_prob(
-        MvnProblem(
-            cov=cov_p,
-            lower=[lower[i] for i in perm],
-            upper=[upper[i] for i in perm],
-        ),
+    [res] = mvn_prob(
+        [MvnProblem(cov=cov_p, lower=[lower[i] for i in perm], upper=[upper[i] for i in perm])],
         seed=10,
     )
     tol = 4 * math.hypot(max(base.err_est, 1e-10), max(res.err_est, 1e-10))
@@ -168,15 +163,15 @@ def test_mvn_permutation_invariance():
 
 def test_mvn_monotone_in_box():
     cov = np.array([[1.0, 0.4], [0.4, 1.0]])
-    small = mvn_prob(MvnProblem(cov=cov, lower=[-1, -1], upper=[1, 1]), seed=0)
-    large = mvn_prob(MvnProblem(cov=cov, lower=[-2, -2], upper=[2, 2]), seed=0)
+    [small] = mvn_prob([MvnProblem(cov=cov, lower=[-1, -1], upper=[1, 1])], seed=0)
+    [large] = mvn_prob([MvnProblem(cov=cov, lower=[-2, -2], upper=[2, 2])], seed=0)
     assert large.p > small.p
 
 
 def test_mvn_psd_duplicate_coordinate():
     # X2 = X1 almost surely; box reduces to the 1-d interval intersection
     cov = np.array([[1.0, 1.0], [1.0, 1.0]])
-    res = mvn_prob(MvnProblem(cov=cov, lower=[-1.0, -0.5], upper=[2.0, 1.0]))
+    [res] = mvn_prob([MvnProblem(cov=cov, lower=[-1.0, -0.5], upper=[2.0, 1.0])])
     want = std_normal_cdf(1.0) - std_normal_cdf(-0.5)
     assert abs(res.p - want) <= max(3 * res.err_est, 1e-6)
 
@@ -184,27 +179,30 @@ def test_mvn_psd_duplicate_coordinate():
 def test_mvn_deterministic_for_fixed_seed():
     cov = np.array([[1.0, 0.2, 0.1], [0.2, 1.0, 0.3], [0.1, 0.3, 1.0]])
     prob = MvnProblem(cov=cov, lower=[-1, -1, -1], upper=[1, 1, 1])
-    a = mvn_prob(prob, seed=21)
-    b = mvn_prob(prob, seed=21)
+    [a] = mvn_prob([prob], seed=21)
+    [b] = mvn_prob([prob], seed=21)
     assert a.p == b.p and a.err_est == b.err_est
 
 
 def test_mvn_probs_equal_single_calls():
+    # the problems of one call share the QMC points of every randomization;
+    # each result equals the call that holds only its own problem
     cov = np.array([[1.0, 0.2, 0.1], [0.2, 1.0, 0.3], [0.1, 0.3, 1.0]])
     problems = [
         MvnProblem(cov=cov, lower=[-1, -1, -1], upper=[1, 1, 1]),
         MvnProblem(cov=cov, lower=[1, -1, -1], upper=[1, 1, 1]),  # empty box
         MvnProblem(cov=cov, lower=[2, 0, -np.inf], upper=[np.inf, np.inf, 0]),
     ]
-    assert gauss._mvn_probs(problems, 21) == [mvn_prob(p, seed=21) for p in problems]
+    assert mvn_prob(problems, 21) == [mvn_prob([p], seed=21)[0] for p in problems]
+    assert mvn_prob([], 21) == []
     with pytest.raises(ValueError):
-        gauss._mvn_probs([problems[0], MvnProblem(cov=[[1.0]], lower=[0], upper=[1])], 21)
+        mvn_prob([problems[0], MvnProblem(cov=[[1.0]], lower=[0], upper=[1])], 21)
 
 
 def test_mvn_dimension_cap():
     n = 13
     with pytest.raises(CapabilityError):
-        mvn_prob(MvnProblem(cov=np.eye(n), lower=[-1] * n, upper=[1] * n))
+        mvn_prob([MvnProblem(cov=np.eye(n), lower=[-1] * n, upper=[1] * n)])
 
 
 def test_hermite_degree_cap():

@@ -23,7 +23,6 @@ from excursion_kit.mc import (
     mc_mean_ec,
     sample_field,
     save_realization,
-    sup_prob_dual_resolution,
 )
 
 PI = math.pi
@@ -235,24 +234,23 @@ def test_ec_additive_over_separated_pieces(a, b):
 
 def test_sup_prob_monotone_in_level():
     dom = RectDomain([0.0, 0.0], [PI, PI])
-    p2, _ = empirical_sup_prob(cosine(), dom, 2.0, 9, 300, seed=8)
-    p3, _ = empirical_sup_prob(cosine(), dom, 3.0, 9, 300, seed=8)
+    (p2, _), (p3, _) = empirical_sup_prob(cosine(), dom, (2.0, 3.0), 9, 300, seed=8)
     assert p2 >= p3
 
 
 def test_sup_prob_stderr_formula():
     dom = RectDomain([0.0, 0.0], [PI, PI])
-    p, se = empirical_sup_prob(cosine(), dom, 2.5, 9, 100, seed=1)
+    [(p, se)] = empirical_sup_prob(cosine(), dom, [2.5], 9, 100, seed=1)
     assert se == pytest.approx(math.sqrt(p * (1 - p) / 100), abs=0.0)
 
 
 def test_sup_prob_thread_count_invariance():
     dom = RectDomain([0.0, 0.0], [PI, PI])
-    one = empirical_sup_prob(cosine(), dom, 2.0, 9, 700, seed=5, threads=1)
-    four = empirical_sup_prob(cosine(), dom, 2.0, 9, 700, seed=5, threads=4)
+    one = empirical_sup_prob(cosine(), dom, [2.0], 9, 700, seed=5, threads=1)
+    four = empirical_sup_prob(cosine(), dom, [2.0], 9, 700, seed=5, threads=4)
     assert one == four
-    m1 = mc_mean_ec(cosine(), dom, 2.0, 9, 700, seed=5, threads=1)
-    m4 = mc_mean_ec(cosine(), dom, 2.0, 9, 700, seed=5, threads=4)
+    m1 = mc_mean_ec(cosine(), dom, [2.0], 9, 700, seed=5, threads=1)
+    m4 = mc_mean_ec(cosine(), dom, [2.0], 9, 700, seed=5, threads=4)
     assert m1 == m4
 
 
@@ -279,9 +277,8 @@ def test_block_cap_leaves_results_unchanged(monkeypatch):
 
     def results():
         return [
-            empirical_sup_prob(cosine(), dom, 2.0, 9, 700, seed=5),
-            mc_mean_ec(cosine(), dom, 2.0, 9, 700, seed=5),
-            mc_mod._mc_levels(cosine(), dom, (2.0, 2.5), 9, 700, 5, 1),
+            empirical_sup_prob(cosine(), dom, (2.0, 2.5), 9, 700, seed=5),
+            mc_mean_ec(cosine(), dom, (2.0, 2.5), 9, 700, seed=5),
         ]
 
     want = results()
@@ -298,7 +295,7 @@ def test_sweep_memory_stays_at_the_tile():
     for threads in (1, 2):
         tracemalloc.start()
         try:
-            rows = mc_mod._mc_levels(cosine(), dom, (3.0, 4.0), 128, 600, 0, threads)
+            rows = mc_mean_ec(cosine(), dom, (3.0, 4.0), 128, 600, 0, threads=threads)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -362,8 +359,8 @@ def test_mc_levels_thread_invariant_with_small_tiles(monkeypatch):
     monkeypatch.setattr(mc_mod, "MAX_BLOCK_BYTES", 7 * 8 * 81)
     assert mc_mod._tile_rows(81) == 7
     dom = RectDomain([0.0, 0.0], [PI, PI])
-    one = mc_mod._mc_levels(cosine(), dom, (1.5, 2.0, 2.5), 9, 1100, 3, 1)
-    two = mc_mod._mc_levels(cosine(), dom, (1.5, 2.0, 2.5), 9, 1100, 3, 2)
+    one = mc_mean_ec(cosine(), dom, (1.5, 2.0, 2.5), 9, 1100, 3, threads=1)
+    two = mc_mean_ec(cosine(), dom, (1.5, 2.0, 2.5), 9, 1100, 3, threads=2)
     assert one == two
 
 
@@ -373,12 +370,14 @@ def test_mc_levels_equal_one_level_calls(threads):
     # chunks, so threads=2 runs them concurrently
     dom = RectDomain([0.0, 0.0], [PI, PI])
     levels = (1.5, 2.0, 2.5)
-    rows = mc_mod._mc_levels(cosine(), dom, levels, 9, 700, 5, threads)
+    rows = mc_mean_ec(cosine(), dom, levels, 9, 700, 5, threads=threads)
     assert len(rows) == len(levels)
-    for u, row in zip(levels, rows):
-        dual = sup_prob_dual_resolution(cosine(), dom, u, 9, 700, seed=5, threads=threads)
-        mean, se = mc_mean_ec(cosine(), dom, u, 9, 700, seed=5, threads=threads)
-        assert row == {**dual, "mean_chi": mean, "chi_stderr": se}
+    fine = empirical_sup_prob(cosine(), dom, levels, 17, 700, 5, threads=threads)
+    for u, row, (p_fine, se_fine) in zip(levels, rows, fine):
+        assert row == mc_mean_ec(cosine(), dom, [u], 9, 700, 5, threads=threads)[0]
+        assert (row["p_fine"], row["stderr_fine"]) == (p_fine, se_fine)
+        coarse = empirical_sup_prob(cosine(), dom, [u], 9, 700, 5, threads=threads)[0]
+        assert (row["p_coarse"], row["stderr_coarse"]) == coarse
 
 
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
@@ -406,9 +405,9 @@ def test_coefficients_match_a_fresh_generator_per_replicate(seed):
 def test_sup_prob_needs_enough_reps():
     dom = RectDomain([0.0, 0.0], [PI, PI])
     with pytest.raises(ConfigError):
-        empirical_sup_prob(cosine(), dom, 2.0, 9, 99)
+        empirical_sup_prob(cosine(), dom, [2.0], 9, 99)
     with pytest.raises(ConfigError):
-        mc_mean_ec(cosine(), dom, 2.0, 9, 50)
+        mc_mean_ec(cosine(), dom, [2.0], 9, 50)
 
 
 def test_refined_axes_contain_coarse_axes():
@@ -420,7 +419,7 @@ def test_refined_axes_contain_coarse_axes():
 
 def test_dual_resolution_refinement_never_loses_mass():
     dom = RectDomain([0.0, 0.0], [PI, PI])
-    out = sup_prob_dual_resolution(cosine(), dom, 2.0, 5, 400, seed=9)
+    [out] = mc_mean_ec(cosine(), dom, [2.0], 5, 400, seed=9)
     assert out["p_fine"] >= out["p_coarse"]
     assert out["grid_fine"] == (9, 9)
     assert out["grid_coarse"] == (5, 5)
@@ -433,9 +432,9 @@ def test_dual_resolution_refinement_never_loses_mass():
 def test_mc_mean_ec_sane_at_low_level():
     # at a deep level the excursion set is the whole square, so chi = 1
     dom = RectDomain([0.0, 0.0], [PI, PI])
-    mean, se = mc_mean_ec(cosine(), dom, -40.0, 9, 120, seed=2)
-    assert mean == 1.0
-    assert se == 0.0
+    [row] = mc_mean_ec(cosine(), dom, [-40.0], 9, 120, seed=2)
+    assert row["mean_chi"] == 1.0
+    assert row["chi_stderr"] == 0.0
 
 
 # ---------------------------------------------------------------------------

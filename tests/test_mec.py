@@ -17,15 +17,11 @@ from excursion_kit.geometry import Face, RectDomain, enumerate_faces, face_label
 from excursion_kit.mec import (
     condition_check,
     excursion_prob_mu,
-    face_term_mean_ec,
-    face_term_mu,
-    laplace_closed_form,
     laplace_mec_result,
     mean_euler_characteristic,
     prepare_laplace_inputs,
     tau_hessian,
     tau_hessian_analytic,
-    vertex_term,
 )
 from excursion_kit.quad import QuadSpec, integrate_cone, integrate_face
 
@@ -42,8 +38,24 @@ def edge(dom, free_axis, fixed_axis, upper):
     return Face(domain=dom, sigma=(free_axis,), epsilon=((fixed_axis, int(upper)),))
 
 
+# one face or vertex at one level, straight from the kernels the ledgers sum,
+# so a per-face check does not pay for the whole ledger
+
+
+def face_mu(model, face, u, spec):
+    return mec._face_term_mu_result(model, face, (u,), spec)[0].value
+
+
+def face_mean_ec(model, face, u, spec):
+    return mec._face_term_mean_ec_result(model, face, (u,), spec)[0].value
+
+
+def vertex_p(model, vert, u, seed=0):
+    return mec._vertex_term_results(model, vert, (u,), seed)[0].p
+
+
 # ---------------------------------------------------------------------------
-# face_term_mu
+# mu face terms
 # ---------------------------------------------------------------------------
 
 
@@ -52,7 +64,7 @@ def test_face_term_mu_edge_band():
     dom = RectDomain([0.0, 0.0], [1.5 * PI, 0.5 * PI])
     face = edge(dom, 0, 1, upper=True)
     u = 8.0
-    ratio = face_term_mu(cosine(), face, u, SPEC) / (math.sqrt(2) * gauss_tail(u / 2))
+    ratio = face_mu(cosine(), face, u, SPEC) / (math.sqrt(2) * gauss_tail(u / 2))
     assert 0.95 <= ratio <= 1.05
 
 
@@ -60,16 +72,14 @@ def test_face_term_mu_interior_band():
     dom = RectDomain([0.0, 0.0], [1.5 * PI, 1.5 * PI])
     face = enumerate_faces(dom)[0]
     u = 8.0
-    ratio = face_term_mu(cosine(), face, u, SPEC) / (2 * gauss_tail(u / S5))
+    ratio = face_mu(cosine(), face, u, SPEC) / (2 * gauss_tail(u / S5))
     assert 0.95 <= ratio <= 1.05
 
 
 def test_face_term_mu_decays_in_u():
     dom = RectDomain([0.0, 0.0], [1.5 * PI, 0.5 * PI])
     face = edge(dom, 0, 1, upper=True)
-    assert face_term_mu(cosine(), face, 12.0, SPEC) < face_term_mu(
-        cosine(), face, 8.0, SPEC
-    )
+    assert face_mu(cosine(), face, 12.0, SPEC) < face_mu(cosine(), face, 8.0, SPEC)
 
 
 def test_face_term_mu_positive_at_large_u():
@@ -77,11 +87,11 @@ def test_face_term_mu_positive_at_large_u():
     for face in enumerate_faces(dom):
         if face.k >= 1:
             for u in (8.0, 10.0):
-                assert face_term_mu(cosine(), face, u, SPEC) >= 0.0
+                assert face_mu(cosine(), face, u, SPEC) >= 0.0
 
 
 # ---------------------------------------------------------------------------
-# vertex_term
+# vertex terms
 # ---------------------------------------------------------------------------
 
 
@@ -89,7 +99,7 @@ def test_vertex_term_zero_gradient_factorizes():
     dom = RectDomain([0.0, 0.0], [PI, PI])
     vert = Face(domain=dom, sigma=(), epsilon=((0, 1), (1, 1)))
     u = 3.0
-    val = vertex_term(cosine(), vert, u)
+    val = vertex_p(cosine(), vert, u)
     # at (pi,pi): c = 0 and Lambda diagonal, so X and the gradient are
     # independent and each one-sided derivative constraint contributes 1/2
     assert val == pytest.approx(0.25 * gauss_tail(u / S5), rel=1e-6)
@@ -101,7 +111,7 @@ def test_vertex_term_against_plain_monte_carlo():
     dom = RectDomain([0.0, 0.0], [PI / 2, PI / 2])
     vert = Face(domain=dom, sigma=(), epsilon=((0, 1), (1, 1)))
     u = 3.0
-    val = vertex_term(cosine(), vert, u, seed=0)
+    val = vertex_p(cosine(), vert, u, seed=0)
 
     cov = np.array(
         [
@@ -132,12 +142,12 @@ def test_vertex_term_one_dimensional():
     dom = RectDomain([0.5], [PI])
     vert = Face(domain=dom, sigma=(), epsilon=((0, 1),))
     # at t = pi: nu = 1 + 2*0.5*(1-cos pi) = 3, c = 0, so factorization is exact
-    val = vertex_term(m, vert, 2.0)
+    val = vertex_p(m, vert, 2.0)
     assert val == pytest.approx(0.5 * gauss_tail(2.0 / math.sqrt(3)), rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
-# face_term_mean_ec
+# mean-EC face terms
 # ---------------------------------------------------------------------------
 
 
@@ -147,8 +157,8 @@ def test_interior_mean_ec_collapses_to_mu():
     dom = RectDomain([0.0, 0.0], [PI, PI])
     face = enumerate_faces(dom)[0]
     u = 6.0
-    a = face_term_mean_ec(cosine(), face, u, SPEC)
-    b = face_term_mu(cosine(), face, u, SPEC)
+    a = face_mean_ec(cosine(), face, u, SPEC)
+    b = face_mu(cosine(), face, u, SPEC)
     assert a == pytest.approx(b, rel=1e-6)
 
 
@@ -156,7 +166,7 @@ def test_face_term_mean_ec_edge_band_long_domain():
     dom = RectDomain([0.0, 0.0], [1.5 * PI, PI])
     face = edge(dom, 0, 1, upper=True)  # (0, 3pi/2) x {pi}
     u = 8.0
-    ratio = face_term_mean_ec(cosine(), face, u, SPEC) / (
+    ratio = face_mean_ec(cosine(), face, u, SPEC) / (
         (math.sqrt(2) / 2) * gauss_tail(u / S5)
     )
     assert 0.9 <= ratio <= 1.1
@@ -166,7 +176,7 @@ def test_face_term_mean_ec_edge_band_square():
     dom = RectDomain([0.0, 0.0], [PI, PI])
     face = edge(dom, 0, 1, upper=True)  # (0, pi) x {pi}
     u = 8.0
-    ratio = face_term_mean_ec(cosine(), face, u, SPEC) / (
+    ratio = face_mean_ec(cosine(), face, u, SPEC) / (
         (math.sqrt(2) / 4) * gauss_tail(u / S5)
     )
     assert 0.9 <= ratio <= 1.1
@@ -231,7 +241,7 @@ def assert_faces_match_oracle(model, dom, labels, u):
     for label in labels:
         face = next(f for f in enumerate_faces(dom) if face_label(f) == label)
         want = nested_mean_ec_face(model, face, u, SPEC)
-        got = face_term_mean_ec(model, face, u, SPEC)
+        got = face_mean_ec(model, face, u, SPEC)
         assert got == pytest.approx(want, rel=1e-7, abs=0.0), (dom, label)
 
 
@@ -274,7 +284,7 @@ def test_mean_ec_joint_box_runs_the_field_at_face_points_only(monkeypatch):
         for face in enumerate_faces(domain):
             if 1 <= face.k < domain.dim:
                 sizes.clear()
-                face_term_mean_ec(model, face, 6.0, spec)
+                face_mean_ec(model, face, 6.0, spec)
                 assert sizes and set(sizes) == {6**face.k}, face_label(face)
 
 
@@ -284,9 +294,9 @@ def test_mean_ec_err_est_covers_quadrature_error(upper, u):
     # vertices use the same seeded QMC on both sides, so the difference is
     # the face quadrature's own error, which err_est must bound
     dom = RectDomain([0.0, 0.0], upper)
-    res = mean_euler_characteristic(cosine(), dom, u, SPEC)
-    tight = mean_euler_characteristic(
-        cosine(), dom, u, QuadSpec(order_per_axis=40, rel_tol=1e-11)
+    [res] = mean_euler_characteristic(cosine(), dom, [u], SPEC)
+    [tight] = mean_euler_characteristic(
+        cosine(), dom, [u], QuadSpec(order_per_axis=40, rel_tol=1e-11)
     )
     assert abs(res.total - tight.total) <= res.err_est
 
@@ -297,10 +307,9 @@ def test_mean_ec_tracks_corner_tail_to_high_levels():
     # below 1e-16 at u = 15 and 16 and must not cancel to zero
     dom = RectDomain([0.0, 0.0], [PI / 2, PI / 2])
     gaps = []
-    for u in (12.0, 14.0, 15.0, 16.0):
-        res = mean_euler_characteristic(cosine(), dom, u, SPEC)
-        assert res.by_label()["0|{}|{1:1,2:1}"] > 0.0, u
-        gaps.append(abs(res.total / gauss_tail(u / math.sqrt(3.0)) - 1.0))
+    for res in mean_euler_characteristic(cosine(), dom, (12.0, 14.0, 15.0, 16.0), SPEC):
+        assert res.by_label()["0|{}|{1:1,2:1}"] > 0.0, res.u
+        gaps.append(abs(res.total / gauss_tail(res.u / math.sqrt(3.0)) - 1.0))
     assert all(a > b for a, b in zip(gaps, gaps[1:])), gaps
 
 
@@ -311,28 +320,27 @@ def test_mean_ec_tracks_corner_tail_to_high_levels():
 
 def test_mean_ec_total_band_square():
     dom = RectDomain([0.0, 0.0], [PI, PI])
-    res = mean_euler_characteristic(cosine(), dom, 8.0, SPEC)
+    [res] = mean_euler_characteristic(cosine(), dom, [8.0], SPEC)
     want = (3 + 2 * math.sqrt(2)) / 4 * gauss_tail(8.0 / S5)
     assert 0.9 <= res.total / want <= 1.1
 
 
 def test_mean_ec_total_band_rectangle():
     dom = RectDomain([0.0, 0.0], [1.5 * PI, PI])
-    res = mean_euler_characteristic(cosine(), dom, 8.0, SPEC)
+    [res] = mean_euler_characteristic(cosine(), dom, [8.0], SPEC)
     want = (2 + math.sqrt(2)) / 2 * gauss_tail(8.0 / S5)
     assert 0.9 <= res.total / want <= 1.1
 
 
 def test_mean_ec_total_decays():
     dom = RectDomain([0.0, 0.0], [PI, PI])
-    t6 = mean_euler_characteristic(cosine(), dom, 6.0, SPEC).total
-    t9 = mean_euler_characteristic(cosine(), dom, 9.0, SPEC).total
+    t6, t9 = (r.total for r in mean_euler_characteristic(cosine(), dom, (6.0, 9.0), SPEC))
     assert t6 > t9 > 0
 
 
 def test_mu_ledger_sums_exactly():
     dom = RectDomain([0.0, 0.0], [PI, PI])
-    res = excursion_prob_mu(cosine(), dom, 7.0, SPEC)
+    [res] = excursion_prob_mu(cosine(), dom, [7.0], SPEC)
     assert len(res.per_face) == 9
     assert res.total == pytest.approx(
         math.fsum(v for _, v in res.per_face), abs=1e-12 * max(1.0, res.total)
@@ -341,7 +349,7 @@ def test_mu_ledger_sums_exactly():
 
 def test_mu_symmetric_edges_identical():
     dom = RectDomain([0.0, 0.0], [PI, PI])
-    ledger = excursion_prob_mu(cosine(), dom, 7.0, SPEC).by_label()
+    ledger = excursion_prob_mu(cosine(), dom, [7.0], SPEC)[0].by_label()
     assert ledger["1|{1}|{2:0}"] == ledger["1|{2}|{1:0}"]
     assert ledger["1|{1}|{2:1}"] == ledger["1|{2}|{1:1}"]
 
@@ -352,13 +360,13 @@ def test_mu_single_vertex_lower_bound():
     m = GaussianIncrementField(dim=1, scale=1.0, offset_var=0.1)
     dom = RectDomain([0.2], [1.5])
     u = 3.0
-    res = excursion_prob_mu(m, dom, u, SPEC)
+    [res] = excursion_prob_mu(m, dom, [u], SPEC)
     assert res.total >= gauss_tail(u / math.sqrt(m.variance(np.array([1.5]))))
 
 
 def test_mu_totals_strictly_decreasing():
     dom = RectDomain([0.0, 0.0], [PI, PI])
-    totals = [excursion_prob_mu(cosine(), dom, u, SPEC).total for u in (5, 6, 7, 8)]
+    totals = [r.total for r in excursion_prob_mu(cosine(), dom, (5, 6, 7, 8), SPEC)]
     assert all(a > b for a, b in zip(totals, totals[1:]))
 
 
@@ -372,8 +380,9 @@ def test_scaling_covariance(s):
     )
     dom = RectDomain([0.0, 0.0], [PI, PI])
     u = 6.0
-    a = excursion_prob_mu(base, dom, u, SPEC).total
-    b = excursion_prob_mu(scaled, dom, s * u, SPEC).total
+    [a] = excursion_prob_mu(base, dom, [u], SPEC)
+    [b] = excursion_prob_mu(scaled, dom, [s * u], SPEC)
+    a, b = a.total, b.total
     assert b == pytest.approx(a, rel=1e-10)
 
 
@@ -381,20 +390,20 @@ def test_mean_ec_dimension_cap():
     m = SpectralSumField(freqs=np.eye(4), weights=np.full(4, 0.5), offset_var=1.0)
     dom = RectDomain([0.0] * 4, [1.0] * 4)
     with pytest.raises(CapabilityError):
-        mean_euler_characteristic(m, dom, 3.0, SPEC)
+        mean_euler_characteristic(m, dom, [3.0], SPEC)
 
 
 def test_mu_dimension_cap():
     m = SpectralSumField(freqs=np.eye(7), weights=np.full(7, 0.5), offset_var=1.0)
     dom = RectDomain([0.0] * 7, [1.0] * 7)
     with pytest.raises(CapabilityError, match="N=6"):
-        excursion_prob_mu(m, dom, 3.0, SPEC)
+        excursion_prob_mu(m, dom, [3.0], SPEC)
 
 
 def test_threading_is_bit_stable():
     dom = RectDomain([0.0, 0.0], [PI, PI])
-    a = mean_euler_characteristic(cosine(), dom, 7.0, SPEC, threads=1)
-    b = mean_euler_characteristic(cosine(), dom, 7.0, SPEC, threads=4)
+    [a] = mean_euler_characteristic(cosine(), dom, [7.0], SPEC, threads=1)
+    [b] = mean_euler_characteristic(cosine(), dom, [7.0], SPEC, threads=4)
     assert a.total == b.total
     assert [(v) for _, v in a.per_face] == [(v) for _, v in b.per_face]
 
@@ -448,7 +457,7 @@ def test_vertex_levels_share_one_set_of_qmc_points(monkeypatch):
         cov = np.block([[np.array([[cap.nu]]), cap.c[None, :]], [cap.c[:, None], cap.lam]])
         clo, chi = outward_cone(fc).bounds()
         want = [
-            mvn_prob(MvnProblem(cov, np.r_[u, clo], np.r_[np.inf, chi]), seed=seed)
+            mvn_prob([MvnProblem(cov, np.r_[u, clo], np.r_[np.inf, chi])], seed)[0]
             for u in levels
         ]
         assert got == want, face_label(fc)
@@ -463,15 +472,9 @@ def test_level_vector_equals_single_levels(method, threads):
     dom = RectDomain([0.0, 0.0], [1.5 * PI, PI])
     spec = QuadSpec(order_per_axis=4, rel_tol=1e-8)
     levels = (1.0, 4.0, 9.0)
-    if method == "mu_approx":
-        batch = mec._mu_levels(cosine(), dom, levels, spec, threads)
-        single = [excursion_prob_mu(cosine(), dom, u, spec, threads=threads) for u in levels]
-    else:
-        batch = mec._mean_ec_levels(cosine(), dom, levels, spec, 0, threads)
-        single = [
-            mean_euler_characteristic(cosine(), dom, u, spec, 0, threads=threads)
-            for u in levels
-        ]
+    fn = excursion_prob_mu if method == "mu_approx" else mean_euler_characteristic
+    batch = fn(cosine(), dom, levels, spec, threads=threads)
+    single = [fn(cosine(), dom, [u], spec, threads=threads)[0] for u in levels]
     assert len(batch) == len(levels)
     for got, want in zip(batch, single):
         assert (got.u, got.method) == (want.u, want.method)
@@ -479,6 +482,13 @@ def test_level_vector_equals_single_levels(method, threads):
         assert [v for _, v in got.per_face] == [v for _, v in want.per_face]
         assert got.total == want.total
         assert got.err_est == want.err_est
+
+
+def test_empty_level_sequence_gives_no_ledgers():
+    dom = RectDomain([0.0, 0.0], [PI, PI])
+    assert excursion_prob_mu(cosine(), dom, [], SPEC) == []
+    assert mean_euler_characteristic(cosine(), dom, [], SPEC) == []
+    assert laplace_mec_result(cosine(), dom, []) == []
 
 
 # ---------------------------------------------------------------------------
@@ -537,14 +547,13 @@ def closed_forms():
 @pytest.mark.parametrize("idx", range(5))
 def test_laplace_matches_reference(idx):
     dom, ref = closed_forms()[idx]
-    for u in (5.0, 8.0):
-        val = laplace_closed_form(cosine(), dom, u)
-        assert val == pytest.approx(ref(u), rel=1e-9), (dom, u)
+    for res in laplace_mec_result(cosine(), dom, (5.0, 8.0)):
+        assert res.total == pytest.approx(ref(res.u), rel=1e-9), (dom, res.u)
 
 
 def test_laplace_ledger_shape():
     dom = RectDomain([0.0, 0.0], [PI, PI])
-    res = laplace_mec_result(cosine(), dom, 8.0)
+    [res] = laplace_mec_result(cosine(), dom, [8.0])
     assert len(res.per_face) == 9
     assert res.total == pytest.approx(math.fsum(v for _, v in res.per_face), rel=1e-12)
     # corner host, two edges, interior carry the mass; the rest are zero
@@ -554,8 +563,7 @@ def test_laplace_ledger_shape():
 
 def test_laplace_ratio_improves_with_level():
     for dom, ref in closed_forms():
-        q5 = mean_euler_characteristic(cosine(), dom, 5.0, SPEC).total
-        q8 = mean_euler_characteristic(cosine(), dom, 8.0, SPEC).total
+        q5, q8 = (r.total for r in mean_euler_characteristic(cosine(), dom, (5.0, 8.0), SPEC))
         r5 = q5 / ref(5.0)
         r8 = q8 / ref(8.0)
         assert abs(r8 - 1) < abs(r5 - 1), dom
@@ -577,8 +585,7 @@ def test_laplace_flat_maximizer_not_negative_definite():
     )
     dom = RectDomain([0.5], [2 * PI - 0.5])
     with pytest.raises(NumericError):
-        inputs = prepare_laplace_inputs(m, dom)
-        laplace_closed_form(m, dom, 8.0, inputs)
+        laplace_mec_result(m, dom, [8.0])
 
 
 def test_laplace_classifications():
@@ -606,8 +613,8 @@ def test_laplace_without_third_derivatives_matches_reference():
     inputs = prepare_laplace_inputs(m, dom)
     assert inputs.classification == "face-critical"
     assert inputs.face.sigma == (0,)
-    for u in (5.0, 8.0):
-        assert laplace_closed_form(m, dom, u, inputs) == pytest.approx(ref(u), rel=1e-7)
+    for res in laplace_mec_result(m, dom, (5.0, 8.0)):
+        assert res.total == pytest.approx(ref(res.u), rel=1e-7)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,10 @@ with one underscore) must be referenced somewhere in the package, so a
 removed caller cannot leave its helper behind.
 
 No function imports anything: every dependency of a module shows at its top.
+
+The callers outside the library -- ``cli.py``, ``scripts/`` and
+``perfbench/`` -- use only public package names: they import no
+underscore name from ``excursion_kit`` and read none off a package module.
 """
 
 import ast
@@ -16,8 +20,14 @@ from pathlib import Path
 
 import pytest
 
-PKG = Path(__file__).resolve().parent.parent / "src" / "excursion_kit"
+ROOT = Path(__file__).resolve().parent.parent
+PKG = ROOT / "src" / "excursion_kit"
 MODULES = sorted(p for p in PKG.glob("*.py") if p.name != "__init__.py")
+CALLERS = [
+    PKG / "cli.py",
+    *sorted((ROOT / "scripts").glob("*.py")),
+    *sorted((ROOT / "perfbench").glob("*.py")),
+]
 
 
 def _bound_names(node):
@@ -91,3 +101,56 @@ def test_no_imports_inside_functions():
         }
     )
     assert not nested, f"functions with their own imports: {nested}"
+
+
+def _is_private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _private_package_refs(tree, relative_is_package):
+    """Underscore names the module imports from excursion_kit or reads as an
+    attribute of a name bound to an excursion_kit module."""
+    modules = set()
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            mod = node.module or ""
+            if node.level and relative_is_package:
+                mod = "excursion_kit" + ("." + mod if mod else "")
+            if mod.split(".")[0] != "excursion_kit":
+                continue
+            found += [f"{mod}.{a.name}" for a in node.names if _is_private(a.name)]
+            if mod == "excursion_kit":
+                modules.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "excursion_kit":
+                    modules.add(alias.asname or "excursion_kit")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _is_private(node.attr):
+            base = node.value
+            while isinstance(base, ast.Attribute):
+                base = base.value
+            if isinstance(base, ast.Name) and base.id in modules:
+                found.append(f"{ast.unparse(node.value)}.{node.attr}")
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", CALLERS, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_callers_use_only_public_package_names(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = _private_package_refs(tree, relative_is_package=path.parent == PKG)
+    assert not found, f"{path.name} uses private package names: {found}"
+
+
+def test_private_package_refs_are_found():
+    # both forms: an underscore import and an underscore attribute of a
+    # package module, absolute or relative to the package
+    src = (
+        "from excursion_kit.cli import _parse\n"
+        "from . import mc as mc_mod\n"
+        "import excursion_kit.mec as mec\n"
+        "mc_mod._sweep(mec._face_sum, mc_mod.GridSpec, mc_mod.__file__, self._x)\n"
+    )
+    found = _private_package_refs(ast.parse(src), relative_is_package=True)
+    assert found == ["excursion_kit.cli._parse", "mc_mod._sweep", "mec._face_sum"]
