@@ -34,7 +34,6 @@ from .gauss import (
     gauss_tail,
     hermite,
     mvn_prob,
-    std_normal_cdf,
     std_normal_pdf,
 )
 from .quad import (

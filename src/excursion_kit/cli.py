@@ -20,14 +20,19 @@ import dataclasses
 import io
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from typing import Any, Sequence
 
 import numpy as np
 
-from .errors import CapabilityError, ConfigError, ExcursionError, NumericError
+from .errors import (
+    CapabilityError,
+    ConfigError,
+    ExcursionError,
+    NumericError,
+    config_number,
+)
 from .field import (
     FieldModel,
     SpectralSumField,
@@ -48,7 +53,7 @@ from . import mc as mc_mod
 
 __all__ = ["RunConfig", "load_config", "main", "parse_levels"]
 
-METHODS = ("mu_approx", "mean_ec", "laplace", "mc")
+METHODS = ("mu_approx", "mean_ec", "laplace")
 
 _CONFIG_KEYS = {
     "field",
@@ -62,7 +67,7 @@ _CONFIG_KEYS = {
     "out",
     "report",
 }
-_QUAD_KEYS = {"order_per_axis", "rel_tol", "abs_tol", "max_subdivisions"}
+_QUAD_KEYS = {"order_per_axis": int, "rel_tol": float}
 _MC_KEYS = {"grid", "reps"}
 
 
@@ -79,21 +84,6 @@ class RunConfig:
     threads: int
     out: str | None
     report: str | None
-
-
-def _num(kind, value, what: str):
-    """kind(value) for a config or flag value; ConfigError when it does not
-    convert, when it is a JSON boolean, or when an int setting is given a
-    non-integral number."""
-    try:
-        if isinstance(value, bool):
-            raise TypeError("boolean")
-        out = kind(value)
-        if kind is int and isinstance(value, float) and out != value:
-            raise ValueError("not integral")
-        return out
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{what} must be {kind.__name__}, got {value!r}") from exc
 
 
 def _levels_from_range(start: float, stop: float, step: float) -> tuple[float, ...]:
@@ -130,7 +120,7 @@ def parse_levels(text: str) -> tuple[float, ...]:
 
 def _levels_from_config(spec) -> tuple[float, ...]:
     if isinstance(spec, list):
-        levels = tuple(_num(float, v, "level") for v in spec)
+        levels = tuple(config_number(float, v, "level") for v in spec)
         if not levels:
             raise ConfigError("levels list must be nonempty")
         if not all(math.isfinite(u) for u in levels):
@@ -144,7 +134,7 @@ def _levels_from_config(spec) -> tuple[float, ...]:
             raise ConfigError(f"unexpected level keys: {sorted(extra)}")
         try:
             return _levels_from_range(
-                *(_num(float, spec[k], f"level {k}") for k in ("start", "stop", "step"))
+                *(config_number(float, spec[k], f"level {k}") for k in ("start", "stop", "step"))
             )
         except KeyError as exc:
             raise ConfigError("level range needs start, stop, step") from exc
@@ -200,17 +190,12 @@ def build_config(data: dict, args: argparse.Namespace) -> RunConfig:
     quad_cfg = data.get("quad", {})
     if not isinstance(quad_cfg, dict):
         raise ConfigError("'quad' must be an object")
-    extra = set(quad_cfg) - _QUAD_KEYS
+    extra = set(quad_cfg) - _QUAD_KEYS.keys()
     if extra:
         raise ConfigError(f"unknown quad keys: {sorted(extra)}")
     try:
         quad = QuadSpec(
-            order_per_axis=_num(int, quad_cfg.get("order_per_axis", 24), "quad order_per_axis"),
-            rel_tol=_num(float, quad_cfg.get("rel_tol", 1e-6), "quad rel_tol"),
-            abs_tol=_num(float, quad_cfg.get("abs_tol", 1e-14), "quad abs_tol"),
-            max_subdivisions=_num(
-                int, quad_cfg.get("max_subdivisions", 12), "quad max_subdivisions"
-            ),
+            **{k: config_number(_QUAD_KEYS[k], v, f"quad {k}") for k, v in quad_cfg.items()}
         )
         if getattr(args, "quad_order", None) is not None:
             quad = dataclasses.replace(quad, order_per_axis=int(args.quad_order))
@@ -228,10 +213,10 @@ def build_config(data: dict, args: argparse.Namespace) -> RunConfig:
     grid = mc_cfg.get("grid", 64)
     if isinstance(grid, list):
         # one grid size per axis
-        grid = tuple(_num(int, p, "mc grid") for p in grid)
+        grid = tuple(config_number(int, p, "mc grid") for p in grid)
     else:
-        grid = _num(int, grid, "mc grid")
-    reps = _num(int, mc_cfg.get("reps", 10_000), "mc reps")
+        grid = config_number(int, grid, "mc grid")
+    reps = config_number(int, mc_cfg.get("reps", 10_000), "mc reps")
     if getattr(args, "grid", None) is not None:
         grid = int(args.grid)
     if getattr(args, "reps", None) is not None:
@@ -240,23 +225,22 @@ def build_config(data: dict, args: argparse.Namespace) -> RunConfig:
     seed = data.get("seed", 0)
     if getattr(args, "seed", None) is not None:
         seed = args.seed
-    seed = _num(int, seed, "seed")
+    seed = config_number(int, seed, "seed")
     if not (0 <= seed < 2**64):
         raise ConfigError("seed must fit in an unsigned 64-bit integer")
 
     if getattr(args, "threads", None) is not None:
         threads = int(args.threads)
-    elif "threads" in data:
-        threads = _num(int, data["threads"], "threads")
-    elif os.environ.get("EXK_THREADS"):
-        threads = _num(int, os.environ["EXK_THREADS"], "EXK_THREADS")
     else:
-        threads = 1
+        threads = config_number(int, data.get("threads", 1), "threads")
     if threads < 1:
         raise ConfigError("threads must be >= 1")
 
     out = getattr(args, "out", None) or data.get("out")
     report = data.get("report")
+    for key, path in (("out", out), ("report", report)):
+        if path is not None and not isinstance(path, str):
+            raise ConfigError(f"{key} must be a path string, got {path!r}")
     return RunConfig(
         model=model,
         domain=domain,
@@ -286,11 +270,14 @@ def _fmt(value) -> str:
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out}: {exc}") from exc
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
@@ -310,9 +297,7 @@ def _maybe_report(cfg: RunConfig, command: str, header: list[str], rows: list[li
         "header": header,
         "rows": [[_fmt(v) for v in row] for row in rows],
     }
-    with open(cfg.report, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    _emit(json.dumps(payload, indent=2) + "\n", cfg.report)
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +326,6 @@ def cmd_compute(cfg: RunConfig) -> int:
         raise ConfigError("compute needs levels (config 'levels' or --levels A:B:S)")
     if cfg.method is None:
         raise ConfigError("compute needs a method (mu_approx, mean_ec, or laplace)")
-    if cfg.method == "mc":
-        raise ConfigError("method 'mc' belongs to the mc command")
 
     faces = enumerate_faces(cfg.domain)
     labels = [face_label(f) for f in faces]

@@ -2,6 +2,8 @@
 
 The CLI maps these onto exit codes: configuration problems exit 2,
 capability limits exit 3, numeric failures exit 4, validation failures 5.
+``config_number`` converts every number of a config, a field spec or a
+flag, so each malformed one is a ConfigError.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ __all__ = [
     "AmbiguousMaximizerError",
     "ClassificationError",
     "QuadratureWarning",
+    "config_number",
 ]
 
 
@@ -63,3 +66,18 @@ class ClassificationError(NumericError):
 
 class QuadratureWarning(UserWarning):
     """Adaptive quadrature stopped before reaching its tolerance."""
+
+
+def config_number(kind, value, what: str):
+    """kind(value) for a config or flag value; ConfigError when it does not
+    convert, when it is a JSON boolean, or when an int setting is given a
+    non-integral number."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError("boolean")
+        out = kind(value)
+        if kind is int and isinstance(value, float) and out != value:
+            raise ValueError("not integral")
+        return out
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{what} must be {kind.__name__}, got {value!r}") from exc

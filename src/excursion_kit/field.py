@@ -27,6 +27,7 @@ from .errors import (
     ConfigError,
     DegenerateModelError,
     ModelInconsistencyError,
+    config_number,
 )
 from .geometry import (
     Face,
@@ -470,18 +471,9 @@ def _refine_on_face(model: FieldModel, face: Face, x0: np.ndarray) -> np.ndarray
     x = np.clip(x0, lo, hi)
     if not sig:
         return x
-    fixed_vals = face.fixed_values()
-
-    def full(xf):
-        t = np.empty(face.domain.dim)
-        t[sig] = xf
-        for (j, _), v in zip(face.epsilon, fixed_vals):
-            t[j] = v
-        return t
-
-    fval = float(model.variance(full(x)))
+    fval = float(model.variance(embed_points(face, x)[0]))
     for _ in range(200):
-        t = full(x)
+        t = embed_points(face, x)[0]
         g = model.grad_variance(t)[sig]
         h = model.hess_variance(t)[np.ix_(sig, sig)]
         # projected gradient: zero out components pushing into an active bound
@@ -503,7 +495,7 @@ def _refine_on_face(model: FieldModel, face: Face, x0: np.ndarray) -> np.ndarray
         moved = False
         for _ in range(40):
             xn = np.clip(x + alpha * step, lo, hi)
-            fn = float(model.variance(full(xn)))
+            fn = float(model.variance(embed_points(face, xn)[0]))
             if fn > fval + 1e-18:
                 x, fval, moved = xn, fn, True
                 break
@@ -673,30 +665,26 @@ def field_from_dict(d: dict[str, Any]) -> FieldModel:
             raise ConfigError("spectral_sum needs a nonempty 'atoms' list")
         freqs, weights = [], []
         for a in atoms:
-            if not isinstance(a, dict) or "freq" not in a or "weight" not in a:
-                raise ConfigError("each atom needs 'freq' and 'weight'")
-            freqs.append(a["freq"])
-            weights.append(a["weight"])
-        try:
-            return SpectralSumField(
-                freqs=np.asarray(freqs, dtype=float),
-                weights=np.asarray(weights, dtype=float),
-                offset_var=float(d.get("offset_var", 1.0)),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad spectral_sum field: {exc}") from exc
+            if not isinstance(a, dict) or not isinstance(a.get("freq"), list) or "weight" not in a:
+                raise ConfigError("each atom needs a 'freq' list and a 'weight'")
+            freqs.append([config_number(float, f, "atom freq") for f in a["freq"]])
+            weights.append(config_number(float, a["weight"], "atom weight"))
+        if len({len(f) for f in freqs}) != 1:
+            raise ConfigError("atom frequencies must all have the same length")
+        return SpectralSumField(
+            freqs=np.asarray(freqs),
+            weights=np.asarray(weights),
+            offset_var=config_number(float, d.get("offset_var", 1.0), "offset_var"),
+        )
     if kind == "gaussian_increment":
         extra = set(d) - {"type", "dim", "scale", "offset_var"}
         if extra:
             raise ConfigError(f"unexpected keys for gaussian_increment: {sorted(extra)}")
-        try:
-            return GaussianIncrementField(
-                dim=int(d.get("dim", 1)),
-                scale=float(d.get("scale", 1.0)),
-                offset_var=float(d.get("offset_var", 0.0)),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad gaussian_increment field: {exc}") from exc
+        return GaussianIncrementField(
+            dim=config_number(int, d.get("dim", 1), "dim"),
+            scale=config_number(float, d.get("scale", 1.0), "scale"),
+            offset_var=config_number(float, d.get("offset_var", 0.0), "offset_var"),
+        )
     if kind == "fault_injection":
         extra = set(d) - {"type", "base", "hessian_scale"}
         if extra:
@@ -705,7 +693,7 @@ def field_from_dict(d: dict[str, Any]) -> FieldModel:
             raise ConfigError("fault_injection needs a 'base' field spec")
         return FaultInjectedField(
             base=field_from_dict(d["base"]),
-            hessian_scale=float(d.get("hessian_scale", 1.25)),
+            hessian_scale=config_number(float, d.get("hessian_scale", 1.25), "hessian_scale"),
         )
     raise ConfigError(f"unknown field type {kind!r}")
 

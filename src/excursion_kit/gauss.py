@@ -31,7 +31,6 @@ __all__ = [
     "hermite",
     "gauss_tail",
     "std_normal_pdf",
-    "std_normal_cdf",
     "hermite_tail_identity_check",
     "mvn_prob",
 ]
@@ -71,12 +70,6 @@ def hermite(k: int, x):
 def std_normal_pdf(x):
     x = np.asarray(x, dtype=float)
     out = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-    return out if out.shape else float(out)
-
-
-def std_normal_cdf(x):
-    x = np.asarray(x, dtype=float)
-    out = 0.5 * erfc(-x / math.sqrt(2.0))
     return out if out.shape else float(out)
 
 

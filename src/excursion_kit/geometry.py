@@ -74,12 +74,6 @@ class RectDomain:
     def upper_arr(self) -> np.ndarray:
         return np.asarray(self.upper, dtype=float)
 
-    def contains(self, t: Sequence[float], tol: float = 0.0) -> bool:
-        t = np.asarray(t, dtype=float)
-        return bool(
-            np.all(t >= self.lower_arr - tol) and np.all(t <= self.upper_arr + tol)
-        )
-
 
 @dataclass(frozen=True)
 class Face:
@@ -166,10 +160,6 @@ class OutwardCone:
                 lo.append(-np.inf)
                 hi.append(0.0)
         return np.array(lo), np.array(hi)
-
-    def contains(self, y: Sequence[float]) -> bool:
-        y = np.asarray(y, dtype=float)
-        return all(s * y[i] >= 0.0 for i, (_, s) in enumerate(self.constraints))
 
 
 def enumerate_faces(domain: RectDomain) -> list[Face]:

@@ -38,6 +38,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import ndimage
 
 from .errors import CapabilityError, ConfigError
 from .field import FieldModel, SpectralSumField
@@ -258,38 +259,9 @@ def ec_oracle_2d(mask) -> int:
         ref[1::2, 1::2] = mask[:-1, :-1] & mask[:-1, 1:] & mask[1:, :-1] & mask[1:, 1:]
 
     # the padding ring joins every complement pixel on the border into one
-    # outer component
-    holes = _count_components(~np.pad(ref, 1, constant_values=False)) - 1
-    return _count_components(ref) - holes
-
-
-def _count_components(mask: np.ndarray) -> int:
-    """Number of 4-connected components of a 2-D mask, via union-find."""
-    idx = np.full(mask.shape, -1, dtype=np.int64)
-    flat = np.flatnonzero(mask)
-    idx.ravel()[flat] = np.arange(flat.size)
-    parent = np.arange(flat.size, dtype=np.int64)
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    # horizontal and vertical adjacencies
-    both = mask[:, :-1] & mask[:, 1:]
-    for i, j in zip(*np.nonzero(both)):
-        union(idx[i, j], idx[i, j + 1])
-    both = mask[:-1, :] & mask[1:, :]
-    for i, j in zip(*np.nonzero(both)):
-        union(idx[i, j], idx[i + 1, j])
-
-    return len({find(k) for k in range(flat.size)})
+    # outer component; ndimage.label's default 2-D structure is 4-connected
+    holes = ndimage.label(~np.pad(ref, 1, constant_values=False))[1] - 1
+    return ndimage.label(ref)[1] - holes
 
 
 # ---------------------------------------------------------------------------

@@ -492,14 +492,13 @@ class LaplaceInputs:
     grad_nu: np.ndarray
 
 
-def tau_hessian(
-    model: FieldModel, face: Face, t0, step: float | None = None
-) -> np.ndarray:
+def tau_hessian(model: FieldModel, face: Face, t0) -> np.ndarray:
     """Hessian of tau(t) = theta_t^2 in the face's free coordinates.
 
-    Symmetrized central differences with per-axis step 1e-4 (b_j - a_j) by
-    default.  Centers within one step of the face boundary are nudged
-    inside, giving one-sided accuracy there.
+    Symmetrized central differences with per-axis step 1e-4 (b_j - a_j).
+    Centers within one step of the face boundary are nudged inside, giving
+    one-sided accuracy there.  NumericError when a step falls under 1e-13
+    times the largest endpoint magnitude of its axis.
     """
     if face.k < 1:
         raise ValueError("tau_hessian needs a face with k >= 1")
@@ -513,11 +512,7 @@ def tau_hessian(
     if np.any(x0 < lo - 1e-12) or np.any(x0 > hi + 1e-12):
         raise ValueError("t0 lies outside the face closure")
     k = face.k
-    widths = hi - lo
-    if step is None:
-        h = 1e-4 * widths
-    else:
-        h = np.full(k, float(step))
+    h = 1e-4 * (hi - lo)
     if np.any(h <= 0) or np.any(h < 1e-13 * np.maximum(np.abs(lo), np.abs(hi))):
         raise NumericError(f"finite-difference step underflow: {h}")
     x0 = np.clip(x0, lo + h, hi - h)
@@ -684,44 +679,28 @@ def _laplace_factors(
     without a term have no factors."""
     t0 = inputs.t0
     host = inputs.face
-    contrib: dict[tuple, tuple[float, ...]] = {}
-
-    def key(f: Face):
-        return (f.sigma, f.epsilon)
-
-    if inputs.classification == CLASS_CORNER:
-        contrib[key(host)] = (1.0,)
-    elif inputs.classification == CLASS_INTERIOR:
-        contrib[key(host)] = (
-            _laplace_face_factor(model, host, t0, inputs.theta_hess),
-        )
-    else:  # face-critical
-        fg = np.abs(np.array([inputs.grad_nu[j] for j in host.fixed]))
-        if fg.size and np.all(fg > GRAD_ZERO_TOL):
-            # regular boundary maximum on a k >= 1 face: host term only
-            contrib[key(host)] = (
-                _laplace_face_factor(model, host, t0, inputs.theta_hess),
-            )
-        else:
-            # fully flat maximizer: host term with its orthant factor plus
-            # every higher face whose closure contains t0
-            host_f = _laplace_face_factor(model, host, t0, inputs.theta_hess)
-            orth = _orthant_given_free(model, host, _face_seed(seed, 0))
-            contrib[key(host)] = (host_f, orth.p)
-            for idx, fc in enumerate(_adjacent_higher_faces(domain, host), start=1):
-                hess = _face_tau_hess(model, fc, t0)
-                f_fact = _laplace_face_factor(model, fc, t0, hess)
-                extra = [j for j in fc.sigma if j not in host.sigma]
-                pos = [fc.sigma.index(j) for j in extra]
-                cov_z = -hess[np.ix_(pos, pos)]
-                pz = mvn_prob(
-                    [MvnProblem(cov_z, np.full(len(pos), -np.inf), np.zeros(len(pos)))],
-                    _face_seed(seed, 2 * idx),
-                )[0]
-                orth2 = _orthant_given_free(model, fc, _face_seed(seed, 2 * idx + 1))
-                contrib[key(fc)] = (f_fact, pz.p, orth2.p)
-
-    return [(fc, contrib.get(key(fc), ())) for fc in enumerate_faces(domain)]
+    host_f = _laplace_face_factor(model, host, t0, inputs.theta_hess)
+    # an interior or regular boundary maximum has the host term alone
+    contrib = {host: (host_f,)}
+    pinned = np.abs(inputs.grad_nu[list(host.fixed)])
+    if pinned.size and np.all(pinned <= GRAD_ZERO_TOL):
+        # flat maximizer: host term with its orthant factor plus every
+        # higher face whose closure contains t0
+        orth = _orthant_given_free(model, host, _face_seed(seed, 0))
+        contrib[host] = (host_f, orth.p)
+        for idx, fc in enumerate(_adjacent_higher_faces(domain, host), start=1):
+            hess = _face_tau_hess(model, fc, t0)
+            f_fact = _laplace_face_factor(model, fc, t0, hess)
+            extra = [j for j in fc.sigma if j not in host.sigma]
+            pos = [fc.sigma.index(j) for j in extra]
+            cov_z = -hess[np.ix_(pos, pos)]
+            pz = mvn_prob(
+                [MvnProblem(cov_z, np.full(len(pos), -np.inf), np.zeros(len(pos)))],
+                _face_seed(seed, 2 * idx),
+            )[0]
+            orth2 = _orthant_given_free(model, fc, _face_seed(seed, 2 * idx + 1))
+            contrib[fc] = (f_fact, pz.p, orth2.p)
+    return [(fc, contrib.get(fc, ())) for fc in enumerate_faces(domain)]
 
 
 def laplace_mec_result(

@@ -25,9 +25,9 @@ The mean-EC joint boxes split the face axes from the cone axes this way.
 
 Convergence of a box is judged by comparing the tensor rule with the sum
 over its 2^d dyadic children; boxes are split until the difference passes
-``rel_tol`` (with an ``abs_tol`` floor for integrals that are numerically
-zero), or until ``max_subdivisions`` levels or MAX_BOXES evaluated boxes
-are exhausted, in which case the result carries ``converged=False`` and a
+``rel_tol`` (with an ABS_TOL floor for integrals that are numerically
+zero), or until MAX_SUBDIVISIONS levels or MAX_BOXES evaluated boxes are
+exhausted, in which case the result carries ``converged=False`` and a
 QuadratureWarning.  Each row of an (L, m) integrand keeps its own
 refinement tree, so its result is bit-identical to integrating that row
 alone; one integrand call per box serves every row still refining it.
@@ -60,6 +60,10 @@ __all__ = [
 CONE_DIM_CAP = 4
 # safety cap on the number of boxes one integral evaluates
 MAX_BOXES = 200_000
+# dyadic depth cap of a box's refinement tree
+MAX_SUBDIVISIONS = 12
+# absolute difference under which a box counts as converged (zero integrals)
+ABS_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -67,24 +71,19 @@ class QuadSpec:
     """Quadrature controls.
 
     order_per_axis: Gauss-Legendre nodes per axis of each box.
-    rel_tol: relative acceptance threshold per box.
-    abs_tol: absolute scale under which refinement stops (zero integrals).
-    max_subdivisions: dyadic depth cap.
-    The tolerances must be positive and finite.
+    rel_tol: relative acceptance threshold per box, positive and finite.
+    The absolute floor ABS_TOL and the depth cap MAX_SUBDIVISIONS are
+    module constants.
     """
 
     order_per_axis: int = 24
     rel_tol: float = 1e-6
-    abs_tol: float = 1e-14
-    max_subdivisions: int = 12
 
     def __post_init__(self):
         if self.order_per_axis < 2:
             raise ValueError("order_per_axis must be at least 2")
-        if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
-            raise ValueError("tolerances must be positive and finite")
-        if self.max_subdivisions < 0:
-            raise ValueError("max_subdivisions must be nonnegative")
+        if not 0 < self.rel_tol < math.inf:
+            raise ValueError("rel_tol must be positive and finite")
 
 
 class QuadResult(NamedTuple):
@@ -97,16 +96,14 @@ class QuadResult(NamedTuple):
 class TailMap:
     """Rational map of [origin, inf) onto s in [0, 1): x = origin + s/(1-s).
 
-    ``sign=-1`` maps onto (-inf, origin] instead.  ``weight`` is the
-    Jacobian dx/ds = (1-s)^{-2}.
+    ``weight`` is the Jacobian dx/ds = (1-s)^{-2}.
     """
 
     origin: float = 0.0
-    sign: int = 1
 
     def map(self, s):
         s = np.asarray(s, dtype=float)
-        return self.origin + self.sign * s / (1.0 - s)
+        return self.origin + s / (1.0 - s)
 
     def weight(self, s):
         s = np.asarray(s, dtype=float)
@@ -239,8 +236,8 @@ def integrate_box(f, lower, upper, spec: QuadSpec = QuadSpec(), *, split=None):
             boxes_used[r] += len(children)
             refined = math.fsum(cv[j] for cv in cvals)
             diff = abs(refined - bvals[r])
-            ok = diff <= spec.rel_tol * abs(refined) or diff <= spec.abs_tol
-            if ok or depth >= spec.max_subdivisions or boxes_used[r] > MAX_BOXES:
+            ok = diff <= spec.rel_tol * abs(refined) or diff <= ABS_TOL
+            if ok or depth >= MAX_SUBDIVISIONS or boxes_used[r] > MAX_BOXES:
                 total[r] += refined
                 err[r] += diff
                 if not ok:
@@ -254,7 +251,7 @@ def integrate_box(f, lower, upper, spec: QuadSpec = QuadSpec(), *, split=None):
         if not converged[r]:
             row = "" if one_row else f"row {r}: "
             warnings.warn(
-                f"{row}adaptive quadrature stopped at depth {spec.max_subdivisions} "
+                f"{row}adaptive quadrature stopped at depth {MAX_SUBDIVISIONS} "
                 f"with estimates {total[r]:.17g} (refined) and err ~ {err[r]:.3g}",
                 QuadratureWarning,
                 stacklevel=2,

