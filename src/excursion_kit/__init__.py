@@ -22,7 +22,6 @@ from .geometry import (
     Face,
     OutwardCone,
     RectDomain,
-    embed_point,
     enumerate_faces,
     face_label,
     face_of_point,
@@ -47,13 +46,11 @@ from .quad import (
 )
 from .field import (
     CosineField,
-    CovarianceAtPoint,
     FaultInjectedField,
     FieldModel,
     GaussianIncrementField,
     SpectralSumField,
     check_h2,
-    covariance_at,
     derivative_consistency,
     field_from_dict,
     field_to_dict,

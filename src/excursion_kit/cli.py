@@ -20,6 +20,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from typing import Any, Sequence
@@ -241,6 +242,16 @@ def build_config(data: dict, args: argparse.Namespace) -> RunConfig:
     for key, path in (("out", out), ("report", report)):
         if path is not None and not isinstance(path, str):
             raise ConfigError(f"{key} must be a path string, got {path!r}")
+        if path:
+            # fail before the run, not after it; appending truncates nothing,
+            # and a file made here is removed again
+            existed = os.path.lexists(path)
+            try:
+                open(path, "a").close()
+            except OSError as exc:
+                raise ConfigError(f"cannot write {path}: {exc}") from exc
+            if not existed:
+                os.remove(path)
     return RunConfig(
         model=model,
         domain=domain,

@@ -13,6 +13,9 @@ offset variance sigma0^2.  All second-order structure follows:
 Model methods are vectorised over leading axes: points have shape
 (..., N).  The concrete models are finite spectral sums (exactly
 simulable) and a Gaussian-bump variogram family.
+
+What a face derives from these (theta_t^2, gamma_t^2, Lambda_J - Lambda_J(t),
+the outward-cone covariance) and its degeneracy policies are in mec.FaceContext.
 """
 
 from __future__ import annotations
@@ -23,16 +26,10 @@ from typing import Any
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DegenerateModelError,
-    ModelInconsistencyError,
-    config_number,
-)
+from .errors import ConfigError, config_number
 from .geometry import (
     Face,
     RectDomain,
-    embed_point,
     embed_points,
     enumerate_faces,
     face_of_point,
@@ -43,8 +40,6 @@ __all__ = [
     "SpectralSumField",
     "CosineField",
     "GaussianIncrementField",
-    "CovarianceAtPoint",
-    "covariance_at",
     "H2Report",
     "check_h2",
     "MaxVarianceResult",
@@ -55,13 +50,6 @@ __all__ = [
     "field_to_dict",
 ]
 
-# condition-number ceiling for gradient-covariance blocks
-COND_CAP = 1e12
-# negative-variance tolerance: below -NEG_TOL is an inconsistency,
-# within [-NEG_TOL, 0) is clamped to zero
-NEG_TOL = 1e-10
-# variance below which conditional quantities are treated as degenerate
-DEGENERATE_VAR = 1e-14
 # most points per field evaluation in max_variance's scan and in
 # mec.FaceContext.arrays, so their memory does not grow with the scan grid or
 # the quadrature box
@@ -114,10 +102,6 @@ class FieldModel:
     def lambda_at(self, t) -> np.ndarray:
         """Lambda(t) = (1/2) Hess g(t) = Cov(grad X(t+s), grad X(s))."""
         return 0.5 * self._g_hess(np.asarray(t, dtype=float))
-
-    def cvec_at(self, t) -> np.ndarray:
-        """c(t) = Cov(X(t), grad X(t)) = (1/2) grad nu(t)."""
-        return 0.5 * self._g_grad(np.asarray(t, dtype=float))
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,90 +263,6 @@ class FaultInjectedField(FieldModel):
 
     def _g_third(self, h):
         return self.base._g_third(h)
-
-
-# ---------------------------------------------------------------------------
-# Pointwise covariance bundle
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CovarianceAtPoint:
-    """Second-order quantities of (X, grad X) at one point of a face.
-
-    theta_sq is the conditional variance of X given the free-gradient
-    block; gamma_sq conditions on the full gradient.  cvec holds
-    C_j(t) = [Cov(X, grad X)^{-1}]_{1, j+1}, zero when degenerate.
-    """
-
-    t: np.ndarray
-    face: Face
-    nu: float
-    c: np.ndarray
-    lam: np.ndarray
-    lam_t: np.ndarray
-    lam_J: np.ndarray
-    lam_J_t: np.ndarray
-    theta_sq: float
-    gamma_sq: float
-    cvec: np.ndarray
-
-
-def _check_cond(mat: np.ndarray, what: str) -> None:
-    if mat.size == 0:
-        return
-    cond = np.linalg.cond(mat)
-    if not np.isfinite(cond) or cond > COND_CAP:
-        raise DegenerateModelError(
-            f"{what} has condition number {cond:.3e} beyond {COND_CAP:.0e}"
-        )
-
-
-def _clamp_var(v: float, what: str) -> float:
-    if v < -NEG_TOL:
-        raise ModelInconsistencyError(f"{what} = {v:.3e} is negative beyond tolerance")
-    return max(v, 0.0)
-
-
-def covariance_at(model: FieldModel, face: Face, t_free) -> CovarianceAtPoint:
-    """Bundle nu, c, Lambda blocks and conditional variances at a face point."""
-    t = embed_point(face, np.asarray(t_free, dtype=float))
-    nu = float(model.variance(t))
-    c = model.cvec_at(t)
-    lam = model.lambda_mat
-    lam_t = model.lambda_at(t)
-    sig = list(face.sigma)
-    lam_J = lam[np.ix_(sig, sig)]
-    lam_J_t = lam_t[np.ix_(sig, sig)]
-
-    _check_cond(lam, "gradient covariance")
-    _check_cond(lam_J, "free-block gradient covariance")
-
-    if sig:
-        sol_J = np.linalg.solve(lam_J, c[sig])
-        theta_sq = _clamp_var(nu - float(c[sig] @ sol_J), "theta^2")
-    else:
-        theta_sq = nu
-    sol = np.linalg.solve(lam, c)
-    gamma_sq = _clamp_var(nu - float(c @ sol), "gamma^2")
-
-    if gamma_sq < DEGENERATE_VAR:
-        cvec = np.zeros(model.dim)
-    else:
-        cvec = -sol / gamma_sq
-    return CovarianceAtPoint(
-        t=t,
-        face=face,
-        nu=nu,
-        c=c,
-        lam=lam,
-        lam_t=lam_t,
-        lam_J=lam_J,
-        lam_J_t=lam_J_t,
-        theta_sq=theta_sq,
-        gamma_sq=gamma_sq,
-        cvec=cvec,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -16,13 +16,15 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import CapabilityError
+
 __all__ = [
     "DomainError",
     "RectDomain",
     "Face",
     "OutwardCone",
     "enumerate_faces",
-    "embed_point",
+    "embed_points",
     "outward_cone",
     "face_label",
     "face_of_point",
@@ -33,7 +35,7 @@ MAX_ENUM_DIM = 6
 
 
 class DomainError(ValueError):
-    """Raised for malformed rectangles or points outside their face."""
+    """Raised for malformed rectangles and faces, or points outside them."""
 
 
 @dataclass(frozen=True)
@@ -170,7 +172,7 @@ def enumerate_faces(domain: RectDomain) -> list[Face]:
     """
     n = domain.dim
     if n > MAX_ENUM_DIM:
-        raise DomainError(f"face enumeration capped at N={MAX_ENUM_DIM} (got N={n})")
+        raise CapabilityError(f"face enumeration capped at N={MAX_ENUM_DIM} (got N={n})")
     faces = []
     for k in range(n, -1, -1):
         for sigma in itertools.combinations(range(n), k):
@@ -181,32 +183,8 @@ def enumerate_faces(domain: RectDomain) -> list[Face]:
     return faces
 
 
-def embed_point(face: Face, t_free: Sequence[float]) -> np.ndarray:
-    """Lift free coordinates to the full-dimensional point on the face.
-
-    The free coordinates must lie strictly inside their open intervals.
-    """
-    t_free = np.atleast_1d(np.asarray(t_free, dtype=float))
-    if t_free.shape != (face.k,):
-        raise DomainError(
-            f"face has {face.k} free axes but got {t_free.shape[0]} coordinates"
-        )
-    lo, hi = face.domain.lower, face.domain.upper
-    out = np.empty(face.domain.dim)
-    for idx, j in enumerate(face.sigma):
-        v = t_free[idx]
-        if not (lo[j] < v < hi[j]):
-            raise DomainError(
-                f"axis {j + 1}: coordinate {v} not strictly inside ({lo[j]}, {hi[j]})"
-            )
-        out[j] = v
-    for j, e in face.epsilon:
-        out[j] = hi[j] if e else lo[j]
-    return out
-
-
 def embed_points(face: Face, t_free: np.ndarray) -> np.ndarray:
-    """Vectorised embed for an (m, k) block of free coordinates (unchecked)."""
+    """Lift (m, k) free coordinates to (m, N) points of the face (unchecked)."""
     t_free = np.atleast_2d(np.asarray(t_free, dtype=float))
     m = t_free.shape[0]
     out = np.empty((m, face.domain.dim))

@@ -17,6 +17,9 @@ ledger of a one-level call; the level-free work is done once for all levels.
 * ``laplace_mec_result``: the closed-form asymptotic equivalent obtained
   by Laplace-expanding the face integrals around the variance maximizer.
 
+Every face term, vertices and Laplace factors included, reads its face's
+second-order structure from ``FaceContext``; the degeneracy policies
+(COND_CAP, NEG_TOL, DEGENERATE_VAR) are defined here.
 Face contributions are reported as positive magnitudes; alternating signs
 never reach user-facing totals.
 """
@@ -39,14 +42,7 @@ from .errors import (
     ModelInconsistencyError,
     NumericError,
 )
-from .field import (
-    DEGENERATE_VAR,
-    NEG_TOL,
-    POINT_BLOCK,
-    FieldModel,
-    covariance_at,
-    max_variance,
-)
+from .field import POINT_BLOCK, FieldModel, max_variance
 from .gauss import MvnProblem, MvnResult, gauss_tail, hermite, mvn_prob
 from .geometry import (
     Face,
@@ -73,7 +69,15 @@ __all__ = [
 ]
 
 MEAN_EC_DIM_CAP = 3
-MU_DIM_CAP = 6
+
+# condition-number ceiling for the gradient-covariance blocks FaceContext
+# inverts
+COND_CAP = 1e12
+# negative-variance tolerance: below -NEG_TOL is an inconsistency,
+# within [-NEG_TOL, 0) is clamped to zero
+NEG_TOL = 1e-10
+# variance below which conditional quantities are treated as degenerate
+DEGENERATE_VAR = 1e-14
 
 CLASS_CORNER = "corner-regular"
 CLASS_FACE = "face-critical"
@@ -113,29 +117,33 @@ class _FaceData(NamedTuple):
 
 
 class FaceContext:
-    """Constant blocks and vectorised point evaluation for one face."""
+    """Constant blocks and vectorised point evaluation for one face, from a
+    vertex (k = 0: theta^2 = nu and b = c) to the interior.
+
+    DegenerateModelError when Lambda_J or Lambda has a condition number
+    beyond COND_CAP; ModelInconsistencyError when theta^2 or gamma^2 falls
+    below -NEG_TOL (smaller negatives are clamped to zero).
+    """
 
     def __init__(self, model: FieldModel, face: Face):
         self.model = model
         self.face = face
         self.k = face.k
-        self.n = model.dim
         self.sig = list(face.sigma)
         self.fixed = list(face.fixed)
         lam = model.lambda_mat
         self.lam = lam
         self.lam_J = lam[np.ix_(self.sig, self.sig)]
-        cond = np.linalg.cond(self.lam_J) if self.sig else 1.0
-        if not np.isfinite(cond) or cond > 1e12:
-            raise DegenerateModelError(
-                f"free gradient block on face {face_label(face)} has "
-                f"condition number {cond:.3e}"
-            )
+        for what, mat in (
+            (f"free gradient block on face {face_label(face)}", self.lam_J),
+            ("gradient covariance", lam),
+        ):
+            cond = np.linalg.cond(mat) if mat.size else 1.0
+            if not np.isfinite(cond) or cond > COND_CAP:
+                raise DegenerateModelError(f"{what} has condition number {cond:.3e}")
         self.lam_inv = np.linalg.inv(lam)
-        self.lam_J_inv = (
-            np.linalg.inv(self.lam_J) if self.sig else np.zeros((0, 0))
-        )
-        self.det_lam_J = float(np.linalg.det(self.lam_J)) if self.sig else 1.0
+        self.lam_J_inv = np.linalg.inv(self.lam_J)
+        self.det_lam_J = float(np.linalg.det(self.lam_J))
         self.lam_fJ = lam[np.ix_(self.fixed, self.sig)]
         lam_ff = lam[np.ix_(self.fixed, self.fixed)]
         # Cov(grad_fixed | grad_free = 0), constant over the face
@@ -162,21 +170,14 @@ class FaceContext:
     def _block_arrays(self, pts: np.ndarray) -> _FaceData:
         face = self.face
         t = embed_points(face, pts)
-        nu = np.atleast_1d(self.model.variance(t))
-        c = 0.5 * np.atleast_2d(self.model.grad_variance(t))
-        lam_t = self.model.lambda_at(t)
-        if lam_t.ndim == 2:
-            lam_t = lam_t[None, :, :]
-        lam_J_t = lam_t[:, self.sig, :][:, :, self.sig]
-        if self.sig:
-            det_diff = np.linalg.det(self.lam_J[None, :, :] - lam_J_t)
-            c_J = c[:, self.sig]
-            sol_J = c_J @ self.lam_J_inv
-            theta_sq = nu - np.einsum("mk,mk->m", c_J, sol_J)
-        else:
-            det_diff = np.ones(len(nu))
-            sol_J = np.zeros((len(nu), 0))
-            theta_sq = nu.copy()
+        nu = self.model.variance(t)
+        c = 0.5 * self.model.grad_variance(t)
+        lam_J_t = self.model.lambda_at(t)[:, self.sig, :][:, :, self.sig]
+        # every k = 0 block is empty: det 1, theta^2 = nu
+        det_diff = np.linalg.det(self.lam_J[None, :, :] - lam_J_t)
+        c_J = c[:, self.sig]
+        sol_J = c_J @ self.lam_J_inv
+        theta_sq = nu - np.einsum("mk,mk->m", c_J, sol_J)
         sol = c @ self.lam_inv
         gamma_sq = nu - np.einsum("mk,mk->m", c, sol)
         for name, arr in (("theta^2", theta_sq), ("gamma^2", gamma_sq)):
@@ -227,13 +228,9 @@ def _vertex_term_results(
     The levels share the covariance and, through one seed, the QMC points
     of every randomization; each result equals a one-level call.
     """
-    cap = covariance_at(model, vertex, np.zeros(0))
-    n = model.dim
-    cov = np.empty((n + 1, n + 1))
-    cov[0, 0] = cap.nu
-    cov[0, 1:] = cap.c
-    cov[1:, 0] = cap.c
-    cov[1:, 1:] = cap.lam
+    ctx = FaceContext(model, vertex)
+    d = ctx.arrays(np.zeros((1, 0)))
+    cov = np.block([[d.theta_sq[:, None], d.b], [d.b.T, ctx.lam]])
     clo, chi = outward_cone(vertex).bounds()
     hi = np.r_[np.inf, chi]
     return mvn_prob([MvnProblem(cov, np.r_[u, clo], hi) for u in levels], seed)
@@ -408,17 +405,13 @@ def excursion_prob_mu(
 ) -> list[MecResult]:
     """Leading-order excursion probability at each level: vertex tails plus
     mu face terms, each face in one quadrature pass for all levels."""
-    if domain.dim > MU_DIM_CAP:
-        raise CapabilityError(
-            f"mu approximation capped at N={MU_DIM_CAP} (got N={domain.dim})"
-        )
     levels = tuple(float(u) for u in levels)
 
     def vertex(i: int, fc: Face) -> list[tuple[float, float]]:
-        cap = covariance_at(model, fc, np.zeros(0))
-        if cap.nu < DEGENERATE_VAR:
+        nu = float(FaceContext(model, fc).arrays(np.zeros((1, 0))).theta_sq[0])
+        if nu < DEGENERATE_VAR:
             return [(0.0, 0.0)] * len(levels)
-        return [(float(gauss_tail(u / math.sqrt(cap.nu))), 0.0) for u in levels]
+        return [(float(gauss_tail(u / math.sqrt(nu))), 0.0) for u in levels]
 
     return _face_sum(
         "mu_approx",
@@ -567,19 +560,16 @@ def tau_hessian_analytic(model: FieldModel, face: Face, t0) -> np.ndarray | None
     return 0.5 * (tau + tau.T)
 
 
-def _face_tau_hess(model: FieldModel, face: Face, t0) -> np.ndarray:
+def _face_tau_hess(model: FieldModel, face: Face, t0, what: str) -> np.ndarray:
+    """Theta, the Hessian of theta_t^2 on a k >= 1 face at t0; NumericError
+    naming ``what`` unless it is negative definite."""
     hess = tau_hessian_analytic(model, face, t0)
     if hess is None:
         hess = tau_hessian(model, face, t0)
-    return hess
-
-
-def _check_neg_def(mat: np.ndarray, what: str) -> None:
-    if mat.size == 0:
-        return
-    top = float(np.max(np.linalg.eigvalsh(mat)))
+    top = float(np.max(np.linalg.eigvalsh(hess)))
     if top >= 0.0:
         raise NumericError(f"{what} is not negative definite (max eig {top:.3e})")
+    return hess
 
 
 def prepare_laplace_inputs(model: FieldModel, domain: RectDomain) -> LaplaceInputs:
@@ -610,10 +600,10 @@ def prepare_laplace_inputs(model: FieldModel, domain: RectDomain) -> LaplaceInpu
             f"|nu_j| = {fg.tolist()} on face {face_label(host)}"
         )
     theta_hess = (
-        _face_tau_hess(model, host, t0) if k >= 1 else np.zeros((0, 0))
+        _face_tau_hess(model, host, t0, "Theta at the maximizer")
+        if k >= 1
+        else np.zeros((0, 0))
     )
-    if k >= 1:
-        _check_neg_def(theta_hess, "Theta at the maximizer")
     return LaplaceInputs(
         t0=t0,
         face=host,
@@ -625,31 +615,22 @@ def prepare_laplace_inputs(model: FieldModel, domain: RectDomain) -> LaplaceInpu
 
 
 def _laplace_face_factor(
-    model: FieldModel, face: Face, t0: np.ndarray, theta_hess: np.ndarray
+    ctx: FaceContext, t0: np.ndarray, theta_hess: np.ndarray
 ) -> float:
     """2^{k/2} |Lambda_J - Lambda_J(t0)| / (|Lambda_J|^{1/2} |-Theta|^{1/2})."""
-    k = face.k
+    k = ctx.k
     if k == 0:
         return 1.0
-    sig = list(face.sigma)
-    lam_J = model.lambda_mat[np.ix_(sig, sig)]
-    lam_J_t = model.lambda_at(t0)[np.ix_(sig, sig)]
-    _check_neg_def(theta_hess, f"Theta on face {face_label(face)}")
-    det_diff = float(np.linalg.det(lam_J - lam_J_t))
-    det_lam = float(np.linalg.det(lam_J))
+    det_diff = float(ctx.arrays(t0[None, ctx.sig]).det_diff[0])
     det_neg_hess = float(np.linalg.det(-theta_hess))
-    return 2.0 ** (k / 2.0) * det_diff / math.sqrt(det_lam * det_neg_hess)
+    return 2.0 ** (k / 2.0) * det_diff / math.sqrt(ctx.det_lam_J * det_neg_hess)
 
 
-def _orthant_given_free(
-    model: FieldModel, face: Face, seed: int
-) -> MvnResult:
+def _orthant_given_free(ctx: FaceContext, seed: int) -> MvnResult:
     """P(pinned-direction gradients in the outward cone | free grads = 0)."""
-    if not face.fixed:
+    if not ctx.fixed:
         return MvnResult(1.0, 0.0, False)
-    ctx = FaceContext(model, face)
-    cone = outward_cone(face)
-    lo, hi = cone.bounds()
+    lo, hi = outward_cone(ctx.face).bounds()
     return mvn_prob([MvnProblem(ctx.schur_ff, lo, hi)], seed)[0]
 
 
@@ -679,18 +660,20 @@ def _laplace_factors(
     without a term have no factors."""
     t0 = inputs.t0
     host = inputs.face
-    host_f = _laplace_face_factor(model, host, t0, inputs.theta_hess)
+    host_ctx = FaceContext(model, host)
+    host_f = _laplace_face_factor(host_ctx, t0, inputs.theta_hess)
     # an interior or regular boundary maximum has the host term alone
     contrib = {host: (host_f,)}
     pinned = np.abs(inputs.grad_nu[list(host.fixed)])
     if pinned.size and np.all(pinned <= GRAD_ZERO_TOL):
         # flat maximizer: host term with its orthant factor plus every
         # higher face whose closure contains t0
-        orth = _orthant_given_free(model, host, _face_seed(seed, 0))
+        orth = _orthant_given_free(host_ctx, _face_seed(seed, 0))
         contrib[host] = (host_f, orth.p)
         for idx, fc in enumerate(_adjacent_higher_faces(domain, host), start=1):
-            hess = _face_tau_hess(model, fc, t0)
-            f_fact = _laplace_face_factor(model, fc, t0, hess)
+            hess = _face_tau_hess(model, fc, t0, f"Theta on face {face_label(fc)}")
+            ctx = FaceContext(model, fc)
+            f_fact = _laplace_face_factor(ctx, t0, hess)
             extra = [j for j in fc.sigma if j not in host.sigma]
             pos = [fc.sigma.index(j) for j in extra]
             cov_z = -hess[np.ix_(pos, pos)]
@@ -698,7 +681,7 @@ def _laplace_factors(
                 [MvnProblem(cov_z, np.full(len(pos), -np.inf), np.zeros(len(pos)))],
                 _face_seed(seed, 2 * idx),
             )[0]
-            orth2 = _orthant_given_free(model, fc, _face_seed(seed, 2 * idx + 1))
+            orth2 = _orthant_given_free(ctx, _face_seed(seed, 2 * idx + 1))
             contrib[fc] = (f_fact, pz.p, orth2.p)
     return [(fc, contrib.get(fc, ())) for fc in enumerate_faces(domain)]
 

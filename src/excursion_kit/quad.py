@@ -221,7 +221,8 @@ def integrate_box(f, lower, upper, spec: QuadSpec = QuadSpec(), *, split=None):
     n_rows = len(coarse)
     total = [0.0] * n_rows
     err = [0.0] * n_rows
-    converged = [True] * n_rows
+    # the caps that stopped each row's unconverged boxes
+    stops: list[set[str]] = [set() for _ in range(n_rows)]
     boxes_used = [1] * n_rows
     # stack holds (lo, hi, {row: coarse value} of the rows still refining
     # the box, depth)
@@ -241,22 +242,26 @@ def integrate_box(f, lower, upper, spec: QuadSpec = QuadSpec(), *, split=None):
                 total[r] += refined
                 err[r] += diff
                 if not ok:
-                    converged[r] = False
+                    stops[r].add(
+                        f"depth {MAX_SUBDIVISIONS}"
+                        if depth >= MAX_SUBDIVISIONS
+                        else f"box cap {MAX_BOXES}"
+                    )
             else:
                 still_open.append(j)
         if still_open:
             for (clo, chi), cv in zip(children, cvals):
                 stack.append((clo, chi, {rows[j]: cv[j] for j in still_open}, depth + 1))
     for r in range(n_rows):
-        if not converged[r]:
+        if stops[r]:
             row = "" if one_row else f"row {r}: "
             warnings.warn(
-                f"{row}adaptive quadrature stopped at depth {MAX_SUBDIVISIONS} "
+                f"{row}adaptive quadrature stopped at {' and '.join(sorted(stops[r]))} "
                 f"with estimates {total[r]:.17g} (refined) and err ~ {err[r]:.3g}",
                 QuadratureWarning,
                 stacklevel=2,
             )
-    results = [QuadResult(total[r], err[r], converged[r]) for r in range(n_rows)]
+    results = [QuadResult(total[r], err[r], not stops[r]) for r in range(n_rows)]
     return results[0] if one_row else results
 
 

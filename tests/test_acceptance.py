@@ -12,7 +12,7 @@ import pytest
 
 import excursion_kit.mc as mc
 import excursion_kit.mec as mec
-from excursion_kit.field import CosineField, SpectralSumField, covariance_at
+from excursion_kit.field import CosineField, SpectralSumField
 from excursion_kit.gauss import gauss_tail, hermite_tail_identity_check
 from excursion_kit.geometry import Face, RectDomain, enumerate_faces
 from excursion_kit.mc import ec_oracle_2d, empirical_ec, empirical_sup_prob
@@ -42,23 +42,25 @@ def test_02_cosine_covariance_closed_forms():
     interior = enumerate_faces(dom)[0]
     edge = Face(domain=dom, sigma=(0,), epsilon=((1, 1),))
     assert np.allclose(model.lambda_mat, 0.5 * np.eye(2), atol=1e-10)
+    # theta^2 and gamma^2 from the face evaluator every face term runs
+    interior_ctx, edge_ctx = mec.FaceContext(model, interior), mec.FaceContext(model, edge)
     rng = np.random.default_rng(2024)
     for _ in range(100):
-        t1, t2 = rng.uniform(1e-3, PI - 1e-3, size=2)
-        cav = covariance_at(model, interior, [t1, t2])
+        t = rng.uniform(1e-3, PI - 1e-3, size=2)
+        t1, t2 = t
         nu = 3.0 - math.cos(t1) - math.cos(t2)
-        assert cav.nu == pytest.approx(nu, abs=1e-10)
+        assert model.variance(t) == pytest.approx(nu, abs=1e-10)
         assert np.allclose(
-            cav.lam - cav.lam_t,
+            model.lambda_mat - model.lambda_at(t),
             0.5 * (np.eye(2) - np.diag([math.cos(t1), math.cos(t2)])),
             atol=1e-10,
         )
-        assert np.allclose(cav.c, [0.5 * math.sin(t1), 0.5 * math.sin(t2)], atol=1e-10)
-        assert cav.gamma_sq == pytest.approx(
+        c = 0.5 * model.grad_variance(t)
+        assert np.allclose(c, [0.5 * math.sin(t1), 0.5 * math.sin(t2)], atol=1e-10)
+        assert interior_ctx.arrays(t[None]).gamma_sq[0] == pytest.approx(
             nu - 0.5 * math.sin(t1) ** 2 - 0.5 * math.sin(t2) ** 2, abs=1e-10
         )
-        cav_e = covariance_at(model, edge, [t1])
-        assert cav_e.theta_sq == pytest.approx(
+        assert edge_ctx.arrays(t[None, :1]).theta_sq[0] == pytest.approx(
             4.0 - math.cos(t1) - 0.5 * math.sin(t1) ** 2, abs=1e-10
         )
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from excursion_kit import cli
+from excursion_kit import cli, mec
 from excursion_kit.gauss import gauss_tail
 
 PI = math.pi
@@ -115,10 +115,14 @@ def test_malformed_values_are_config_errors(tmp_path, capsys, overrides, flags):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-@pytest.mark.parametrize("key", ["out", "report"])
-def test_unwritable_output_path_is_config_error(tmp_path, capsys, key):
-    cfg = write_config(tmp_path, **{key: str(tmp_path / "missing" / "x")})
-    assert cli.main(["compute", "--config", cfg, "--levels", "5:5:1"]) == 2
+@pytest.mark.parametrize("key", ["out", "report", "--out"])
+def test_unwritable_output_path_is_config_error(tmp_path, capsys, monkeypatch, key):
+    # found before the run: no face term is computed
+    monkeypatch.setattr(mec, "_face_sum", lambda *a: pytest.fail("mec._face_sum called"))
+    path = str(tmp_path / "missing" / "x")
+    cfg = write_config(tmp_path, **({} if key == "--out" else {key: path}))
+    flags = [key, path] if key == "--out" else []
+    assert cli.main(["compute", "--config", cfg, "--levels", "5:5:1", *flags]) == 2
     assert capsys.readouterr().err.startswith("error: ")
 
 
@@ -354,6 +358,24 @@ def test_mc_sweeps_each_grid_once_for_all_levels(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert len(parse_csv(out)[1]) == 3
     assert grids == [(9, 9), (17, 17)]
+
+
+def test_seven_dimensions_is_a_capability_limit(tmp_path, capsys):
+    # face enumeration stops at N = 6 for every command that enumerates; a
+    # failed run leaves no output file behind
+    cfg = write_config(
+        tmp_path,
+        field={"type": "gaussian_increment", "dim": 7},
+        domain={"lower": [0.0] * 7, "upper": [1.0] * 7},
+    )
+    out = tmp_path / "x.csv"
+    assert cli.main(["compute", "--config", cfg, "--out", str(out)]) == 3
+    assert not out.exists()
+    assert cli.main(["faces", "--config", cfg]) == 3
+    assert "N=6" in capsys.readouterr().err
+    code, text = run(capsys, ["validate", "--config", cfg])
+    assert code == 5
+    assert "FAIL condition_check: raised CapabilityError" in text
 
 
 def test_mc_non_spectral_model_capability_exit(tmp_path, capsys):

@@ -14,7 +14,6 @@ from excursion_kit.field import (
     GaussianIncrementField,
     SpectralSumField,
     check_h2,
-    covariance_at,
     derivative_consistency,
     field_from_dict,
     field_to_dict,
@@ -28,6 +27,7 @@ from excursion_kit.geometry import (
     face_label,
     face_of_point,
 )
+from excursion_kit.mec import FaceContext
 
 PI = math.pi
 
@@ -38,45 +38,6 @@ def cosine():
 
 def interior_face(dom):
     return enumerate_faces(dom)[0]
-
-
-# ---------------------------------------------------------------------------
-# Closed-form oracles for the cosine field (independent hand derivations):
-#   nu(t)       = 3 - cos t1 - cos t2
-#   Lambda      = I/2,  Lambda(t) = diag(cos t1, cos t2)/2
-#   c(t)        = (sin t1, sin t2)/2
-#   gamma^2(t)  = nu - sin^2 t1 / 2 - sin^2 t2 / 2        (interior face)
-#   theta^2(t)  = nu - sin^2 t1 / 2                       (edge, axis-1 free)
-# ---------------------------------------------------------------------------
-
-
-def test_cosine_closed_forms_at_random_points():
-    model = cosine()
-    dom = RectDomain([0.0, 0.0], [PI, PI])
-    interior = interior_face(dom)
-    edge = Face(domain=dom, sigma=(0,), epsilon=((1, 1),))  # t2 = pi
-    rng = np.random.default_rng(101)
-    assert np.allclose(model.lambda_mat, 0.5 * np.eye(2), atol=1e-12)
-    for _ in range(100):
-        t1, t2 = rng.uniform(0.05, PI - 0.05, size=2)
-        cav = covariance_at(model, interior, [t1, t2])
-        nu = 3 - math.cos(t1) - math.cos(t2)
-        assert cav.nu == pytest.approx(nu, abs=1e-10)
-        assert np.allclose(
-            cav.lam - cav.lam_t,
-            0.5 * (np.eye(2) - np.diag([math.cos(t1), math.cos(t2)])),
-            atol=1e-10,
-        )
-        assert np.allclose(
-            cav.c, [0.5 * math.sin(t1), 0.5 * math.sin(t2)], atol=1e-10
-        )
-        want_gamma = nu - 0.5 * math.sin(t1) ** 2 - 0.5 * math.sin(t2) ** 2
-        assert cav.gamma_sq == pytest.approx(want_gamma, abs=1e-10)
-
-        cav_e = covariance_at(model, edge, [t1])
-        nu_e = 3 - math.cos(t1) + 1.0
-        want_theta = nu_e - 0.5 * math.sin(t1) ** 2
-        assert cav_e.theta_sq == pytest.approx(want_theta, abs=1e-10)
 
 
 def test_lambda_spectral_equals_variogram_route():
@@ -171,30 +132,30 @@ def test_conditional_variances_are_ordered(model, data):
     n = model.dim
     dom = RectDomain([0.1] * n, [1.9] * n)
     interior = interior_face(dom)
-    t = [data.draw(st.floats(0.2, 1.8)) for _ in range(n)]
+    t = np.array([[data.draw(st.floats(0.2, 1.8)) for _ in range(n)]])
     try:
-        cav = covariance_at(model, interior, t)
+        d = FaceContext(model, interior).arrays(t)
     except DegenerateModelError:
         return  # randomly drawn atoms may be collinear; nothing to check
-    assert cav.gamma_sq >= -1e-12
-    assert cav.gamma_sq <= cav.nu + 1e-12
+    assert d.gamma_sq[0] >= -1e-12
+    assert d.gamma_sq[0] <= model.variance(t[0]) + 1e-12
     if n >= 2:
         edge = Face(
             domain=dom, sigma=tuple(range(n - 1)), epsilon=((n - 1, 0),)
         )
-        cav_e = covariance_at(model, edge, t[: n - 1])
+        d_e = FaceContext(model, edge).arrays(t[:, : n - 1])
         # conditioning on more derivatives can only shrink the variance
-        assert cav_e.gamma_sq <= cav_e.theta_sq + 1e-12
-        assert cav_e.theta_sq <= cav_e.nu + 1e-12
+        assert d_e.gamma_sq[0] <= d_e.theta_sq[0] + 1e-12
+        assert d_e.theta_sq[0] <= model.variance(embed_points(edge, t[:, : n - 1])[0]) + 1e-12
 
 
 def test_zero_gradient_point_has_full_conditional_variance():
     model = cosine()
     dom = RectDomain([0.5, 0.5], [2 * PI - 0.5, 2 * PI - 0.5])
-    cav = covariance_at(model, interior_face(dom), [PI, PI])
-    assert np.allclose(cav.c, 0.0, atol=1e-12)
-    assert np.allclose(cav.cvec, 0.0, atol=1e-12)
-    assert cav.gamma_sq == pytest.approx(cav.nu, rel=1e-12)
+    t = np.array([PI, PI])
+    assert np.allclose(0.5 * model.grad_variance(t), 0.0, atol=1e-12)
+    d = FaceContext(model, interior_face(dom)).arrays(t[None])
+    assert d.gamma_sq[0] == pytest.approx(model.variance(t), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

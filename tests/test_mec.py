@@ -10,11 +10,12 @@ import excursion_kit.quad as quad
 from excursion_kit.errors import (
     AmbiguousMaximizerError,
     CapabilityError,
+    DegenerateModelError,
     NumericError,
 )
-from excursion_kit.field import DEGENERATE_VAR, CosineField, SpectralSumField, covariance_at
+from excursion_kit.field import CosineField, SpectralSumField
 from excursion_kit.gauss import MvnProblem, gauss_tail, hermite, mvn_prob
-from excursion_kit.geometry import Face, RectDomain, enumerate_faces, face_label, outward_cone
+from excursion_kit.geometry import Face, RectDomain, embed_points, enumerate_faces, face_label, outward_cone
 from excursion_kit.mec import (
     condition_check,
     excursion_prob_mu,
@@ -147,6 +148,15 @@ def test_vertex_term_one_dimensional():
     assert val == pytest.approx(0.5 * gauss_tail(2.0 / math.sqrt(3)), rel=1e-9)
 
 
+def test_vertex_context_rejects_singular_gradient_covariance():
+    # collinear atoms make Lambda singular (cond ~ 4e17); a vertex has no
+    # free block, so only the full-Lambda check can catch it
+    m = SpectralSumField(freqs=[[1.0, 0.5], [2.0, 1.0]], weights=[0.5, 0.5])
+    vert = enumerate_faces(RectDomain([0.0, 0.0], [1.0, 1.0]))[-1]
+    with pytest.raises(DegenerateModelError, match="gradient covariance has condition number"):
+        mec.FaceContext(m, vert)
+
+
 # ---------------------------------------------------------------------------
 # mean-EC face terms
 # ---------------------------------------------------------------------------
@@ -189,7 +199,8 @@ def nested_mean_ec_face(model, face, u, spec):
     Each face node gets its own adaptive integral of He_k(x/gamma +
     gamma C.y) against the joint density of (X, fixed gradients) given the
     free gradients vanish, over [u, inf) x outward cone; nothing is
-    integrated in closed form.  Point quantities come from covariance_at.
+    integrated in closed form.  Point quantities are solved at each node
+    from the model's primitives, independently of mec.FaceContext.
     """
     k = face.k
     sig, fix = list(face.sigma), list(face.fixed)
@@ -204,19 +215,24 @@ def nested_mean_ec_face(model, face, u, spec):
 
     def outer(pts):
         out = np.zeros(pts.shape[0])
-        for i, x in enumerate(pts):
-            cp = covariance_at(model, face, x)
-            if cp.gamma_sq < DEGENERATE_VAR or cp.theta_sq < DEGENERATE_VAR:
+        for i, t in enumerate(embed_points(face, pts)):
+            nu = float(model.variance(t))
+            c = 0.5 * model.grad_variance(t)
+            sol = np.linalg.solve(lam, c)
+            gamma_sq = nu - c @ sol
+            theta_sq = nu - c[sig] @ np.linalg.solve(lam_J, c[sig])
+            if gamma_sq < mec.DEGENERATE_VAR or theta_sq < mec.DEGENERATE_VAR:
                 continue
-            gam = math.sqrt(cp.gamma_sq)
-            b = cp.c[fix] - reg @ cp.c[sig]
+            gam = math.sqrt(gamma_sq)
+            b = c[fix] - reg @ c[sig]
             cov = np.empty((1 + q, 1 + q))
-            cov[0, 0] = cp.theta_sq
+            cov[0, 0] = theta_sq
             cov[0, 1:] = cov[1:, 0] = b
             cov[1:, 1:] = schur
             chol = np.linalg.cholesky(cov)
             logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-            coef = gam * cp.cvec[fix]
+            # C_j = [Cov(X, grad X)^{-1}]_{1, j+1} = -[Lambda^{-1} c]_j / gamma^2
+            coef = -sol[fix] / gam
 
             def h(z):
                 arg = z[:, 0] / gam + z[:, 1:] @ coef
@@ -224,7 +240,7 @@ def nested_mean_ec_face(model, face, u, spec):
                 pdf = np.exp(log_norm - 0.5 * logdet - 0.5 * np.sum(w * w, axis=0))
                 return hermite(k, arg) * pdf
 
-            det_diff = np.linalg.det(cp.lam_J - cp.lam_J_t)
+            det_diff = np.linalg.det(lam_J - model.lambda_at(t)[np.ix_(sig, sig)])
             out[i] = det_diff * gam ** (-k) * integrate_cone(cone, u, h, spec).value
         return out
 
@@ -455,8 +471,9 @@ def test_vertex_levels_share_one_set_of_qmc_points(monkeypatch):
         built.clear()
         got = mec._vertex_term_results(model, fc, levels, seed)
         assert built == [3] * 12, face_label(fc)
-        cap = covariance_at(model, fc, np.zeros(0))
-        cov = np.block([[np.array([[cap.nu]]), cap.c[None, :]], [cap.c[:, None], cap.lam]])
+        t = fc.fixed_values()
+        c = 0.5 * model.grad_variance(t)
+        cov = np.block([[np.array([[model.variance(t)]]), c[None, :]], [c[:, None], model.lambda_mat]])
         clo, chi = outward_cone(fc).bounds()
         want = [
             mvn_prob([MvnProblem(cov, np.r_[u, clo], np.r_[np.inf, chi])], seed)[0]

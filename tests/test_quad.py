@@ -100,6 +100,15 @@ def test_nonconvergence_warns(depth_one):
     assert not res.converged
 
 
+def test_box_cap_warning_names_the_box_cap(monkeypatch):
+    # a row that runs out of boxes long before the depth cap says so
+    monkeypatch.setattr(quad, "MAX_BOXES", 10)
+    with pytest.warns(QuadratureWarning, match="stopped at box cap 10 with") as rec:
+        res = integrate_box(lambda t: np.abs(t[:, 0] - 0.3) ** 0.3, [0.0], [1.0], SPEC)
+    assert not res.converged
+    assert "depth" not in str(rec[0].message)
+
+
 def test_rows_match_single_row_runs():
     # a smooth row settles after one split, a narrow off-centre bump needs
     # many levels; each row must come out exactly as integrated alone
