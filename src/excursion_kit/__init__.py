@@ -38,11 +38,9 @@ from .gauss import (
 from .quad import (
     QuadResult,
     QuadSpec,
-    TailMap,
     integrate_box,
     integrate_cone,
     integrate_face,
-    integrate_tail,
 )
 from .field import (
     CosineField,

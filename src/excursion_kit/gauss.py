@@ -23,6 +23,7 @@ from scipy.stats import qmc
 
 from . import quad
 from .errors import CapabilityError, DegeneracyError
+from .geometry import OutwardCone
 
 __all__ = [
     "DegeneracyError",
@@ -84,7 +85,8 @@ def hermite_tail_identity_check(k: int, u: float) -> float:
     """Residual of int_u^inf He_k(x) e^{-x^2/2} dx = He_{k-1}(u) e^{-u^2/2}.
 
     The left side is integrated numerically with the package's own
-    tail-mapped quadrature; returns |numeric - closed form|.
+    quadrature over the level axis of an empty cone; returns
+    |numeric - closed form|.
     """
     if k < 1:
         raise ValueError("identity requires k >= 1")
@@ -92,7 +94,9 @@ def hermite_tail_identity_check(k: int, u: float) -> float:
     def g(x):
         return hermite(k, x) * np.exp(-0.5 * np.asarray(x, dtype=float) ** 2)
 
-    res = quad.integrate_tail(float(u), g, quad.QuadSpec())
+    res = quad.integrate_cone(
+        OutwardCone(()), float(u), lambda p: g(p[:, 0]), quad.QuadSpec()
+    )
     rhs = hermite(k - 1, u) * math.exp(-0.5 * u * u)
     return abs(res.value - rhs)
 

@@ -3,6 +3,8 @@
 The three user-facing quantities are functions of the level u.  Each takes a
 level sequence and returns one MecResult ledger per level, equal to the
 ledger of a one-level call; the level-free work is done once for all levels.
+Each is one term per face, vertices included, summed by ``_face_sum``; the
+quantities differ only in the term.
 
 * ``excursion_prob_mu``: vertex tails plus per-face integrals of
   He_{k-1}(u/theta_t) exp(-u^2 / (2 theta_t^2)) -- the leading-order
@@ -53,7 +55,7 @@ from .geometry import (
     face_of_point,
     outward_cone,
 )
-from .quad import QuadResult, QuadSpec, integrate_box, integrate_face
+from .quad import QuadResult, QuadSpec, integrate_face
 
 __all__ = [
     "MecResult",
@@ -199,8 +201,16 @@ class FaceContext:
 def _face_term_mu_result(
     model: FieldModel, face: Face, levels: tuple[float, ...], spec: QuadSpec
 ) -> list[QuadResult]:
+    """The mu term of a face at every level: the tail P(X(t) >= u) at a
+    vertex, the Rice integral of He_{k-1} on a k >= 1 face."""
     ctx = FaceContext(model, face)
     k = face.k
+    if k == 0:
+        nu = float(ctx.arrays(np.zeros((1, 0))).theta_sq[0])
+        if nu < DEGENERATE_VAR:
+            # X(t) = 0 almost surely
+            return [QuadResult(float(u <= 0.0), 0.0) for u in levels]
+        return [QuadResult(float(gauss_tail(u / math.sqrt(nu))), 0.0) for u in levels]
 
     def integrand(pts):
         d = ctx.arrays(pts)
@@ -247,8 +257,9 @@ def _face_term_mean_ec_result(
     mean m_t(y) = b_t S^-1 y and variance gamma_t^2 (S the face's constant
     conditional covariance of y), so the x-integral is He_{k-1}(a) phi(a)
     with a = (u - m_t(y)) / gamma_t.  What remains is one adaptive
-    integral over the face's free coordinates x the cone, each cone axis
-    mapped onto [0, 1) by s / (1 - s); its error estimate is the term's.
+    integral over the face's free coordinates x the cone
+    (``integrate_face`` with the face's outward cone); its error estimate
+    is the term's.
     For k = N the cone is empty and the term is the mu face term.
     """
     k = face.k
@@ -269,11 +280,10 @@ def _face_term_mean_ec_result(
     log_norm = -0.5 * (1 + q) * math.log(2.0 * math.pi) - float(
         np.sum(np.log(np.diag(chol)))
     )
-    signs = outward_cone(face).signs()
 
-    def integrand(x, s):
-        # x holds free face coordinates (n_x, k), s cone coordinates in
-        # [0, 1)^q (n_y, q); the joint nodes are their product, x-major.
+    def integrand(x, y):
+        # x holds free face coordinates (n_x, k), y cone points (n_y, q);
+        # the joint nodes are their product, x-major.
         # The field runs once per face point and the cone factors once per
         # cone point; both broadcast to (n_x, n_y), and every per-node
         # expression is the one of the unsplit integrand.
@@ -282,29 +292,20 @@ def _face_term_mean_ec_result(
         gam = np.sqrt(np.where(ok, d.gamma_sq, 1.0))
         weight = np.where(ok, d.det_diff * gam ** (-k), 0.0)[:, None]
         gam = gam[:, None]
-        wy = (signs * s / (1.0 - s)) @ white_t
+        wy = y @ white_t
         # X given the gradients has mean b_t S^-1 y and variance gamma_t^2
         mean = np.einsum("ij,mj->im", d.b @ white_t, wy)
         wy_sq = np.einsum("mj,mj->m", wy, wy)
-        jac = np.prod((1.0 - s) ** -2.0, axis=1)
-        out = np.empty((len(levels), x.shape[0], s.shape[0]))
+        out = np.empty((len(levels), x.shape[0], y.shape[0]))
         for row, u in zip(out, levels):
             a = (u - mean) / gam
             expo = log_norm - 0.5 * (wy_sq + a * a)
-            row[:] = weight * hermite(k - 1, a) * np.exp(expo) * jac
-        return out.reshape(len(levels), x.shape[0] * s.shape[0])
+            row[:] = weight * hermite(k - 1, a) * np.exp(expo)
+        return out.reshape(len(levels), x.shape[0] * y.shape[0])
 
-    lo, hi = face.free_bounds()
-    results = integrate_box(
-        integrand,
-        np.concatenate([lo, np.zeros(q)]),
-        np.concatenate([hi, np.ones(q)]),
-        spec,
-        split=k,
-    )
     return [
         QuadResult(ctx.pref_mec * res.value, ctx.pref_mec * res.err_est, res.converged)
-        for res in results
+        for res in integrate_face(face, integrand, spec, outward_cone(face))
     ]
 
 
@@ -322,24 +323,22 @@ def _face_sum(
     method: str,
     domain: RectDomain,
     levels: tuple[float, ...],
-    vertex: Callable[[int, Face], list],
-    face: Callable[[Face], list],
+    term: Callable[[int, Face], list],
     threads: int,
 ) -> list[MecResult]:
-    """Sum of a vertex term per vertex and a Kac-Rice integral per k >= 1 face.
+    """Sum of one term per face of the domain, vertices included.
 
-    ``vertex(i, f)`` evaluates the vertex f at enumeration index i and
-    ``face(f)`` a face of dimension k >= 1; each returns one tuple per
-    level, in the order of ``levels``, that starts (value, err_est).  A face
-    kernel integrates all levels in one quadrature pass.  The result holds
-    one MecResult per level.  Each ledger keeps one entry per face in
-    enumeration order and its total is their ordered sum, so results are
-    bit-stable for a fixed seed regardless of thread count.
+    ``term(i, f)`` evaluates the face f at enumeration index i and returns
+    one tuple per level, in the order of ``levels``, that starts
+    (value, err_est); a Rice kernel integrates all levels in one quadrature
+    pass.  The result holds one MecResult per level.  Each ledger keeps one
+    entry per face in enumeration order and its total is their ordered sum,
+    so results are bit-stable for a fixed seed regardless of thread count.
     """
     faces = enumerate_faces(domain)
 
     def terms(i: int, fc: Face) -> list:
-        return [t[:2] for t in (vertex(i, fc) if fc.k == 0 else face(fc))]
+        return [t[:2] for t in term(i, fc)]
 
     if threads <= 1:
         per_face = [terms(i, f) for i, f in enumerate(faces)]
@@ -382,17 +381,13 @@ def mean_euler_characteristic(
         )
     levels = tuple(float(u) for u in levels)
 
-    def vertex(i: int, fc: Face) -> list[MvnResult]:
-        return _vertex_term_results(model, fc, levels, _face_seed(seed, i))
+    def term(i: int, fc: Face) -> list:
+        if fc.k == 0:
+            # the vertex orthant draws its QMC points from the face's seed
+            return _vertex_term_results(model, fc, levels, _face_seed(seed, i))
+        return _face_term_mean_ec_result(model, fc, levels, spec)
 
-    return _face_sum(
-        "mean_ec",
-        domain,
-        levels,
-        vertex,
-        lambda fc: _face_term_mean_ec_result(model, fc, levels, spec),
-        threads,
-    )
+    return _face_sum("mean_ec", domain, levels, term, threads)
 
 
 def excursion_prob_mu(
@@ -406,19 +401,11 @@ def excursion_prob_mu(
     """Leading-order excursion probability at each level: vertex tails plus
     mu face terms, each face in one quadrature pass for all levels."""
     levels = tuple(float(u) for u in levels)
-
-    def vertex(i: int, fc: Face) -> list[tuple[float, float]]:
-        nu = float(FaceContext(model, fc).arrays(np.zeros((1, 0))).theta_sq[0])
-        if nu < DEGENERATE_VAR:
-            return [(0.0, 0.0)] * len(levels)
-        return [(float(gauss_tail(u / math.sqrt(nu))), 0.0) for u in levels]
-
     return _face_sum(
         "mu_approx",
         domain,
         levels,
-        vertex,
-        lambda fc: _face_term_mu_result(model, fc, levels, spec),
+        lambda i, fc: _face_term_mu_result(model, fc, levels, spec),
         threads,
     )
 
@@ -653,11 +640,11 @@ def _laplace_factors(
     domain: RectDomain,
     inputs: LaplaceInputs,
     seed: int,
-) -> list[tuple[Face, tuple[float, ...]]]:
-    """Level-free part of the Laplace ledger: every face in enumeration
-    order with its factors (f, p_1, ...).  The face's term at level u is
-    f * Psi(u / sigma_T) * p_1 * ..., multiplied left to right; faces
-    without a term have no factors."""
+) -> dict[Face, tuple[float, ...]]:
+    """Level-free part of the Laplace ledger: the factors (f, p_1, ...) of
+    every face with a term.  The face's term at level u is
+    f * Psi(u / sigma_T) * p_1 * ..., multiplied left to right; the other
+    faces' terms are 0."""
     t0 = inputs.t0
     host = inputs.face
     host_ctx = FaceContext(model, host)
@@ -683,7 +670,7 @@ def _laplace_factors(
             )[0]
             orth2 = _orthant_given_free(ctx, _face_seed(seed, 2 * idx + 1))
             contrib[fc] = (f_fact, pz.p, orth2.p)
-    return [(fc, contrib.get(fc, ())) for fc in enumerate_faces(domain)]
+    return contrib
 
 
 def laplace_mec_result(
@@ -703,19 +690,13 @@ def laplace_mec_result(
     """
     inputs = prepare_laplace_inputs(model, domain)
     factors = _laplace_factors(model, domain, inputs, seed)
-    out = []
-    for u in map(float, levels):
-        psi = float(gauss_tail(u / math.sqrt(inputs.sigma_sq)))
-        terms = [
-            (fc, math.prod(fac[1:], start=fac[0] * psi) if fac else 0.0)
-            for fc, fac in factors
+    levels = tuple(float(u) for u in levels)
+    psis = [float(gauss_tail(u / math.sqrt(inputs.sigma_sq))) for u in levels]
+
+    def term(i: int, fc: Face) -> list[tuple[float, float]]:
+        fac = factors.get(fc)
+        return [
+            (math.prod(fac[1:], start=fac[0] * psi) if fac else 0.0, 0.0) for psi in psis
         ]
-        out.append(
-            MecResult(
-                u=u,
-                method="laplace",
-                per_face=tuple(terms),
-                total=math.fsum(v for _, v in terms),
-            )
-        )
-    return out
+
+    return _face_sum("laplace", domain, levels, term, 1)

@@ -1,14 +1,15 @@
 """Deterministic quadrature: tensor Gauss-Legendre with dyadic refinement.
 
-Three entry points share one adaptive core:
+Two entry points share one adaptive core, :func:`integrate_box`:
 
 * :func:`integrate_face` integrates over the free coordinates of an open
-  rectangle face.
-* :func:`integrate_tail` integrates over a half-line [u, inf) through the
-  rational map x = u + s/(1-s).
-* :func:`integrate_cone` integrates over [u, inf) x (orthant cone), each
-  semi-infinite axis mapped back to (0, 1) the same way; its dimension is
-  capped at CONE_DIM_CAP.
+  rectangle face, or over the face x an outward orthant cone;
+* :func:`integrate_cone` integrates over [u, inf) x (orthant cone), or over
+  the cone alone; its dimension is capped at CONE_DIM_CAP.
+
+Every semi-infinite axis is mapped onto s in [0, 1) by the one orthant map
+y = sign * s / (1 - s), with Jacobian (1 - s)^-2 (:func:`_orthant_points`);
+the level axis of :func:`integrate_cone` is a +1 axis shifted by u.
 
 Integrands are vectorised: they receive an (m, d) array of points and
 return m values, or an (L, m) array holding L integrands that share the
@@ -21,7 +22,7 @@ product in x-major order (value j * n_y + i belongs to (x_j, y_i)).  That
 is the row-major order of the unsplit (m, d) nodes, so the weights, the
 estimates and the refinement are unchanged; an integrand whose costly part
 depends on x alone evaluates it at n_x points instead of m = n_x * n_y.
-The mean-EC joint boxes split the face axes from the cone axes this way.
+A face x cone integral splits the face axes from the cone axes this way.
 
 Convergence of a box is judged by comparing the tensor rule with the sum
 over its 2^d dyadic children; boxes are split until the difference passes
@@ -49,10 +50,8 @@ from .geometry import Face, OutwardCone
 __all__ = [
     "QuadSpec",
     "QuadResult",
-    "TailMap",
     "integrate_face",
     "integrate_box",
-    "integrate_tail",
     "integrate_cone",
 ]
 
@@ -90,24 +89,6 @@ class QuadResult(NamedTuple):
     value: float
     err_est: float
     converged: bool = True
-
-
-@dataclass(frozen=True)
-class TailMap:
-    """Rational map of [origin, inf) onto s in [0, 1): x = origin + s/(1-s).
-
-    ``weight`` is the Jacobian dx/ds = (1-s)^{-2}.
-    """
-
-    origin: float = 0.0
-
-    def map(self, s):
-        s = np.asarray(s, dtype=float)
-        return self.origin + s / (1.0 - s)
-
-    def weight(self, s):
-        s = np.asarray(s, dtype=float)
-        return (1.0 - s) ** -2.0
 
 
 @functools.lru_cache(maxsize=None)
@@ -265,27 +246,39 @@ def integrate_box(f, lower, upper, spec: QuadSpec = QuadSpec(), *, split=None):
     return results[0] if one_row else results
 
 
-def integrate_face(face: Face, f, spec: QuadSpec = QuadSpec()):
+def _orthant_points(s: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Map (m, q) nodes s in [0, 1)^q onto the orthant of ``signs`` by
+    y = sign * s / (1 - s); returns y and the Jacobian prod (1 - s)^-2."""
+    return signs * s / (1.0 - s), np.prod((1.0 - s) ** -2.0, axis=1)
+
+
+def integrate_face(face: Face, f, spec: QuadSpec = QuadSpec(), cone: OutwardCone | None = None):
     """Integrate f over the free coordinates of an open face (k >= 1).
 
-    f receives an (m, k) array of free-coordinate points; as in
-    :func:`integrate_box`, (L, m) values give a list of L results.
+    Without a cone, f receives an (m, k) array of free-coordinate points.
+    With a cone of q >= 1 axes the domain is face x cone, split at k (see
+    :func:`integrate_box`): f(x, y) receives the face points x, (n_x, k),
+    and cone points y, (n_y, q), in the cone's axis order, and returns its
+    values over their product in x-major order; they are multiplied by the
+    Jacobian of the orthant map last.  As in :func:`integrate_box`, (L, m)
+    values give a list of L results.
     """
     if face.k < 1:
         raise ValueError("face must have at least one free axis")
     lo, hi = face.free_bounds()
-    return integrate_box(f, lo, hi, spec)
+    if cone is None:
+        return integrate_box(f, lo, hi, spec)
+    signs = cone.signs()
 
+    def mapped(x, s):
+        y, jac = _orthant_points(s, signs)
+        vals = np.asarray(f(x, y), dtype=float)
+        return (vals.reshape(*vals.shape[:-1], len(x), len(y)) * jac).reshape(vals.shape)
 
-def integrate_tail(u: float, g, spec: QuadSpec = QuadSpec()) -> QuadResult:
-    """Integrate g over [u, inf) via the rational tail map."""
-    tm = TailMap(origin=float(u))
-
-    def mapped(s):
-        s1 = s[:, 0]
-        return np.asarray(g(tm.map(s1)), dtype=float) * tm.weight(s1)
-
-    return integrate_box(mapped, [0.0], [1.0], spec)
+    q = cone.dim
+    return integrate_box(
+        mapped, np.r_[lo, np.zeros(q)], np.r_[hi, np.ones(q)], spec, split=face.k
+    )
 
 
 def integrate_cone(
@@ -297,33 +290,18 @@ def integrate_cone(
     in the cone's listed axis order; pass ``u=None`` to drop the x part.
     Dimension (x included) is capped at CONE_DIM_CAP.
     """
-    cdim = cone.dim
-    dims = cdim + (0 if u is None else 1)
+    has_x = u is not None
+    signs = np.r_[1.0, cone.signs()] if has_x else cone.signs()
+    dims = len(signs)
     if dims == 0:
         raise ValueError("nothing to integrate: empty cone and no x part")
     if dims > CONE_DIM_CAP:
-        raise CapabilityError(
-            f"cone integral dimension {dims} exceeds cap {CONE_DIM_CAP}; "
-            "use the Monte Carlo fallback"
-        )
-    signs = cone.signs()
-    has_x = u is not None
-    x_map = TailMap(origin=float(u)) if has_x else None
+        raise CapabilityError(f"cone integral dimension {dims} exceeds cap {CONE_DIM_CAP}")
 
     def mapped(s):
-        m = s.shape[0]
-        pts = np.empty((m, dims))
-        jac = np.ones(m)
-        col = 0
+        pts, jac = _orthant_points(s, signs)
         if has_x:
-            sx = s[:, 0]
-            pts[:, 0] = x_map.map(sx)
-            jac *= x_map.weight(sx)
-            col = 1
-        for i in range(cdim):
-            si = s[:, col + i]
-            pts[:, col + i] = signs[i] * si / (1.0 - si)
-            jac *= (1.0 - si) ** -2.0
+            pts[:, 0] += u
         return np.asarray(h(pts), dtype=float) * jac
 
     return integrate_box(mapped, np.zeros(dims), np.ones(dims), spec)

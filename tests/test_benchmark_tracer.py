@@ -16,7 +16,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 TRACED_RUN = """
-import contextlib, io, json, sys
+import collections, contextlib, io, json, sys
 sys.path.insert(0, {perfbench!r})
 sys.path.insert(0, {src!r})
 from tracer import Tracer
@@ -30,11 +30,10 @@ for request, argv in enumerate({commands!r}):
     tracer.request = request
     with contextlib.redirect_stdout(io.StringIO()):
         rcs.append(cli.main(argv))
-mvn = [0] * len(rcs)
+by_request = [collections.Counter() for _ in rcs]
 for name, _parent, request, *_ in tracer.spans:
-    if name == "gauss.mvn_prob":
-        mvn[request] += 1
-print(json.dumps({{"rcs": rcs, "summary": tracer.summary(), "mvn_by_request": mvn}}))
+    by_request[request][name] += 1
+print(json.dumps({{"rcs": rcs, "summary": tracer.summary(), "by_request": by_request}}))
 """
 
 
@@ -77,6 +76,8 @@ def test_traced_commands_reach_the_traced_names(tmp_path):
     ):
         assert spans.get(name, {}).get("calls", 0) >= 1, name
     # one orthant call per vertex of the square, for both levels at once
-    assert result["mvn_by_request"][0] == 4
+    assert result["by_request"][0]["gauss.mvn_prob"] == 4
+    # one face integral per edge (face x outward cone) and the interior
+    assert result["by_request"][0]["quad.integrate_face"] == 5
     # the coarse 9^2 sweep and the refined 17^2 sweep, 150 replicates each
     assert result["summary"]["counts"]["mc.grid_evals"] == 150 * (9**2 + 17**2)

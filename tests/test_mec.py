@@ -382,6 +382,17 @@ def test_mu_single_vertex_lower_bound():
     assert res.total >= gauss_tail(u / math.sqrt(m.variance(np.array([1.5]))))
 
 
+def test_mu_vertex_with_zero_variance_is_an_indicator():
+    # nu = 0 at the origin, so X there is 0 almost surely and its vertex
+    # term P(X >= u) is 1 up to u = 0 and 0 above
+    from excursion_kit.field import GaussianIncrementField
+
+    m = GaussianIncrementField(dim=2, scale=1.0, offset_var=0.0)
+    dom = RectDomain([0.0, 0.0], [1.0, 1.0])
+    ledgers = excursion_prob_mu(m, dom, [-1.0, 0.0, 1.0], SPEC)
+    assert [r.by_label()["0|{}|{1:0,2:0}"] for r in ledgers] == [1.0, 1.0, 0.0]
+
+
 def test_mu_totals_strictly_decreasing():
     dom = RectDomain([0.0, 0.0], [PI, PI])
     totals = [r.total for r in excursion_prob_mu(cosine(), dom, (5, 6, 7, 8), SPEC)]
