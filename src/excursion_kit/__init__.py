@@ -44,14 +44,12 @@ from .quad import (
 )
 from .field import (
     CosineField,
-    FaultInjectedField,
     FieldModel,
     GaussianIncrementField,
     SpectralSumField,
     check_h2,
     derivative_consistency,
     field_from_dict,
-    field_to_dict,
     max_variance,
 )
 from .mec import (
@@ -68,14 +66,10 @@ from .mec import (
 from .mc import (
     EcCount,
     GridSpec,
-    Realization,
     ec_oracle_2d,
     empirical_ec,
     empirical_sup_prob,
-    load_realization,
     mc_mean_ec,
-    sample_field,
-    save_realization,
 )
 
 __version__ = "0.1.0"

@@ -165,12 +165,13 @@ def build_config(data: dict, args: argparse.Namespace) -> RunConfig:
     model = field_from_dict(data["field"])
 
     dom = data.get("domain")
-    if not isinstance(dom, dict) or "lower" not in dom or "upper" not in dom:
-        raise ConfigError("config needs a 'domain' with lower/upper")
+    ends = [dom.get(k) for k in ("lower", "upper")] if isinstance(dom, dict) else [None]
+    if not all(isinstance(e, list) for e in ends):
+        raise ConfigError("config needs a 'domain' with lower/upper lists")
     try:
-        domain = RectDomain(dom["lower"], dom["upper"])
-    except (TypeError, ValueError) as exc:
-        # DomainError subclasses ValueError and already names the axis
+        domain = RectDomain(*([config_number(float, x, "domain endpoint") for x in e] for e in ends))
+    except DomainError as exc:
+        # it already names the axis
         raise ConfigError(str(exc)) from exc
     if domain.dim != model.dim:
         raise ConfigError(

@@ -11,8 +11,9 @@ offset variance sigma0^2.  All second-order structure follows:
     c(t)      = (1/2) grad nu(t)           (Cov(X(t), grad X(t)))
 
 Model methods are vectorised over leading axes: points have shape
-(..., N).  The concrete models are finite spectral sums (exactly
-simulable) and a Gaussian-bump variogram family.
+(..., N), and a point of another dimension is a DomainError.  The concrete
+models are finite spectral sums (exactly simulable) and a Gaussian-bump
+variogram family; ``field_from_dict`` builds either from its JSON form.
 
 What a face derives from these (theta_t^2, gamma_t^2, Lambda_J - Lambda_J(t),
 the outward-cone covariance) and its degeneracy policies are in mec.FaceContext.
@@ -28,6 +29,7 @@ import numpy as np
 
 from .errors import ConfigError, config_number
 from .geometry import (
+    DomainError,
     Face,
     RectDomain,
     embed_points,
@@ -47,7 +49,6 @@ __all__ = [
     "DerivativeReport",
     "derivative_consistency",
     "field_from_dict",
-    "field_to_dict",
 ]
 
 # most points per field evaluation in max_variance's scan and in
@@ -80,19 +81,28 @@ class FieldModel:
         return None
 
     # -- derived structure -------------------------------------------------
-    def variance(self, t) -> np.ndarray:
+    def _points(self, t) -> np.ndarray:
+        """t as a float array of points; DomainError unless its last axis
+        has the model's dimension."""
         t = np.asarray(t, dtype=float)
-        return self.offset_var + self._g(t)
+        if t.shape[-1:] != (self.dim,):
+            raise DomainError(
+                f"points of shape {t.shape} do not match the model dimension {self.dim}"
+            )
+        return t
+
+    def variance(self, t) -> np.ndarray:
+        return self.offset_var + self._g(self._points(t))
 
     def grad_variance(self, t) -> np.ndarray:
-        return self._g_grad(np.asarray(t, dtype=float))
+        return self._g_grad(self._points(t))
 
     def hess_variance(self, t) -> np.ndarray:
-        return self._g_hess(np.asarray(t, dtype=float))
+        return self._g_hess(self._points(t))
 
     def third_variance(self, t):
         """Third derivative tensor of nu, or None when not available."""
-        return self._g_third(np.asarray(t, dtype=float))
+        return self._g_third(self._points(t))
 
     @property
     def lambda_mat(self) -> np.ndarray:
@@ -101,7 +111,7 @@ class FieldModel:
 
     def lambda_at(self, t) -> np.ndarray:
         """Lambda(t) = (1/2) Hess g(t) = Cov(grad X(t+s), grad X(s))."""
-        return 0.5 * self._g_hess(np.asarray(t, dtype=float))
+        return 0.5 * self._g_hess(self._points(t))
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,38 +241,6 @@ class GaussianIncrementField(FieldModel):
         )
         triple = np.einsum("...i,...j,...l->...ijl", h, h, h)
         return (-8.0 / l2**2) * e[..., None, None, None] * (sym - 2.0 * triple / l2)
-
-
-@dataclass(frozen=True, eq=False)
-class FaultInjectedField(FieldModel):
-    """Wrapper that deliberately mis-scales the Hessian supplier.
-
-    Exists so the derivative-consistency validator can be shown to catch a
-    bad analytic derivative; never use it for actual computations.
-    """
-
-    base: FieldModel
-    hessian_scale: float = 1.25
-
-    @property
-    def dim(self) -> int:  # type: ignore[override]
-        return self.base.dim
-
-    @property
-    def offset_var(self) -> float:  # type: ignore[override]
-        return self.base.offset_var
-
-    def _g(self, h):
-        return self.base._g(h)
-
-    def _g_grad(self, h):
-        return self.base._g_grad(h)
-
-    def _g_hess(self, h):
-        return self.hessian_scale * self.base._g_hess(h)
-
-    def _g_third(self, h):
-        return self.base._g_third(h)
 
 
 # ---------------------------------------------------------------------------
@@ -542,12 +520,12 @@ def derivative_consistency(model: FieldModel, domain: RectDomain) -> DerivativeR
 
 
 # ---------------------------------------------------------------------------
-# Serialization
+# JSON field specs
 # ---------------------------------------------------------------------------
 
 
 def field_from_dict(d: dict[str, Any]) -> FieldModel:
-    """Build a model from its JSON dict form (see field_to_dict)."""
+    """Build a model from its JSON spec: type cosine, spectral_sum or gaussian_increment."""
     if not isinstance(d, dict) or "type" not in d:
         raise ConfigError("field spec must be an object with a 'type' key")
     kind = d["type"]
@@ -585,42 +563,4 @@ def field_from_dict(d: dict[str, Any]) -> FieldModel:
             scale=config_number(float, d.get("scale", 1.0), "scale"),
             offset_var=config_number(float, d.get("offset_var", 0.0), "offset_var"),
         )
-    if kind == "fault_injection":
-        extra = set(d) - {"type", "base", "hessian_scale"}
-        if extra:
-            raise ConfigError(f"unexpected keys for fault_injection: {sorted(extra)}")
-        if "base" not in d:
-            raise ConfigError("fault_injection needs a 'base' field spec")
-        return FaultInjectedField(
-            base=field_from_dict(d["base"]),
-            hessian_scale=config_number(float, d.get("hessian_scale", 1.25), "hessian_scale"),
-        )
     raise ConfigError(f"unknown field type {kind!r}")
-
-
-def field_to_dict(model: FieldModel) -> dict[str, Any]:
-    if isinstance(model, FaultInjectedField):
-        return {
-            "type": "fault_injection",
-            "base": field_to_dict(model.base),
-            "hessian_scale": model.hessian_scale,
-        }
-    if isinstance(model, CosineField):
-        return {"type": "cosine"}
-    if isinstance(model, SpectralSumField):
-        return {
-            "type": "spectral_sum",
-            "atoms": [
-                {"freq": list(map(float, f)), "weight": float(w)}
-                for f, w in zip(model.freqs, model.weights)
-            ],
-            "offset_var": model.offset_var,
-        }
-    if isinstance(model, GaussianIncrementField):
-        return {
-            "type": "gaussian_increment",
-            "dim": model.dim,
-            "scale": model.scale,
-            "offset_var": model.offset_var,
-        }
-    raise ConfigError(f"cannot serialise model of type {type(model).__name__}")

@@ -1,6 +1,6 @@
 """Monte Carlo oracle: exact grid simulation, sup probabilities, Euler counts.
 
-Finite spectral-sum fields admit exact simulation: a realization is
+Finite spectral-sum fields admit exact simulation: a replicate is
 
     X(t) = sigma0 xi0 + sum_m sqrt(w_m) [xi_m (cos<t,f_m> - 1) + xi'_m sin<t,f_m>]
 
@@ -8,7 +8,8 @@ with iid standard normals drawn once per replicate from a counter-based
 Philox stream keyed by (seed, replicate); one bit generator per chunk of
 replicates is re-keyed for each of them.  Coefficient layout is fixed as
 [xi0, xi_1, xi'_1, xi_2, xi'_2, ...]; regenerating a replicate is therefore
-bit-identical, independent of chunking or thread count.
+bit-identical, independent of chunking or thread count.  ``_sweep`` is the
+one place that forms grid values; no replicate's values outlive its tile.
 
 The grid maximum of a replicate does not depend on the level, so one sweep
 over a grid serves every level: each chunk draws its coefficients once, then
@@ -31,9 +32,7 @@ rasterization) and serves as the cross-check oracle.
 from __future__ import annotations
 
 import itertools
-import json
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -46,15 +45,11 @@ from .geometry import RectDomain
 
 __all__ = [
     "GridSpec",
-    "Realization",
     "EcCount",
-    "sample_field",
     "empirical_sup_prob",
     "empirical_ec",
     "mc_mean_ec",
     "ec_oracle_2d",
-    "save_realization",
-    "load_realization",
 ]
 
 # replicates per work item, and the largest value tile one GEMM writes (one
@@ -106,26 +101,9 @@ class GridSpec:
 
 
 @dataclass(frozen=True)
-class Realization:
-    grid: GridSpec
-    values: np.ndarray
-    seed: int
-    replicate: int
-
-
-@dataclass(frozen=True)
 class EcCount:
     n_d: tuple[int, ...]
     chi: int
-
-
-def _require_spectral(model: FieldModel) -> SpectralSumField:
-    if not isinstance(model, SpectralSumField):
-        raise CapabilityError(
-            f"exact simulation needs a finite spectral sum; "
-            f"{type(model).__name__} is not one"
-        )
-    return model
 
 
 def _coefficients(model: SpectralSumField, seed: int, start: int, stop: int) -> np.ndarray:
@@ -156,19 +134,6 @@ def _basis(model: SpectralSumField, pts: np.ndarray) -> np.ndarray:
     out[1::2] = (np.cos(phases) - 1.0).T
     out[2::2] = np.sin(phases).T
     return out
-
-
-def sample_field(
-    model: FieldModel, grid: GridSpec, seed: int, replicate: int
-) -> Realization:
-    """One exact realization on the grid, keyed by (seed, replicate)."""
-    sp = _require_spectral(model)
-    if grid.domain.dim != sp.dim:
-        raise ConfigError("grid dimension does not match the model")
-    basis = _basis(sp, grid.points())
-    coefs = _coefficients(sp, seed, replicate, replicate + 1)[0]
-    values = (coefs @ basis).reshape(grid.shape)
-    return Realization(grid=grid, values=values, seed=int(seed), replicate=int(replicate))
 
 
 # ---------------------------------------------------------------------------
@@ -220,14 +185,9 @@ def _check_ec_dim(ndim: int) -> None:
 
 
 def empirical_ec(values, u: float) -> EcCount:
-    """Euler characteristic of the thresholded grid via cubical cell counts.
-
-    Accepts a Realization or a plain value array of dimension 1, 2, or 3.
-    """
-    if isinstance(values, Realization):
-        arr = values.values
-    else:
-        arr = np.asarray(values)
+    """Euler characteristic of the thresholded grid via cubical cell counts,
+    for a value array of dimension 1, 2, or 3."""
+    arr = np.asarray(values)
     _check_ec_dim(arr.ndim)
     counts = [int(c) for c in _cell_counts(arr >= u, arr.ndim)]
     return EcCount(n_d=tuple(counts), chi=_euler(counts))
@@ -269,18 +229,23 @@ def ec_oracle_2d(mask) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _checked(
-    model: FieldModel, domain: RectDomain, grid, reps: int
-) -> tuple[SpectralSumField, GridSpec]:
-    """The spectral model and the grid on ``domain``, once reps >= 100."""
-    sp = _require_spectral(model)
+def _checked(model: FieldModel, domain: RectDomain, grid, reps: int) -> GridSpec:
+    """The grid on ``domain``, once the model is a finite spectral sum
+    (CapabilityError), the domain has its dimension (DomainError) and
+    reps >= 100."""
+    if not isinstance(model, SpectralSumField):
+        raise CapabilityError(
+            f"exact simulation needs a finite spectral sum; "
+            f"{type(model).__name__} is not one"
+        )
+    model._points(domain.lower)
     if not isinstance(grid, GridSpec):
         grid = GridSpec(domain, grid)
     elif grid.domain != domain:
         raise ConfigError("grid was built on a different domain")
     if reps < 100:
         raise ConfigError("need at least 100 replicates")
-    return sp, grid
+    return grid
 
 
 def _chunk_ranges(reps: int) -> list[tuple[int, int]]:
@@ -362,8 +327,7 @@ def empirical_sup_prob(
     The discrete maximum underestimates the continuous supremum; the bias
     shrinks with grid refinement (see mc_mean_ec).
     """
-    sp, gs = _checked(model, domain, grid, reps)
-    return _sweep(sp, gs, seed, reps, levels, threads)
+    return _sweep(model, _checked(model, domain, grid, reps), seed, reps, levels, threads)
 
 
 def mc_mean_ec(
@@ -387,10 +351,10 @@ def mc_mean_ec(
     than the combined MC error.  Every input is checked before the first
     sweep.
     """
-    sp, gs = _checked(model, domain, grid, reps)
+    gs = _checked(model, domain, grid, reps)
     _check_ec_dim(domain.dim)
     fine = GridSpec(domain, tuple(2 * p - 1 for p in gs.points_per_axis))
-    coarse = _sweep(sp, gs, seed, reps, levels, threads, ec=True)
+    coarse = _sweep(model, gs, seed, reps, levels, threads, ec=True)
     refined = empirical_sup_prob(model, domain, levels, fine, reps, seed, threads=threads)
     return [
         {
@@ -406,72 +370,3 @@ def mc_mean_ec(
         }
         for (p1, s1, mean_chi, chi_se), (p2, s2) in zip(coarse, refined)
     ]
-
-
-# ---------------------------------------------------------------------------
-# Binary export
-# ---------------------------------------------------------------------------
-
-
-def save_realization(real: Realization, path: str) -> str:
-    """Write row-major little-endian float64 values plus a JSON sidecar.
-
-    The sidecar lives at path + ".json" and records grid shape, domain, and
-    seed lineage so the file is self-describing.  Returns the sidecar path.
-    """
-    values = np.ascontiguousarray(real.values, dtype="<f8")
-    with open(path, "wb") as fh:
-        fh.write(values.tobytes())
-    header = {
-        "shape": list(real.grid.shape),
-        "domain": {
-            "lower": list(real.grid.domain.lower),
-            "upper": list(real.grid.domain.upper),
-        },
-        "seed": real.seed,
-        "replicate": real.replicate,
-        "dtype": "<f8",
-        "order": "C",
-    }
-    sidecar = path + ".json"
-    with open(sidecar, "w", encoding="utf-8") as fh:
-        json.dump(header, fh, indent=2)
-        fh.write("\n")
-    return sidecar
-
-
-def load_realization(path: str) -> Realization:
-    """Inverse of save_realization; values are bit-identical.
-
-    Raises ConfigError unless the sidecar is a JSON object that records
-    dtype '<f8', order 'C', integer shape, seed and replicate, and a domain
-    with lower < upper on every axis, and the data file holds exactly the
-    values its shape needs.
-    """
-    sidecar = path + ".json"
-    if not os.path.exists(sidecar):
-        raise ConfigError(f"missing sidecar header {sidecar}")
-    with open(sidecar, "r", encoding="utf-8") as fh:
-        try:
-            header = json.load(fh)
-        except ValueError as exc:
-            raise ConfigError(f"{sidecar}: not valid JSON") from exc
-    if not isinstance(header, dict):
-        raise ConfigError(f"{sidecar}: header must be a JSON object")
-    if header.get("dtype") != "<f8" or header.get("order") != "C":
-        raise ConfigError(f"{sidecar}: only dtype '<f8' in order 'C' can be read")
-    shape, seed, replicate = (header.get(k) for k in ("shape", "seed", "replicate"))
-    ints = [*shape, seed, replicate] if isinstance(shape, list) else [shape]
-    if any(isinstance(v, bool) or not isinstance(v, int) for v in ints):
-        raise ConfigError(f"{sidecar}: shape, seed and replicate must be integers")
-    try:
-        domain = RectDomain(header["domain"]["lower"], header["domain"]["upper"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(
-            f"{sidecar}: domain needs finite lower and upper lists with lower < upper"
-        ) from exc
-    grid = GridSpec(domain, shape)
-    values = np.fromfile(path, dtype="<f8")
-    if values.size != grid.n_points:
-        raise ConfigError(f"{path} holds {values.size} values; its shape needs {grid.n_points}")
-    return Realization(grid=grid, values=values.reshape(grid.shape), seed=seed, replicate=replicate)

@@ -122,12 +122,14 @@ class FaceContext:
     """Constant blocks and vectorised point evaluation for one face, from a
     vertex (k = 0: theta^2 = nu and b = c) to the interior.
 
+    DomainError when the face's domain and the model differ in dimension;
     DegenerateModelError when Lambda_J or Lambda has a condition number
     beyond COND_CAP; ModelInconsistencyError when theta^2 or gamma^2 falls
     below -NEG_TOL (smaller negatives are clamped to zero).
     """
 
     def __init__(self, model: FieldModel, face: Face):
+        model._points(face.domain.lower)
         self.model = model
         self.face = face
         self.k = face.k
@@ -424,6 +426,11 @@ class ConditionReport:
     violations: tuple[tuple[Face, tuple[float, ...], tuple[float, ...]], ...]
 
 
+def _flat(pinned_grads) -> np.ndarray:
+    """Per pinned direction j, whether nu is flat there: |dnu/dt_j| <= GRAD_ZERO_TOL."""
+    return np.abs(pinned_grads) <= GRAD_ZERO_TOL
+
+
 def condition_check(model: FieldModel, domain: RectDomain) -> ConditionReport:
     """Check the boundary-maximum regularity condition face by face.
 
@@ -431,7 +438,7 @@ def condition_check(model: FieldModel, domain: RectDomain) -> ConditionReport:
     three local maxima of each face's closure.  A point violates the
     condition when, after polishing, nu there is within CONDITION_VAR_TOL
     of sigma_T^2, the point lies in the open face it was polished on, and
-    some pinned-direction derivative vanishes (|nu_j| < GRAD_ZERO_TOL).
+    some pinned-direction derivative is flat (_flat).
     Each distinct point is reported once, as (face, point, pinned
     derivatives).  The interior face has no pinned directions and never
     violates.
@@ -448,7 +455,7 @@ def condition_check(model: FieldModel, domain: RectDomain) -> ConditionReport:
         ):
             continue
         gf = model.grad_variance(t)[list(fc.fixed)]
-        if np.any(np.abs(gf) < GRAD_ZERO_TOL):
+        if np.any(_flat(gf)):
             violations.append((fc, tuple(map(float, t)), tuple(map(float, gf))))
     return ConditionReport(
         satisfied=not violations, sigma_sq=mv.sigma_sq, violations=tuple(violations)
@@ -574,17 +581,18 @@ def prepare_laplace_inputs(model: FieldModel, domain: RectDomain) -> LaplaceInpu
     host = mv.face
     k = host.k
     grad = model.grad_variance(t0)
-    fg = np.abs(np.array([grad[j] for j in host.fixed]))
+    pinned = grad[list(host.fixed)]
+    flat = _flat(pinned)
     if k == domain.dim:
         classification = CLASS_INTERIOR
-    elif fg.size and np.all(fg > GRAD_ZERO_TOL):
+    elif not flat.any():
         classification = CLASS_CORNER if k == 0 else CLASS_FACE
-    elif np.all(fg <= GRAD_ZERO_TOL):
+    elif flat.all():
         classification = CLASS_FACE
     else:
         raise ClassificationError(
             "mixed zero/nonzero pinned-direction derivatives at the maximizer: "
-            f"|nu_j| = {fg.tolist()} on face {face_label(host)}"
+            f"|nu_j| = {np.abs(pinned).tolist()} on face {face_label(host)}"
         )
     theta_hess = (
         _face_tau_hess(model, host, t0, "Theta at the maximizer")
@@ -651,8 +659,8 @@ def _laplace_factors(
     host_f = _laplace_face_factor(host_ctx, t0, inputs.theta_hess)
     # an interior or regular boundary maximum has the host term alone
     contrib = {host: (host_f,)}
-    pinned = np.abs(inputs.grad_nu[list(host.fixed)])
-    if pinned.size and np.all(pinned <= GRAD_ZERO_TOL):
+    flat = _flat(inputs.grad_nu[list(host.fixed)])
+    if flat.size and flat.all():
         # flat maximizer: host term with its orthant factor plus every
         # higher face whose closure contains t0
         orth = _orthant_given_free(host_ctx, _face_seed(seed, 0))

@@ -167,8 +167,8 @@ def test_04_monte_carlo_agrees_with_analytic():
 
     # the coarse sweep of mc_mean_ec alone: its refined sup probability is
     # not checked here
-    sp, grid = mc._checked(cosine(), dom, 128, 100_000)
-    [(_, _, mean_chi, chi_se)] = mc._sweep(sp, grid, 3, 100_000, [2.5], 4, ec=True)
+    grid = mc._checked(cosine(), dom, 128, 100_000)
+    [(_, _, mean_chi, chi_se)] = mc._sweep(cosine(), grid, 3, 100_000, [2.5], 4, ec=True)
     want = mean_euler_characteristic(cosine(), dom, [2.5], SPEC)[0].total
     tol = 3 * chi_se + 0.05 * abs(want)
     if abs(mean_chi - want) > tol:

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from excursion_kit import cli, mec
+from excursion_kit.field import CosineField
 from excursion_kit.gauss import gauss_tail
 
 PI = math.pi
-FAULTY_COSINE = {"type": "fault_injection", "base": {"type": "cosine"}}
 
 
 def write_config(tmp_path, name="run.json", **overrides):
@@ -101,8 +101,8 @@ def test_bad_domain_is_config_error(tmp_path, capsys):
         ({"levels": [math.nan]}, []),
         ({"levels": [2.0, math.inf]}, []),
         ({"quad": {"max_subdivisions": 3}}, []),
-        ({"field": {**FAULTY_COSINE, "hessian_scale": "x"}}, []),
-        ({"field": {**FAULTY_COSINE, "hessian_scale": [1]}}, []),
+        ({"domain": {"lower": "00", "upper": "33"}}, []),
+        ({"domain": {"lower": [True, 0.0], "upper": [PI, PI]}}, []),
         ({"field": {"type": "gaussian_increment", "dim": 2.5}}, []),
         ({"out": 7}, []),
         ({"report": 1}, []),
@@ -413,12 +413,16 @@ def test_validate_default_config_passes(capsys):
     } == names
 
 
-def test_validate_flags_bad_hessian(tmp_path, capsys):
-    cfg = write_config(
-        tmp_path,
-        field={"type": "fault_injection", "base": {"type": "cosine"}, "hessian_scale": 1.3},
-        domain={"lower": [0.0, 0.0], "upper": [PI / 2, PI / 2]},
-    )
+class BadHessianCosine(CosineField):
+    """The cosine field with its analytic Hessian scaled by 1.3."""
+
+    def _g_hess(self, h):
+        return 1.3 * super()._g_hess(h)
+
+
+def test_validate_flags_bad_hessian(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "field_from_dict", lambda spec: BadHessianCosine())
+    cfg = write_config(tmp_path, domain={"lower": [0.0, 0.0], "upper": [PI / 2, PI / 2]})
     code, out = run(capsys, ["validate", "--config", cfg])
     assert code == 5
     assert any(

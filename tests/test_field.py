@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -10,16 +11,16 @@ import excursion_kit.field as field
 from excursion_kit.errors import ConfigError, DegenerateModelError
 from excursion_kit.field import (
     CosineField,
-    FaultInjectedField,
+    FieldModel,
     GaussianIncrementField,
     SpectralSumField,
     check_h2,
     derivative_consistency,
     field_from_dict,
-    field_to_dict,
     max_variance,
 )
 from excursion_kit.geometry import (
+    DomainError,
     Face,
     RectDomain,
     embed_points,
@@ -27,13 +28,50 @@ from excursion_kit.geometry import (
     face_label,
     face_of_point,
 )
-from excursion_kit.mec import FaceContext
+from excursion_kit.mc import empirical_sup_prob, mc_mean_ec
+from excursion_kit.mec import (
+    FaceContext,
+    condition_check,
+    excursion_prob_mu,
+    laplace_mec_result,
+    mean_euler_characteristic,
+    prepare_laplace_inputs,
+)
 
 PI = math.pi
 
 
 def cosine():
     return CosineField()
+
+
+@dataclass(frozen=True, eq=False)
+class FaultInjectedField(FieldModel):
+    """A base model with a deliberately mis-scaled analytic Hessian, for
+    showing that the derivative checks catch a bad derivative."""
+
+    base: FieldModel
+    hessian_scale: float = 1.25
+
+    @property
+    def dim(self) -> int:
+        return self.base.dim
+
+    @property
+    def offset_var(self) -> float:
+        return self.base.offset_var
+
+    def _g(self, h):
+        return self.base._g(h)
+
+    def _g_grad(self, h):
+        return self.base._g_grad(h)
+
+    def _g_hess(self, h):
+        return self.hessian_scale * self.base._g_hess(h)
+
+    def _g_third(self, h):
+        return self.base._g_third(h)
 
 
 def interior_face(dom):
@@ -105,6 +143,38 @@ def test_third_variance_matches_hessian_differences(model):
             e[j] = h
             fd[..., j] = (ref.hess_variance(t + e) - ref.hess_variance(t - e)) / (2 * h)
         assert np.allclose(third, fd, rtol=0, atol=1e-8)
+
+
+SPECTRAL3 = SpectralSumField(freqs=np.eye(3), weights=np.full(3, 0.5))
+# every library entry that takes a model and a domain, plus the point methods
+DIMENSION_ENTRIES = {
+    "variance": lambda m, d: m.variance(d.lower),
+    "lambda_at": lambda m, d: m.lambda_at(d.upper),
+    "mean_euler_characteristic": lambda m, d: mean_euler_characteristic(m, d, [3.0]),
+    "excursion_prob_mu": lambda m, d: excursion_prob_mu(m, d, [3.0]),
+    "laplace_mec_result": lambda m, d: laplace_mec_result(m, d, [3.0]),
+    "condition_check": condition_check,
+    "prepare_laplace_inputs": prepare_laplace_inputs,
+    "max_variance": max_variance,
+    "check_h2": check_h2,
+    "derivative_consistency": derivative_consistency,
+    "mc_mean_ec": lambda m, d: mc_mean_ec(m, d, [3.0], 5, 100),
+    "empirical_sup_prob": lambda m, d: empirical_sup_prob(m, d, [3.0], 5, 100),
+}
+
+
+@pytest.mark.parametrize(
+    "model, domain",
+    [
+        (CosineField(), RectDomain([0.0] * 3, [1.0] * 3)),
+        (SPECTRAL3, RectDomain([0.0] * 2, [1.0] * 2)),
+    ],
+    ids=["2d_model_3d_domain", "3d_model_2d_domain"],
+)
+@pytest.mark.parametrize("entry", list(DIMENSION_ENTRIES.values()), ids=list(DIMENSION_ENTRIES))
+def test_dimension_mismatch_is_a_domain_error(entry, model, domain):
+    with pytest.raises(DomainError, match="model dimension"):
+        entry(model, domain)
 
 
 @st.composite
@@ -363,18 +433,26 @@ def test_max_variance_ties_polish_the_lowest_grid_index(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def test_field_dict_round_trip():
-    for model in (
-        cosine(),
-        GaussianIncrementField(dim=3, scale=0.7, offset_var=0.2),
-        SpectralSumField(
-            freqs=np.array([[1.0, 0.5]]), weights=np.array([0.4]), offset_var=0.1
-        ),
-        FaultInjectedField(cosine(), 1.1),
-    ):
-        d = field_to_dict(model)
-        back = field_from_dict(d)
-        assert field_to_dict(back) == d
+def test_field_from_dict_builds_each_model_type():
+    assert isinstance(field_from_dict({"type": "cosine"}), CosineField)
+    sp = field_from_dict(
+        {
+            "type": "spectral_sum",
+            "atoms": [{"freq": [1.0, 0.5], "weight": 0.4}, {"freq": [0, 2], "weight": 1}],
+            "offset_var": 0.1,
+        }
+    )
+    assert type(sp) is SpectralSumField
+    assert np.array_equal(sp.freqs, [[1.0, 0.5], [0.0, 2.0]])
+    assert np.array_equal(sp.weights, [0.4, 1.0])
+    assert sp.offset_var == 0.1
+    one_atom = {"type": "spectral_sum", "atoms": [{"freq": [1], "weight": 1}]}
+    assert field_from_dict(one_atom).offset_var == 1.0
+    gi = field_from_dict(
+        {"type": "gaussian_increment", "dim": 3, "scale": 0.7, "offset_var": 0.2}
+    )
+    assert gi == GaussianIncrementField(dim=3, scale=0.7, offset_var=0.2)
+    assert field_from_dict({"type": "gaussian_increment"}) == GaussianIncrementField(dim=1)
 
 
 def test_field_from_dict_rejects_junk():

@@ -1,5 +1,4 @@
 import itertools
-import json
 import math
 import tracemalloc
 
@@ -15,14 +14,10 @@ from excursion_kit.field import CosineField, GaussianIncrementField, SpectralSum
 from excursion_kit.geometry import RectDomain
 from excursion_kit.mc import (
     GridSpec,
-    Realization,
     ec_oracle_2d,
     empirical_ec,
     empirical_sup_prob,
-    load_realization,
     mc_mean_ec,
-    sample_field,
-    save_realization,
 )
 
 PI = math.pi
@@ -39,6 +34,13 @@ def block_mask(shape, ones_slices):
     return m
 
 
+def sweep_values(model, grid, seed, reps):
+    """Values of replicates 0..reps-1 on the grid, shape (reps, *grid.shape),
+    formed as the sweep forms its tiles: coefficient rows times the basis."""
+    rows = mc_mod._coefficients(model, seed, 0, reps) @ mc_mod._basis(model, grid.points())
+    return rows.reshape((reps,) + grid.shape)
+
+
 # ---------------------------------------------------------------------------
 # distributional checks on the simulator
 # ---------------------------------------------------------------------------
@@ -48,26 +50,16 @@ def test_value_at_origin_is_offset_coefficient():
     # every basis function except the constant vanishes at t = 0
     grid = GridSpec(RectDomain([0.0, 0.0], [PI, PI]), 3)
     model = cosine()
-    for rep in range(5):
-        real = sample_field(model, grid, seed=11, replicate=rep)
-        x0 = real.values[0, 0]
-        # regenerating with the same key must reproduce the same draw
-        again = sample_field(model, grid, seed=11, replicate=rep)
-        assert again.values[0, 0] == x0
+    vals = sweep_values(model, grid, 11, 4000)[:, 0, 0]
+    assert np.array_equal(vals, mc_mod._coefficients(model, 11, 0, 4000)[:, 0])
     # the marginal there has variance offset_var; check against a wide band
-    vals = np.array(
-        [sample_field(model, grid, 11, r).values[0, 0] for r in range(4000)]
-    )
     assert abs(vals.var() - model.offset_var) < 0.15
 
 
 def test_pointwise_variance_matches_model():
     # at (pi, pi) the cosine-field variance peaks at 5
     grid = GridSpec(RectDomain([0.0, 0.0], [PI, PI]), 3)
-    model = cosine()
-    vals = np.array(
-        [sample_field(model, grid, 7, r).values[2, 2] for r in range(20000)]
-    )
+    vals = sweep_values(cosine(), grid, 7, 20000)[:, 2, 2]
     assert vals.var() == pytest.approx(5.0, abs=0.2)
     assert abs(vals.mean()) < 0.07
 
@@ -90,31 +82,31 @@ def test_pairwise_covariance_matches_model():
             )
         return acc
 
-    xs = np.empty(30000)
-    ys = np.empty(30000)
-    for r in range(30000):
-        v = sample_field(model, grid, 21, r).values
-        xs[r] = v[1, 2]  # (1.0, 1.0)
-        ys[r] = v[2, 1]  # (2.0, 0.5)
+    v = sweep_values(model, grid, 21, 30000)
+    xs = v[:, 1, 2]  # (1.0, 1.0)
+    ys = v[:, 2, 1]  # (2.0, 0.5)
     emp = float(np.mean(xs * ys))
     assert emp == pytest.approx(cov_theory(t, s), abs=0.08)
 
 
 def test_replicates_differ_and_are_reproducible():
+    # replicate r is keyed by (seed, r): drawn alone or in a block of rows,
+    # its coefficients are the same bits
+    model = cosine()
     grid = GridSpec(RectDomain([0.0, 0.0], [PI, PI]), 9)
-    a = sample_field(cosine(), grid, 3, 0)
-    b = sample_field(cosine(), grid, 3, 1)
-    c = sample_field(cosine(), grid, 3, 0)
-    assert not np.array_equal(a.values, b.values)
-    assert np.array_equal(a.values, c.values)
-    d = sample_field(cosine(), grid, 4, 0)
-    assert not np.array_equal(a.values, d.values)
+    rows = mc_mod._coefficients(model, 3, 0, 8)
+    for r in range(8):
+        assert np.array_equal(mc_mod._coefficients(model, 3, r, r + 1)[0], rows[r])
+    vals = sweep_values(model, grid, 3, 8)
+    assert len({v.tobytes() for v in vals}) == 8
+    other_seed = sweep_values(model, grid, 4, 1)
+    assert not np.array_equal(vals[0], other_seed[0])
 
 
 def test_non_spectral_model_rejected():
-    grid = GridSpec(RectDomain([0.0], [1.0]), 5)
+    model = GaussianIncrementField(dim=1, scale=1.0, offset_var=0.5)
     with pytest.raises(CapabilityError):
-        sample_field(GaussianIncrementField(dim=1, scale=1.0, offset_var=0.5), grid, 0, 0)
+        empirical_sup_prob(model, RectDomain([0.0], [1.0]), [1.0], 5, 100)
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +178,8 @@ def test_ec_dimension_cap():
 
 def test_ec_threshold_uses_realization_values():
     grid = GridSpec(RectDomain([0.0, 0.0], [PI, PI]), 17)
-    real = sample_field(cosine(), grid, 5, 0)
-    out = empirical_ec(real, -50.0)
+    [values] = sweep_values(cosine(), grid, 5, 1)
+    out = empirical_ec(values, -50.0)
     assert out.chi == 1  # everything exceeds a very low level
 
 
@@ -435,124 +427,6 @@ def test_mc_mean_ec_sane_at_low_level():
     [row] = mc_mean_ec(cosine(), dom, [-40.0], 9, 120, seed=2)
     assert row["mean_chi"] == 1.0
     assert row["chi_stderr"] == 0.0
-
-
-# ---------------------------------------------------------------------------
-# binary export
-# ---------------------------------------------------------------------------
-
-
-def test_save_load_round_trip(tmp_path):
-    grid = GridSpec(RectDomain([0.0, 0.5], [PI, 2.0]), (9, 7))
-    real = sample_field(cosine(), grid, 13, 2)
-    path = str(tmp_path / "field.bin")
-    sidecar = save_realization(real, path)
-    assert sidecar == path + ".json"
-
-    back = load_realization(path)
-    assert np.array_equal(back.values, real.values)
-    assert back.values.dtype == np.dtype("<f8")
-    assert back.grid.points_per_axis == (9, 7)
-    assert np.allclose(back.grid.domain.lower, [0.0, 0.5])
-    assert np.allclose(back.grid.domain.upper, [PI, 2.0])
-    assert back.seed == 13 and back.replicate == 2
-
-    raw = np.fromfile(path, dtype="<f8").reshape(9, 7)
-    assert np.array_equal(raw, real.values)  # row-major float64, no header
-
-
-def test_save_sidecar_fields(tmp_path):
-    import json
-
-    grid = GridSpec(RectDomain([0.0], [1.0]), 5)
-    real = sample_field(cosine_1d(), grid, 1, 0)
-    path = str(tmp_path / "line.bin")
-    with open(save_realization(real, path), encoding="utf-8") as fh:
-        header = json.load(fh)
-    assert header == {
-        "shape": [5],
-        "domain": {"lower": [0.0], "upper": [1.0]},
-        "seed": 1,
-        "replicate": 0,
-        "dtype": "<f8",
-        "order": "C",
-    }
-
-
-def cosine_1d():
-    return SpectralSumField(
-        freqs=np.array([[1.0]]), weights=np.array([0.5]), offset_var=1.0
-    )
-
-
-def test_load_requires_sidecar(tmp_path):
-    path = str(tmp_path / "orphan.bin")
-    np.zeros(4).tofile(path)
-    with pytest.raises(ConfigError):
-        load_realization(path)
-
-
-def saved_realization(tmp_path):
-    grid = GridSpec(RectDomain([0.0, 0.5], [PI, 2.0]), (9, 7))
-    path = str(tmp_path / "field.bin")
-    return path, save_realization(sample_field(cosine(), grid, 13, 2), path)
-
-
-MISSING = object()
-
-
-@pytest.mark.parametrize(
-    "key, value",
-    [
-        pytest.param("dtype", ">f8", id="big-endian"),
-        pytest.param("dtype", MISSING, id="no-dtype"),
-        pytest.param("order", "F", id="fortran-order"),
-        pytest.param("shape", [9, 8], id="shape-too-large"),
-        pytest.param("shape", [9.0, 7], id="float-shape"),
-        pytest.param("shape", "9x7", id="string-shape"),
-        pytest.param("shape", MISSING, id="no-shape"),
-        pytest.param("seed", "abc", id="string-seed"),
-        pytest.param("seed", 1.5, id="float-seed"),
-        pytest.param("seed", True, id="boolean-seed"),
-        pytest.param("seed", MISSING, id="no-seed"),
-        pytest.param("replicate", "2", id="string-replicate"),
-        pytest.param("replicate", MISSING, id="no-replicate"),
-        pytest.param(None, '{"shape": [9, 7],', id="not-json"),
-        pytest.param(None, "[9, 7]", id="json-list"),
-        pytest.param("domain", MISSING, id="no-domain"),
-        pytest.param("domain", "x", id="string-domain"),
-        pytest.param("domain", {"upper": [PI, 2.0]}, id="domain-without-lower"),
-        pytest.param(
-            "domain", {"lower": [0.0, 2.0], "upper": [PI, 2.0]}, id="domain-lower-not-below-upper"
-        ),
-    ],
-)
-def test_load_rejects_malformed_sidecar(tmp_path, key, value):
-    # key None replaces the whole sidecar text with value
-    path, sidecar = saved_realization(tmp_path)
-    with open(sidecar, encoding="utf-8") as fh:
-        header = json.load(fh)
-    if key is None:
-        text = value
-    else:
-        if value is MISSING:
-            del header[key]
-        else:
-            header[key] = value
-        text = json.dumps(header)
-    with open(sidecar, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    with pytest.raises(ConfigError):
-        load_realization(path)
-
-
-@pytest.mark.parametrize("extra", [1, -1])
-def test_load_rejects_data_of_another_size(tmp_path, extra):
-    path, _ = saved_realization(tmp_path)
-    values = np.fromfile(path, dtype="<f8")
-    np.resize(values, values.size + extra).astype("<f8").tofile(path)
-    with pytest.raises(ConfigError):
-        load_realization(path)
 
 
 # ---------------------------------------------------------------------------
