@@ -69,12 +69,13 @@ class QuadratureWarning(UserWarning):
 
 
 def config_number(kind, value, what: str):
-    """kind(value) for a config or flag value; ConfigError when it does not
-    convert, when it is a JSON boolean, or when an int setting is given a
-    non-integral number."""
+    """kind(value) for a config or flag value; ConfigError unless value is
+    a number (an int or a float, not a bool: a JSON string that spells a
+    number is not one), or when an int setting is given a non-integral
+    number."""
     try:
-        if isinstance(value, bool):
-            raise TypeError("boolean")
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise TypeError("not a number")
         out = kind(value)
         if kind is int and isinstance(value, float) and out != value:
             raise ValueError("not integral")

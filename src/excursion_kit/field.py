@@ -60,8 +60,8 @@ POINT_BLOCK = 2**15
 class FieldModel:
     """Base class: derives all second-order quantities from the variogram.
 
-    Subclasses implement _g, _g_grad, _g_hess (vectorised over (..., N))
-    and may implement _g_third for analytic third derivatives.
+    Subclasses implement _g, _g_grad, _g_hess and _g_third, vectorised
+    over (..., N).
     """
 
     dim: int
@@ -77,8 +77,8 @@ class FieldModel:
     def _g_hess(self, h: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _g_third(self, h: np.ndarray):
-        return None
+    def _g_third(self, h: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
 
     # -- derived structure -------------------------------------------------
     def _points(self, t) -> np.ndarray:
@@ -100,8 +100,8 @@ class FieldModel:
     def hess_variance(self, t) -> np.ndarray:
         return self._g_hess(self._points(t))
 
-    def third_variance(self, t):
-        """Third derivative tensor of nu, or None when not available."""
+    def third_variance(self, t) -> np.ndarray:
+        """Third derivative tensor of nu, shape (..., N, N, N)."""
         return self._g_third(self._points(t))
 
     @property
@@ -478,20 +478,25 @@ DERIV_RTOL = 1e-5
 class DerivativeReport:
     max_grad_err: float
     max_hess_err: float
+    max_third_err: float
     rtol: float
 
     @property
     def passed(self) -> bool:
-        return self.max_grad_err <= self.rtol and self.max_hess_err <= self.rtol
+        return all(
+            err <= self.rtol
+            for err in (self.max_grad_err, self.max_hess_err, self.max_third_err)
+        )
 
 
 def derivative_consistency(model: FieldModel, domain: RectDomain) -> DerivativeReport:
-    """Central finite differences of nu versus grad_variance / hess_variance.
+    """Central finite differences of nu, grad_variance and hess_variance
+    versus grad_variance, hess_variance and third_variance.
 
     DERIV_POINTS points drawn with DERIV_SEED inside the rectangle, steps
     DERIV_STEP times each side.  Errors are relative to a curvature scale
     so the check is meaningful for flat and strongly varying models alike;
-    the report passes when both stay within DERIV_RTOL.
+    the report passes when all three stay within DERIV_RTOL.
     """
     rng = np.random.default_rng(DERIV_SEED)
     lo, hi = domain.lower_arr, domain.upper_arr
@@ -501,22 +506,30 @@ def derivative_consistency(model: FieldModel, domain: RectDomain) -> DerivativeR
     n = domain.dim
     lam_scale = max(np.max(np.abs(model.lambda_mat)), 1e-12)
 
-    max_g, max_h = 0.0, 0.0
+    max_g, max_h, max_t = 0.0, 0.0, 0.0
     for t in pts:
         g = model.grad_variance(t)
         hess = model.hess_variance(t)
+        third = model.third_variance(t)
         scale_g = max(np.max(np.abs(g)), math.sqrt(lam_scale))
         for i in range(n):
             ei = np.zeros(n)
             ei[i] = h[i]
             fd = (model.variance(t + ei) - model.variance(t - ei)) / (2 * h[i])
             max_g = max(max_g, abs(fd - g[i]) / scale_g)
-            # second derivatives from gradient differences keeps the error O(h^2)
+            # higher derivatives from differences of the next lower analytic
+            # one keep each error O(h^2)
             gp = model.grad_variance(t + ei)
             gm = model.grad_variance(t - ei)
             fd_row = (gp - gm) / (2 * h[i])
             max_h = max(max_h, float(np.max(np.abs(fd_row - hess[i]))) / lam_scale)
-    return DerivativeReport(max_grad_err=max_g, max_hess_err=max_h, rtol=DERIV_RTOL)
+            hp = model.hess_variance(t + ei)
+            hm = model.hess_variance(t - ei)
+            fd_slab = (hp - hm) / (2 * h[i])
+            max_t = max(max_t, float(np.max(np.abs(fd_slab - third[i]))) / lam_scale)
+    return DerivativeReport(
+        max_grad_err=max_g, max_hess_err=max_h, max_third_err=max_t, rtol=DERIV_RTOL
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,9 @@ quantities differ only in the term.
 Every face term, vertices and Laplace factors included, reads its face's
 second-order structure from ``FaceContext``; the degeneracy policies
 (COND_CAP, NEG_TOL, DEGENERATE_VAR) are defined here.
-Face contributions are reported as positive magnitudes; alternating signs
-never reach user-facing totals.
+Face terms are signed and reported as computed.  A mu face term can be
+negative at low levels: He_{k-1}(u/theta_t) < 0 where theta_t is large
+against u (for k = 4, where theta_t > u/sqrt(3)).
 """
 
 from __future__ import annotations
@@ -67,7 +68,6 @@ __all__ = [
     "prepare_laplace_inputs",
     "laplace_mec_result",
     "tau_hessian",
-    "tau_hessian_analytic",
 ]
 
 MEAN_EC_DIM_CAP = 3
@@ -480,12 +480,15 @@ class LaplaceInputs:
 
 
 def tau_hessian(model: FieldModel, face: Face, t0) -> np.ndarray:
-    """Hessian of tau(t) = theta_t^2 in the face's free coordinates.
+    """Theta, the Hessian of theta_t^2 in the face's free coordinates, from
+    the third derivatives of nu:
 
-    Symmetrized central differences with per-axis step 1e-4 (b_j - a_j).
-    Centers within one step of the face boundary are nudged inside, giving
-    one-sided accuracy there.  NumericError when a step falls under 1e-13
-    times the largest endpoint magnitude of its axis.
+    tau_ij = nu_ij - (1/2) sum_{m,n in sigma} nu_mij A_mn nu_n
+                   - (1/2) sum_{m,n in sigma} nu_mi  A_mn nu_nj,
+
+    with A = Lambda_J^-1 from the face's FaceContext.  ValueError unless the
+    face has k >= 1 and t0 is a full point whose free coordinates lie in
+    the face's closure.
     """
     if face.k < 1:
         raise ValueError("tau_hessian needs a face with k >= 1")
@@ -494,56 +497,15 @@ def tau_hessian(model: FieldModel, face: Face, t0) -> np.ndarray:
         raise ValueError(
             f"t0 must be a full {face.domain.dim}-dimensional point"
         )
+    sig = list(face.sigma)
     lo, hi = face.free_bounds()
-    x0 = t0[list(face.sigma)]
+    x0 = t0[sig]
     if np.any(x0 < lo - 1e-12) or np.any(x0 > hi + 1e-12):
         raise ValueError("t0 lies outside the face closure")
-    k = face.k
-    h = 1e-4 * (hi - lo)
-    if np.any(h <= 0) or np.any(h < 1e-13 * np.maximum(np.abs(lo), np.abs(hi))):
-        raise NumericError(f"finite-difference step underflow: {h}")
-    x0 = np.clip(x0, lo + h, hi - h)
-
-    ctx = FaceContext(model, face)
-
-    def tau(x):
-        return float(ctx.arrays(x[None, :]).theta_sq[0])
-
-    out = np.empty((k, k))
-    f0 = tau(x0)
-    for i in range(k):
-        ei = np.zeros(k)
-        ei[i] = h[i]
-        out[i, i] = (tau(x0 + ei) - 2.0 * f0 + tau(x0 - ei)) / h[i] ** 2
-        for j in range(i + 1, k):
-            ej = np.zeros(k)
-            ej[j] = h[j]
-            out[i, j] = out[j, i] = (
-                tau(x0 + ei + ej)
-                - tau(x0 + ei - ej)
-                - tau(x0 - ei + ej)
-                + tau(x0 - ei - ej)
-            ) / (4.0 * h[i] * h[j])
-    return 0.5 * (out + out.T)
-
-
-def tau_hessian_analytic(model: FieldModel, face: Face, t0) -> np.ndarray | None:
-    """Analytic Hessian of theta_t^2 via third derivatives of nu.
-
-    tau_ij = nu_ij - (1/2) sum_{m,n in sigma} nu_mij A_mn nu_n
-                   - (1/2) sum_{m,n in sigma} nu_mi  A_mn nu_nj,
-    with A the inverse free-block gradient covariance.  Returns None when
-    the model lacks third derivatives.
-    """
-    t0 = np.asarray(t0, dtype=float)
+    A = FaceContext(model, face).lam_J_inv
     third = model.third_variance(t0)
-    if third is None:
-        return None
-    sig = list(face.sigma)
     grad = model.grad_variance(t0)
     hess = model.hess_variance(t0)
-    lam_J = model.lambda_mat[np.ix_(sig, sig)]
-    A = np.linalg.inv(lam_J)
     h_s = hess[np.ix_(sig, sig)]
     g_s = grad[sig]
     # restrict the mixed tensors to free coordinates
@@ -555,11 +517,9 @@ def tau_hessian_analytic(model: FieldModel, face: Face, t0) -> np.ndarray | None
 
 
 def _face_tau_hess(model: FieldModel, face: Face, t0, what: str) -> np.ndarray:
-    """Theta, the Hessian of theta_t^2 on a k >= 1 face at t0; NumericError
-    naming ``what`` unless it is negative definite."""
-    hess = tau_hessian_analytic(model, face, t0)
-    if hess is None:
-        hess = tau_hessian(model, face, t0)
+    """Theta on a k >= 1 face at t0; NumericError naming ``what`` unless it
+    is negative definite."""
+    hess = tau_hessian(model, face, t0)
     top = float(np.max(np.linalg.eigvalsh(hess)))
     if top >= 0.0:
         raise NumericError(f"{what} is not negative definite (max eig {top:.3e})")

@@ -106,6 +106,19 @@ def test_bad_domain_is_config_error(tmp_path, capsys):
         ({"field": {"type": "gaussian_increment", "dim": 2.5}}, []),
         ({"out": 7}, []),
         ({"report": 1}, []),
+        # JSON strings that spell numbers are not numbers
+        ({"seed": "3"}, []),
+        ({"threads": "2"}, []),
+        ({"levels": ["5"]}, []),
+        ({"levels": {"start": "5", "stop": 9.0, "step": 1.0}}, []),
+        ({"domain": {"lower": ["0", "0"], "upper": ["3", "3"]}}, []),
+        ({"field": {"type": "spectral_sum", "atoms": [{"freq": ["1", "0"], "weight": 0.5}]}}, []),
+        ({"field": {"type": "spectral_sum", "atoms": [{"freq": [1.0, 0.0], "weight": "0.5"}]}}, []),
+        ({"field": {"type": "gaussian_increment", "dim": "2"}}, []),
+        ({"mc": {"reps": "200"}}, []),
+        ({"mc": {"grid": "9"}}, []),
+        ({"mc": {"grid": ["9", 9]}}, []),
+        ({"quad": {"order_per_axis": "8"}}, []),
     ],
 )
 def test_malformed_values_are_config_errors(tmp_path, capsys, overrides, flags):
@@ -420,8 +433,18 @@ class BadHessianCosine(CosineField):
         return 1.3 * super()._g_hess(h)
 
 
-def test_validate_flags_bad_hessian(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "field_from_dict", lambda spec: BadHessianCosine())
+class BadThirdCosine(CosineField):
+    """The cosine field with its analytic third derivatives scaled by 1.3."""
+
+    def _g_third(self, h):
+        return 1.3 * super()._g_third(h)
+
+
+@pytest.mark.parametrize(
+    "model", [BadHessianCosine, BadThirdCosine], ids=["hessian", "third_derivative"]
+)
+def test_validate_flags_bad_hessian(tmp_path, capsys, monkeypatch, model):
+    monkeypatch.setattr(cli, "field_from_dict", lambda spec: model())
     cfg = write_config(tmp_path, domain={"lower": [0.0, 0.0], "upper": [PI / 2, PI / 2]})
     code, out = run(capsys, ["validate", "--config", cfg])
     assert code == 5

@@ -47,11 +47,12 @@ def cosine():
 
 @dataclass(frozen=True, eq=False)
 class FaultInjectedField(FieldModel):
-    """A base model with a deliberately mis-scaled analytic Hessian, for
-    showing that the derivative checks catch a bad derivative."""
+    """A base model with a deliberately mis-scaled analytic Hessian or third
+    derivative, for showing that the derivative checks catch a bad one."""
 
     base: FieldModel
     hessian_scale: float = 1.25
+    third_scale: float = 1.0
 
     @property
     def dim(self) -> int:
@@ -71,7 +72,7 @@ class FaultInjectedField(FieldModel):
         return self.hessian_scale * self.base._g_hess(h)
 
     def _g_third(self, h):
-        return self.base._g_third(h)
+        return self.third_scale * self.base._g_third(h)
 
 
 def interior_face(dom):
@@ -114,6 +115,10 @@ def test_derivative_consistency_passes_for_real_models():
 def test_derivative_consistency_catches_fault_injection():
     dom = RectDomain([0.0, 0.0], [PI, PI])
     rep = derivative_consistency(FaultInjectedField(cosine(), 1.3), dom)
+    assert not rep.passed
+    # faulty only in the third derivatives
+    rep = derivative_consistency(FaultInjectedField(cosine(), 1.0, third_scale=1.3), dom)
+    assert max(rep.max_grad_err, rep.max_hess_err) <= rep.rtol < rep.max_third_err
     assert not rep.passed
 
 

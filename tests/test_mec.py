@@ -1,5 +1,4 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,7 +22,6 @@ from excursion_kit.mec import (
     mean_euler_characteristic,
     prepare_laplace_inputs,
     tau_hessian,
-    tau_hessian_analytic,
 )
 from excursion_kit.quad import QuadSpec, integrate_cone, integrate_face
 
@@ -628,25 +626,6 @@ def test_laplace_classifications():
     assert inter.classification == "interior-critical"
 
 
-class NoThirdCosine(SpectralSumField):
-    """The cosine field without analytic third derivatives."""
-
-    def _g_third(self, h):
-        return None
-
-
-def test_laplace_without_third_derivatives_matches_reference():
-    # face-critical host: the tau Hessian comes from finite differences
-    m = NoThirdCosine(freqs=np.eye(2), weights=np.array([0.5, 0.5]), offset_var=1.0)
-    assert m.third_variance(np.zeros(2)) is None
-    dom, ref = closed_forms()[1]
-    inputs = prepare_laplace_inputs(m, dom)
-    assert inputs.classification == "face-critical"
-    assert inputs.face.sigma == (0,)
-    for res in laplace_mec_result(m, dom, (5.0, 8.0)):
-        assert res.total == pytest.approx(ref(res.u), rel=1e-7)
-
-
 # ---------------------------------------------------------------------------
 # tau_hessian
 # ---------------------------------------------------------------------------
@@ -669,41 +648,44 @@ def test_tau_hessian_interior_reference():
 def test_tau_hessian_analytic_is_exact():
     dom = RectDomain([0.0, 0.0], [1.5 * PI, 1.5 * PI])
     face = enumerate_faces(dom)[0]
-    hess = tau_hessian_analytic(cosine(), face, np.array([PI, PI]))
+    hess = tau_hessian(cosine(), face, np.array([PI, PI]))
     assert np.allclose(hess, -2 * np.eye(2), atol=1e-12)
     e = edge(RectDomain([0.0, 0.0], [1.5 * PI, PI / 2]), 0, 1, upper=True)
-    h1 = tau_hessian_analytic(cosine(), e, np.array([PI, PI / 2]))
+    h1 = tau_hessian(cosine(), e, np.array([PI, PI / 2]))
     assert h1[0, 0] == pytest.approx(-2.0, abs=1e-12)
 
 
-def test_tau_hessian_exact_on_quadratic_supplier(monkeypatch):
-    # stub the conditional-variance supplier with an exact quadratic; the
-    # central-difference stencil must recover its Hessian to FD roundoff
-    t_star = np.array([0.6, 1.1])
-
-    def fake_arrays(self, pts):
-        d = pts - t_star
-        return SimpleNamespace(theta_sq=9.0 - np.sum(d * d, axis=1))
-
-    monkeypatch.setattr(mec.FaceContext, "arrays", fake_arrays)
-    dom = RectDomain([0.0, 0.0], [2.0, 2.0])
-    face = enumerate_faces(dom)[0]
-    hess = tau_hessian(cosine(), face, [0.6, 1.1])
-    assert np.allclose(hess, -2 * np.eye(2), atol=1e-6)
-
-
-def test_tau_hessian_step_underflow():
-    # the default step 1e-4 * 1e-3 = 1e-7 lies below 1e-13 * 1e7
-    dom = RectDomain([1e7, 1e7], [1e7 + 1e-3, 1e7 + 1e-3])
-    face = enumerate_faces(dom)[0]
-    with pytest.raises(NumericError):
-        tau_hessian(cosine(), face, [1e7 + 5e-4, 1e7 + 5e-4])
-
-
 def test_tau_hessian_fd_matches_analytic_generic_points():
+    # reference: central differences of theta^2 from the face kernel, step
+    # 1e-4 of each side
     dom = RectDomain([0.0, 0.0], [1.5 * PI, 1.5 * PI])
     face = enumerate_faces(dom)[0]
+    ctx = mec.FaceContext(cosine(), face)
+    h = 1e-4 * (dom.upper_arr - dom.lower_arr)
+    steps = np.diag(h)
+
+    def tau(x):
+        return float(ctx.arrays(x[None, :]).theta_sq[0])
+
     for t in ([2.0, 2.5], [3.0, 1.2], [4.0, 4.0]):
-        fd = tau_hessian(cosine(), face, t)
-        an = tau_hessian_analytic(cosine(), face, np.array(t))
+        x = np.array(t)
+        fd = np.empty((2, 2))
+        for i in range(2):
+            for j in range(2):
+                ei, ej = steps[i], steps[j]
+                fd[i, j] = (
+                    tau(x + ei + ej) - tau(x + ei - ej) - tau(x - ei + ej) + tau(x - ei - ej)
+                ) / (4.0 * h[i] * h[j])
+        an = tau_hessian(cosine(), face, x)
         assert np.allclose(fd, an, atol=5e-6)
+
+
+@pytest.mark.parametrize(
+    "face_index, t0",
+    [(8, [0.0, 0.0]), (0, [[1.0, 1.0]]), (0, [1.0, PI + 1e-6])],
+    ids=["vertex", "wrong_shape", "outside_closure"],
+)
+def test_tau_hessian_rejects_bad_input(face_index, t0):
+    face = enumerate_faces(RectDomain([0.0, 0.0], [PI, PI]))[face_index]
+    with pytest.raises(ValueError):
+        tau_hessian(cosine(), face, t0)
