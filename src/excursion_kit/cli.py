@@ -428,7 +428,8 @@ def _check_derivatives(model: FieldModel, domain: RectDomain) -> tuple[bool, str
     rep = derivative_consistency(model, domain)
     return rep.passed, (
         f"grad err {rep.max_grad_err:.3e}, hess err {rep.max_hess_err:.3e},"
-        f" third err {rep.max_third_err:.3e} (rtol {rep.rtol:.0e})"
+        f" third err {rep.max_third_err:.3e}, kernel err {rep.max_kernel_err:.3e}"
+        f" (rtol {rep.rtol:.0e})"
     )
 
 def _check_ec_oracle() -> tuple[bool, str]:

@@ -15,15 +15,20 @@ Model methods are vectorised over leading axes: points have shape
 models are finite spectral sums (exactly simulable) and a Gaussian-bump
 variogram family; ``field_from_dict`` builds either from its JSON form.
 
-What a face derives from these (theta_t^2, gamma_t^2, Lambda_J - Lambda_J(t),
-the outward-cone covariance) and its degeneracy policies are in mec.FaceContext.
+Each model also gives a face kernel (``FieldModel.face_kernel``): for the
+free axes J of a face, it maps points to g, (1/2) grad g and
+|Lambda_J - Lambda_J(t)| from one evaluation of the field, in closed form
+(Cauchy-Binet for a spectral sum, the matrix determinant lemma for the
+Gaussian bump).  What a face derives from these (theta_t^2, gamma_t^2, the
+outward-cone covariance) and its degeneracy policies are in mec.FaceContext.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -57,11 +62,15 @@ __all__ = [
 POINT_BLOCK = 2**15
 
 
+# a face kernel: (m, N) points -> (g, (1/2) grad g, |Lambda_J - Lambda_J(t)|)
+FaceKernel = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+
 class FieldModel:
     """Base class: derives all second-order quantities from the variogram.
 
     Subclasses implement _g, _g_grad, _g_hess and _g_third, vectorised
-    over (..., N).
+    over (..., N), and face_kernel.
     """
 
     dim: int
@@ -78,6 +87,17 @@ class FieldModel:
         raise NotImplementedError
 
     def _g_third(self, h: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def face_kernel(self, sig) -> FaceKernel:
+        """The kernel of the face with free axes ``sig``.
+
+        Its work that depends only on the face is done here, once.  The
+        kernel maps (m, N) points t to (g(t), (1/2) grad g(t),
+        det(Lambda_J - Lambda_J(t))) with J = sig, from one evaluation of
+        the field per point; the first two are bit-equal to _g and
+        (1/2) _g_grad, and the determinant is nonnegative (1 for empty J).
+        """
         raise NotImplementedError
 
     # -- derived structure -------------------------------------------------
@@ -112,6 +132,10 @@ class FieldModel:
     def lambda_at(self, t) -> np.ndarray:
         """Lambda(t) = (1/2) Hess g(t) = Cov(grad X(t+s), grad X(s))."""
         return 0.5 * self._g_hess(self._points(t))
+
+
+# most atom subsets SpectralSumField.face_kernel searches for nonzero minors
+CB_MAX_SUBSETS = 2**16
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,6 +198,64 @@ class SpectralSumField(FieldModel):
         return -2.0 * np.einsum(
             "...m,mi,mj,ml->...ijl", ws, self.freqs, self.freqs, self.freqs
         )
+
+    def _face_minors(self, sig: list[int]) -> tuple[np.ndarray, np.ndarray] | None:
+        """The atom subsets S, shape (n_S, k), whose minors det(F_{S,J})
+        are nonzero, with the squared minors; None when the size rule of
+        face_kernel sends the face to the determinant route.
+
+        A minor within k eps of Hadamard's bound (the product of its row
+        norms) is the rounding residue of a singular one and counts as zero.
+        """
+        k, n_atoms = len(sig), self.n_atoms
+        if math.comb(n_atoms, k) > CB_MAX_SUBSETS:
+            return None
+        subsets = np.array(
+            list(itertools.combinations(range(n_atoms), k)), dtype=np.intp
+        ).reshape(math.comb(n_atoms, k), k)
+        rows = self.freqs[:, sig][subsets]
+        minors = np.linalg.det(rows)
+        hadamard = np.prod(np.linalg.norm(rows, axis=-1), axis=-1)
+        keep = np.abs(minors) > k * np.finfo(float).eps * hadamard
+        if np.count_nonzero(keep) * k > 2 * n_atoms * k * k:
+            return None
+        return subsets[keep], minors[keep] ** 2
+
+    def face_kernel(self, sig) -> FaceKernel:
+        """Face kernel by Cauchy-Binet.
+
+        With a_m(t) = w_m (1 - cos<t, f_m>), Lambda_J - Lambda_J(t) =
+        F_J^T diag(a) F_J, so its determinant is
+        sum_{|S| = k} det(F_{S,J})^2 prod_{m in S} a_m: nonnegative, and a
+        polynomial in the a_m that g already needs.  The nonzero squared
+        minors are found once per face; per point the kernel takes one cos
+        and one sin of the phases.
+
+        Size rule: the sum costs k products per nonzero minor, forming
+        F_J^T diag(a) F_J costs M k^2.  The kernel sums by Cauchy-Binet
+        while the first is at most twice the second and the face has at
+        most CB_MAX_SUBSETS atom subsets to search; otherwise it forms the
+        matrix from the same a and takes its determinant, clipped at 0.
+        """
+        sig = list(sig)
+        f_J = self.freqs[:, sig]
+        minors = self._face_minors(sig)
+
+        def kernel(t):
+            ph = self._phases(self._points(t))
+            one_m_cos = 1.0 - np.cos(ph)
+            g = 2.0 * (one_m_cos @ self.weights)
+            # (1/2) _g_grad: halving 2x is exact
+            c = (self.weights * np.sin(ph)) @ self.freqs
+            a = self.weights * one_m_cos
+            if minors is None:
+                det = np.maximum(np.linalg.det((f_J.T * a[..., None, :]) @ f_J), 0.0)
+            else:
+                subsets, sq_minors = minors
+                det = np.prod(a[..., subsets], axis=-1) @ sq_minors
+            return g, c, det
+
+        return kernel
 
     @property
     def lambda_spectral(self) -> np.ndarray:
@@ -241,6 +323,33 @@ class GaussianIncrementField(FieldModel):
         )
         triple = np.einsum("...i,...j,...l->...ijl", h, h, h)
         return (-8.0 / l2**2) * e[..., None, None, None] * (sym - 2.0 * triple / l2)
+
+    def face_kernel(self, sig) -> FaceKernel:
+        """Face kernel by the matrix determinant lemma.
+
+        With e = exp(-|h/l|^2), Lambda - Lambda(h) = (2/l^2)[(1 - e) I +
+        2e h h^T / l^2], so its J-block, a scaled identity plus a rank-one
+        term, has determinant
+        (2/l^2)^k (1 - e)^(k-1) [(1 - e) + 2e |h_J|^2 / l^2].
+        """
+        sig = list(sig)
+        k = len(sig)
+        l2 = self.scale**2
+
+        def kernel(t):
+            h = self._points(t)
+            r2 = self._r2(h)
+            e = np.exp(-r2)
+            g = 2.0 * (1.0 - e)
+            c = 0.5 * ((4.0 / l2) * e[..., None] * h)
+            if k == 0:
+                return g, c, np.ones_like(r2)
+            one_m_e = -np.expm1(-r2)
+            h_J_sq = np.sum(h[..., sig] ** 2, axis=-1) / l2
+            det = (2.0 / l2) ** k * one_m_e ** (k - 1) * (one_m_e + 2.0 * e * h_J_sq)
+            return g, c, det
+
+        return kernel
 
 
 # ---------------------------------------------------------------------------
@@ -479,24 +588,57 @@ class DerivativeReport:
     max_grad_err: float
     max_hess_err: float
     max_third_err: float
+    max_kernel_err: float
     rtol: float
 
     @property
     def passed(self) -> bool:
         return all(
             err <= self.rtol
-            for err in (self.max_grad_err, self.max_hess_err, self.max_third_err)
+            for err in (
+                self.max_grad_err,
+                self.max_hess_err,
+                self.max_third_err,
+                self.max_kernel_err,
+            )
         )
+
+
+def _kernel_err(model: FieldModel, pts: np.ndarray, lam_scale: float) -> float:
+    """Largest error of the face kernels of every axis subset J at pts
+    against variance, grad_variance / 2 and det(Lambda_J - Lambda_J(t))
+    from lambda_at, relative to max |nu|, the gradient scale and
+    lam_scale^|J|."""
+    nu = model.variance(pts)
+    c = 0.5 * model.grad_variance(pts)
+    diff = model.lambda_mat - model.lambda_at(pts)
+    scale_c = max(float(np.max(np.abs(c))), math.sqrt(lam_scale))
+    scale_nu = max(float(np.max(np.abs(nu))), 1e-12)
+    err = 0.0
+    for k in range(model.dim + 1):
+        for sig in itertools.combinations(range(model.dim), k):
+            sig = list(sig)
+            g_k, c_k, det_k = model.face_kernel(sig)(pts)
+            ref = np.linalg.det(diff[:, sig][:, :, sig])
+            err = max(
+                err,
+                float(np.max(np.abs(model.offset_var + g_k - nu))) / scale_nu,
+                float(np.max(np.abs(c_k - c))) / scale_c,
+                float(np.max(np.abs(det_k - ref))) / lam_scale**k,
+            )
+    return err
 
 
 def derivative_consistency(model: FieldModel, domain: RectDomain) -> DerivativeReport:
     """Central finite differences of nu, grad_variance and hess_variance
-    versus grad_variance, hess_variance and third_variance.
+    versus grad_variance, hess_variance and third_variance, and the face
+    kernels versus the variance, its gradient and lambda_at.
 
     DERIV_POINTS points drawn with DERIV_SEED inside the rectangle, steps
     DERIV_STEP times each side.  Errors are relative to a curvature scale
     so the check is meaningful for flat and strongly varying models alike;
-    the report passes when all three stay within DERIV_RTOL.
+    the report passes when all four stay within DERIV_RTOL.  The kernel of
+    every subset J of the axes is compared at the same points (_kernel_err).
     """
     rng = np.random.default_rng(DERIV_SEED)
     lo, hi = domain.lower_arr, domain.upper_arr
@@ -528,7 +670,11 @@ def derivative_consistency(model: FieldModel, domain: RectDomain) -> DerivativeR
             fd_slab = (hp - hm) / (2 * h[i])
             max_t = max(max_t, float(np.max(np.abs(fd_slab - third[i]))) / lam_scale)
     return DerivativeReport(
-        max_grad_err=max_g, max_hess_err=max_h, max_third_err=max_t, rtol=DERIV_RTOL
+        max_grad_err=max_g,
+        max_hess_err=max_h,
+        max_third_err=max_t,
+        max_kernel_err=_kernel_err(model, pts, lam_scale),
+        rtol=DERIV_RTOL,
     )
 
 

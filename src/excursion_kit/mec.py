@@ -122,6 +122,16 @@ class FaceContext:
     """Constant blocks and vectorised point evaluation for one face, from a
     vertex (k = 0: theta^2 = nu and b = c) to the interior.
 
+    The model's face kernel (FieldModel.face_kernel) is built once per face
+    and gives nu - sigma0^2, c and |Lambda_J - Lambda_J(t)| from one field
+    evaluation per point.  For a spectral sum the determinant is the
+    Cauchy-Binet sum sum_S det(F_{S,J})^2 prod_{m in S} w_m (1 - cos<t, f_m>)
+    over the atom subsets with nonzero minors (size rule: at most 2 M k of
+    them among at most CB_MAX_SUBSETS subsets; otherwise the kernel takes
+    the determinant of F_J^T diag(a) F_J).  For the Gaussian bump it is the
+    determinant-lemma form (2/l^2)^k (1 - e)^(k-1) [(1 - e) + 2e |h_J|^2 / l^2]
+    with e = exp(-|h/l|^2).
+
     DomainError when the face's domain and the model differ in dimension;
     DegenerateModelError when Lambda_J or Lambda has a condition number
     beyond COND_CAP; ModelInconsistencyError when theta^2 or gamma^2 falls
@@ -145,6 +155,7 @@ class FaceContext:
             cond = np.linalg.cond(mat) if mat.size else 1.0
             if not np.isfinite(cond) or cond > COND_CAP:
                 raise DegenerateModelError(f"{what} has condition number {cond:.3e}")
+        self.kernel = model.face_kernel(self.sig)
         self.lam_inv = np.linalg.inv(lam)
         self.lam_J_inv = np.linalg.inv(self.lam_J)
         self.det_lam_J = float(np.linalg.det(self.lam_J))
@@ -173,12 +184,8 @@ class FaceContext:
 
     def _block_arrays(self, pts: np.ndarray) -> _FaceData:
         face = self.face
-        t = embed_points(face, pts)
-        nu = self.model.variance(t)
-        c = 0.5 * self.model.grad_variance(t)
-        lam_J_t = self.model.lambda_at(t)[:, self.sig, :][:, :, self.sig]
-        # every k = 0 block is empty: det 1, theta^2 = nu
-        det_diff = np.linalg.det(self.lam_J[None, :, :] - lam_J_t)
+        g, c, det_diff = self.kernel(embed_points(face, pts))
+        nu = self.model.offset_var + g
         c_J = c[:, self.sig]
         sol_J = c_J @ self.lam_J_inv
         theta_sq = nu - np.einsum("mk,mk->m", c_J, sol_J)
@@ -487,8 +494,9 @@ def tau_hessian(model: FieldModel, face: Face, t0) -> np.ndarray:
                    - (1/2) sum_{m,n in sigma} nu_mi  A_mn nu_nj,
 
     with A = Lambda_J^-1 from the face's FaceContext.  ValueError unless the
-    face has k >= 1 and t0 is a full point whose free coordinates lie in
-    the face's closure.
+    face has k >= 1 and t0 is a full point of the face's closure: its free
+    coordinates within the face's bounds and its fixed ones within 1e-12
+    of the face's pinned values.
     """
     if face.k < 1:
         raise ValueError("tau_hessian needs a face with k >= 1")
@@ -502,6 +510,8 @@ def tau_hessian(model: FieldModel, face: Face, t0) -> np.ndarray:
     x0 = t0[sig]
     if np.any(x0 < lo - 1e-12) or np.any(x0 > hi + 1e-12):
         raise ValueError("t0 lies outside the face closure")
+    if np.any(np.abs(t0[list(face.fixed)] - face.fixed_values()) > 1e-12):
+        raise ValueError("t0 lies off the face: a fixed coordinate is not its pinned value")
     A = FaceContext(model, face).lam_J_inv
     third = model.third_variance(t0)
     grad = model.grad_variance(t0)
@@ -537,8 +547,10 @@ def prepare_laplace_inputs(model: FieldModel, domain: RectDomain) -> LaplaceInpu
         raise AmbiguousMaximizerError(
             f"variance maximizer is ambiguous; candidates: {cands}"
         )
-    t0 = mv.point
     host = mv.face
+    # face_of_point puts a point within 1e-7 of a side on that side's face;
+    # pin those coordinates, so t0 lies on its host face for tau_hessian
+    t0 = embed_points(host, mv.point[None, list(host.sigma)])[0]
     k = host.k
     grad = model.grad_variance(t0)
     pinned = grad[list(host.fixed)]

@@ -440,8 +440,23 @@ class BadThirdCosine(CosineField):
         return 1.3 * super()._g_third(h)
 
 
+class BadKernelCosine(CosineField):
+    """The cosine field with its face kernel's determinant scaled by 1.3."""
+
+    def face_kernel(self, sig):
+        kernel = super().face_kernel(sig)
+
+        def scaled(t):
+            g, c, det = kernel(t)
+            return g, c, 1.3 * det
+
+        return scaled
+
+
 @pytest.mark.parametrize(
-    "model", [BadHessianCosine, BadThirdCosine], ids=["hessian", "third_derivative"]
+    "model",
+    [BadHessianCosine, BadThirdCosine, BadKernelCosine],
+    ids=["hessian", "third_derivative", "face_kernel"],
 )
 def test_validate_flags_bad_hessian(tmp_path, capsys, monkeypatch, model):
     monkeypatch.setattr(cli, "field_from_dict", lambda spec: model())

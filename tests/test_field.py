@@ -47,12 +47,14 @@ def cosine():
 
 @dataclass(frozen=True, eq=False)
 class FaultInjectedField(FieldModel):
-    """A base model with a deliberately mis-scaled analytic Hessian or third
-    derivative, for showing that the derivative checks catch a bad one."""
+    """A base model with a deliberately mis-scaled analytic Hessian, third
+    derivative or face-kernel determinant, for showing that the derivative
+    checks catch a bad one."""
 
     base: FieldModel
     hessian_scale: float = 1.25
     third_scale: float = 1.0
+    kernel_scale: float = 1.0
 
     @property
     def dim(self) -> int:
@@ -73,6 +75,15 @@ class FaultInjectedField(FieldModel):
 
     def _g_third(self, h):
         return self.third_scale * self.base._g_third(h)
+
+    def face_kernel(self, sig):
+        kernel = self.base.face_kernel(sig)
+
+        def scaled(t):
+            g, c, det = kernel(t)
+            return g, c, self.kernel_scale * det
+
+        return scaled
 
 
 def interior_face(dom):
@@ -118,8 +129,72 @@ def test_derivative_consistency_catches_fault_injection():
     assert not rep.passed
     # faulty only in the third derivatives
     rep = derivative_consistency(FaultInjectedField(cosine(), 1.0, third_scale=1.3), dom)
-    assert max(rep.max_grad_err, rep.max_hess_err) <= rep.rtol < rep.max_third_err
+    assert max(rep.max_grad_err, rep.max_hess_err, rep.max_kernel_err) <= rep.rtol
+    assert rep.rtol < rep.max_third_err
     assert not rep.passed
+    # faulty only in the face kernel's determinant
+    rep = derivative_consistency(FaultInjectedField(cosine(), 1.0, kernel_scale=1.3), dom)
+    assert max(rep.max_grad_err, rep.max_hess_err, rep.max_third_err) <= rep.rtol
+    assert rep.rtol < rep.max_kernel_err
+    assert not rep.passed
+
+
+def oblique_spectral(n, n_atoms, seed):
+    """An oblique spectral sum whose second atom is twice its first, so
+    every minor holding both rows vanishes."""
+    rng = np.random.default_rng(seed)
+    freqs = rng.normal(size=(n_atoms, n))
+    freqs[1] = 2.0 * freqs[0]
+    return SpectralSumField(freqs=freqs, weights=rng.uniform(0.2, 1.0, n_atoms), offset_var=0.5)
+
+
+KERNEL_MODELS = [
+    *(oblique_spectral(n, n + 3, n) for n in (1, 2, 3, 4)),
+    # 65 and 210 nonzero minors for k = 2 and 3, past the size rule's
+    # 2 * 12 * k: the determinant route
+    oblique_spectral(3, 12, 9),
+    *(GaussianIncrementField(dim=n, scale=0.8, offset_var=0.3) for n in (1, 2, 3, 4)),
+]
+
+
+@pytest.mark.parametrize(
+    "model",
+    KERNEL_MODELS,
+    ids=[*(f"spectral{n}" for n in (1, 2, 3, 4)), "spectral3_det_route",
+         *(f"gaussian{n}" for n in (1, 2, 3, 4))],
+)
+def test_face_kernel_matches_the_generic_determinant(model):
+    # every face of a rectangle with a corner at the origin, at random face
+    # points, at the origin and at points 1e-8 to 1e-2 from it; near the
+    # origin np.linalg.det of the 2x2 and 3x3 blocks rounds below 0
+    n = model.dim
+    dom = RectDomain([0.0] * n, [1.7, 1.1, 2.3, 0.9][:n])
+    rng = np.random.default_rng(1)
+    lam = model.lambda_mat
+    scale = float(np.max(np.abs(lam)))
+    for face in enumerate_faces(dom):
+        lo, hi = face.free_bounds()
+        free = np.concatenate([
+            lo + (hi - lo) * rng.random((20, face.k)),
+            np.outer([0.0, 1e-8, 1e-6, 1e-4, 1e-2], np.ones(face.k)),
+        ])
+        t = np.concatenate([embed_points(face, free), 1e-8 * rng.standard_normal((50, n))])
+        sig = list(face.sigma)
+        g, c, det = model.face_kernel(sig)(t)
+        assert np.array_equal(g, model._g(t))
+        assert np.array_equal(c, 0.5 * model._g_grad(t))
+        ref = np.linalg.det((lam - model.lambda_at(t))[:, sig][:, :, sig])
+        assert np.all(det >= 0.0)
+        assert np.all(np.abs(det - ref) <= 1e-12 * np.abs(ref) + 1e-14 * scale**face.k)
+
+
+def test_face_kernel_routes_by_the_size_rule():
+    # the parallel pair's minors are dropped
+    few = oblique_spectral(3, 5, 9)
+    assert [len(few._face_minors(sig)[0]) for sig in ([0], [0, 1], [0, 1, 2])] == [5, 9, 7]
+    many = oblique_spectral(3, 12, 9)
+    assert many._face_minors([0]) is not None
+    assert many._face_minors([0, 1]) is None and many._face_minors([0, 1, 2]) is None
 
 
 @pytest.mark.parametrize(
@@ -155,6 +230,7 @@ SPECTRAL3 = SpectralSumField(freqs=np.eye(3), weights=np.full(3, 0.5))
 DIMENSION_ENTRIES = {
     "variance": lambda m, d: m.variance(d.lower),
     "lambda_at": lambda m, d: m.lambda_at(d.upper),
+    "face_kernel": lambda m, d: m.face_kernel(())(np.array([d.upper])),
     "mean_euler_characteristic": lambda m, d: mean_euler_characteristic(m, d, [3.0]),
     "excursion_prob_mu": lambda m, d: excursion_prob_mu(m, d, [3.0]),
     "laplace_mec_result": lambda m, d: laplace_mec_result(m, d, [3.0]),

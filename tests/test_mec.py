@@ -680,12 +680,23 @@ def test_tau_hessian_fd_matches_analytic_generic_points():
         assert np.allclose(fd, an, atol=5e-6)
 
 
+SQUARE_FACES = enumerate_faces(RectDomain([0.0, 0.0], [PI, PI]))
+OBLIQUE2 = SpectralSumField(freqs=[[1.0, 0.5], [0.3, 1.0]], weights=[0.5, 0.7])
+# the edge 1|{1}|{2:1}: Theta is -1.677 at (2, pi/2) on it, and +0.549 at
+# (2, 0) off it, where only the free coordinate used to be checked
+OBLIQUE2_EDGE = edge(RectDomain([0.0, 0.0], [1.5 * PI, PI / 2]), 0, 1, upper=True)
+
+
 @pytest.mark.parametrize(
-    "face_index, t0",
-    [(8, [0.0, 0.0]), (0, [[1.0, 1.0]]), (0, [1.0, PI + 1e-6])],
-    ids=["vertex", "wrong_shape", "outside_closure"],
+    "model, face, t0",
+    [
+        (cosine(), SQUARE_FACES[8], [0.0, 0.0]),
+        (cosine(), SQUARE_FACES[0], [[1.0, 1.0]]),
+        (cosine(), SQUARE_FACES[0], [1.0, PI + 1e-6]),
+        (OBLIQUE2, OBLIQUE2_EDGE, [2.0, 0.0]),
+    ],
+    ids=["vertex", "wrong_shape", "outside_closure", "off_face"],
 )
-def test_tau_hessian_rejects_bad_input(face_index, t0):
-    face = enumerate_faces(RectDomain([0.0, 0.0], [PI, PI]))[face_index]
+def test_tau_hessian_rejects_bad_input(model, face, t0):
     with pytest.raises(ValueError):
-        tau_hessian(cosine(), face, t0)
+        tau_hessian(model, face, t0)
