@@ -17,10 +17,9 @@ variogram family; ``field_from_dict`` builds either from its JSON form.
 
 Each model also gives a face kernel (``FieldModel.face_kernel``): for the
 free axes J of a face, it maps points to g, (1/2) grad g and
-|Lambda_J - Lambda_J(t)| from one evaluation of the field, in closed form
-(Cauchy-Binet for a spectral sum, the matrix determinant lemma for the
-Gaussian bump).  What a face derives from these (theta_t^2, gamma_t^2, the
-outward-cone covariance) and its degeneracy policies are in mec.FaceContext.
+|Lambda_J - Lambda_J(t)| from one evaluation of the field per point.  What
+a face derives from these (theta_t^2, gamma_t^2, the outward-cone
+covariance) and its degeneracy policies are in mec.FaceContext.
 """
 
 from __future__ import annotations
@@ -134,8 +133,28 @@ class FieldModel:
         return 0.5 * self._g_hess(self._points(t))
 
 
-# most atom subsets SpectralSumField.face_kernel searches for nonzero minors
-CB_MAX_SUBSETS = 2**16
+def _psd_det(entries: dict, k: int, shape) -> np.ndarray:
+    """Determinants of symmetric positive semidefinite k x k matrices,
+    given as their upper-triangle entries {(i, j): values over points},
+    which it overwrites.
+
+    Gaussian elimination without pivoting, which is stable on such
+    matrices; the determinant is the product of the pivots.  A pivot that
+    is not positive marks a singular matrix up to rounding, and its
+    determinant is 0.  Each step is one vector operation over all points.
+    """
+    det = np.ones(shape)
+    singular = np.zeros(shape, dtype=bool)
+    for i in range(k):
+        piv = entries[i, i]
+        singular |= piv <= 0.0
+        det *= piv
+        inv = 1.0 / np.where(piv > 0.0, piv, 1.0)
+        for j in range(i + 1, k):
+            r = entries[i, j] * inv
+            for l in range(j, k):
+                entries[j, l] -= r * entries[i, l]
+    return np.where(singular, 0.0, det)
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,47 +218,24 @@ class SpectralSumField(FieldModel):
             "...m,mi,mj,ml->...ijl", ws, self.freqs, self.freqs, self.freqs
         )
 
-    def _face_minors(self, sig: list[int]) -> tuple[np.ndarray, np.ndarray] | None:
-        """The atom subsets S, shape (n_S, k), whose minors det(F_{S,J})
-        are nonzero, with the squared minors; None when the size rule of
-        face_kernel sends the face to the determinant route.
-
-        A minor within k eps of Hadamard's bound (the product of its row
-        norms) is the rounding residue of a singular one and counts as zero.
-        """
-        k, n_atoms = len(sig), self.n_atoms
-        if math.comb(n_atoms, k) > CB_MAX_SUBSETS:
-            return None
-        subsets = np.array(
-            list(itertools.combinations(range(n_atoms), k)), dtype=np.intp
-        ).reshape(math.comb(n_atoms, k), k)
-        rows = self.freqs[:, sig][subsets]
-        minors = np.linalg.det(rows)
-        hadamard = np.prod(np.linalg.norm(rows, axis=-1), axis=-1)
-        keep = np.abs(minors) > k * np.finfo(float).eps * hadamard
-        if np.count_nonzero(keep) * k > 2 * n_atoms * k * k:
-            return None
-        return subsets[keep], minors[keep] ** 2
-
     def face_kernel(self, sig) -> FaceKernel:
-        """Face kernel by Cauchy-Binet.
+        """Face kernel by elimination on F_J^T diag(a) F_J.
 
         With a_m(t) = w_m (1 - cos<t, f_m>), Lambda_J - Lambda_J(t) =
-        F_J^T diag(a) F_J, so its determinant is
-        sum_{|S| = k} det(F_{S,J})^2 prod_{m in S} a_m: nonnegative, and a
-        polynomial in the a_m that g already needs.  The nonzero squared
-        minors are found once per face; per point the kernel takes one cos
-        and one sin of the phases.
-
-        Size rule: the sum costs k products per nonzero minor, forming
-        F_J^T diag(a) F_J costs M k^2.  The kernel sums by Cauchy-Binet
-        while the first is at most twice the second and the face has at
-        most CB_MAX_SUBSETS atom subsets to search; otherwise it forms the
-        matrix from the same a and takes its determinant, clipped at 0.
+        F_J^T diag(a) F_J.  Column (i, j) of ``pairs`` holds w_m f_mi f_mj,
+        so the upper triangle of that k x k matrix is (1 - cos) @ pairs,
+        from the 1 - cos that g already needs; _psd_det takes its
+        determinant.  Per point the kernel takes one cos and one sin of the
+        phases.
         """
         sig = list(sig)
-        f_J = self.freqs[:, sig]
-        minors = self._face_minors(sig)
+        k = len(sig)
+        upper = [(i, j) for i in range(k) for j in range(i, k)]
+        pairs = (
+            self.weights[:, None]
+            * self.freqs[:, [sig[i] for i, _ in upper]]
+            * self.freqs[:, [sig[j] for _, j in upper]]
+        )
 
         def kernel(t):
             ph = self._phases(self._points(t))
@@ -247,13 +243,8 @@ class SpectralSumField(FieldModel):
             g = 2.0 * (one_m_cos @ self.weights)
             # (1/2) _g_grad: halving 2x is exact
             c = (self.weights * np.sin(ph)) @ self.freqs
-            a = self.weights * one_m_cos
-            if minors is None:
-                det = np.maximum(np.linalg.det((f_J.T * a[..., None, :]) @ f_J), 0.0)
-            else:
-                subsets, sq_minors = minors
-                det = np.prod(a[..., subsets], axis=-1) @ sq_minors
-            return g, c, det
+            entries = dict(zip(upper, pairs.T @ one_m_cos.T))
+            return g, c, _psd_det(entries, k, g.shape)
 
         return kernel
 

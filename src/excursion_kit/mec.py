@@ -122,15 +122,9 @@ class FaceContext:
     """Constant blocks and vectorised point evaluation for one face, from a
     vertex (k = 0: theta^2 = nu and b = c) to the interior.
 
-    The model's face kernel (FieldModel.face_kernel) is built once per face
-    and gives nu - sigma0^2, c and |Lambda_J - Lambda_J(t)| from one field
-    evaluation per point.  For a spectral sum the determinant is the
-    Cauchy-Binet sum sum_S det(F_{S,J})^2 prod_{m in S} w_m (1 - cos<t, f_m>)
-    over the atom subsets with nonzero minors (size rule: at most 2 M k of
-    them among at most CB_MAX_SUBSETS subsets; otherwise the kernel takes
-    the determinant of F_J^T diag(a) F_J).  For the Gaussian bump it is the
-    determinant-lemma form (2/l^2)^k (1 - e)^(k-1) [(1 - e) + 2e |h_J|^2 / l^2]
-    with e = exp(-|h/l|^2).
+    The model's face kernel is built once per face; per point it gives
+    nu - sigma0^2, c and |Lambda_J - Lambda_J(t)| (see
+    FieldModel.face_kernel).
 
     DomainError when the face's domain and the model differ in dimension;
     DegenerateModelError when Lambda_J or Lambda has a condition number

@@ -12,7 +12,7 @@ from excursion_kit.errors import (
     DegenerateModelError,
     NumericError,
 )
-from excursion_kit.field import CosineField, SpectralSumField
+from excursion_kit.field import CosineField, SpectralSumField, max_variance
 from excursion_kit.gauss import MvnProblem, gauss_tail, hermite, mvn_prob
 from excursion_kit.geometry import Face, RectDomain, embed_points, enumerate_faces, face_label, outward_cone
 from excursion_kit.mec import (
@@ -624,6 +624,20 @@ def test_laplace_classifications():
     assert edge_c.face.sigma == (0,)
     inter = prepare_laplace_inputs(cosine(), RectDomain([0.0, 0.0], [1.5 * PI, 1.5 * PI]))
     assert inter.classification == "interior-critical"
+
+
+def test_laplace_pins_a_maximizer_just_off_a_side():
+    # the variance peaks at (pi, pi), 5e-8 inside the side t_1 = pi + 5e-8:
+    # max_variance polishes it there and puts it on the edge of that side,
+    # and Theta must be taken on the edge itself
+    dom = RectDomain([0.0, 0.0], [PI + 5e-8, 1.5 * PI])
+    mv = max_variance(cosine(), dom)
+    assert abs(mv.point[0] - PI) < 1e-12
+    inputs = prepare_laplace_inputs(cosine(), dom)
+    assert inputs.face.sigma == (1,)
+    assert inputs.t0[0] == PI + 5e-8 and inputs.t0[1] == mv.point[1]
+    [res] = laplace_mec_result(cosine(), dom, [8.0])
+    assert res.total > 0.0
 
 
 # ---------------------------------------------------------------------------
