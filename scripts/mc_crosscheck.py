@@ -27,7 +27,7 @@ from excursion_kit.cli import parse_levels
 from excursion_kit.field import CosineField
 from excursion_kit.gauss import gauss_tail
 from excursion_kit.geometry import RectDomain
-from excursion_kit.mc import mc_mean_ec
+from excursion_kit.mc import empirical_sup_prob, mc_mean_ec
 from excursion_kit.mec import mean_euler_characteristic
 from excursion_kit.quad import QuadSpec
 
@@ -58,14 +58,15 @@ def main(argv=None):
         "   u     p_hat      p_fine     +/-        mean_ec    mc_chi     "
         "p/mec    p/closed"
     )
-    sims = mc_mean_ec(model, dom, levels, args.grid, args.reps, args.seed, threads=args.threads)
+    sim = dict(reps=args.reps, seed=args.seed, threads=args.threads)
+    coarse = mc_mean_ec(model, dom, levels, args.grid, **sim)
+    fine = empirical_sup_prob(model, dom, levels, 2 * args.grid - 1, **sim)
     mecs = mean_euler_characteristic(model, dom, levels, spec)
-    for u, sim, mec in zip(levels, sims, mecs):
-        p = sim["p_fine"]
+    for u, (p_hat, _, mean_chi, _), (p, se), mec in zip(levels, coarse, fine, mecs):
         print(
-            f"  {u:4.2f}  {sim['p_coarse']:.6f}  {p:.6f}  {sim['stderr_fine']:.6f}"
-            f"  {mec.total:.6f}  {sim['mean_chi']:8.5f}  {p / mec.total:7.4f}"
-            f"  {p / closed(u):7.4f}" + ("  [bias flag]" if sim["bias_flag"] else "")
+            f"  {u:4.2f}  {p_hat:.6f}  {p:.6f}  {se:.6f}"
+            f"  {mec.total:.6f}  {mean_chi:8.5f}  {p / mec.total:7.4f}"
+            f"  {p / closed(u):7.4f}"
         )
     return 0
 

@@ -70,6 +70,8 @@ _CONFIG_KEYS = {
 }
 _QUAD_KEYS = {"order_per_axis": int, "rel_tol": float}
 _MC_KEYS = {"grid", "reps"}
+# a level grid longer than this is a mistyped step, not a run
+MAX_LEVELS = 10_000
 
 
 @dataclass(frozen=True)
@@ -95,20 +97,18 @@ def _levels_from_range(start: float, stop: float, step: float) -> tuple[float, .
     if stop < start:
         raise ConfigError("level range must be increasing")
     out = []
-    k = 0
-    while True:
+    for k in range(MAX_LEVELS + 1):
         v = start + k * step
         if v > stop + 1e-9 * max(1.0, step):
-            break
+            return tuple(out)
         out.append(v)
-        k += 1
-    return tuple(out)
+    raise ConfigError(f"level range gives more than {MAX_LEVELS} levels")
 
 
 def parse_levels(text: str) -> tuple[float, ...]:
     """Levels of a START:STOP:STEP range, each START + k STEP, as --levels
     reads them; ConfigError unless the range is finite and increasing with
-    a positive step."""
+    a positive step and gives at most MAX_LEVELS levels."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError(f"--levels expects START:STOP:STEP, got {text!r}")
@@ -122,8 +122,8 @@ def parse_levels(text: str) -> tuple[float, ...]:
 def _levels_from_config(spec) -> tuple[float, ...]:
     if isinstance(spec, list):
         levels = tuple(config_number(float, v, "level") for v in spec)
-        if not levels:
-            raise ConfigError("levels list must be nonempty")
+        if not 0 < len(levels) <= MAX_LEVELS:
+            raise ConfigError(f"levels list must have 1 to {MAX_LEVELS} entries")
         if not all(math.isfinite(u) for u in levels):
             raise ConfigError("levels must be finite")
         if any(b <= a for a, b in zip(levels, levels[1:])):
@@ -380,24 +380,33 @@ def cmd_mc(cfg: RunConfig) -> int:
         "grid_fine",
         "bias_flag",
     ]
-    results = mc_mod.mc_mean_ec(
+    # mc_mean_ec runs first: it checks the model, dimension, grid and reps
+    # before any sweep
+    coarse = mc_mod.mc_mean_ec(
         cfg.model, cfg.domain, cfg.levels, cfg.mc_grid, cfg.mc_reps, cfg.seed, threads=cfg.threads
+    )
+    grid = mc_mod.GridSpec(cfg.domain, cfg.mc_grid)
+    fine = mc_mod.GridSpec(cfg.domain, tuple(2 * n - 1 for n in grid.points_per_axis))
+    # the refined grid contains every coarse point, so with shared replicate
+    # coefficients p_fine can only grow; the flag marks a gap beyond MC error
+    refined = mc_mod.empirical_sup_prob(
+        cfg.model, cfg.domain, cfg.levels, fine, cfg.mc_reps, cfg.seed, threads=cfg.threads
     )
     rows = [
         [
             u,
-            res["p_coarse"],
-            res["stderr_coarse"],
-            res["mean_chi"],
-            res["chi_stderr"],
-            "x".join(str(p) for p in res["grid_coarse"]),
+            p,
+            se,
+            mean_chi,
+            chi_se,
+            "x".join(map(str, grid.points_per_axis)),
             cfg.mc_reps,
-            res["p_fine"],
-            res["stderr_fine"],
-            "x".join(str(p) for p in res["grid_fine"]),
-            res["bias_flag"],
+            p_fine,
+            se_fine,
+            "x".join(map(str, fine.points_per_axis)),
+            abs(p_fine - p) > max(math.hypot(se, se_fine), 1e-12),
         ]
-        for u, res in zip(cfg.levels, results)
+        for u, (p, se, mean_chi, chi_se), (p_fine, se_fine) in zip(cfg.levels, coarse, refined)
     ]
     _emit(_csv_text(header, rows), cfg.out)
     _maybe_report(cfg, "mc", header, rows)
@@ -518,23 +527,30 @@ def _build_parser() -> argparse.ArgumentParser:
         "smooth Gaussian fields with stationary increments on rectangles.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("faces", "list the faces of the configured rectangle"),
-        ("compute", "analytic excursion quantities over a level grid (CSV)"),
-        ("mc", "Monte Carlo sup-probability and mean Euler characteristic (CSV)"),
-        ("validate", "run the built-in invariant suites"),
+    flags = {
+        "levels": dict(metavar="A:B:S", help="level grid start:stop:step"),
+        "method": dict(choices=METHODS, help="computation method"),
+        "seed": dict(type=int, metavar="N", help="master seed (default 0)"),
+        "threads": dict(type=int, metavar="N", help="worker threads"),
+        "out": dict(metavar="PATH", help="output file (default stdout)"),
+        "grid": dict(type=int, metavar="N", help="MC grid points per axis"),
+        "reps": dict(type=int, metavar="N", help="MC replicates"),
+        "quad-order": dict(type=int, metavar="N", help="quadrature order per axis"),
+        "rel-tol": dict(type=float, metavar="X", help="quadrature relative tolerance"),
+    }
+    # each subcommand takes only the flags its command reads
+    for name, reads, help_text in (
+        ("faces", "out", "list the faces of the configured rectangle"),
+        ("compute", "levels method seed threads out quad-order rel-tol",
+         "analytic excursion quantities over a level grid (CSV)"),
+        ("mc", "levels seed threads out grid reps",
+         "Monte Carlo sup-probability and mean Euler characteristic (CSV)"),
+        ("validate", "out", "run the built-in invariant suites"),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", metavar="PATH", help="JSON run configuration")
-        p.add_argument("--levels", metavar="A:B:S", help="level grid start:stop:step")
-        p.add_argument("--method", choices=METHODS, help="computation method")
-        p.add_argument("--seed", type=int, metavar="N", help="master seed (default 0)")
-        p.add_argument("--threads", type=int, metavar="N", help="worker threads")
-        p.add_argument("--out", metavar="PATH", help="output file (default stdout)")
-        p.add_argument("--grid", type=int, metavar="N", help="MC grid points per axis")
-        p.add_argument("--reps", type=int, metavar="N", help="MC replicates")
-        p.add_argument("--quad-order", type=int, metavar="N", help="quadrature order per axis")
-        p.add_argument("--rel-tol", type=float, metavar="X", help="quadrature relative tolerance")
+        for flag in reads.split():
+            p.add_argument("--" + flag, **flags[flag])
     return parser
 
 
@@ -567,9 +583,5 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 4
 
 
-def run() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    run()
+    sys.exit(main())

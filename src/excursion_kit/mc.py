@@ -17,10 +17,11 @@ forms its values tile by tile, a GEMM of a few replicate rows against the
 basis small enough to stay in cache.  Each tile's row maxima are taken once
 and compared with every level (and, for Euler counts, the same tile is
 thresholded per level) before the next tile overwrites it, so the chunk's
-whole value block never exists.  Both estimators take a level sequence:
-``empirical_sup_prob`` is one sweep, and ``mc_mean_ec`` one coarse sweep
-with Euler counts plus ``empirical_sup_prob`` on the refined grid, however
-many levels there are.
+whole value block never exists.  Both estimators take a level sequence and
+run one sweep of one grid, however many levels there are:
+``empirical_sup_prob`` counts grid maxima, and ``mc_mean_ec`` adds the
+Euler counts.  The ``mc`` command composes them, adding
+``empirical_sup_prob`` on the 2R-1 refinement of ``mc_mean_ec``'s grid.
 
 The empirical Euler characteristic uses the vertex-based closed cubical
 complex: a d-cell of the grid is occupied iff all its 2^d corners sit at or
@@ -325,7 +326,7 @@ def empirical_sup_prob(
     with its MC stderr, from one sweep.
 
     The discrete maximum underestimates the continuous supremum; the bias
-    shrinks with grid refinement (see mc_mean_ec).
+    shrinks with grid refinement.
     """
     return _sweep(model, _checked(model, domain, grid, reps), seed, reps, levels, threads)
 
@@ -339,34 +340,13 @@ def mc_mean_ec(
     seed: int = 0,
     *,
     threads: int = 1,
-) -> list[dict]:
-    """Per level, the mean empirical Euler characteristic and the sup
-    probability at the requested grid and at its refinement (2R-1 points).
-
-    One coarse sweep gives ``p_coarse``, ``stderr_coarse``, ``mean_chi``
-    and ``chi_stderr``; empirical_sup_prob on the refined grid gives
-    ``p_fine`` and ``stderr_fine``.  The refined grid contains every coarse
-    point, so with shared replicate coefficients the refined estimate can
-    only grow.  ``bias_flag`` is set when the two estimates differ by more
-    than the combined MC error.  Every input is checked before the first
-    sweep.
+) -> list[tuple[float, float, float, float]]:
+    """Per level, ``(p, stderr, mean_chi, chi_stderr)`` from one sweep of the
+    grid: the fraction of replicates whose grid maximum reaches the level,
+    and the mean empirical Euler characteristic of the excursion masks, each
+    with its MC stderr.  ``p`` equals empirical_sup_prob's on the same grid,
+    seed and replicates.  Every input is checked before the sweep.
     """
     gs = _checked(model, domain, grid, reps)
     _check_ec_dim(domain.dim)
-    fine = GridSpec(domain, tuple(2 * p - 1 for p in gs.points_per_axis))
-    coarse = _sweep(model, gs, seed, reps, levels, threads, ec=True)
-    refined = empirical_sup_prob(model, domain, levels, fine, reps, seed, threads=threads)
-    return [
-        {
-            "p_coarse": p1,
-            "stderr_coarse": s1,
-            "p_fine": p2,
-            "stderr_fine": s2,
-            "grid_coarse": gs.points_per_axis,
-            "grid_fine": fine.points_per_axis,
-            "bias_flag": abs(p2 - p1) > max(math.hypot(s1, s2), 1e-12),
-            "mean_chi": mean_chi,
-            "chi_stderr": chi_se,
-        }
-        for (p1, s1, mean_chi, chi_se), (p2, s2) in zip(coarse, refined)
-    ]
+    return _sweep(model, gs, seed, reps, levels, threads, ec=True)

@@ -10,12 +10,11 @@ import math
 import numpy as np
 import pytest
 
-import excursion_kit.mc as mc
 import excursion_kit.mec as mec
 from excursion_kit.field import CosineField, SpectralSumField
 from excursion_kit.gauss import gauss_tail, hermite_tail_identity_check
 from excursion_kit.geometry import Face, RectDomain, enumerate_faces
-from excursion_kit.mc import ec_oracle_2d, empirical_ec, empirical_sup_prob
+from excursion_kit.mc import ec_oracle_2d, empirical_ec, empirical_sup_prob, mc_mean_ec
 from excursion_kit.mec import excursion_prob_mu, mean_euler_characteristic, tau_hessian
 from excursion_kit.quad import QuadSpec
 
@@ -165,10 +164,7 @@ def test_04_monte_carlo_agrees_with_analytic():
             f"(rel dev {rel:.2%} > 10%)"
         )
 
-    # the coarse sweep of mc_mean_ec alone: its refined sup probability is
-    # not checked here
-    grid = mc._checked(cosine(), dom, 128, 100_000)
-    [(_, _, mean_chi, chi_se)] = mc._sweep(cosine(), grid, 3, 100_000, [2.5], 4, ec=True)
+    [(_, _, mean_chi, chi_se)] = mc_mean_ec(cosine(), dom, [2.5], 128, 100_000, seed=3, threads=4)
     want = mean_euler_characteristic(cosine(), dom, [2.5], SPEC)[0].total
     tol = 3 * chi_se + 0.05 * abs(want)
     if abs(mean_chi - want) > tol:

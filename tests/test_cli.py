@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from excursion_kit import cli, mec
+from excursion_kit.errors import ConfigError
 from excursion_kit.field import CosineField
 from excursion_kit.gauss import gauss_tail
 
@@ -122,8 +123,9 @@ def test_bad_domain_is_config_error(tmp_path, capsys):
     ],
 )
 def test_malformed_values_are_config_errors(tmp_path, capsys, overrides, flags):
+    # every command checks the whole file; the quadrature flags belong to compute
     cfg = write_config(tmp_path, **overrides)
-    code = cli.main(["faces", "--config", cfg, *flags])
+    code = cli.main(["compute" if flags else "faces", "--config", cfg, *flags])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
 
@@ -222,6 +224,21 @@ def test_levels_flag_overrides_config(tmp_path, capsys):
     assert [float(r[0]) for r in rows] == [6.0, 7.0, 8.0]
 
 
+def test_level_count_is_capped(tmp_path, capsys, monkeypatch):
+    # a tiny step is refused before any level is computed
+    monkeypatch.setattr(mec, "_face_sum", lambda *a: pytest.fail("mec._face_sum called"))
+    with pytest.raises(ConfigError):
+        cli.parse_levels("0:1:1e-7")
+    assert len(cli.parse_levels(f"1:{cli.MAX_LEVELS}:1")) == cli.MAX_LEVELS
+    for levels in (
+        {"start": 0.0, "stop": 1.0, "step": 1e-12},
+        [float(k) for k in range(cli.MAX_LEVELS + 1)],
+    ):
+        cfg = write_config(tmp_path, levels=levels)
+        assert cli.main(["compute", "--config", cfg]) == 2
+        assert "levels" in capsys.readouterr().err
+
+
 def test_levels_flag_parse_errors(tmp_path, capsys):
     cfg = write_config(tmp_path)
     for bad in ["abc", "1:2", "2:1:1", "1:2:-1", "1:2:0"]:
@@ -300,8 +317,23 @@ def test_mc_schema_and_stderr(tmp_path, capsys):
     assert row[5] == "9x9"
     assert row[9] == "17x17"
     assert row[6] == "100"
-    assert row[10] in ("0", "1")
-    assert float(row[7]) >= p  # refinement only adds mass
+    p_fine = float(row[7])
+    assert p_fine >= p  # refinement only adds mass
+    # the flag marks a gap beyond the combined MC error
+    flagged = abs(p_fine - p) > max(math.hypot(float(row[2]), float(row[8])), 1e-12)
+    assert row[10] == ("1" if flagged else "0")
+
+
+def test_mc_bias_flag_marks_a_refinement_gap(tmp_path, capsys):
+    # a 2x2 grid sees only the corners; its 3x3 refinement adds the centre
+    # and edge midpoints, and finds clearly more maxima above each level
+    cfg = write_config(tmp_path, levels=[1.0, 2.0, 3.0], mc={"grid": 2, "reps": 400})
+    code, out = run(capsys, ["mc", "--config", cfg])
+    assert code == 0
+    for row in parse_csv(out)[1]:
+        p, se, p_fine, se_fine = (float(row[i]) for i in (1, 2, 7, 8))
+        assert p_fine - p > math.hypot(se, se_fine)
+        assert row[10] == "1"
 
 
 def test_mc_reruns_byte_identical(tmp_path, capsys):
@@ -512,6 +544,23 @@ def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["faces", "--grid", "9"],
+        ["validate", "--levels", "1:2:1"],
+        ["compute", "--reps", "200"],
+        ["mc", "--quad-order", "8"],
+    ],
+)
+def test_subcommand_rejects_a_flag_it_does_not_read(tmp_path, capsys, argv):
+    cfg = write_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--config", cfg])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_seed_flag_changes_mc_output(tmp_path, capsys):

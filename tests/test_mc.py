@@ -281,17 +281,19 @@ def test_block_cap_leaves_results_unchanged(monkeypatch):
 
 
 def test_sweep_memory_stays_at_the_tile():
-    # one 512-row block of the 255^2 fine grid would be 266 MB; tiles keep
-    # the sweep near MAX_BLOCK_BYTES, with both work items in flight at once
+    # one 512-row block of the 255^2 grid would be 266 MB; tiles keep both
+    # sweeps of an mc command near MAX_BLOCK_BYTES, with both work items in
+    # flight at once
     dom = RectDomain([0.0, 0.0], [PI, PI])
     for threads in (1, 2):
         tracemalloc.start()
         try:
             rows = mc_mean_ec(cosine(), dom, (3.0, 4.0), 128, 600, 0, threads=threads)
+            rows += empirical_sup_prob(cosine(), dom, (3.0, 4.0), 255, 600, 0, threads=threads)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(rows) == 2
+        assert len(rows) == 4
         assert peak < 32 * 2**20
 
 
@@ -358,18 +360,18 @@ def test_mc_levels_thread_invariant_with_small_tiles(monkeypatch):
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_mc_levels_equal_one_level_calls(threads):
-    # one coarse and one fine sweep serve every level; 700 reps make two
-    # chunks, so threads=2 runs them concurrently
+    # one sweep of a grid serves every level; 700 reps make two chunks, so
+    # threads=2 runs them concurrently
     dom = RectDomain([0.0, 0.0], [PI, PI])
     levels = (1.5, 2.0, 2.5)
     rows = mc_mean_ec(cosine(), dom, levels, 9, 700, 5, threads=threads)
     assert len(rows) == len(levels)
     fine = empirical_sup_prob(cosine(), dom, levels, 17, 700, 5, threads=threads)
-    for u, row, (p_fine, se_fine) in zip(levels, rows, fine):
+    for u, row, sup_fine in zip(levels, rows, fine):
         assert row == mc_mean_ec(cosine(), dom, [u], 9, 700, 5, threads=threads)[0]
-        assert (row["p_fine"], row["stderr_fine"]) == (p_fine, se_fine)
-        coarse = empirical_sup_prob(cosine(), dom, [u], 9, 700, 5, threads=threads)[0]
-        assert (row["p_coarse"], row["stderr_coarse"]) == coarse
+        assert sup_fine == empirical_sup_prob(cosine(), dom, [u], 17, 700, 5, threads=threads)[0]
+        # the Euler sweep counts grid maxima exactly as empirical_sup_prob does
+        assert row[:2] == empirical_sup_prob(cosine(), dom, [u], 9, 700, 5, threads=threads)[0]
 
 
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
@@ -410,23 +412,22 @@ def test_refined_axes_contain_coarse_axes():
 
 
 def test_dual_resolution_refinement_never_loses_mass():
+    # the 2R-1 grid contains every point of the R grid and the replicates
+    # share their coefficients, so each replicate's maximum can only grow
     dom = RectDomain([0.0, 0.0], [PI, PI])
-    [out] = mc_mean_ec(cosine(), dom, [2.0], 5, 400, seed=9)
-    assert out["p_fine"] >= out["p_coarse"]
-    assert out["grid_fine"] == (9, 9)
-    assert out["grid_coarse"] == (5, 5)
-    flagged = abs(out["p_fine"] - out["p_coarse"]) > max(
-        math.hypot(out["stderr_coarse"], out["stderr_fine"]), 1e-12
-    )
-    assert out["bias_flag"] == flagged
+    levels = (1.0, 2.0, 3.0)
+    coarse = mc_mean_ec(cosine(), dom, levels, 5, 400, seed=9)
+    fine = empirical_sup_prob(cosine(), dom, levels, 9, 400, seed=9)
+    for (p, *_), (p_fine, _) in zip(coarse, fine):
+        assert p_fine >= p
 
 
 def test_mc_mean_ec_sane_at_low_level():
     # at a deep level the excursion set is the whole square, so chi = 1
     dom = RectDomain([0.0, 0.0], [PI, PI])
-    [row] = mc_mean_ec(cosine(), dom, [-40.0], 9, 120, seed=2)
-    assert row["mean_chi"] == 1.0
-    assert row["chi_stderr"] == 0.0
+    [(p, se, mean_chi, chi_se)] = mc_mean_ec(cosine(), dom, [-40.0], 9, 120, seed=2)
+    assert (p, se) == (1.0, 0.0)
+    assert (mean_chi, chi_se) == (1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
