@@ -6,16 +6,17 @@ ledger of a one-level call; the level-free work is done once for all levels.
 Each is one term per face, vertices included, summed by ``_face_sum``; the
 quantities differ only in the term.
 
-* ``excursion_prob_mu``: vertex tails plus per-face integrals of
-  He_{k-1}(u/theta_t) exp(-u^2 / (2 theta_t^2)) -- the leading-order
-  excursion-probability approximation built from one-sided maxima counts;
 * ``mean_euler_characteristic``: the exact mean Euler characteristic of the
-  excursion set, combining vertex orthant probabilities with face integrals
-  that carry an extra conditional Gaussian layer over the outward cone.  On
-  a face below full dimension the level axis x >= u is integrated in closed
-  form (Hermite tail identity), leaving one adaptive box integral over the
-  face coordinates x the outward cone; the full-dimensional face has an
-  empty cone and is the mu face term;
+  excursion set.  Its face term (``_face_term`` with the cone) is the
+  Kac-Rice mean of X conditioned on the free gradients vanishing, with the
+  pinned-direction gradients in the face's outward cone: an orthant
+  probability at a vertex, and on a k >= 1 face one adaptive box integral
+  over the face coordinates x the cone, the level axis x >= u integrated in
+  closed form (Hermite tail identity);
+* ``excursion_prob_mu``: the leading-order excursion-probability
+  approximation, the same face term without the outward cone: vertex tails
+  plus per-face integrals of He_{k-1}(u/theta_t) exp(-u^2 / (2 theta_t^2));
+  the interior face, whose cone is empty, has the same term in both;
 * ``laplace_mec_result``: the closed-form asymptotic equivalent obtained
   by Laplace-expanding the face integrals around the variance maximizer.
 
@@ -201,115 +202,88 @@ class FaceContext:
 # ---------------------------------------------------------------------------
 
 
-def _face_term_mu_result(
-    model: FieldModel, face: Face, levels: tuple[float, ...], spec: QuadSpec
-) -> list[QuadResult]:
-    """The mu term of a face at every level: the tail P(X(t) >= u) at a
-    vertex, the Rice integral of He_{k-1} on a k >= 1 face."""
+def _face_term(
+    model: FieldModel,
+    face: Face,
+    levels: tuple[float, ...],
+    spec: QuadSpec,
+    seed: int | None,
+    cone: bool,
+) -> list:
+    """The Kac-Rice term of one face at every level, one tuple per level
+    that starts (value, err_est).
+
+    It counts X(t) >= u where the free gradients vanish, against the
+    density of X and the pinned-direction gradients y given them.  With
+    ``cone`` y lies in the face's outward cone (mean EC); without it y is
+    integrated out (mu).  A vertex gives P(X >= u, y in cone) by QMC from
+    ``seed``, its points shared by all levels, or without the cone the
+    tail P(X >= u).  On a k >= 1 face X given y has mean m_t(y) =
+    b_t S^-1 y (S the constant conditional covariance of y) and sd s_t,
+    gamma_t with a cone and theta_t without, so the x-integral over
+    [u, inf) leaves He_{k-1}(a) phi(a) with a = (u - m_t(y)) / s_t.  One
+    adaptive integral over the face x its cone, if not empty, remains;
+    its error estimate is the term's.  An empty cone, as on the interior
+    face, has m_t = 0.
+    """
     ctx = FaceContext(model, face)
     k = face.k
+    q = len(ctx.fixed) if cone else 0
     if k == 0:
-        nu = float(ctx.arrays(np.zeros((1, 0))).theta_sq[0])
+        d = ctx.arrays(np.zeros((1, 0)))
+        if q:
+            cov = np.block([[d.theta_sq[:, None], d.b], [d.b.T, ctx.lam]])
+            clo, chi = outward_cone(face).bounds()
+            hi = np.r_[np.inf, chi]
+            return mvn_prob([MvnProblem(cov, np.r_[u, clo], hi) for u in levels], seed)
+        nu = float(d.theta_sq[0])
         if nu < DEGENERATE_VAR:
             # X(t) = 0 almost surely
             return [QuadResult(float(u <= 0.0), 0.0) for u in levels]
         return [QuadResult(float(gauss_tail(u / math.sqrt(nu))), 0.0) for u in levels]
 
-    def integrand(pts):
-        d = ctx.arrays(pts)
-        out = np.zeros((len(levels), pts.shape[0]))
-        mask = d.theta_sq >= DEGENERATE_VAR
-        if mask.any():
-            th = np.sqrt(d.theta_sq[mask])
-            scale = d.det_diff[mask] * th ** (-k)
-            for row, u in zip(out, levels):
-                z = u / th
-                row[mask] = scale * hermite(k - 1, z) * np.exp(-0.5 * z * z)
-        return out
+    pref, log_norm = ctx.pref_mu, 0.0
+    if q:
+        try:
+            chol = np.linalg.cholesky(ctx.schur_ff)
+        except np.linalg.LinAlgError as exc:
+            raise DegeneracyError(
+                f"conditional gradient covariance singular on face {face_label(face)}"
+            ) from exc
+        # whitening y -> L^{-1} y of N(0, schur_ff); the extra 1/sqrt(2 pi) is
+        # the phi(a) left by the x-integral
+        white_t = np.linalg.inv(chol).T
+        pref = ctx.pref_mec
+        log_norm = -0.5 * (1 + q) * math.log(2.0 * math.pi) - float(
+            np.sum(np.log(np.diag(chol)))
+        )
 
-    return [
-        QuadResult(ctx.pref_mu * res.value, ctx.pref_mu * res.err_est, res.converged)
-        for res in integrate_face(face, integrand, spec)
-    ]
-
-
-def _vertex_term_results(
-    model: FieldModel, vertex: Face, levels: tuple[float, ...], seed: int
-) -> list[MvnResult]:
-    """The vertex orthant probability at every level, one per level.
-
-    The levels share the covariance and, through one seed, the QMC points
-    of every randomization; each result equals a one-level call.
-    """
-    ctx = FaceContext(model, vertex)
-    d = ctx.arrays(np.zeros((1, 0)))
-    cov = np.block([[d.theta_sq[:, None], d.b], [d.b.T, ctx.lam]])
-    clo, chi = outward_cone(vertex).bounds()
-    hi = np.r_[np.inf, chi]
-    return mvn_prob([MvnProblem(cov, np.r_[u, clo], hi) for u in levels], seed)
-
-
-def _face_term_mean_ec_result(
-    model: FieldModel, face: Face, levels: tuple[float, ...], spec: QuadSpec
-) -> list[QuadResult]:
-    """Mean count of extended outward maxima above each level on a k >= 1 face.
-
-    The Kac-Rice integrand is He_k(x/gamma_t + gamma_t sum_j C_j(t) y_j)
-    against the conditional density of (X, boundary gradients y) given the
-    free gradient vanishing, over [u, inf) x outward cone.  Given y, X has
-    mean m_t(y) = b_t S^-1 y and variance gamma_t^2 (S the face's constant
-    conditional covariance of y), so the x-integral is He_{k-1}(a) phi(a)
-    with a = (u - m_t(y)) / gamma_t.  What remains is one adaptive
-    integral over the face's free coordinates x the cone
-    (``integrate_face`` with the face's outward cone); its error estimate
-    is the term's.
-    For k = N the cone is empty and the term is the mu face term.
-    """
-    k = face.k
-    q = model.dim - k
-    if q == 0:
-        # empty cone and theta = gamma: the x-integral leaves the mu integrand
-        return _face_term_mu_result(model, face, levels, spec)
-    ctx = FaceContext(model, face)
-    try:
-        chol = np.linalg.cholesky(ctx.schur_ff)
-    except np.linalg.LinAlgError as exc:
-        raise DegeneracyError(
-            f"conditional gradient covariance singular on face {face_label(face)}"
-        ) from exc
-    # whitening y -> L^{-1} y of N(0, schur_ff); the extra 1/sqrt(2 pi) is
-    # the phi(a) left by the x-integral
-    white_t = np.linalg.inv(chol).T
-    log_norm = -0.5 * (1 + q) * math.log(2.0 * math.pi) - float(
-        np.sum(np.log(np.diag(chol)))
-    )
-
-    def integrand(x, y):
-        # x holds free face coordinates (n_x, k), y cone points (n_y, q);
-        # the joint nodes are their product, x-major.
+    def integrand(x, y=None):
+        # x holds free face coordinates (n_x, k), y cone points (n_y, q) or
+        # None for an empty cone; the joint nodes are their product, x-major.
         # The field runs once per face point and the cone factors once per
         # cone point; both broadcast to (n_x, n_y), and every per-node
         # expression is the one of the unsplit integrand.
         d = ctx.arrays(x)
-        ok = (d.gamma_sq >= DEGENERATE_VAR) & (d.theta_sq >= DEGENERATE_VAR)
-        gam = np.sqrt(np.where(ok, d.gamma_sq, 1.0))
-        weight = np.where(ok, d.det_diff * gam ** (-k), 0.0)[:, None]
-        gam = gam[:, None]
-        wy = y @ white_t
-        # X given the gradients has mean b_t S^-1 y and variance gamma_t^2
-        mean = np.einsum("ij,mj->im", d.b @ white_t, wy)
-        wy_sq = np.einsum("mj,mj->m", wy, wy)
-        out = np.empty((len(levels), x.shape[0], y.shape[0]))
+        ok = d.theta_sq >= DEGENERATE_VAR
+        var, mean, wy_sq, n_y = d.theta_sq, 0.0, 0.0, 1
+        if q:
+            ok &= d.gamma_sq >= DEGENERATE_VAR
+            var, n_y = d.gamma_sq, len(y)
+            wy = y @ white_t
+            mean = np.einsum("ij,mj->im", d.b @ white_t, wy)
+            wy_sq = np.einsum("mj,mj->m", wy, wy)
+        sd = np.sqrt(np.where(ok, var, 1.0))
+        weight = np.where(ok, d.det_diff * sd ** (-k), 0.0)[:, None]
+        sd = sd[:, None]
+        out = np.empty((len(levels), x.shape[0], n_y))
         for row, u in zip(out, levels):
-            a = (u - mean) / gam
-            expo = log_norm - 0.5 * (wy_sq + a * a)
-            row[:] = weight * hermite(k - 1, a) * np.exp(expo)
-        return out.reshape(len(levels), x.shape[0] * y.shape[0])
+            a = (u - mean) / sd
+            row[:] = weight * hermite(k - 1, a) * np.exp(log_norm - 0.5 * (wy_sq + a * a))
+        return out.reshape(len(levels), x.shape[0] * n_y)
 
-    return [
-        QuadResult(ctx.pref_mec * res.value, ctx.pref_mec * res.err_est, res.converged)
-        for res in integrate_face(face, integrand, spec, outward_cone(face))
-    ]
+    results = integrate_face(face, integrand, spec, outward_cone(face) if q else None)
+    return [QuadResult(pref * r.value, pref * r.err_est, r.converged) for r in results]
 
 
 # ---------------------------------------------------------------------------
@@ -374,9 +348,10 @@ def mean_euler_characteristic(
 ) -> list[MecResult]:
     """Mean Euler characteristic of the excursion set above each level.
 
-    Vertices contribute joint orthant probabilities; every k >= 1 face
-    contributes its extended-outward-maxima mean, in one quadrature pass for
-    all levels.  Bit-stable for a fixed seed regardless of thread count.
+    One Kac-Rice face term per face with the outward cone: vertices
+    contribute joint orthant probabilities, every k >= 1 face its
+    extended-outward-maxima mean, in one quadrature pass for all levels.
+    Bit-stable for a fixed seed regardless of thread count.
     """
     if domain.dim > MEAN_EC_DIM_CAP:
         raise CapabilityError(
@@ -385,10 +360,8 @@ def mean_euler_characteristic(
     levels = tuple(float(u) for u in levels)
 
     def term(i: int, fc: Face) -> list:
-        if fc.k == 0:
-            # the vertex orthant draws its QMC points from the face's seed
-            return _vertex_term_results(model, fc, levels, _face_seed(seed, i))
-        return _face_term_mean_ec_result(model, fc, levels, spec)
+        # a vertex orthant draws its QMC points from the face's seed
+        return _face_term(model, fc, levels, spec, _face_seed(seed, i), cone=True)
 
     return _face_sum("mean_ec", domain, levels, term, threads)
 
@@ -401,14 +374,16 @@ def excursion_prob_mu(
     *,
     threads: int = 1,
 ) -> list[MecResult]:
-    """Leading-order excursion probability at each level: vertex tails plus
-    mu face terms, each face in one quadrature pass for all levels."""
+    """Leading-order excursion probability at each level: the mean-EC face
+    terms without the outward cone, that is vertex tails plus mu face
+    integrals, each face in one quadrature pass for all levels.  Draws no
+    QMC points, so it takes no seed."""
     levels = tuple(float(u) for u in levels)
     return _face_sum(
         "mu_approx",
         domain,
         levels,
-        lambda i, fc: _face_term_mu_result(model, fc, levels, spec),
+        lambda i, fc: _face_term(model, fc, levels, spec, None, cone=False),
         threads,
     )
 

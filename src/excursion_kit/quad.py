@@ -29,7 +29,9 @@ over its 2^d dyadic children; boxes are split until the difference passes
 ``rel_tol`` (with an ABS_TOL floor for integrals that are numerically
 zero), or until MAX_SUBDIVISIONS levels or MAX_BOXES evaluated boxes are
 exhausted, in which case the result carries ``converged=False`` and a
-QuadratureWarning.  Each row of an (L, m) integrand keeps its own
+QuadratureWarning.  A box of more than MAX_BOX_NODES tensor nodes
+(order_per_axis ** d) is a CapabilityError, raised before any node is
+built.  Each row of an (L, m) integrand keeps its own
 refinement tree, so its result is bit-identical to integrating that row
 alone; one integrand call per box serves every row still refining it.
 """
@@ -63,6 +65,8 @@ MAX_BOXES = 200_000
 MAX_SUBDIVISIONS = 12
 # absolute difference under which a box counts as converged (zero integrals)
 ABS_TOL = 1e-14
+# cap on the tensor nodes of one box, order_per_axis ** dim
+MAX_BOX_NODES = 2**23
 
 
 @dataclass(frozen=True)
@@ -180,6 +184,8 @@ def integrate_box(f, lower, upper, spec: QuadSpec = QuadSpec(), *, split=None):
     k leading axes and of the d - k trailing axes of every box, and returns
     its values over their product in x-major order (see the module
     docstring); the results are those of the unsplit integrand.
+
+    CapabilityError when a box has more than MAX_BOX_NODES nodes.
     """
     lo = np.atleast_1d(np.asarray(lower, dtype=float))
     hi = np.atleast_1d(np.asarray(upper, dtype=float))
@@ -190,6 +196,10 @@ def integrate_box(f, lower, upper, spec: QuadSpec = QuadSpec(), *, split=None):
     if split is not None and not 0 < split < lo.shape[0]:
         raise ValueError("split must leave at least one axis on each side")
     order = spec.order_per_axis
+    if order ** lo.shape[0] > MAX_BOX_NODES:
+        raise CapabilityError(
+            f"{order}^{lo.shape[0]} quadrature nodes per box exceed cap {MAX_BOX_NODES}"
+        )
     one_row = False
 
     def root(*nodes):

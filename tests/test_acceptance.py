@@ -195,12 +195,12 @@ def test_05_vertex_term_factorizes_at_zero_gradient():
     cases.append((m3, v3, 3.0, 7.0, 3))
 
     for model, vert, u, nu, n in cases:
-        [res] = mec._vertex_term_results(model, vert, (u,), 0)
+        [res] = mec._face_term(model, vert, (u,), SPEC, 0, cone=True)
         want = gauss_tail(u / math.sqrt(nu)) / 2**n
         assert abs(res.p - want) <= 3 * max(res.err_est, 1e-12), (n, res.p, want)
 
     # headline case: quarter tail at the flat corner of [0, pi]^2
-    [val] = mec._vertex_term_results(cosine(), v2, (3.0,), 0)
+    [val] = mec._face_term(cosine(), v2, (3.0,), SPEC, 0, cone=True)
     assert val.p == pytest.approx(0.25 * gauss_tail(3.0 / S5), rel=1e-5)
 
 
@@ -233,9 +233,9 @@ def test_07_structural_properties():
 
     dom = RectDomain([0.0, 0.0], [PI, PI])
     interior = enumerate_faces(dom)[0]
-    [a] = mec._face_term_mean_ec_result(cosine(), interior, (6.0,), SPEC)
-    [b] = mec._face_term_mu_result(cosine(), interior, (6.0,), SPEC)
-    assert a.value == pytest.approx(b.value, rel=1e-6)
+    [a] = mec._face_term(cosine(), interior, (6.0,), SPEC, 0, cone=True)
+    [b] = mec._face_term(cosine(), interior, (6.0,), SPEC, None, cone=False)
+    assert a == b
 
     [res] = excursion_prob_mu(cosine(), dom, [7.0], SPEC)
     assert res.total == pytest.approx(

@@ -2,6 +2,11 @@ import csv
 import io
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +17,7 @@ from excursion_kit.field import CosineField
 from excursion_kit.gauss import gauss_tail
 
 PI = math.pi
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_config(tmp_path, name="run.json", **overrides):
@@ -421,6 +427,41 @@ def test_seven_dimensions_is_a_capability_limit(tmp_path, capsys):
     code, text = run(capsys, ["validate", "--config", cfg])
     assert code == 5
     assert "FAIL condition_check: raised CapabilityError" in text
+
+
+def _limit_address_space():
+    # 2 GiB: a box over the node cap would fail to allocate (exit 1) well
+    # before it could exhaust the machine
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("case", ["6d-mu", "3d-mean-ec-order-300"])
+def test_box_node_cap_exits_3(tmp_path, case):
+    # 24^6 nodes of the default order on a 6-D box, 300^3 on a 3-D face x
+    # cone box: each is refused as a capability limit before any node is built
+    if case == "6d-mu":
+        cfg = write_config(
+            tmp_path,
+            field={"type": "gaussian_increment", "dim": 6},
+            domain={"lower": [0.0] * 6, "upper": [1.0] * 6},
+            levels=[3.0],
+        )
+        argv, want = ["--config", cfg], "24^6"
+    else:
+        cfg = str(ROOT / "perfbench" / "configs" / "spectral3.json")
+        argv = ["--config", cfg, "--levels", "6:6:1", "--method", "mean_ec"]
+        argv, want = [*argv, "--quad-order", "300"], "300^3"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "excursion_kit.cli", "compute", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        preexec_fn=_limit_address_space,
+        timeout=300,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == f"error: {want} quadrature nodes per box exceed cap 8388608\n"
 
 
 def test_mc_non_spectral_model_capability_exit(tmp_path, capsys):

@@ -38,20 +38,11 @@ def edge(dom, free_axis, fixed_axis, upper):
     return Face(domain=dom, sigma=(free_axis,), epsilon=((fixed_axis, int(upper)),))
 
 
-# one face or vertex at one level, straight from the kernels the ledgers sum,
-# so a per-face check does not pay for the whole ledger
-
-
-def face_mu(model, face, u, spec):
-    return mec._face_term_mu_result(model, face, (u,), spec)[0].value
-
-
-def face_mean_ec(model, face, u, spec):
-    return mec._face_term_mean_ec_result(model, face, (u,), spec)[0].value
-
-
-def vertex_p(model, vert, u, seed=0):
-    return mec._vertex_term_results(model, vert, (u,), seed)[0].p
+def face_term(model, face, u, spec=SPEC, *, cone, seed=0):
+    """One face or vertex at one level, straight from the term the ledgers
+    sum, so a per-face check does not pay for the whole ledger: the mean-EC
+    term with the outward cone, the mu term without it."""
+    return mec._face_term(model, face, (u,), spec, seed, cone)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +55,7 @@ def test_face_term_mu_edge_band():
     dom = RectDomain([0.0, 0.0], [1.5 * PI, 0.5 * PI])
     face = edge(dom, 0, 1, upper=True)
     u = 8.0
-    ratio = face_mu(cosine(), face, u, SPEC) / (math.sqrt(2) * gauss_tail(u / 2))
+    ratio = face_term(cosine(), face, u, cone=False) / (math.sqrt(2) * gauss_tail(u / 2))
     assert 0.95 <= ratio <= 1.05
 
 
@@ -72,14 +63,15 @@ def test_face_term_mu_interior_band():
     dom = RectDomain([0.0, 0.0], [1.5 * PI, 1.5 * PI])
     face = enumerate_faces(dom)[0]
     u = 8.0
-    ratio = face_mu(cosine(), face, u, SPEC) / (2 * gauss_tail(u / S5))
+    ratio = face_term(cosine(), face, u, cone=False) / (2 * gauss_tail(u / S5))
     assert 0.95 <= ratio <= 1.05
 
 
 def test_face_term_mu_decays_in_u():
     dom = RectDomain([0.0, 0.0], [1.5 * PI, 0.5 * PI])
     face = edge(dom, 0, 1, upper=True)
-    assert face_mu(cosine(), face, 12.0, SPEC) < face_mu(cosine(), face, 8.0, SPEC)
+    at = [face_term(cosine(), face, u, cone=False) for u in (12.0, 8.0)]
+    assert at[0] < at[1]
 
 
 def test_face_term_mu_positive_at_large_u():
@@ -87,7 +79,7 @@ def test_face_term_mu_positive_at_large_u():
     for face in enumerate_faces(dom):
         if face.k >= 1:
             for u in (8.0, 10.0):
-                assert face_mu(cosine(), face, u, SPEC) >= 0.0
+                assert face_term(cosine(), face, u, cone=False) >= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +91,7 @@ def test_vertex_term_zero_gradient_factorizes():
     dom = RectDomain([0.0, 0.0], [PI, PI])
     vert = Face(domain=dom, sigma=(), epsilon=((0, 1), (1, 1)))
     u = 3.0
-    val = vertex_p(cosine(), vert, u)
+    val = face_term(cosine(), vert, u, cone=True)
     # at (pi,pi): c = 0 and Lambda diagonal, so X and the gradient are
     # independent and each one-sided derivative constraint contributes 1/2
     assert val == pytest.approx(0.25 * gauss_tail(u / S5), rel=1e-6)
@@ -111,7 +103,7 @@ def test_vertex_term_against_plain_monte_carlo():
     dom = RectDomain([0.0, 0.0], [PI / 2, PI / 2])
     vert = Face(domain=dom, sigma=(), epsilon=((0, 1), (1, 1)))
     u = 3.0
-    val = vertex_p(cosine(), vert, u, seed=0)
+    val = face_term(cosine(), vert, u, seed=0, cone=True)
 
     cov = np.array(
         [
@@ -142,7 +134,7 @@ def test_vertex_term_one_dimensional():
     dom = RectDomain([0.5], [PI])
     vert = Face(domain=dom, sigma=(), epsilon=((0, 1),))
     # at t = pi: nu = 1 + 2*0.5*(1-cos pi) = 3, c = 0, so factorization is exact
-    val = vertex_p(m, vert, 2.0)
+    val = face_term(m, vert, 2.0, cone=True)
     assert val == pytest.approx(0.5 * gauss_tail(2.0 / math.sqrt(3)), rel=1e-9)
 
 
@@ -161,21 +153,21 @@ def test_vertex_context_rejects_singular_gradient_covariance():
 
 
 def test_interior_mean_ec_collapses_to_mu():
-    # for the top-dimensional face the cone is empty and theta = gamma, so
-    # the two integrands agree after the tail integral collapses
+    # the top-dimensional face has an empty cone, so the mean-EC and mu
+    # terms run one integrand and agree bit for bit
     dom = RectDomain([0.0, 0.0], [PI, PI])
     face = enumerate_faces(dom)[0]
     u = 6.0
-    a = face_mean_ec(cosine(), face, u, SPEC)
-    b = face_mu(cosine(), face, u, SPEC)
-    assert a == pytest.approx(b, rel=1e-6)
+    a = face_term(cosine(), face, u, cone=True)
+    b = face_term(cosine(), face, u, cone=False)
+    assert a == b
 
 
 def test_face_term_mean_ec_edge_band_long_domain():
     dom = RectDomain([0.0, 0.0], [1.5 * PI, PI])
     face = edge(dom, 0, 1, upper=True)  # (0, 3pi/2) x {pi}
     u = 8.0
-    ratio = face_mean_ec(cosine(), face, u, SPEC) / (
+    ratio = face_term(cosine(), face, u, cone=True) / (
         (math.sqrt(2) / 2) * gauss_tail(u / S5)
     )
     assert 0.9 <= ratio <= 1.1
@@ -185,7 +177,7 @@ def test_face_term_mean_ec_edge_band_square():
     dom = RectDomain([0.0, 0.0], [PI, PI])
     face = edge(dom, 0, 1, upper=True)  # (0, pi) x {pi}
     u = 8.0
-    ratio = face_mean_ec(cosine(), face, u, SPEC) / (
+    ratio = face_term(cosine(), face, u, cone=True) / (
         (math.sqrt(2) / 4) * gauss_tail(u / S5)
     )
     assert 0.9 <= ratio <= 1.1
@@ -256,7 +248,7 @@ def assert_faces_match_oracle(model, dom, labels, u):
     for label in labels:
         face = next(f for f in enumerate_faces(dom) if face_label(f) == label)
         want = nested_mean_ec_face(model, face, u, SPEC)
-        got = face_mean_ec(model, face, u, SPEC)
+        got = face_term(model, face, u, cone=True)
         assert got == pytest.approx(want, rel=1e-7, abs=0.0), (dom, label)
 
 
@@ -300,7 +292,7 @@ def test_mean_ec_joint_box_runs_the_field_at_face_points_only(monkeypatch):
         for face in enumerate_faces(domain):
             if 1 <= face.k < domain.dim:
                 sizes.clear()
-                face_mean_ec(model, face, 6.0, spec)
+                face_term(model, face, 6.0, spec, cone=True)
                 assert sizes and set(sizes) == {6**face.k}, face_label(face)
 
 
@@ -478,7 +470,7 @@ def test_vertex_levels_share_one_set_of_qmc_points(monkeypatch):
     for i, fc in enumerate(f for f in enumerate_faces(dom) if f.k == 0):
         seed = mec._face_seed(0, i)
         built.clear()
-        got = mec._vertex_term_results(model, fc, levels, seed)
+        got = mec._face_term(model, fc, levels, SPEC, seed, cone=True)
         assert built == [3] * 12, face_label(fc)
         t = fc.fixed_values()
         c = 0.5 * model.grad_variance(t)
@@ -489,6 +481,22 @@ def test_vertex_levels_share_one_set_of_qmc_points(monkeypatch):
             for u in levels
         ]
         assert got == want, face_label(fc)
+
+
+def test_mu_draws_no_qmc_points(monkeypatch):
+    # mu is the face term without the outward cone: its vertices are the
+    # closed-form tail, so it needs no seed and never builds Sobol points
+    def no_sobol(*args, **kwargs):
+        raise AssertionError("mu drew QMC points")
+
+    monkeypatch.setattr(gauss.qmc, "Sobol", no_sobol)
+    m, dom = spectral3()
+    [res] = excursion_prob_mu(m, dom, [4.0], SPEC)
+    for fc, value in res.per_face:
+        if fc.k == 0:
+            nu = m.variance(fc.fixed_values())
+            want = gauss_tail(4.0 / math.sqrt(nu))
+            assert value == pytest.approx(want, rel=1e-12), face_label(fc)
 
 
 @pytest.mark.parametrize("threads", [1, 2])

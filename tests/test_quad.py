@@ -332,6 +332,23 @@ def test_cone_dimension_cap():
         integrate_cone(cone, None, lambda y: np.ones(len(y)), SPEC)
 
 
+def test_box_node_cap(monkeypatch):
+    # the cap admits the default order on a 5-D box, not on a 6-D one
+    assert 24**5 <= quad.MAX_BOX_NODES < 24**6
+    monkeypatch.setattr(quad, "MAX_BOX_NODES", 8)
+    spec = QuadSpec(order_per_axis=2)
+    res = integrate_box(lambda t: np.ones(len(t)), [0.0] * 3, [1.0] * 3, spec)
+    assert res.value == pytest.approx(1.0, rel=1e-14)
+
+    # one node over the cap is refused before any node is built
+    def never(*args):
+        raise AssertionError("nodes built for a box over the cap")
+
+    monkeypatch.setattr(quad, "_tensor_nodes", never)
+    with pytest.raises(CapabilityError, match=r"^3\^2 quadrature nodes per box exceed cap 8$"):
+        integrate_box(never, [0.0, 0.0], [1.0, 1.0], QuadSpec(order_per_axis=3))
+
+
 def test_order_doubling_stability():
     def f(t):
         return np.exp(-(3.0 - np.cos(t[:, 0]) - np.cos(t[:, 1])))
