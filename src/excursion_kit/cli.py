@@ -33,6 +33,7 @@ from .errors import (
     ExcursionError,
     NumericError,
     config_number,
+    finite_levels,
 )
 from .field import (
     FieldModel,
@@ -121,11 +122,9 @@ def parse_levels(text: str) -> tuple[float, ...]:
 
 def _levels_from_config(spec) -> tuple[float, ...]:
     if isinstance(spec, list):
-        levels = tuple(config_number(float, v, "level") for v in spec)
+        levels = finite_levels(config_number(float, v, "level") for v in spec)
         if not 0 < len(levels) <= MAX_LEVELS:
             raise ConfigError(f"levels list must have 1 to {MAX_LEVELS} entries")
-        if not all(math.isfinite(u) for u in levels):
-            raise ConfigError("levels must be finite")
         if any(b <= a for a, b in zip(levels, levels[1:])):
             raise ConfigError("levels must be strictly increasing")
         return levels

@@ -3,10 +3,13 @@
 The CLI maps these onto exit codes: configuration problems exit 2,
 capability limits exit 3, numeric failures exit 4, validation failures 5.
 ``config_number`` converts every number of a config, a field spec or a
-flag, so each malformed one is a ConfigError.
+flag, so each malformed one is a ConfigError; ``finite_levels`` checks
+every level vector, of a config or of a library call.
 """
 
 from __future__ import annotations
+
+import math
 
 __all__ = [
     "ExcursionError",
@@ -21,6 +24,7 @@ __all__ = [
     "ClassificationError",
     "QuadratureWarning",
     "config_number",
+    "finite_levels",
 ]
 
 
@@ -82,3 +86,13 @@ def config_number(kind, value, what: str):
         return out
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{what} must be {kind.__name__}, got {value!r}") from exc
+
+
+def finite_levels(levels) -> tuple[float, ...]:
+    """The levels as a tuple of floats; ConfigError naming the first level
+    that is not finite."""
+    out = tuple(float(u) for u in levels)
+    for u in out:
+        if not math.isfinite(u):
+            raise ConfigError(f"levels must be finite, got {u}")
+    return out

@@ -8,7 +8,10 @@ Conventions used throughout the package:
 * ``mvn_prob`` computes P(a <= Z <= b) for each of a sequence of centred
   Gaussian rectangle problems of one dimension, via separation of variables
   on a reordered Cholesky factor integrated with randomized quasi-Monte
-  Carlo points that the problems share.
+  Carlo points that the problems share.  ``_cdf_pair`` takes an interval
+  whose lower limit is above the median as Psi(lo) - Psi(hi), and
+  ``_std_limits`` makes a zero-variance coordinate a point mass of mass
+  exactly 1 or 0.
 """
 
 from __future__ import annotations
@@ -110,8 +113,8 @@ def hermite_tail_identity_check(k: int, u: float) -> float:
 class MvnProblem:
     """Centred Gaussian rectangle problem P(lower <= Z <= upper).
 
-    cov must be symmetric positive semidefinite with dimension <= 12;
-    bounds may be +-inf.
+    cov must be finite, symmetric positive semidefinite and of dimension
+    <= 12; bounds may be +-inf but not NaN.
     """
 
     cov: np.ndarray
@@ -129,6 +132,8 @@ class MvnProblem:
             raise CapabilityError(f"dimension {d} exceeds cap {MAX_MVN_DIM}")
         if lo.shape != (d,) or hi.shape != (d,):
             raise ValueError("bounds must match the covariance dimension")
+        if not np.all(np.isfinite(cov)) or np.isnan(lo).any() or np.isnan(hi).any():
+            raise ValueError("need finite covariance entries and bounds that are not NaN")
         if not np.allclose(cov, cov.T, atol=1e-12, rtol=1e-9):
             raise ValueError("covariance must be symmetric")
         if np.any(lo > hi):
@@ -152,6 +157,30 @@ _TINY = 1e-300
 _CDF_CLIP = 1e-15
 
 
+def _std_limits(a, b, mu, sd):
+    """Standardized limits of [a, b] for N(mu, sd^2); a point mass (sd = 0)
+    gets (-inf, inf) where [a, b] holds mu and (-inf, -inf) where it does
+    not, so its mass is exactly 1 or 0."""
+    if sd > 0:
+        return (a - mu) / sd, (b - mu) / sd
+    return -np.inf, np.where((a - mu <= 0) & (b - mu >= 0), np.inf, -np.inf)
+
+
+def _cdf_pair(lo, hi):
+    """(Phi(lo), Phi(hi), 1), or (Psi(lo), Psi(hi), -1) where lo > 0 so a far
+    upper tail does not cancel to zero; one erfc per bound, and the interval
+    mass is sign * (second - first)."""
+    sign = np.where(lo > 0, -1.0, 1.0)
+    r2 = math.sqrt(2.0)
+    return 0.5 * erfc(-sign * lo / r2), 0.5 * erfc(-sign * hi / r2), sign
+
+
+def _interval_mass(lo, hi) -> float:
+    """P(lo <= Z <= hi) for standardized limits."""
+    first, second, sign = _cdf_pair(lo, hi)
+    return float(sign * (second - first))
+
+
 def _ordered_cholesky(cov, a, b):
     """Genz-style variable reordering with pivoted Cholesky.
 
@@ -165,29 +194,19 @@ def _ordered_cholesky(cov, a, b):
     a = a.copy()
     b = b.copy()
     L = np.zeros((d, d))
-    order = np.arange(d)
     y = np.zeros(d)
     scale = max(np.max(np.abs(np.diag(c))), 1.0)
 
     for i in range(d):
         best_j, best_mass = -1, np.inf
-        best_lo, best_hi = 0.0, 0.0
         for j in range(i, d):
             var = c[j, j] - L[j, :i] @ L[j, :i]
             if var < -1e-8 * scale:
                 raise DegeneracyError("covariance is not positive semidefinite")
-            sd = math.sqrt(max(var, 0.0))
-            mu = L[j, :i] @ y[:i]
-            if sd > 0:
-                lo = (a[j] - mu) / sd
-                hi = (b[j] - mu) / sd
-            else:
-                lo = -np.inf if a[j] - mu <= 0 else np.inf
-                hi = np.inf if b[j] - mu >= 0 else -np.inf
+            lo, hi = _std_limits(a[j], b[j], L[j, :i] @ y[:i], math.sqrt(max(var, 0.0)))
             mass = _interval_mass(lo, hi)
             if mass < best_mass:
-                best_j, best_mass = j, mass
-                best_lo, best_hi = lo, hi
+                best_j, best_mass, best_lo, best_hi = j, mass, lo, hi
         j = best_j
         if j != i:
             for arr in (a, b, y):
@@ -195,74 +214,36 @@ def _ordered_cholesky(cov, a, b):
             c[[i, j], :] = c[[j, i], :]
             c[:, [i, j]] = c[:, [j, i]]
             L[[i, j], :i] = L[[j, i], :i]
-            order[[i, j]] = order[[j, i]]
         var = c[i, i] - L[i, :i] @ L[i, :i]
         L[i, i] = math.sqrt(max(var, 0.0))
         if L[i, i] > 0:
             for j2 in range(i + 1, d):
                 L[j2, i] = (c[j2, i] - L[j2, :i] @ L[i, :i]) / L[i, i]
         # expected value of the standard normal truncated to [lo, hi]
-        lo, hi = best_lo, best_hi
-        mass = _interval_mass(lo, hi)
-        if mass > _TINY and np.isfinite(lo) | np.isfinite(hi):
-            y[i] = (std_normal_pdf(lo) - std_normal_pdf(hi)) / mass
-        else:
-            y[i] = 0.0
+        if best_mass > _TINY and np.isfinite(best_lo) | np.isfinite(best_hi):
+            y[i] = (std_normal_pdf(best_lo) - std_normal_pdf(best_hi)) / best_mass
     return L, a, b
-
-
-def _cdf_pair(lo, hi, sign):
-    """(Phi(lo), Phi(hi)) for sign +1 and (Psi(lo), Psi(hi)) for sign -1,
-    one erfc per bound; the interval mass is sign * (second - first)."""
-    r2 = math.sqrt(2.0)
-    return 0.5 * erfc(-sign * lo / r2), 0.5 * erfc(-sign * hi / r2)
-
-
-def _interval_mass(lo: float, hi: float) -> float:
-    """P(lo <= Z <= hi); above the median as Psi(lo) - Psi(hi), which keeps
-    far upper tails from cancelling to zero."""
-    sign = -1.0 if lo > 0 else 1.0
-    first, second = _cdf_pair(lo, hi, sign)
-    return float(sign * (second - first))
 
 
 def _sov_integrate(L, a, b, w):
     """Separation-of-variables integrand on a block of QMC points.
 
-    w has shape (n, d-1); returns length-n probabilities.  Where a lower
-    limit lies above the median, its interval is carried as upper tails
-    (sign -1) and the draw inverts Psi instead of Phi, so far upper tails
-    keep their relative accuracy.  Either way the draw's argument is a
-    probability in (0, 1) that ndtri resolves down to _TINY; the upper clip
-    guards the coarse spacing of doubles just below 1.
+    w has shape (n, d-1); returns length-n probabilities.  Where _cdf_pair
+    takes an interval as upper tails the draw inverts Psi instead of Phi.
+    Either way the draw's argument is a probability in (0, 1) that ndtri
+    resolves down to _TINY; the upper clip guards the coarse spacing of
+    doubles just below 1.
     """
     d = L.shape[0]
-    n = w.shape[0] if d > 1 else 1
-    if L[0, 0] > 0:
-        sign = -1.0 if a[0] > 0 else 1.0
-        d1, e1 = _cdf_pair(a[0] / L[0, 0], b[0] / L[0, 0], sign)
-    else:
-        sign = 1.0
-        d1 = 0.0 if a[0] <= 0 else 1.0
-        e1 = 1.0 if b[0] >= 0 else 0.0
-    dvec = np.full(n, d1)
-    evec = np.full(n, e1)
-    prob = sign * (evec - dvec)
-    ys = np.zeros((n, d))
-    for i in range(1, d):
-        z = dvec + w[:, i - 1] * (evec - dvec)
-        z = np.clip(z, _TINY, 1.0 - _CDF_CLIP)
-        ys[:, i - 1] = sign * ndtri(z)
-        mu = ys[:, :i] @ L[i, :i]
-        if L[i, i] > 0:
-            lo = (a[i] - mu) / L[i, i]
-            sign = np.where(lo > 0, -1.0, 1.0)
-            dvec, evec = _cdf_pair(lo, (b[i] - mu) / L[i, i], sign)
-        else:
-            sign = 1.0
-            dvec = np.where(a[i] - mu <= 0, 0.0, 1.0)
-            evec = np.where(b[i] - mu >= 0, 1.0, 0.0)
-        prob = prob * np.maximum(sign * (evec - dvec), 0.0)
+    ys = np.zeros((w.shape[0], d))
+    prob = 1.0
+    for i in range(d):
+        mu = ys[:, :i] @ L[i, :i] if i else 0.0
+        first, second, sign = _cdf_pair(*_std_limits(a[i], b[i], mu, L[i, i]))
+        prob = prob * np.maximum(sign * (second - first), 0.0)
+        if i + 1 < d:
+            z = np.clip(first + w[:, i] * (second - first), _TINY, 1.0 - _CDF_CLIP)
+            ys[:, i] = sign * ndtri(z)
     return prob
 
 
@@ -293,10 +274,7 @@ def mvn_prob(problems: list[MvnProblem], seed: int = 0) -> list[MvnResult]:
         if d > 1:
             todo.append((i, L, a, b))
             continue
-        if L[0, 0] > 0:
-            p = _interval_mass(a[0] / L[0, 0], b[0] / L[0, 0])
-        else:
-            p = float(a[0] <= 0.0 <= b[0])
+        p = _interval_mass(*_std_limits(a[0], b[0], 0.0, L[0, 0]))
         out[i] = MvnResult(max(p, 0.0), 0.0, False)
     if todo:
         ss = np.random.SeedSequence(int(seed))

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .errors import CapabilityError, ConfigError
+from .errors import CapabilityError, ConfigError, finite_levels
 from .field import FieldModel, SpectralSumField
 from .geometry import RectDomain
 
@@ -277,8 +277,8 @@ def _sweep(
     and every sum is over integers, so results are identical for any thread
     count.
     """
+    levels = np.asarray(finite_levels(levels))
     basis = _basis(model, grid.points())
-    levels = np.asarray(levels, dtype=float)
     rows = _tile_rows(grid.n_points)
 
     def run(rng_range):

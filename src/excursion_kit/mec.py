@@ -45,6 +45,7 @@ from .errors import (
     DegenerateModelError,
     ModelInconsistencyError,
     NumericError,
+    finite_levels,
 )
 from .field import POINT_BLOCK, FieldModel, max_variance
 from .gauss import MvnProblem, MvnResult, gauss_tail, hermite, mvn_prob
@@ -353,11 +354,11 @@ def mean_euler_characteristic(
     extended-outward-maxima mean, in one quadrature pass for all levels.
     Bit-stable for a fixed seed regardless of thread count.
     """
+    levels = finite_levels(levels)
     if domain.dim > MEAN_EC_DIM_CAP:
         raise CapabilityError(
             f"mean Euler characteristic capped at N={MEAN_EC_DIM_CAP} (got N={domain.dim})"
         )
-    levels = tuple(float(u) for u in levels)
 
     def term(i: int, fc: Face) -> list:
         # a vertex orthant draws its QMC points from the face's seed
@@ -378,7 +379,7 @@ def excursion_prob_mu(
     terms without the outward cone, that is vertex tails plus mu face
     integrals, each face in one quadrature pass for all levels.  Draws no
     QMC points, so it takes no seed."""
-    levels = tuple(float(u) for u in levels)
+    levels = finite_levels(levels)
     return _face_sum(
         "mu_approx",
         domain,
@@ -637,9 +638,9 @@ def laplace_mec_result(
     higher faces with conditional orthant and ordering factors.  Only the
     tail depends on u, so the maximizer and the factors are found once.
     """
+    levels = finite_levels(levels)
     inputs = prepare_laplace_inputs(model, domain)
     factors = _laplace_factors(model, domain, inputs, seed)
-    levels = tuple(float(u) for u in levels)
     psis = [float(gauss_tail(u / math.sqrt(inputs.sigma_sq))) for u in levels]
 
     def term(i: int, fc: Face) -> list[tuple[float, float]]:

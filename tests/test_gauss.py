@@ -9,6 +9,7 @@ from scipy.special import erfc, ndtr
 from excursion_kit.errors import CapabilityError
 from excursion_kit.gauss import (
     MvnProblem,
+    _ordered_cholesky,
     gauss_tail,
     hermite,
     hermite_tail_identity_check,
@@ -87,9 +88,11 @@ def test_mvn_univariate_is_exact():
 
 
 def test_mvn_far_upper_tail_keeps_relative_accuracy():
-    # Phi(inf) - Phi(10) cancels to 0 in doubles; the tail must come from Psi
-    [res] = mvn_prob([MvnProblem(cov=np.array([[1.0]]), lower=[10.0], upper=[np.inf])])
-    assert res.p == pytest.approx(gauss_tail(10.0), rel=1e-12, abs=0.0)
+    # Phi(inf) - Phi(10) cancels to 0 in doubles; the tail must come from
+    # Psi, as Psi(lo) - Psi(inf), the same erfc as gauss_tail
+    for x in (0.5, 10.0, 30.0):
+        [res] = mvn_prob([MvnProblem(cov=[[4.0]], lower=[2.0 * x], upper=[np.inf])])
+        assert res == (gauss_tail(x), 0.0, False), x
     # both factors of an independent pair in the far tail, the second one
     # through the separation-of-variables draw
     [res] = mvn_prob(
@@ -196,6 +199,70 @@ def test_mvn_probs_equal_single_calls():
     assert mvn_prob([], 21) == []
     with pytest.raises(ValueError):
         mvn_prob([problems[0], MvnProblem(cov=[[1.0]], lower=[0], upper=[1])], 21)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("interval", [(0.5, 2.0), (-2.0, -0.5)])
+def test_mvn_excluded_point_mass_is_zero(d, interval):
+    # the second coordinate is 0 almost surely and its interval misses 0:
+    # the ordering puts the point mass first, and the probability is
+    # exactly 0
+    rng = np.random.default_rng(d)
+    keep = [i for i in range(d) if i != 1]
+    cov = np.zeros((d, d))
+    cov[np.ix_(keep, keep)] = random_spd(rng, d - 1)
+    lower = np.full(d, -1.0)
+    upper = np.full(d, 1.5)
+    lower[1], upper[1] = interval
+    problem = MvnProblem(cov=cov, lower=lower, upper=upper)
+    L, _, _ = _ordered_cholesky(problem.cov, problem.lower, problem.upper)
+    assert L[0, 0] == 0.0
+    [res] = mvn_prob([problem], seed=4)
+    assert res == (0.0, 0.0, False) and math.copysign(1.0, res.p) == 1.0
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_mvn_included_point_mass_drops_out(d):
+    # a point mass whose interval holds 0 has mass 1: the problem equals
+    # the one without that coordinate
+    rng = np.random.default_rng(7 + d)
+    sub_cov = random_spd(rng, d - 1)
+    lower = np.array([-1.0, 0.3, -2.0])[: d - 1]
+    upper = np.array([2.0, np.inf, 0.5])[: d - 1]
+    cov = np.zeros((d, d))
+    cov[1:, 1:] = sub_cov
+    [full] = mvn_prob(
+        [MvnProblem(cov=cov, lower=np.r_[-0.5, lower], upper=np.r_[0.0, upper])], seed=6
+    )
+    [reduced] = mvn_prob([MvnProblem(cov=sub_cov, lower=lower, upper=upper)], seed=6)
+    tol = 4 * math.hypot(full.err_est, reduced.err_est)
+    assert abs(full.p - reduced.p) <= max(tol, 1e-12)
+
+
+@pytest.mark.parametrize(
+    "interval, want",
+    [((-1.0, 1.0), 1.0), ((0.0, 2.0), 1.0), ((0.5, 2.0), 0.0), ((-2.0, -0.5), 0.0)],
+)
+def test_mvn_univariate_point_mass_is_exact(interval, want):
+    [res] = mvn_prob([MvnProblem(cov=[[0.0]], lower=[interval[0]], upper=[interval[1]])])
+    assert res == (want, 0.0, False) and math.copysign(1.0, res.p) == 1.0
+
+
+@pytest.mark.parametrize(
+    "cov, lower, upper",
+    [
+        (np.eye(2), [np.nan, 0.0], [np.inf, np.inf]),
+        (np.eye(2), [0.0, 0.0], [1.0, np.nan]),
+        ([[1.0]], [np.nan], [1.0]),
+        ([[1.0, np.nan], [np.nan, 1.0]], [0.0, 0.0], [1.0, 1.0]),
+        ([[np.inf]], [0.0], [1.0]),
+    ],
+    ids=["nan-lower", "nan-upper", "nan-1d", "nan-cov", "inf-cov"],
+)
+def test_mvn_problem_rejects_nan_bounds_and_nonfinite_cov(cov, lower, upper):
+    # a NaN bound or covariance would give p = nan with the accuracy flag off
+    with pytest.raises(ValueError):
+        MvnProblem(cov=cov, lower=lower, upper=upper)
 
 
 def test_mvn_dimension_cap():

@@ -9,6 +9,7 @@ import excursion_kit.quad as quad
 from excursion_kit.errors import (
     AmbiguousMaximizerError,
     CapabilityError,
+    ConfigError,
     DegenerateModelError,
     NumericError,
 )
@@ -23,6 +24,7 @@ from excursion_kit.mec import (
     prepare_laplace_inputs,
     tau_hessian,
 )
+from excursion_kit.mc import empirical_sup_prob, mc_mean_ec
 from excursion_kit.quad import QuadSpec, integrate_cone, integrate_face
 
 PI = math.pi
@@ -525,6 +527,26 @@ def test_empty_level_sequence_gives_no_ledgers():
     assert excursion_prob_mu(cosine(), dom, [], SPEC) == []
     assert mean_euler_characteristic(cosine(), dom, [], SPEC) == []
     assert laplace_mec_result(cosine(), dom, []) == []
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda m, dom, lv: excursion_prob_mu(m, dom, lv, SPEC),
+        lambda m, dom, lv: mean_euler_characteristic(m, dom, lv, SPEC),
+        lambda m, dom, lv: laplace_mec_result(m, dom, lv),
+        lambda m, dom, lv: empirical_sup_prob(m, dom, lv, 9, 100),
+        lambda m, dom, lv: mc_mean_ec(m, dom, lv, 9, 100),
+    ],
+    ids=["mu", "mean_ec", "laplace", "sup_prob", "mc_mean_ec"],
+)
+def test_nonfinite_level_is_a_config_error(entry, bad):
+    # named as the level, before any face term or replicate sweep, instead
+    # of a quadrature error at a face point or a nan or zero result
+    dom = RectDomain([0.0, 0.0], [PI / 2, PI / 2])
+    with pytest.raises(ConfigError, match=f"levels must be finite, got {bad}"):
+        entry(cosine(), dom, [2.0, bad])
 
 
 # ---------------------------------------------------------------------------
