@@ -265,17 +265,14 @@ def mvn_prob(problems: list[MvnProblem], seed: int = 0) -> list[MvnResult]:
     out: list[MvnResult | None] = [None] * len(problems)
     todo = []
     for i, pb in enumerate(problems):
-        a = pb.lower.copy()
-        b = pb.upper.copy()
-        if np.any(a >= b):
-            out[i] = MvnResult(0.0, 0.0, False)
-            continue
-        L, a, b = _ordered_cholesky(pb.cov, a, b)
+        L, a, b = _ordered_cholesky(pb.cov, pb.lower, pb.upper)
         if d > 1:
             todo.append((i, L, a, b))
             continue
         p = _interval_mass(*_std_limits(a[0], b[0], 0.0, L[0, 0]))
-        out[i] = MvnResult(max(p, 0.0), 0.0, False)
+        # a zero-width interval above the mean gives -0.0 (a difference of
+        # upper tails); report it as 0.0
+        out[i] = MvnResult(p if p > 0.0 else 0.0, 0.0, False)
     if todo:
         ss = np.random.SeedSequence(int(seed))
         estimates = np.empty((len(todo), MVN_QMC_RANDOMIZATIONS))

@@ -1,7 +1,8 @@
 """Deterministic quadrature: tensor Gauss-Legendre with dyadic refinement.
 
-Two entry points share one adaptive core, :func:`integrate_box`:
+Three entry points share one refinement loop:
 
+* :func:`integrate_box` integrates over a rectangle;
 * :func:`integrate_face` integrates over the free coordinates of an open
   rectangle face, or over the face x an outward orthant cone;
 * :func:`integrate_cone` integrates over [u, inf) x (orthant cone), or over
@@ -24,16 +25,27 @@ estimates and the refinement are unchanged; an integrand whose costly part
 depends on x alone evaluates it at n_x points instead of m = n_x * n_y.
 A face x cone integral splits the face axes from the cone axes this way.
 
-Convergence of a box is judged by comparing the tensor rule with the sum
-over its 2^d dyadic children; boxes are split until the difference passes
-``rel_tol`` (with an ABS_TOL floor for integrals that are numerically
-zero), or until MAX_SUBDIVISIONS levels or MAX_BOXES evaluated boxes are
-exhausted, in which case the result carries ``converged=False`` and a
+Convergence of a box is judged by comparing two estimates of it.  On an
+integral with no mapped axis (:func:`integrate_face` without a cone, so
+every mu face and the interior mean-EC face) the estimates are the
+order-n tensor rule and the order-floor(3n/4) rule on the same box, with
+n = ``order_per_axis``, one integrand call on each node set.  A
+gap of one order (GL(n) against GL(n-1)) was rejected: nearly equal node
+spacings let the two agree on a peak that neither resolves.  Where an axis
+carries the orthant map (a face x cone, :func:`integrate_cone`) and in the
+public :func:`integrate_box`, which cannot tell, a box is compared with the
+sum over its 2^d dyadic children instead: the map leaves an essential
+singularity at s = 1, where two rules on one box can agree while both are
+off.  Boxes are split until the difference passes ``rel_tol``, or falls
+within FLOOR times the row's integral of |f| over the whole domain (from
+the first box's nodes; for rows far below their own scale), or until
+MAX_SUBDIVISIONS levels or MAX_BOXES evaluated boxes are exhausted, in
+which case the result carries ``converged=False`` and a
 QuadratureWarning.  A box of more than MAX_BOX_NODES tensor nodes
 (order_per_axis ** d) is a CapabilityError, raised before any node is
-built.  Each row of an (L, m) integrand keeps its own
-refinement tree, so its result is bit-identical to integrating that row
-alone; one integrand call per box serves every row still refining it.
+built.  Each row of an (L, m) integrand keeps its own refinement tree and
+floor, so its result is bit-identical to integrating that row alone; one
+integrand call per node set serves every row still refining the box.
 """
 
 from __future__ import annotations
@@ -63,8 +75,9 @@ CONE_DIM_CAP = 4
 MAX_BOXES = 200_000
 # dyadic depth cap of a box's refinement tree
 MAX_SUBDIVISIONS = 12
-# absolute difference under which a box counts as converged (zero integrals)
-ABS_TOL = 1e-14
+# a box converges when its difference is within FLOOR times its row's
+# integral of |f| over the whole domain (rows far below their own scale)
+FLOOR = 1e-14
 # cap on the tensor nodes of one box, order_per_axis ** dim
 MAX_BOX_NODES = 2**23
 
@@ -75,8 +88,8 @@ class QuadSpec:
 
     order_per_axis: Gauss-Legendre nodes per axis of each box.
     rel_tol: relative acceptance threshold per box, positive and finite.
-    The absolute floor ABS_TOL and the depth cap MAX_SUBDIVISIONS are
-    module constants.
+    The relative floor FLOOR and the depth cap MAX_SUBDIVISIONS are module
+    constants.
     """
 
     order_per_axis: int = 24
@@ -101,55 +114,75 @@ def _gl_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-@functools.lru_cache(maxsize=None)
-def _tensor_nodes(order: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+def _unit_tensor(order: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Unit-cube [0,1]^dim tensor nodes (m, dim) and weights (m,)."""
     x, w = _gl_nodes(order)
     x01 = 0.5 * (x + 1.0)
     w01 = 0.5 * w
-    grids = np.meshgrid(*([x01] * dim), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
+    # row-major over the axes, as an "ij" meshgrid, without its temporaries
+    pts = np.empty((order,) * dim + (dim,))
+    for ax in range(dim):
+        pts[..., ax] = x01.reshape((order,) + (1,) * (dim - 1 - ax))
     wt = functools.reduce(np.multiply.outer, [w01] * dim).ravel()
-    return pts, wt
+    return pts.reshape(-1, dim), wt
 
 
-def _eval_box(f, lo, hi, order, rows=None, split=None) -> list[float]:
+# the nodes of order_per_axis are shared by every box; the lower rule of a
+# pair is rebuilt per box, which keeps a second tensor rule out of memory
+_tensor_nodes = functools.lru_cache(maxsize=None)(_unit_tensor)
+
+
+def _eval_box(f, lo, hi, order, rows=None, split=None, low=0, magnitude=False) -> list[tuple]:
     """Tensor Gauss-Legendre estimates of f over the box [lo, hi].
 
     f returns (m,) values, read as one row, or (L, m) values.  The result
-    holds the estimates of the listed rows (all by default), each one
-    contiguous row dotted with the weights.  With ``split=k`` f is called
-    as f(x, y) on the nodes of the k leading and of the trailing axes, and
-    its values are read in x-major order, the row-major order of the
-    unsplit nodes.
+    holds one tuple per listed row (all rows by default): the GL(order)
+    estimate, then with ``low`` the GL(low) estimate of the same box, then
+    with ``magnitude`` the GL(order) estimate of |f|.  Each is one
+    contiguous row dotted with its weights.  With ``low`` f is called a
+    second time, on the GL(low) nodes, built for this box from the 1-D
+    rule.  With ``split=k`` f is called as f(x, y) on the nodes of the k
+    leading and of the trailing axes, and its values are read in x-major
+    order, the row-major order of the unsplit nodes.
     """
     dim = lo.shape[0]
-    pts01, wts = _tensor_nodes(order, dim)
     widths = hi - lo
+    vol = float(np.prod(widths))
+    pts01, wts = _tensor_nodes(order, dim)
     if split is None:
-        pts = lo + pts01 * widths
-        vals = np.asarray(f(pts), dtype=float)
+        vals = f(lo + pts01 * widths)
     else:
         x = lo[:split] + _tensor_nodes(order, split)[0] * widths[:split]
         y = lo[split:] + _tensor_nodes(order, dim - split)[0] * widths[split:]
-        vals = np.asarray(f(x, y), dtype=float)
-    m = pts01.shape[0]
+        vals = f(x, y)
+    rules = [(_value_rows(vals, len(wts)), pts01, wts)]
+    if low:
+        low01, low_wts = _unit_tensor(low, dim)
+        rules.append((_value_rows(f(lo + low01 * widths), len(low_wts)), low01, low_wts))
+    out = []
+    for r in range(len(rules[0][0])) if rows is None else rows:
+        for v, nodes, _ in rules:
+            bad = ~np.isfinite(v[r])
+            if bad.any():
+                t_bad = lo + nodes[int(np.argmax(bad))] * widths
+                raise QuadratureError(f"integrand non-finite at t = {t_bad.tolist()}")
+        est = tuple(float(v[r] @ w) * vol for v, _, w in rules)
+        if magnitude:
+            est += (float(np.abs(rules[0][0][r]) @ wts) * vol,)
+        out.append(est)
+    return out
+
+
+def _value_rows(vals, m: int) -> np.ndarray:
+    """Integrand values as a C-contiguous (L, m) array; (m,) is one row."""
+    vals = np.asarray(vals, dtype=float)
     if vals.ndim == 1:
         vals = vals[None, :]
     if vals.ndim != 2 or vals.shape[1] != m:
         raise QuadratureError(
             f"integrand returned shape {vals.shape}, expected ({m},) or (L, {m})"
         )
-    vals = np.ascontiguousarray(vals)
-    vol = float(np.prod(widths))
-    out = []
-    for r in range(vals.shape[0]) if rows is None else rows:
-        bad = ~np.isfinite(vals[r])
-        if bad.any():
-            t_bad = lo + pts01[int(np.argmax(bad))] * widths
-            raise QuadratureError(f"integrand non-finite at t = {t_bad.tolist()}")
-        out.append(float(vals[r] @ wts) * vol)
-    return out
+    return np.ascontiguousarray(vals)
 
 
 def _split(lo, hi):
@@ -172,13 +205,16 @@ def _split(lo, hi):
 def integrate_box(f, lower, upper, spec: QuadSpec = QuadSpec(), *, split=None):
     """Adaptive tensor integration of f over a rectangle [lower, upper].
 
+    Each box is judged by its 2^d dyadic children (see the module
+    docstring), which stays sound where an axis carries the orthant map.
     An integrand returning (m,) values gives one QuadResult.  One returning
     (L, m) values gives a list of L QuadResults, each bit-identical to
     integrating its row alone: every row keeps its own refinement tree,
-    depth and MAX_BOXES count, visited in the same depth-first order, and
-    warns on its own when it does not converge.  A box is evaluated once
-    for all rows still refining it.  The (L, m) value array is the only
-    buffer that grows with L (about 5 MB for two rows of a 24^4-node box).
+    floor, depth and MAX_BOXES count, visited in the same depth-first
+    order, and warns on its own when it does not converge.  A box is
+    evaluated once for all rows still refining it.  The (L, m) value array
+    is the only buffer that grows with L (about 5 MB for two rows of a
+    24^4-node box).
 
     With ``split=k`` (0 < k < d) f is called as f(x, y) on the nodes of the
     k leading axes and of the d - k trailing axes of every box, and returns
@@ -186,6 +222,21 @@ def integrate_box(f, lower, upper, spec: QuadSpec = QuadSpec(), *, split=None):
     docstring); the results are those of the unsplit integrand.
 
     CapabilityError when a box has more than MAX_BOX_NODES nodes.
+    """
+    return _adaptive(f, lower, upper, spec, split=split, pair=False)
+
+
+def _adaptive(f, lower, upper, spec: QuadSpec, *, split=None, pair: bool):
+    """The one refinement loop of :func:`integrate_box` and
+    :func:`integrate_face`; ``pair`` picks the rule that judges a box.
+
+    Either rule gives a box an estimate and a reference value.  The
+    children rule: the GL(n) sum over its 2^d children and the box's own
+    GL(n), evaluated with its siblings.  The pair rule: GL(n) and GL(low)
+    on the box itself, low = floor(3n/4), evaluated with its siblings; a
+    box's children are evaluated only when it is split.  A box passes when
+    the two agree within ``rel_tol`` or within the row's floor, and adds
+    its estimate to the value and the difference to err_est.
     """
     lo = np.atleast_1d(np.asarray(lower, dtype=float))
     hi = np.atleast_1d(np.asarray(upper, dtype=float))
@@ -200,6 +251,7 @@ def integrate_box(f, lower, upper, spec: QuadSpec = QuadSpec(), *, split=None):
         raise CapabilityError(
             f"{order}^{lo.shape[0]} quadrature nodes per box exceed cap {MAX_BOX_NODES}"
         )
+    low = 3 * order // 4 if pair else 0
     one_row = False
 
     def root(*nodes):
@@ -208,29 +260,52 @@ def integrate_box(f, lower, upper, spec: QuadSpec = QuadSpec(), *, split=None):
         one_row = vals.ndim == 1
         return vals
 
-    coarse = _eval_box(root, lo, hi, order, split=split)
-    n_rows = len(coarse)
+    first = _eval_box(root, lo, hi, order, split=split, low=low, magnitude=True)
+    n_rows = len(first)
+    # from the root box alone, so a row's tree does not depend on the others
+    floor = [FLOOR * est[-1] for est in first]
     total = [0.0] * n_rows
     err = [0.0] * n_rows
     # the caps that stopped each row's unconverged boxes
     stops: list[set[str]] = [set() for _ in range(n_rows)]
     boxes_used = [1] * n_rows
-    # stack holds (lo, hi, {row: coarse value} of the rows still refining
-    # the box, depth)
-    stack = [(lo, hi, dict(enumerate(coarse)), 0)]
+
+    def evaluate(blo, bhi, rows) -> dict:
+        for r in rows:
+            boxes_used[r] += 1
+        return dict(zip(rows, _eval_box(f, blo, bhi, order, rows, split, low)))
+
+    def children(blo, bhi, rows) -> list:
+        return [(clo, chi, evaluate(clo, chi, rows)) for clo, chi in _split(blo, bhi)]
+
+    # judge(box, its values per row) -> ({row: (estimate, reference)}, the
+    # box's children and their values for a list of rows)
+    if pair:
+
+        def judge(blo, bhi, vals):
+            return vals, lambda rows: children(blo, bhi, rows)
+
+    else:
+
+        def judge(blo, bhi, vals):
+            kids = children(blo, bhi, list(vals))
+            return (
+                {r: (math.fsum(kv[r][0] for *_, kv in kids), v[0]) for r, v in vals.items()},
+                lambda rows: kids,
+            )
+
+    # stack holds (lo, hi, {row: values} of the rows still refining the
+    # box, depth)
+    stack = [(lo, hi, {r: est[:-1] for r, est in enumerate(first)}, 0)]
     while stack:
         blo, bhi, bvals, depth = stack.pop()
-        children = _split(blo, bhi)
-        rows = list(bvals)
-        cvals = [_eval_box(f, clo, chi, order, rows, split) for clo, chi in children]
+        judged, kids = judge(blo, bhi, bvals)
         still_open = []
-        for j, r in enumerate(rows):
-            boxes_used[r] += len(children)
-            refined = math.fsum(cv[j] for cv in cvals)
-            diff = abs(refined - bvals[r])
-            ok = diff <= spec.rel_tol * abs(refined) or diff <= ABS_TOL
+        for r, (est, ref) in judged.items():
+            diff = abs(est - ref)
+            ok = diff <= spec.rel_tol * abs(est) or diff <= floor[r]
             if ok or depth >= MAX_SUBDIVISIONS or boxes_used[r] > MAX_BOXES:
-                total[r] += refined
+                total[r] += est
                 err[r] += diff
                 if not ok:
                     stops[r].add(
@@ -239,10 +314,10 @@ def integrate_box(f, lower, upper, spec: QuadSpec = QuadSpec(), *, split=None):
                         else f"box cap {MAX_BOXES}"
                     )
             else:
-                still_open.append(j)
+                still_open.append(r)
         if still_open:
-            for (clo, chi), cv in zip(children, cvals):
-                stack.append((clo, chi, {rows[j]: cv[j] for j in still_open}, depth + 1))
+            for clo, chi, kv in kids(still_open):
+                stack.append((clo, chi, {r: kv[r] for r in still_open}, depth + 1))
     for r in range(n_rows):
         if stops[r]:
             row = "" if one_row else f"row {r}: "
@@ -250,7 +325,7 @@ def integrate_box(f, lower, upper, spec: QuadSpec = QuadSpec(), *, split=None):
                 f"{row}adaptive quadrature stopped at {' and '.join(sorted(stops[r]))} "
                 f"with estimates {total[r]:.17g} (refined) and err ~ {err[r]:.3g}",
                 QuadratureWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
     results = [QuadResult(total[r], err[r], not stops[r]) for r in range(n_rows)]
     return results[0] if one_row else results
@@ -265,19 +340,24 @@ def _orthant_points(s: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, np.nd
 def integrate_face(face: Face, f, spec: QuadSpec = QuadSpec(), cone: OutwardCone | None = None):
     """Integrate f over the free coordinates of an open face (k >= 1).
 
-    Without a cone, f receives an (m, k) array of free-coordinate points.
+    Without a cone, f receives an (m, k) array of free-coordinate points,
+    and each box is judged by the pair GL(n), GL(floor(3n/4)) on the box:
+    f is called on its n^k nodes, then on its floor(3n/4)^k nodes, and
+    err_est sums |GL(n) - GL(floor(3n/4))| over the accepted boxes.
     With a cone of q >= 1 axes the domain is face x cone, split at k (see
     :func:`integrate_box`): f(x, y) receives the face points x, (n_x, k),
     and cone points y, (n_y, q), in the cone's axis order, and returns its
     values over their product in x-major order; they are multiplied by the
-    Jacobian of the orthant map last.  As in :func:`integrate_box`, (L, m)
-    values give a list of L results.
+    Jacobian of the orthant map last.  The mapped cone axes keep the
+    children rule of :func:`integrate_box`.  As there, (L, m) values give a
+    list of L results, and a box passes within FLOOR times its row's
+    integral of |f| (see the module docstring).
     """
     if face.k < 1:
         raise ValueError("face must have at least one free axis")
     lo, hi = face.free_bounds()
     if cone is None:
-        return integrate_box(f, lo, hi, spec)
+        return _adaptive(f, lo, hi, spec, pair=True)
     signs = cone.signs()
 
     def mapped(x, s):

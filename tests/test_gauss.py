@@ -249,6 +249,28 @@ def test_mvn_univariate_point_mass_is_exact(interval, want):
 
 
 @pytest.mark.parametrize(
+    "cov, lower, upper, want",
+    [
+        ([[0.0]], [0.0], [0.0], 1.0),
+        ([[0.0]], [0.5], [0.5], 0.0),
+        ([[1.0]], [0.3], [0.3], 0.0),
+        (np.diag([1.0, 0.0]), [-1.0, 0.0], [1.0, 0.0], 1.0 - 2.0 * gauss_tail(1.0)),
+        (np.diag([1.0, 0.0]), [-1.0, 0.5], [1.0, 0.5], 0.0),
+        ([[1.0, 0.5], [0.5, 1.0]], [-1.0, 0.3], [1.0, 0.3], 0.0),
+    ],
+    ids=["point-at-mean", "point-off-mean", "1d-positive-var", "2d-point-at-mean",
+         "2d-point-off-mean", "2d-positive-var"],
+)
+def test_mvn_equal_bounds(cov, lower, upper, want):
+    # [a, a] holds all of a zero-variance coordinate's mass when a is its
+    # mean and none otherwise; on a positive-variance coordinate it holds
+    # none
+    [res] = mvn_prob([MvnProblem(cov=cov, lower=lower, upper=upper)], seed=3)
+    assert res.p == pytest.approx(want, rel=1e-14, abs=0.0)
+    assert math.copysign(1.0, res.p) == 1.0 and not res.warning
+
+
+@pytest.mark.parametrize(
     "cov, lower, upper",
     [
         (np.eye(2), [np.nan, 0.0], [np.inf, np.inf]),

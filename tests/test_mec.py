@@ -13,7 +13,7 @@ from excursion_kit.errors import (
     DegenerateModelError,
     NumericError,
 )
-from excursion_kit.field import CosineField, SpectralSumField, max_variance
+from excursion_kit.field import CosineField, GaussianIncrementField, SpectralSumField, max_variance
 from excursion_kit.gauss import MvnProblem, gauss_tail, hermite, mvn_prob
 from excursion_kit.geometry import Face, RectDomain, embed_points, enumerate_faces, face_label, outward_cone
 from excursion_kit.mec import (
@@ -311,6 +311,45 @@ def test_mean_ec_err_est_covers_quadrature_error(upper, u):
     assert abs(res.total - tight.total) <= res.err_est
 
 
+MU_COVERAGE_CASES = {
+    "cosine-square": (CosineField(), [PI, PI]),
+    "cosine-4pi-by-half-pi": (CosineField(), [4 * PI, PI / 2]),
+    "cosine-6pi-by-2pi": (CosineField(), [6 * PI, 2 * PI]),
+    "oblique-spectral": (
+        SpectralSumField(freqs=[[1.0, 0.5], [0.3, 1.0]], weights=[0.5, 0.7]),
+        [1.5 * PI, PI],
+    ),
+    "increment-3d": (GaussianIncrementField(dim=3, scale=0.8, offset_var=0.3), [1.0] * 3),
+}
+
+
+@pytest.mark.parametrize("case", list(MU_COVERAGE_CASES))
+def test_mu_err_est_covers_quadrature_error(case):
+    # mu faces are cone-free, so each box is judged by GL(24) against GL(18)
+    # on its own nodes; the summed differences must bound the distance to
+    # an order-40 reference at every level.  Vertices are exact tails on
+    # both sides; the 1e-13 term is the rounding of the face sums.
+    model, upper = MU_COVERAGE_CASES[case]
+    dom = RectDomain([0.0] * len(upper), upper)
+    levels = tuple(float(u) for u in range(3, 13))
+    got = excursion_prob_mu(model, dom, levels, SPEC)
+    ref = excursion_prob_mu(model, dom, levels, QuadSpec(order_per_axis=40, rel_tol=1e-12))
+    for res, tight in zip(got, ref):
+        assert abs(res.total - tight.total) <= res.err_est + 1e-13 * abs(tight.total), res.u
+
+
+@pytest.mark.parametrize("u", [12.0, 16.0])
+def test_mean_ec_far_tail_edge_keeps_relative_accuracy(u):
+    # the edge's term is about 1e-15 at u = 12 and 1e-25 at u = 16; the
+    # floor is relative to the face's own integral of |f|, so refinement
+    # does not stop once a box drops below an absolute threshold
+    dom = RectDomain([0.0, 0.0], [PI / 2, PI / 2])
+    face = next(f for f in enumerate_faces(dom) if face_label(f) == "1|{1}|{2:1}")
+    got = face_term(cosine(), face, u, cone=True)
+    want = face_term(cosine(), face, u, QuadSpec(order_per_axis=40, rel_tol=1e-12), cone=True)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 def test_mean_ec_tracks_corner_tail_to_high_levels():
     # on [0, pi/2]^2 the corner (pi/2, pi/2) hosts the variance maximum 3 and
     # the mean EC approaches Psi(u / sqrt 3); the corner's orthant mass is far
@@ -365,8 +404,6 @@ def test_mu_symmetric_edges_identical():
 
 
 def test_mu_single_vertex_lower_bound():
-    from excursion_kit.field import GaussianIncrementField
-
     m = GaussianIncrementField(dim=1, scale=1.0, offset_var=0.1)
     dom = RectDomain([0.2], [1.5])
     u = 3.0
@@ -377,8 +414,6 @@ def test_mu_single_vertex_lower_bound():
 def test_mu_vertex_with_zero_variance_is_an_indicator():
     # nu = 0 at the origin, so X there is 0 almost surely and its vertex
     # term P(X >= u) is 1 up to u = 0 and 0 above
-    from excursion_kit.field import GaussianIncrementField
-
     m = GaussianIncrementField(dim=2, scale=1.0, offset_var=0.0)
     dom = RectDomain([0.0, 0.0], [1.0, 1.0])
     ledgers = excursion_prob_mu(m, dom, [-1.0, 0.0, 1.0], SPEC)
@@ -504,9 +539,9 @@ def test_mu_draws_no_qmc_points(monkeypatch):
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("method", ["mu_approx", "mean_ec"])
 def test_level_vector_equals_single_levels(method, threads):
-    # at order 4 every level refines its own tree: mu evaluates 873, 1057
-    # and 1197 boxes at u = 1, 4, 9 and mean EC 7769, 6537 and 2905, so the
-    # shared pass must keep each level's tree apart to match bit for bit
+    # at order 4 every level refines its own tree: mu evaluates 1101, 1573
+    # and 3697 boxes at u = 1, 4, 9 and mean EC 10369, 10061 and 13697, so
+    # the shared pass must keep each level's tree apart to match bit for bit
     dom = RectDomain([0.0, 0.0], [1.5 * PI, PI])
     spec = QuadSpec(order_per_axis=4, rel_tol=1e-8)
     levels = (1.0, 4.0, 9.0)

@@ -22,10 +22,10 @@ SPEC = QuadSpec()
 
 @pytest.fixture
 def depth_one(monkeypatch):
-    """Cap refinement at one dyadic level and make the absolute floor
-    unreachable, so a kink cannot converge."""
+    """Cap refinement at one dyadic level and make the floor unreachable,
+    so a kink cannot converge."""
     monkeypatch.setattr(quad, "MAX_SUBDIVISIONS", 1)
-    monkeypatch.setattr(quad, "ABS_TOL", 1e-300)
+    monkeypatch.setattr(quad, "FLOOR", 1e-300)
 
 
 def test_polynomial_exactness():
@@ -258,6 +258,68 @@ def test_integrate_face_over_face_times_cone():
     want = 0.25 * (1 - math.cos(3.0))
     assert one.value == pytest.approx(want, rel=1e-8)
     assert two.value == pytest.approx(2.0 * want, rel=1e-8)
+
+
+def test_cone_free_face_is_one_pair_of_rules_per_box():
+    # an analytic 4-D face converges at depth 0: one box, judged by GL(24)
+    # against GL(18) on its own nodes, where the children rule would call
+    # the integrand on 1 + 16 boxes of 24^4 nodes
+    dom = RectDomain([0.0] * 4, [1.0, 2.0, 1.0, 0.5])
+    face = Face(domain=dom, sigma=(0, 1, 2, 3), epsilon=())
+    sizes = []
+
+    def f(t):
+        sizes.append(len(t))
+        return np.exp(-t.sum(axis=1))
+
+    res = integrate_face(face, f, SPEC)
+    assert sizes == [24**4, 18**4] and sum(sizes) == 436_752
+    want = math.prod(-math.expm1(-b) for b in (1.0, 2.0, 1.0, 0.5))
+    assert res.value == pytest.approx(want, rel=1e-13)
+    assert res.converged and 0.0 < res.err_est <= SPEC.rel_tol * res.value
+
+
+def test_face_times_cone_keeps_the_children_rule():
+    # the cone axis carries the orthant map, so a box is still judged by its
+    # 2^d children: 1 + 4 boxes at depth 0 on an edge x its 1-D cone.
+    # (1 + y)^-2 times the map's Jacobian is 1 in s, so depth 0 suffices
+    dom = RectDomain([0.0, 0.0], [2.0, 1.0])
+    face = Face(domain=dom, sigma=(0,), epsilon=((1, 1),))
+    shapes = []
+
+    def f(x, y):
+        shapes.append((x.shape, y.shape))
+        return np.outer(np.exp(-x[:, 0]), (1.0 + y[:, 0]) ** -2).ravel()
+
+    res = integrate_face(face, f, SPEC, outward_cone(face))
+    assert shapes == [((24, 1), (24, 1))] * (1 + 2**2)
+    assert res.value == pytest.approx(-math.expm1(-2.0), rel=1e-13)
+
+
+@pytest.mark.parametrize("rule", ["children", "pair"])
+def test_floor_scales_with_the_row(rule):
+    # the floor is relative to the row's integral of |f|, so a row scaled by
+    # a power of two refines the same tree and scales exactly; an absolute
+    # floor would accept the tiny row at once
+    dom = RectDomain([0.0, 0.0], [1.0, 1.0])
+    face = Face(domain=dom, sigma=(0, 1), epsilon=())
+
+    def bump(t):
+        r2 = (t[:, 0] - 0.3) ** 2 + (t[:, 1] - 0.7) ** 2
+        return np.exp(-0.5 * r2 / 0.05**2)
+
+    def run(g):
+        if rule == "pair":
+            return integrate_face(face, g, SPEC)
+        return integrate_box(g, [0.0, 0.0], [1.0, 1.0], SPEC)
+
+    tiny = 2.0**-200
+    one = run(bump)
+    small = run(lambda t: tiny * bump(t))
+    assert (small.value, small.err_est) == (tiny * one.value, tiny * one.err_est)
+    # the bump's centre is 6 and 14 sd from the sides on each axis
+    want = 2 * PI * 0.05**2 * (1.0 - gauss_tail(6.0) - gauss_tail(14.0)) ** 2
+    assert one.value == pytest.approx(want, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
