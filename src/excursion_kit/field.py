@@ -31,15 +31,8 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .errors import ConfigError, config_number
-from .geometry import (
-    DomainError,
-    Face,
-    RectDomain,
-    embed_points,
-    enumerate_faces,
-    face_of_point,
-)
+from .errors import CapabilityError, ConfigError, config_number
+from .geometry import MAX_ENUM_DIM, DomainError, Face, RectDomain, face_of_point
 
 __all__ = [
     "FieldModel",
@@ -55,7 +48,7 @@ __all__ = [
     "field_from_dict",
 ]
 
-# most points per field evaluation in max_variance's scan and in
+# most points per field evaluation in check_h2's scan and in
 # mec.FaceContext.arrays, so their memory does not grow with the scan grid or
 # the quadrature box
 POINT_BLOCK = 2**15
@@ -412,11 +405,13 @@ def check_h2(model: FieldModel, domain: RectDomain) -> H2Report:
 class MaxVarianceResult:
     """Global maximum of nu over the closed rectangle.
 
-    candidates lists the distinct near-optimal points (within TIE_TOL of
-    the max); more than one entry means the maximizer is ambiguous.
-    face_maxima holds every point the scan polished, as (nu, point, face)
-    in face enumeration order: each vertex, and one to three polished local
-    maxima of each k >= 1 face's closure.
+    sigma_sq is certified: no point of the rectangle exceeds it by more
+    than MAX_VAR_EPS * sigma_sq, up to rounding.  face_maxima holds the
+    distinct polished local maxima of the near-maximal set, best first, as
+    (nu, point, face) with face the host face of the point
+    (face_of_point, tol 1e-7); the set covers every point within NEAR_TOL
+    of sigma_sq.  candidates lists those within TIE_TOL of the max; more
+    than one entry means the maximizer is ambiguous.
     """
 
     sigma_sq: float
@@ -430,135 +425,153 @@ class MaxVarianceResult:
         return len(self.candidates) > 1
 
 
-# max_variance: scan points per face axis, and the scan-point budget of one
-# face, which caps the per-axis count at round(MAX_VAR_POINTS^(1/k)) on a
-# k-face (45 for k = 4); the projected-gradient size that ends a polish, and
-# the gap under the max within which points tie
-MAX_VAR_GRID = 64
-MAX_VAR_POINTS = 4e6
+# max_variance: the relative gap above the best value within which the
+# search certifies sigma_T^2, the gap under it of the near-maximal set, the
+# relative rounding slack of a box bound, the most boxes the search holds,
+# and the most distinct maxima polished
+MAX_VAR_EPS = 1e-10
+NEAR_TOL = 1e-6
+BOUND_SLACK = 16 * np.finfo(float).eps
+MAX_VAR_BOXES = 2**15
+MAX_VAR_PEAKS = 16
+# the projected-gradient size that ends a polish, and the gap under the max
+# within which points tie
 GRAD_TOL = 1e-10
 TIE_TOL = 1e-8
-# polish starts per k >= 1 face
-MAX_VAR_STARTS = 3
 
 
-def _refine_on_face(model: FieldModel, face: Face, x0: np.ndarray) -> np.ndarray:
-    """Projected ascent of nu on the closed face from free coordinates x0."""
-    lo, hi = face.free_bounds()
-    sig = list(face.sigma)
+def _polish(model: FieldModel, domain: RectDomain, x0: np.ndarray) -> np.ndarray:
+    """Projected ascent of nu on the closed rectangle from the point x0.
+
+    A coordinate at a side whose derivative does not point inside is held
+    there.  Each step is Newton's on the free coordinates where nu's
+    Hessian there is negative definite, the projected gradient otherwise,
+    with a halving line search; the polish ends when the free gradient is
+    below GRAD_TOL or no step gains.
+    """
+    lo, hi = domain.lower_arr, domain.upper_arr
     x = np.clip(x0, lo, hi)
-    if not sig:
-        return x
-    fval = float(model.variance(embed_points(face, x)[0]))
+    fval = float(model.variance(x))
     for _ in range(200):
-        t = embed_points(face, x)[0]
-        g = model.grad_variance(t)[sig]
-        h = model.hess_variance(t)[np.ix_(sig, sig)]
-        # projected gradient: zero out components pushing into an active bound
-        pg = g.copy()
-        pg[(x <= lo) & (g < 0)] = 0.0
-        pg[(x >= hi) & (g > 0)] = 0.0
+        g = model.grad_variance(x)
+        free = ~(((x <= lo) & (g <= 0)) | ((x >= hi) & (g >= 0)))
+        pg = np.where(free, g, 0.0)
         if np.linalg.norm(pg, ord=np.inf) < GRAD_TOL:
             break
-        step = None
-        try:
-            evals = np.linalg.eigvalsh(h)
-            if evals[-1] < -1e-12:  # negative definite: Newton ascent
-                step = np.linalg.solve(h, -g)
-        except np.linalg.LinAlgError:
-            step = None
-        if step is None:
-            step = pg / max(np.linalg.norm(pg), 1.0)
-        alpha = 1.0
-        moved = False
-        for _ in range(40):
+        step = pg / max(np.linalg.norm(pg), 1.0)
+        h = model.hess_variance(x)[np.ix_(free, free)]
+        if np.linalg.eigvalsh(h)[-1] < -1e-12:  # negative definite: Newton ascent
+            step[free] = np.linalg.solve(h, -g[free])
+        for alpha in 0.5 ** np.arange(40):
             xn = np.clip(x + alpha * step, lo, hi)
-            fn = float(model.variance(embed_points(face, xn)[0]))
+            fn = float(model.variance(xn))
             if fn > fval + 1e-18:
-                x, fval, moved = xn, fn, True
+                x, fval = xn, fn
                 break
-            alpha *= 0.5
-        if not moved:
+        else:
             break
     return x
 
 
-def _top_points(vals: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The MAX_VAR_STARTS best (value, index) pairs: value descending, then
-    index ascending, so exact ties go to the lowest index."""
-    n = MAX_VAR_STARTS
-    if len(vals) > n:
-        keep = vals >= np.partition(vals, len(vals) - n)[len(vals) - n]
-        vals, idx = vals[keep], idx[keep]
-    order = np.lexsort((idx, -vals))[:n]
-    return vals[order], idx[order]
+def _box_bounds(model: FieldModel, lam_abs: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """The best probe of boxes (lo, hi) and its nu, and per box the terms
+    of its bound on nu and the bound.
 
-
-def _scan_starts(model: FieldModel, face: Face, axes: list[np.ndarray]) -> np.ndarray:
-    """Free coordinates of the best grid points of a face, best first.
-
-    The grid is the row-major product of ``axes``, evaluated block by block
-    (_grid_blocks).  A running top list keeps the ranking of _top_points, so
-    the starts do not depend on the block size.
+    Hess nu(t) = 2 Lambda(t) and |v^T Lambda(t) v| <= v^T Lambda v <= |v|^T
+    lam_abs |v| (Cauchy-Schwarz; lam_abs = |Lambda| entrywise), so on a box
+    with centre c and half-widths h, nu <= nu(c) + sum_i (|d_i nu(c)| +
+    (lam_abs h)_i) h_i; BOUND_SLACK |nu(c)| more keeps rounding from
+    dropping the box of the max.  Probes: the centre, and the corner the
+    gradient there points to.
     """
-    best_vals, best_idx = np.empty(0), np.empty(0, dtype=np.intp)
-    for idx, pts_free in _grid_blocks(axes):
-        vals = model.variance(embed_points(face, pts_free))
-        best_vals, best_idx = _top_points(
-            np.concatenate([best_vals, vals]), np.concatenate([best_idx, idx])
-        )
-    shape = tuple(len(a) for a in axes)
-    return np.stack(
-        [ax[i] for ax, i in zip(axes, np.unravel_index(best_idx, shape))], axis=-1
-    )
+    c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    nu_c, g = model.variance(c), model.grad_variance(c)
+    corner = np.where(g > 0, hi, np.where(g < 0, lo, c))
+    nu_k = model.variance(corner)
+    i, j = int(np.argmax(nu_c)), int(np.argmax(nu_k))
+    best = (corner[j], float(nu_k[j])) if nu_k[j] > nu_c[i] else (c[i], float(nu_c[i]))
+    terms = (np.abs(g) + h @ lam_abs) * h
+    return *best, terms, nu_c + terms.sum(axis=1) + BOUND_SLACK * np.abs(nu_c)
+
+
+def _near_max_boxes(model: FieldModel, domain: RectDomain):
+    """Branch and bound for sup nu over the rectangle (_box_bounds).
+
+    Breadth-first, in a fixed order, a box bounded below the best probe
+    minus NEAR_TOL is dropped, one bounded within MAX_VAR_EPS |best| above
+    it is kept, and any other is bisected along the axis of its largest
+    bound term; CapabilityError past MAX_VAR_BOXES boxes held.  Returns
+    the best probe and the (lo, hi) of the kept boxes, which cover every
+    point within NEAR_TOL of sup nu.
+    """
+    lam_abs = np.abs(model.lambda_mat)
+    lo, hi = domain.lower_arr[None, :], domain.upper_arr[None, :]
+    best, best_t = -math.inf, None
+    kept, n_kept = [], 0
+    while len(lo):
+        t, v, terms, bound = _box_bounds(model, lam_abs, lo, hi)
+        if v > best:
+            best, best_t = v, t
+        near = bound >= best - NEAR_TOL
+        split = near & (bound > best + MAX_VAR_EPS * abs(best))
+        done = near & ~split
+        kept.append((lo[done], hi[done], bound[done]))
+        n_kept += int(done.sum())
+        if n_kept + 2 * int(split.sum()) > MAX_VAR_BOXES:
+            raise CapabilityError(
+                f"nu stays within {NEAR_TOL:g} of its max on more than {MAX_VAR_BOXES} boxes"
+            )
+        lo, hi, mid = lo[split], hi[split], 0.5 * (lo[split] + hi[split])
+        cut = np.argmax(terms[split], axis=1)[:, None] == np.arange(domain.dim)
+        lo, hi = np.concatenate([lo, np.where(cut, mid, lo)]), np.concatenate([np.where(cut, mid, hi), hi])
+    lo, hi, bound = (np.concatenate(a) for a in zip(*kept))
+    keep = bound >= best - NEAR_TOL
+    return best_t, lo[keep], hi[keep]
 
 
 def max_variance(model: FieldModel, domain: RectDomain) -> MaxVarianceResult:
-    """Maximise nu over the closed rectangle: face-wise scan plus polish.
+    """Maximise nu over the closed rectangle by branch and bound.
 
-    Every k >= 1 face is scanned on a uniform grid of its closure's free
-    coordinates with min(MAX_VAR_GRID, round(MAX_VAR_POINTS^(1/k))) points
-    per axis: 64 for k <= 3 and 45 for k = 4.  The grid is evaluated in
-    blocks of at most POINT_BLOCK points, so memory does not grow with it.
-    Its MAX_VAR_STARTS best points, ranked by value descending and then by
-    row-major grid index ascending (exact ties go to the lowest index,
-    whatever the block size), are refined in that order by projected
-    Newton/gradient ascent on the closed face; vertices are evaluated as
-    they are.  All these points are kept in ``face_maxima``.  Distinct
-    points within TIE_TOL of the best value are all reported as candidates.
+    _near_max_boxes certifies sup nu to MAX_VAR_EPS and covers the points
+    within NEAR_TOL of it by boxes.  _polish runs from the best probe,
+    then from the kept box corner farthest from the points polished so
+    far, until a polish lands within 1e-6 (times the coordinate scale) of
+    an earlier one or two lie within TIE_TOL of the best: a ridge's far
+    corners polish to new points, a tie, and a distant second maximum is
+    found (one nearer than the farthest corner can be missed).
+    CapabilityError for N > MAX_ENUM_DIM, as for face enumeration, and
+    past MAX_VAR_PEAKS polished points.
     """
-    cands: list[tuple[float, np.ndarray, Face]] = []
-    for fc in enumerate_faces(domain):
-        if fc.k == 0:
-            t = fc.fixed_values()
-            cands.append((float(model.variance(t)), t, fc))
-            continue
-        lo, hi = fc.free_bounds()
-        per_axis = max(2, min(MAX_VAR_GRID, int(round(MAX_VAR_POINTS ** (1.0 / fc.k)))))
-        axes = [np.linspace(lo[i], hi[i], per_axis) for i in range(fc.k)]
-        # polish the few best grid points; distinct starts may find
-        # distinct maximizers on the same face
-        for x0 in _scan_starts(model, fc, axes):
-            xf = _refine_on_face(model, fc, x0)
-            t = embed_points(fc, xf[None, :])[0]
-            cands.append((float(model.variance(t)), t, fc))
-
-    best_val = max(v for v, _, _ in cands)
+    if domain.dim > MAX_ENUM_DIM:
+        raise CapabilityError(f"max_variance is capped at N={MAX_ENUM_DIM} (got N={domain.dim})")
+    best_t, lo, hi = _near_max_boxes(model, domain)
     scale = max(1.0, float(np.max(np.abs(domain.lower_arr))), float(np.max(np.abs(domain.upper_arr))))
-    distinct: list[tuple[float, np.ndarray]] = []
-    for v, t, _ in sorted(cands, key=lambda p: -p[0]):
-        if v < best_val - TIE_TOL:
+    points = [_polish(model, domain, best_t)]
+    vals = [float(model.variance(points[0]))]
+    while sum(v >= max(vals) - TIE_TOL for v in vals) < 2:
+        far = [np.where(np.abs(lo - p) > np.abs(hi - p), lo, hi) for p in points]
+        reach = np.stack([np.linalg.norm(f - p, axis=1) for f, p in zip(far, points)])
+        nearest = np.argmin(reach, axis=0)
+        b = int(np.argmax(reach[nearest, np.arange(len(lo))]))
+        t = _polish(model, domain, far[nearest[b]][b])
+        if any(np.linalg.norm(t - p) <= 1e-6 * scale for p in points):
             break
-        if all(np.linalg.norm(t - t2) > 1e-6 * scale for _, t2 in distinct):
-            distinct.append((v, t))
-    best_val, best_t = distinct[0]
-    host = face_of_point(domain, best_t, tol=1e-7)
+        if len(points) == MAX_VAR_PEAKS:
+            raise CapabilityError(f"more than {MAX_VAR_PEAKS} maxima of nu within {NEAR_TOL:g} of its max")
+        points.append(t)
+        vals.append(float(model.variance(t)))
+    face_maxima = tuple(
+        (v, t, face_of_point(domain, t, tol=1e-7))
+        for v, t in sorted(zip(vals, points), key=lambda p: -p[0])
+        if v >= max(vals) - NEAR_TOL
+    )
+    best_val = face_maxima[0][0]
     return MaxVarianceResult(
         sigma_sq=best_val,
-        point=best_t,
-        face=host,
-        candidates=tuple((v, tuple(t)) for v, t in distinct),
-        face_maxima=tuple(cands),
+        point=face_maxima[0][1],
+        face=face_maxima[0][2],
+        candidates=tuple((v, tuple(t)) for v, t, _ in face_maxima if v >= best_val - TIE_TOL),
+        face_maxima=face_maxima,
     )
 
 

@@ -55,7 +55,6 @@ from .geometry import (
     embed_points,
     enumerate_faces,
     face_label,
-    face_of_point,
     outward_cone,
 )
 from .quad import QuadResult, QuadSpec, integrate_face
@@ -90,8 +89,6 @@ CLASS_INTERIOR = "interior-critical"
 # fixed-direction derivative threshold separating the regular and
 # zero-gradient boundary regimes
 GRAD_ZERO_TOL = 1e-8
-# condition_check: gap under sigma_T^2 within which a point is near-maximal
-CONDITION_VAR_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -409,28 +406,16 @@ def _flat(pinned_grads) -> np.ndarray:
 
 
 def condition_check(model: FieldModel, domain: RectDomain) -> ConditionReport:
-    """Check the boundary-maximum regularity condition face by face.
-
-    Reads the points that max_variance polished: every vertex and up to
-    three local maxima of each face's closure.  A point violates the
-    condition when, after polishing, nu there is within CONDITION_VAR_TOL
-    of sigma_T^2, the point lies in the open face it was polished on, and
-    some pinned-direction derivative is flat (_flat).
-    Each distinct point is reported once, as (face, point, pinned
-    derivatives).  The interior face has no pinned directions and never
-    violates.
+    """Check the boundary-maximum regularity condition at max_variance's
+    face_maxima: the polished maxima within field.NEAR_TOL of sigma_T^2,
+    from its certified cover of that set, each on its host face.  A point
+    whose pinned-direction derivatives include a flat one (_flat) is
+    reported as (face, point, pinned derivatives); the interior face has
+    none and never violates.
     """
     mv = max_variance(model, domain)
     violations = []
-    for v, t, fc in mv.face_maxima:
-        # near sigma_T^2, in the open face (a point on its boundary belongs
-        # to a smaller face), and not reported yet
-        if (
-            v < mv.sigma_sq - CONDITION_VAR_TOL
-            or face_of_point(domain, t, tol=1e-7) != fc
-            or any(np.allclose(t, s, rtol=1e-6, atol=1e-6) for _, s, _ in violations)
-        ):
-            continue
+    for _, t, fc in mv.face_maxima:
         gf = model.grad_variance(t)[list(fc.fixed)]
         if np.any(_flat(gf)):
             violations.append((fc, tuple(map(float, t)), tuple(map(float, gf))))

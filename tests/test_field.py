@@ -1,4 +1,6 @@
+import itertools
 import math
+import time
 import tracemalloc
 from dataclasses import dataclass
 
@@ -8,7 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import excursion_kit.field as field
-from excursion_kit.errors import ConfigError, DegenerateModelError
+from excursion_kit.errors import (
+    AmbiguousMaximizerError,
+    CapabilityError,
+    ConfigError,
+    DegenerateModelError,
+)
 from excursion_kit.field import (
     CosineField,
     FieldModel,
@@ -433,30 +440,9 @@ def oblique3():
     return m, RectDomain([0.0] * 3, [2.5, 2.0, 1.5])
 
 
-def whole_grid_face_maxima(model, domain):
-    """max_variance's polished points from each face's whole scan grid at
-    once, best value first and then lowest row-major index."""
-    out = []
-    for fc in enumerate_faces(domain):
-        if fc.k == 0:
-            t = fc.fixed_values()
-            out.append((float(model.variance(t)), t, fc))
-            continue
-        lo, hi = fc.free_bounds()
-        n = max(2, min(field.MAX_VAR_GRID, int(round(field.MAX_VAR_POINTS ** (1.0 / fc.k)))))
-        mesh = np.meshgrid(*(np.linspace(lo[i], hi[i], n) for i in range(fc.k)), indexing="ij")
-        pts_free = np.stack([m.ravel() for m in mesh], axis=-1)
-        vals = model.variance(embed_points(fc, pts_free))
-        for idx in np.lexsort((np.arange(len(vals)), -vals))[:3]:
-            xf = field._refine_on_face(model, fc, pts_free[idx])
-            t = embed_points(fc, xf[None, :])[0]
-            out.append((float(model.variance(t)), t, fc))
-    return out
-
-
-def test_max_variance_memory_does_not_grow_with_the_scan_grid():
-    # the interior face of [0, pi]^4 has 45^4 ~ 4.1 M scan points; evaluated
-    # whole, its grid, embedded points and phases peak near 750 MB
+def test_max_variance_memory_is_the_search_not_a_grid():
+    # the search holds a few hundred boxes on [0, pi]^4; the scan it
+    # replaced evaluated 45^4 ~ 4.1 M interior points in blocks
     model, dom = spectral4()
     tracemalloc.start()
     try:
@@ -464,41 +450,77 @@ def test_max_variance_memory_does_not_grow_with_the_scan_grid():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert res.sigma_sq == pytest.approx(9.0, abs=1e-9)
-    assert peak < 64 * 2**20
+    assert res.sigma_sq == 9.0
+    assert peak < 4 * 2**20
 
 
-@pytest.mark.parametrize("case", ["spectral4", "oblique3"])
-def test_max_variance_blocks_match_the_whole_grid(case, monkeypatch):
-    model, dom = spectral4() if case == "spectral4" else oblique3()
-    if case == "spectral4":
-        # 24^4 interior points keep the whole-grid reference small and
-        # still span eleven blocks; the 3-D faces keep 64^3 points
-        monkeypatch.setattr(field, "MAX_VAR_POINTS", 24.0**4)
-    want = whole_grid_face_maxima(model, dom)
-    got = max_variance(model, dom).face_maxima
-    assert len(got) == len(want)
-    for (v, t, fc), (v2, t2, fc2) in zip(got, want):
-        assert fc == fc2 and v == v2 and np.array_equal(t, t2), face_label(fc)
+def bound_cases():
+    oblique, dom3 = oblique3()
+    return [
+        (cosine(), RectDomain([0.0, 0.0], [1.5 * PI, 1.5 * PI])),
+        (oblique, dom3),
+        (GaussianIncrementField(dim=3, scale=0.8, offset_var=0.3), RectDomain([-1.0] * 3, [1.5, 1.0, 2.0])),
+    ]
 
 
-def test_max_variance_ties_polish_the_lowest_grid_index(monkeypatch):
-    # nu depends on t1 only, so scan points that differ only in t2 tie
-    # exactly; the starts are the lowest row-major indices among the tied
-    # best, whatever the block size, and the polish never moves t2
+@pytest.mark.parametrize("case", range(3), ids=["cosine", "oblique", "gaussian_increment"])
+def test_hessian_bound_behind_the_search(case):
+    # Hess nu(t) = 2 Lambda(t) and |v^T Lambda(t) v| <= v^T Lambda v, so
+    # each box bound lies above nu everywhere in its box
+    model, dom = bound_cases()[case]
+    rng = np.random.default_rng(case)
+    lo, hi = dom.lower_arr, dom.upper_arr
+    t = lo + rng.random((200, dom.dim)) * (hi - lo)
+    v = rng.standard_normal((200, dom.dim))
+    curv = np.einsum("mi,mij,mj->m", v, model.hess_variance(t), v)
+    top = np.einsum("mi,ij,mj->m", v, model.lambda_mat, v)
+    assert np.all(np.abs(curv) <= 2.0 * top * (1 + 1e-12))
+    a, b = np.sort(lo + rng.random((2, 40, dom.dim)) * (hi - lo), axis=0)
+    bound = field._box_bounds(model, np.abs(model.lambda_mat), a, b)[3]
+    for lo_i, hi_i, bound_i in zip(a, b, bound):
+        sample = lo_i + rng.random((4000, dom.dim)) * (hi_i - lo_i)
+        corners = np.array(list(itertools.product(*zip(lo_i, hi_i))))
+        assert bound_i >= float(np.max(model.variance(np.concatenate([sample, corners]))))
+
+
+def test_max_variance_finds_a_peak_between_grid_nodes():
+    # a high-frequency atom along t2 puts the max at t2 ~ 3.1595, on a
+    # ripple that a 64-node grid on [0, 4.7] polishes past: the face scan
+    # this search replaced returned 5.16695 at t2 ~ 2.9806.  nu is
+    # separable, so t1 = pi and a dense t2 line give the reference
+    model = SpectralSumField(
+        freqs=[[1.0, 0.0], [0.0, 1.0], [0.0, 34.8]], weights=[0.5, 0.5, 0.045], offset_var=1.0
+    )
+    dom = RectDomain([0.0, 0.0], [1.5 * PI, 4.7])
+    t2 = np.linspace(0.0, 4.7, 1_000_001)
+    ref = float(np.max(model.variance(np.stack([np.full_like(t2, PI), t2], axis=-1))))
+    res = max_variance(model, dom)
+    assert ref - 1e-12 <= res.sigma_sq <= ref + 1e-9
+    assert abs(res.point[1] - 3.15948) < 1e-4 and not res.tied
+
+
+def test_max_variance_ridge_is_ambiguous():
+    # nu depends on t1 only, so every point of the segment t1 = pi is a
+    # maximizer: its far ends polish to distinct candidates
     model = SpectralSumField(freqs=[[1.0, 0.0]], weights=[0.5], offset_var=1.0)
     dom = RectDomain([0.0, 0.0], [1.5 * PI, 1.0])
-    faces = [fc for fc in enumerate_faces(dom) if 1 in fc.sigma]
+    res = max_variance(model, dom)
+    assert res.tied and res.sigma_sq == 3.0
+    assert all(abs(t[0] - PI) < 1e-7 for _, t in res.candidates)
+    assert max(t[1] for _, t in res.candidates) - min(t[1] for _, t in res.candidates) > 0.4
+    with pytest.raises(AmbiguousMaximizerError):
+        prepare_laplace_inputs(model, dom)
 
-    def t2_of_starts():
-        res = max_variance(model, dom)
-        return {face_label(fc): [t[1] for _, t, f in res.face_maxima if f == fc] for fc in faces}
 
-    first = list(np.linspace(0.0, 1.0, field.MAX_VAR_GRID)[:3])
-    want = {face_label(fc): first for fc in faces}
-    assert t2_of_starts() == want
-    monkeypatch.setattr(field, "POINT_BLOCK", 5)
-    assert t2_of_starts() == want
+def test_max_variance_box_cap_raises_quickly():
+    # an oblique ridge t1 + t2 = pi cannot be covered by few boxes along
+    # the axes, so the box set grows until the cap stops it
+    model = SpectralSumField(freqs=[[1.0, 1.0]], weights=[0.5], offset_var=1.0)
+    dom = RectDomain([0.0, 0.0], [1.5 * PI, 1.5 * PI])
+    start = time.perf_counter()
+    with pytest.raises(CapabilityError, match="boxes"):
+        max_variance(model, dom)
+    assert time.perf_counter() - start < 5.0
 
 
 # ---------------------------------------------------------------------------

@@ -617,6 +617,18 @@ def test_condition_check_finds_flat_edge_maximizer_off_grid(top):
     assert abs(grads[0]) < 1e-8
 
 
+def test_condition_check_flags_the_flat_4d_vertex():
+    # perfbench's spectral4 field on [0, pi]^4: sigma_T^2 = 9 at the vertex
+    # (pi, pi, pi, pi), where every pinned derivative sin(pi) vanishes
+    model = SpectralSumField(freqs=np.eye(4), weights=np.full(4, 0.5), offset_var=1.0)
+    rep = condition_check(model, RectDomain([0.0] * 4, [PI] * 4))
+    assert not rep.satisfied and rep.sigma_sq == 9.0
+    [(face, point, grads)] = rep.violations
+    assert face.k == 0 and face_label(face) == "0|{}|{1:1,2:1,3:1,4:1}"
+    assert point == (PI,) * 4
+    assert len(grads) == 4 and max(abs(g) for g in grads) < 1e-15
+
+
 def test_condition_check_interior_max_vacuous():
     rep = condition_check(cosine(), RectDomain([2.0, 2.0], [4.0, 4.0]))
     assert rep.satisfied
