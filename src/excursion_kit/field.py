@@ -125,6 +125,17 @@ class FieldModel:
         """Lambda(t) = (1/2) Hess g(t) = Cov(grad X(t+s), grad X(s))."""
         return 0.5 * self._g_hess(self._points(t))
 
+    def lambda_bound(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Per box [lo, hi] (rows of (m, N) arrays), a symmetric B of shape
+        (m, N, N) with v^T Lambda(t) v <= v^T B v for all v and every t in
+        the box.
+
+        Lambda - Lambda(t) = (1/2) Var(grad X(t+s) - grad X(s)) is positive
+        semidefinite, so Lambda serves for every model; a model may tighten
+        it from what it knows of Lambda(t) on the box.
+        """
+        return np.broadcast_to(self.lambda_mat, (len(lo), self.dim, self.dim))
+
 
 def _psd_det(entries: dict, k: int, shape) -> np.ndarray:
     """Determinants of symmetric positive semidefinite k x k matrices,
@@ -241,6 +252,21 @@ class SpectralSumField(FieldModel):
 
         return kernel
 
+    def lambda_bound(self, lo, hi):
+        """Lambda(t) = sum_m w_m cos<t, f_m> f_m f_m^T, so B takes each
+        cosine at its max over the box, or 0 if that is negative: 1 where
+        the phase range <c, f_m> +- sum_i |f_mi| h_i (centre c, half-widths
+        h, widened by 1e-12 of its scale against rounding) holds a multiple
+        of 2 pi, the larger end value otherwise."""
+        c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        mid = c @ self.freqs.T
+        rad = h @ np.abs(self.freqs).T
+        rad += 1e-12 * (np.abs(c) @ np.abs(self.freqs).T + rad)
+        a, b = mid - rad, mid + rad
+        top = np.maximum(np.cos(a), np.cos(b)).clip(0.0)
+        top[np.floor(b / (2 * math.pi)) >= a / (2 * math.pi)] = 1.0
+        return np.einsum("bm,mi,mj->bij", self.weights * top, self.freqs, self.freqs)
+
     @property
     def lambda_spectral(self) -> np.ndarray:
         """Second spectral moment sum_m w_m freq_m freq_m^T."""
@@ -307,6 +333,12 @@ class GaussianIncrementField(FieldModel):
         )
         triple = np.einsum("...i,...j,...l->...ijl", h, h, h)
         return (-8.0 / l2**2) * e[..., None, None, None] * (sym - 2.0 * triple / l2)
+
+    def lambda_bound(self, lo, hi):
+        """Lambda(h) = (2/l^2) e (I - 2 h h^T / l^2) <= (2/l^2) e I with
+        e = exp(-|h/l|^2), which is largest at the box point nearest 0."""
+        e = np.exp(-self._r2(np.clip(0.0, lo, hi)))
+        return (2.0 / self.scale**2) * e[:, None, None] * np.eye(self.dim)
 
     def face_kernel(self, sig) -> FaceKernel:
         """Face kernel by the matrix determinant lemma.
@@ -407,11 +439,12 @@ class MaxVarianceResult:
 
     sigma_sq is certified: no point of the rectangle exceeds it by more
     than MAX_VAR_EPS * sigma_sq, up to rounding.  face_maxima holds the
-    distinct polished local maxima of the near-maximal set, best first, as
+    distinct polished maxima within NEAR_TOL of sigma_sq, best first, as
     (nu, point, face) with face the host face of the point
-    (face_of_point, tol 1e-7); the set covers every point within NEAR_TOL
-    of sigma_sq.  candidates lists those within TIE_TOL of the max; more
-    than one entry means the maximizer is ambiguous.
+    (face_of_point, tol 1e-7); they are the points that the polishes of
+    every box of a cover of that set reach.  candidates lists those within
+    TIE_TOL of the max; more than one entry means the maximizer is
+    ambiguous, and then both lists stop at MAX_VAR_PEAKS points.
     """
 
     sigma_sq: float
@@ -428,61 +461,86 @@ class MaxVarianceResult:
 # max_variance: the relative gap above the best value within which the
 # search certifies sigma_T^2, the gap under it of the near-maximal set, the
 # relative rounding slack of a box bound, the most boxes the search holds,
-# and the most distinct maxima polished
+# and the most distinct near-maximal points
 MAX_VAR_EPS = 1e-10
 NEAR_TOL = 1e-6
 BOUND_SLACK = 16 * np.finfo(float).eps
 MAX_VAR_BOXES = 2**15
 MAX_VAR_PEAKS = 16
-# the projected-gradient size that ends a polish, and the gap under the max
-# within which points tie
+# the projected-gradient size and the Newton step (per unit of coordinate
+# scale) that end a polish, and the gap under the max within which points tie
 GRAD_TOL = 1e-10
+STEP_TOL = 1e-12
 TIE_TOL = 1e-8
 
 
+def _coord_scale(domain: RectDomain) -> float:
+    """The largest coordinate magnitude of the rectangle, at least 1."""
+    return max(1.0, float(np.max(np.abs(domain.lower_arr))), float(np.max(np.abs(domain.upper_arr))))
+
+
 def _polish(model: FieldModel, domain: RectDomain, x0: np.ndarray) -> np.ndarray:
-    """Projected ascent of nu on the closed rectangle from the point x0.
+    """Projected ascent of nu on the closed rectangle from each row of x0.
 
     A coordinate at a side whose derivative does not point inside is held
     there.  Each step is Newton's on the free coordinates where nu's
-    Hessian there is negative definite, the projected gradient otherwise,
-    with a halving line search; the polish ends when the free gradient is
-    below GRAD_TOL or no step gains.
+    Hessian there is negative definite, else Newton's along the projected
+    gradient where nu is concave on that line, else the projected
+    gradient scaled to length 1, with a halving line search.  A full
+    Newton step is taken unless nu falls, since near the max its gain
+    drops below one ulp of nu before the gradient drops below GRAD_TOL;
+    any other step must gain.  A row stops when its free gradient is
+    below GRAD_TOL and its Newton step, if any, below STEP_TOL times the
+    coordinate scale, or when no step is taken.
     """
     lo, hi = domain.lower_arr, domain.upper_arr
+    step_tol = STEP_TOL * _coord_scale(domain)
     x = np.clip(x0, lo, hi)
-    fval = float(model.variance(x))
+    fval = model.variance(x)
+    live = np.arange(len(x))
     for _ in range(200):
-        g = model.grad_variance(x)
-        free = ~(((x <= lo) & (g <= 0)) | ((x >= hi) & (g >= 0)))
+        g = model.grad_variance(x[live])
+        free = ~(((x[live] <= lo) & (g <= 0)) | ((x[live] >= hi) & (g >= 0)))
         pg = np.where(free, g, 0.0)
-        if np.linalg.norm(pg, ord=np.inf) < GRAD_TOL:
+        step = pg / np.maximum(np.linalg.norm(pg, axis=1), np.finfo(float).tiny)[:, None]
+        # a held coordinate gets a row and column of -I, so Newton leaves it
+        h = np.where(free[:, :, None] & free[:, None, :], model.hess_variance(x[live]), -np.eye(domain.dim))
+        newton = np.linalg.eigvalsh(h)[:, -1] < -1e-12
+        step[newton] = np.linalg.solve(h[newton], -pg[newton][..., None])[..., 0]
+        curv = np.einsum("bi,bij,bj->b", pg, h, pg)
+        line = ~newton & (curv < 0.0)
+        step[line] = pg[line] * (-np.sum(pg[line] ** 2, axis=1) / curv[line])[:, None]
+        newton |= line
+        go = (np.max(np.abs(pg), axis=1) >= GRAD_TOL) | (newton & (np.max(np.abs(step), axis=1) >= step_tol))
+        live, step, newton = live[go], step[go], newton[go]
+        if not len(live):
             break
-        step = pg / max(np.linalg.norm(pg), 1.0)
-        h = model.hess_variance(x)[np.ix_(free, free)]
-        if np.linalg.eigvalsh(h)[-1] < -1e-12:  # negative definite: Newton ascent
-            step[free] = np.linalg.solve(h, -g[free])
+        moved = np.zeros(len(live), dtype=bool)
         for alpha in 0.5 ** np.arange(40):
-            xn = np.clip(x + alpha * step, lo, hi)
-            fn = float(model.variance(xn))
-            if fn > fval + 1e-18:
-                x, fval = xn, fn
+            rest = np.flatnonzero(~moved)
+            if not len(rest):
                 break
-        else:
-            break
+            xn = np.clip(x[live[rest]] + alpha * step[rest], lo, hi)
+            fn = model.variance(xn)
+            up = fn > fval[live[rest]] + 1e-18
+            if alpha == 1.0:
+                up |= newton[rest] & (fn >= fval[live[rest]])
+            x[live[rest[up]]], fval[live[rest[up]]] = xn[up], fn[up]
+            moved[rest[up]] = True
+        live = live[moved]
     return x
 
 
-def _box_bounds(model: FieldModel, lam_abs: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+def _box_bounds(model: FieldModel, lo: np.ndarray, hi: np.ndarray):
     """The best probe of boxes (lo, hi) and its nu, and per box the terms
     of its bound on nu and the bound.
 
-    Hess nu(t) = 2 Lambda(t) and |v^T Lambda(t) v| <= v^T Lambda v <= |v|^T
-    lam_abs |v| (Cauchy-Schwarz; lam_abs = |Lambda| entrywise), so on a box
-    with centre c and half-widths h, nu <= nu(c) + sum_i (|d_i nu(c)| +
-    (lam_abs h)_i) h_i; BOUND_SLACK |nu(c)| more keeps rounding from
-    dropping the box of the max.  Probes: the centre, and the corner the
-    gradient there points to.
+    Hess nu(t) = 2 Lambda(t), and v^T Lambda(t) v <= v^T B v <= |v|^T |B|
+    |v| on a box with B = model.lambda_bound (|B| entrywise), so with
+    centre c and half-widths h, nu <= nu(c) + sum_i (|d_i nu(c)| +
+    (|B| h)_i) h_i; BOUND_SLACK |nu(c)| more keeps rounding from dropping
+    the box of the max.  Probes: the centre, and the corner the gradient
+    there points to.
     """
     c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
     nu_c, g = model.variance(c), model.grad_variance(c)
@@ -490,7 +548,7 @@ def _box_bounds(model: FieldModel, lam_abs: np.ndarray, lo: np.ndarray, hi: np.n
     nu_k = model.variance(corner)
     i, j = int(np.argmax(nu_c)), int(np.argmax(nu_k))
     best = (corner[j], float(nu_k[j])) if nu_k[j] > nu_c[i] else (c[i], float(nu_c[i]))
-    terms = (np.abs(g) + h @ lam_abs) * h
+    terms = (np.abs(g) + np.einsum("bij,bj->bi", np.abs(model.lambda_bound(lo, hi)), h)) * h
     return *best, terms, nu_c + terms.sum(axis=1) + BOUND_SLACK * np.abs(nu_c)
 
 
@@ -504,12 +562,11 @@ def _near_max_boxes(model: FieldModel, domain: RectDomain):
     the best probe and the (lo, hi) of the kept boxes, which cover every
     point within NEAR_TOL of sup nu.
     """
-    lam_abs = np.abs(model.lambda_mat)
     lo, hi = domain.lower_arr[None, :], domain.upper_arr[None, :]
     best, best_t = -math.inf, None
     kept, n_kept = [], 0
     while len(lo):
-        t, v, terms, bound = _box_bounds(model, lam_abs, lo, hi)
+        t, v, terms, bound = _box_bounds(model, lo, hi)
         if v > best:
             best, best_t = v, t
         near = bound >= best - NEAR_TOL
@@ -533,37 +590,34 @@ def max_variance(model: FieldModel, domain: RectDomain) -> MaxVarianceResult:
     """Maximise nu over the closed rectangle by branch and bound.
 
     _near_max_boxes certifies sup nu to MAX_VAR_EPS and covers the points
-    within NEAR_TOL of it by boxes.  _polish runs from the best probe,
-    then from the kept box corner farthest from the points polished so
-    far, until a polish lands within 1e-6 (times the coordinate scale) of
-    an earlier one or two lie within TIE_TOL of the best: a ridge's far
-    corners polish to new points, a tie, and a distant second maximum is
-    found (one nearer than the farthest corner can be missed).
-    CapabilityError for N > MAX_ENUM_DIM, as for face enumeration, and
-    past MAX_VAR_PEAKS polished points.
+    within NEAR_TOL of it by boxes.  _polish runs from the best probe and
+    from the centre and the lower and upper corners of every kept box, so
+    every kept box is claimed by the maxima its polishes reach, and a
+    ridge across a box polishes to distinct points, a tie.  Polished
+    points within 1e-6 (times the coordinate scale) of a better one are
+    that one.  CapabilityError for N > MAX_ENUM_DIM, as for face
+    enumeration, and past MAX_VAR_PEAKS distinct near-maximal points
+    unless the best two tie.
     """
     if domain.dim > MAX_ENUM_DIM:
         raise CapabilityError(f"max_variance is capped at N={MAX_ENUM_DIM} (got N={domain.dim})")
     best_t, lo, hi = _near_max_boxes(model, domain)
-    scale = max(1.0, float(np.max(np.abs(domain.lower_arr))), float(np.max(np.abs(domain.upper_arr))))
-    points = [_polish(model, domain, best_t)]
-    vals = [float(model.variance(points[0]))]
-    while sum(v >= max(vals) - TIE_TOL for v in vals) < 2:
-        far = [np.where(np.abs(lo - p) > np.abs(hi - p), lo, hi) for p in points]
-        reach = np.stack([np.linalg.norm(f - p, axis=1) for f, p in zip(far, points)])
-        nearest = np.argmin(reach, axis=0)
-        b = int(np.argmax(reach[nearest, np.arange(len(lo))]))
-        t = _polish(model, domain, far[nearest[b]][b])
-        if any(np.linalg.norm(t - p) <= 1e-6 * scale for p in points):
-            break
-        if len(points) == MAX_VAR_PEAKS:
+    pts = _polish(model, domain, np.vstack([best_t, 0.5 * (lo + hi), lo, hi]))
+    vals = model.variance(pts)
+    left = np.argsort(-vals, kind="stable")
+    left = left[vals[left] >= vals[left[0]] - NEAR_TOL]
+    peaks = []
+    while len(left):
+        t = pts[left[0]]
+        if len(peaks) == MAX_VAR_PEAKS:
+            if peaks[1][0] >= peaks[0][0] - TIE_TOL:
+                break
             raise CapabilityError(f"more than {MAX_VAR_PEAKS} maxima of nu within {NEAR_TOL:g} of its max")
-        points.append(t)
-        vals.append(float(model.variance(t)))
+        peaks.append((float(model.variance(t)), t))
+        peaks.sort(key=lambda p: -p[0])
+        left = left[np.linalg.norm(pts[left] - t, axis=1) > 1e-6 * _coord_scale(domain)]
     face_maxima = tuple(
-        (v, t, face_of_point(domain, t, tol=1e-7))
-        for v, t in sorted(zip(vals, points), key=lambda p: -p[0])
-        if v >= max(vals) - NEAR_TOL
+        (v, t, face_of_point(domain, t, tol=1e-7)) for v, t in peaks if v >= peaks[0][0] - NEAR_TOL
     )
     best_val = face_maxima[0][0]
     return MaxVarianceResult(

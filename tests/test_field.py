@@ -460,27 +460,34 @@ def bound_cases():
         (cosine(), RectDomain([0.0, 0.0], [1.5 * PI, 1.5 * PI])),
         (oblique, dom3),
         (GaussianIncrementField(dim=3, scale=0.8, offset_var=0.3), RectDomain([-1.0] * 3, [1.5, 1.0, 2.0])),
+        # an unscaled wrapper keeps the base model's field but has only
+        # FieldModel's own lambda_bound, Lambda itself
+        (FaultInjectedField(oblique, hessian_scale=1.0), dom3),
     ]
 
 
-@pytest.mark.parametrize("case", range(3), ids=["cosine", "oblique", "gaussian_increment"])
+@pytest.mark.parametrize("case", range(4), ids=["cosine", "oblique", "gaussian_increment", "default_bound"])
 def test_hessian_bound_behind_the_search(case):
-    # Hess nu(t) = 2 Lambda(t) and |v^T Lambda(t) v| <= v^T Lambda v, so
-    # each box bound lies above nu everywhere in its box
+    # Hess nu(t) = 2 Lambda(t) and Lambda(t) <= lambda_bound on a box, so
+    # each box bound lies above nu everywhere in its box.  40 boxes are
+    # drawn anywhere and 40 narrow ones
     model, dom = bound_cases()[case]
     rng = np.random.default_rng(case)
     lo, hi = dom.lower_arr, dom.upper_arr
-    t = lo + rng.random((200, dom.dim)) * (hi - lo)
-    v = rng.standard_normal((200, dom.dim))
-    curv = np.einsum("mi,mij,mj->m", v, model.hess_variance(t), v)
-    top = np.einsum("mi,ij,mj->m", v, model.lambda_mat, v)
-    assert np.all(np.abs(curv) <= 2.0 * top * (1 + 1e-12))
     a, b = np.sort(lo + rng.random((2, 40, dom.dim)) * (hi - lo), axis=0)
-    bound = field._box_bounds(model, np.abs(model.lambda_mat), a, b)[3]
-    for lo_i, hi_i, bound_i in zip(a, b, bound):
+    c = lo + rng.random((40, dom.dim)) * (hi - lo)
+    w = 0.05 * rng.random((40, dom.dim)) * (hi - lo)
+    a, b = np.concatenate([a, np.maximum(c - w, lo)]), np.concatenate([b, np.minimum(c + w, hi)])
+    bound = field._box_bounds(model, a, b)[3]
+    scale = float(np.trace(model.lambda_mat))
+    for lo_i, hi_i, lam_i, bound_i in zip(a, b, model.lambda_bound(a, b), bound):
         sample = lo_i + rng.random((4000, dom.dim)) * (hi_i - lo_i)
         corners = np.array(list(itertools.product(*zip(lo_i, hi_i))))
-        assert bound_i >= float(np.max(model.variance(np.concatenate([sample, corners]))))
+        pts = np.concatenate([sample, corners])
+        v = rng.standard_normal((len(pts), dom.dim))
+        gap = np.einsum("mi,ij,mj->m", v, lam_i, v) - np.einsum("mi,mij,mj->m", v, model.lambda_at(pts), v)
+        assert np.all(gap >= -1e-12 * scale)
+        assert bound_i >= float(np.max(model.variance(pts)))
 
 
 def test_max_variance_finds_a_peak_between_grid_nodes():
@@ -506,10 +513,45 @@ def test_max_variance_ridge_is_ambiguous():
     dom = RectDomain([0.0, 0.0], [1.5 * PI, 1.0])
     res = max_variance(model, dom)
     assert res.tied and res.sigma_sq == 3.0
-    assert all(abs(t[0] - PI) < 1e-7 for _, t in res.candidates)
+    assert all(abs(t[0] - PI) < 1e-12 for _, t in res.candidates)
     assert max(t[1] for _, t in res.candidates) - min(t[1] for _, t in res.candidates) > 0.4
     with pytest.raises(AmbiguousMaximizerError):
         prepare_laplace_inputs(model, dom)
+
+
+def test_max_variance_flat_gaussian_increment_3d():
+    # nu = 2 (1 - exp(-|t / 0.5|^2)) peaks at the vertex (1, 1, 1), where
+    # Lambda(t) is e^-12 of Lambda: a bound with Lambda itself needed more
+    # than 10^5 boxes here, GaussianIncrementField.lambda_bound a few dozen
+    model, dom = GaussianIncrementField(dim=3, scale=0.5), RectDomain([0.0] * 3, [1.0] * 3)
+    res = max_variance(model, dom)
+    assert res.sigma_sq == pytest.approx(-2.0 * math.expm1(-12.0), rel=1e-15)
+    assert np.all(res.point == 1.0) and res.face.k == 0 and not res.tied
+    assert len(field._near_max_boxes(model, dom)[1]) < 100
+    assert condition_check(model, dom).satisfied
+    assert prepare_laplace_inputs(model, dom).classification == "corner-regular"
+
+
+def test_max_variance_flat_vertex_is_no_tie():
+    # nu = 2 (1 - exp(-|t / 0.3|^2)) on [0, 1]^2 stays within TIE_TOL of
+    # its max at (1, 1) on a patch where its Hessian is indefinite: a
+    # gradient step as short as the gradient (~1e-8) gains under one ulp,
+    # and polishes that stopped there read as a tie
+    res = max_variance(GaussianIncrementField(dim=2, scale=0.3), RectDomain([0.0] * 2, [1.0] * 2))
+    assert res.sigma_sq == pytest.approx(-2.0 * math.expm1(-2.0 / 0.09), rel=1e-15)
+    assert np.all(res.point == 1.0) and not res.tied and len(res.face_maxima) == 1
+
+
+def test_max_variance_6d_interior_maximum():
+    # nu = 7 - sum_i cos t_i on [0, 1.5 pi]^6 peaks at t = (pi, ..., pi),
+    # where every cos t_i is negative: SpectralSumField.lambda_bound is 0
+    # near it, and Lambda itself needed more than 2^15 boxes here
+    model = SpectralSumField(freqs=np.eye(6), weights=np.full(6, 0.5), offset_var=1.0)
+    dom = RectDomain([0.0] * 6, [1.5 * PI] * 6)
+    res = max_variance(model, dom)
+    assert res.sigma_sq == pytest.approx(13.0, abs=1e-12)
+    assert np.allclose(res.point, PI, atol=1e-7) and res.face.k == 6 and not res.tied
+    assert [v for v, _, _ in res.face_maxima] == [res.sigma_sq]
 
 
 def test_max_variance_box_cap_raises_quickly():

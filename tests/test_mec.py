@@ -629,6 +629,31 @@ def test_condition_check_flags_the_flat_4d_vertex():
     assert len(grads) == 4 and max(abs(g) for g in grads) < 1e-15
 
 
+def test_condition_check_finds_a_flat_second_maximum_near_the_first():
+    # nu = 2 - cos(10 t1) + 2 eps (1 - cos(10 t1 / 3)) + 2 w (1 - cos t2):
+    # along t1 it peaks at 10 t1 ~ 3 pi (interior) and, 3 eps = 4.5e-7
+    # lower, at 10 t1 = s_B ~ pi, put on the side t1 = s_B / 10, where
+    # d nu / d t1 vanishes.  nu is so flat in t2 (w = 6e-7) that the
+    # near-maximal set around the first peak reaches 1.4 from it along t2,
+    # farther than the flat second point lies (0.63 along t1)
+    eps, w = 1.5e-7, 6e-7
+    s = PI
+    for _ in range(5):  # Newton for the critical point s_B of the t1 profile
+        s -= (math.sin(s) + 2 * eps / 3 * math.sin(s / 3)) / (math.cos(s) + 2 * eps / 9 * math.cos(s / 3))
+    model = SpectralSumField(freqs=[[10.0, 0.0], [10.0 / 3, 0.0], [0.0, 1.0]], weights=[0.5, eps, w])
+    dom = RectDomain([s / 10, 0.0], [0.35 * PI, 1.5 * PI])
+    mv = max_variance(model, dom)
+    assert not mv.tied and mv.face.k == 2
+    assert np.allclose(mv.point, [0.3 * PI, PI], atol=1e-7)
+    rep = condition_check(model, dom)
+    assert not rep.satisfied
+    [(face, point, grads)] = rep.violations
+    assert face_label(face) == "1|{2}|{1:0}"
+    assert point[0] == s / 10 and abs(point[1] - PI) < 1e-7
+    assert rep.sigma_sq - model.variance(np.array(point)) == pytest.approx(3 * eps, rel=1e-3)
+    assert abs(grads[0]) < 1e-8
+
+
 def test_condition_check_interior_max_vacuous():
     rep = condition_check(cosine(), RectDomain([2.0, 2.0], [4.0, 4.0]))
     assert rep.satisfied
