@@ -468,12 +468,16 @@ def bound_cases():
 
 @pytest.mark.parametrize("case", range(4), ids=["cosine", "oblique", "gaussian_increment", "default_bound"])
 def test_hessian_bound_behind_the_search(case):
-    # Hess nu(t) = 2 Lambda(t) and Lambda(t) <= lambda_bound on a box, so
-    # each box bound lies above nu everywhere in its box.  40 boxes are
-    # drawn anywhere and 40 narrow ones
+    # Hess nu(t) = 2 Lambda(t), |v^T Lambda(t) v| <= v^T Lambda v, and
+    # Lambda(t) <= lambda_bound on a box, so each box bound lies above nu
+    # everywhere in its box.  40 boxes are drawn anywhere and 40 narrow ones
     model, dom = bound_cases()[case]
     rng = np.random.default_rng(case)
     lo, hi = dom.lower_arr, dom.upper_arr
+    t = lo + rng.random((200, dom.dim)) * (hi - lo)
+    v = rng.standard_normal((200, dom.dim))
+    curv = np.einsum("mi,mij,mj->m", v, model.hess_variance(t), v)
+    assert np.all(np.abs(curv) <= 2.0 * np.einsum("mi,ij,mj->m", v, model.lambda_mat, v) * (1 + 1e-12))
     a, b = np.sort(lo + rng.random((2, 40, dom.dim)) * (hi - lo), axis=0)
     c = lo + rng.random((40, dom.dim)) * (hi - lo)
     w = 0.05 * rng.random((40, dom.dim)) * (hi - lo)
