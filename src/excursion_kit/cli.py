@@ -529,7 +529,12 @@ def _build_parser() -> argparse.ArgumentParser:
     flags = {
         "levels": dict(metavar="A:B:S", help="level grid start:stop:step"),
         "method": dict(choices=METHODS, help="computation method"),
-        "seed": dict(type=int, metavar="N", help="master seed (default 0)"),
+        "seed": dict(
+            type=int,
+            metavar="N",
+            help="master seed (default 0): keys the mc replicates, and the QMC of "
+            "Gaussian orthants of dimension 5 and more; other compute rows ignore it",
+        ),
         "threads": dict(type=int, metavar="N", help="worker threads"),
         "out": dict(metavar="PATH", help="output file (default stdout)"),
         "grid": dict(type=int, metavar="N", help="MC grid points per axis"),

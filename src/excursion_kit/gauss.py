@@ -6,22 +6,27 @@ Conventions used throughout the package:
   (monic, orthogonal w.r.t. exp(-x^2/2)).
 * ``gauss_tail`` is Psi(u) = P(Z >= u) for a standard normal Z.
 * ``mvn_prob`` computes P(a <= Z <= b) for each of a sequence of centred
-  Gaussian rectangle problems of one dimension, via separation of variables
-  on a reordered Cholesky factor integrated with randomized quasi-Monte
-  Carlo points that the problems share.  ``_cdf_pair`` takes an interval
-  whose lower limit is above the median as Psi(lo) - Psi(hi), and
+  Gaussian rectangle problems of one dimension.  Up to MVN_DET_DIM it is
+  deterministic: the leading coordinates of a reordered Cholesky factor
+  are integrated by tensor Gauss-Legendre and the last two in closed form
+  through Owen's T (Owen 1956, Ann. Math. Statist. 27; the conditioning
+  route of Genz 2004, Stat. Comput. 14).  Above it, randomized
+  quasi-Monte Carlo points from the seed are shared by the problems, and
+  the seed matters only there.  ``_cdf_pair`` takes an interval whose
+  lower limit is above the median as Psi(lo) - Psi(hi), and
   ``_std_limits`` makes a zero-variance coordinate a point mass of mass
   exactly 1 or 0.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import erfc, ndtri
+from scipy.special import erfc, erfcx, ndtri, owens_t
 from scipy.stats import qmc
 
 from . import quad
@@ -42,8 +47,15 @@ __all__ = [
 MAX_HERMITE_DEGREE = 30
 MAX_MVN_DIM = 12
 
-# Randomized QMC configuration for mvn_prob: points per randomization and
-# number of independent randomizations used for the error estimate.
+# largest dimension that mvn_prob integrates deterministically; err_est
+# there is |GL(n) - GL(floor(3n/4))| at n = MVN_GL_ORDER nodes per leading
+# coordinate, plus MVN_ROUNDING * p for the rounding that both orders share
+MVN_DET_DIM = 4
+MVN_GL_ORDER = 64
+MVN_ROUNDING = 1e-13
+# Randomized QMC configuration for mvn_prob above MVN_DET_DIM: points per
+# randomization and number of independent randomizations used for the
+# error estimate.
 MVN_QMC_POINTS = 2 ** 13
 MVN_QMC_RANDOMIZATIONS = 12
 # err_est above which mvn_prob sets its warning flag
@@ -185,8 +197,8 @@ def _ordered_cholesky(cov, a, b):
     """Genz-style variable reordering with pivoted Cholesky.
 
     At each step picks the remaining variable with the smallest expected
-    conditional probability mass, which stabilises the subsequent QMC
-    integration.  Zero pivots (PSD-singular directions) produce zero
+    conditional probability mass, which stabilises the integration that
+    follows, by Gauss-Legendre or by QMC.  Zero pivots (PSD-singular directions) produce zero
     columns that the integrator treats as point masses.
     """
     d = cov.shape[0]
@@ -225,6 +237,214 @@ def _ordered_cholesky(cov, a, b):
     return L, a, b
 
 
+# ---------------------------------------------------------------------------
+# Deterministic route: dimension <= MVN_DET_DIM
+# ---------------------------------------------------------------------------
+
+# a straddling interval is integrated over its part in [-_AXIS_CUT,
+# _AXIS_CUT]; beyond lies Psi(8) = 6e-16 of a mass of at least 1/2
+_AXIS_CUT = 8.0
+# Owen's T form of an upper quadrant sums terms as large as
+# exp(-min(|h|, |k|)^2 / 2); where the quadrant lies further from the
+# origin than that by more than _OWEN_LOSS in squared distance (a factor
+# of 100 in size), a Gauss-Laguerre rule of _TAIL_ORDER nodes takes it
+# instead.  That rule is within 7e-14 relative from 24 nodes on, below
+# the MVN_ROUNDING allowance, so both orders of err_est share it.
+_OWEN_LOSS = 2.0 * math.log(100.0)
+_TAIL_ORDER = 32
+_RSQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+
+def _mirror(lo, hi):
+    """(flip, lo, hi) with [lo, hi] reflected to [-hi, -lo] where it lies
+    mostly below 0, so that its lower limit is the one in a tail."""
+    flip = hi < -lo
+    return flip, np.where(flip, -hi, lo), np.where(flip, -lo, hi)
+
+
+def _axis_rule(lo, hi, n: int):
+    """Nodes y and weights phi(y) dy, each (m, n), of an order-n
+    Gauss-Legendre rule on each of m standardized intervals [lo, hi].
+
+    After _mirror, an interval in the upper tail (lo >= 0) takes quad's
+    orthant map y = lo + s / (1 - s), with s in [0, 1) shrunk to reach no
+    further than hi; one that straddles 0 is mapped affinely from its part
+    in [-_AXIS_CUT, _AXIS_CUT].  An empty interval gets zero weights.
+    """
+    flip, lo, hi = _mirror(lo, hi)
+    x, w = quad._gl_nodes(n)
+    s, ws = 0.5 * (x + 1.0), 0.5 * w
+    ok = hi > lo
+    tail = ok & (lo >= 0)
+    lo = np.where(ok, lo, 0.0)
+    width = np.where(tail, hi - lo, 0.0)
+    smax = np.divide(width, 1.0 + width, out=np.ones_like(width), where=np.isfinite(width))
+    sig = smax[:, None] * s
+    start = np.maximum(lo, -_AXIS_CUT)
+    span = np.where(tail | ~ok, 0.0, np.minimum(hi, _AXIS_CUT) - start)
+    t = tail[:, None]
+    y = np.where(t, lo[:, None] + sig / (1.0 - sig), start[:, None] + span[:, None] * s)
+    jac = np.where(t, smax[:, None] / (1.0 - sig) ** 2, span[:, None])
+    return np.where(flip[:, None], -y, y), jac * ws * _RSQRT_2PI * np.exp(-0.5 * y * y)
+
+
+def _owen_quadrant(h, k, rho: float, r: float):
+    """P(Y1 >= h, Y2 >= k) = Phi2(-h, -k; rho) by Owen's (1956) T form,
+    with a = (k - rho h) / (h r) taken in its limit where h = 0."""
+    x, y = -h, -k
+    both0 = (x == 0) & (y == 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ax = np.where(x == 0, np.copysign(np.inf, y - rho * x), (y - rho * x) / (x * r))
+        ay = np.where(y == 0, np.copysign(np.inf, x - rho * y), (x - rho * y) / (y * r))
+    a0 = (1.0 - rho) / r
+    ax, ay = np.where(both0, a0, ax), np.where(both0, a0, ay)
+    beta = np.where((x * y > 0) | ((x * y == 0) & (x + y >= 0)), 0.0, 0.5)
+    p = 0.5 * gauss_tail(h) + 0.5 * gauss_tail(k) - beta - owens_t(x, ax) - owens_t(y, ay)
+    return np.maximum(p, 0.0)
+
+
+@functools.cache
+def _laguerre_nodes() -> tuple[np.ndarray, np.ndarray]:
+    # built on first use: laggauss costs about 10 ms, kept out of the import
+    return np.polynomial.laguerre.laggauss(_TAIL_ORDER)
+
+
+def _laguerre_quadrant(h, k, rho: float, r: float):
+    """P(Y1 >= h, Y2 >= k) far in a tail, as int_v^inf phi(x) Psi((w - rho
+    x) / r) dx by Gauss-Laguerre in lam (x - v).  (v, w) is (h, k)
+    or (k, h), whichever integrand falls faster at x = v; lam is that rate,
+    at least 1.  Every term is positive, so the result keeps its relative
+    accuracy however small it is."""
+
+    def rate(v, w):
+        # -d/dx log of the integrand at x = v, with phi/Psi from erfcx
+        return v - rho / r * math.sqrt(2.0 / math.pi) / erfcx((w - rho * v) / (r * math.sqrt(2.0)))
+
+    rh, rk = rate(h, k), rate(k, h)
+    swap = rk > rh
+    v, w = np.where(swap, k, h)[:, None], np.where(swap, h, k)[:, None]
+    lam = np.maximum(np.maximum(rh, rk), 1.0)[:, None]
+    t, wt = _laguerre_nodes()
+    x = v + t / lam
+    f = np.exp(t - 0.5 * x * x) * gauss_tail((w - rho * x) / r) / lam
+    return _RSQRT_2PI * (f @ wt)
+
+
+def _quadrant(h, k, rho: float):
+    """P(Y1 >= h, Y2 >= k) for finite h, k and a standard bivariate normal
+    of correlation rho; Owen's T form unless it would lose more than a
+    factor 100 to cancellation."""
+    if abs(rho) == 1.0:
+        # Y2 = +-Y1
+        if rho > 0:
+            return gauss_tail(np.maximum(h, k))
+        first, second, sign = _cdf_pair(h, -k)
+        return np.maximum(sign * (second - first), 0.0)
+    r = math.sqrt((1.0 - rho) * (1.0 + rho))
+    # squared distance from 0 to the quadrant in whitened coordinates: its
+    # corner, or the foot of the perpendicular on an edge where that lies on it
+    dist = (h * h - 2.0 * rho * h * k + k * k) / (r * r)
+    dist = np.where(rho * h >= k, np.minimum(dist, h * h), dist)
+    dist = np.where(rho * k >= h, np.minimum(dist, k * k), dist)
+    m = np.minimum(np.abs(h), np.abs(k))
+    far = ((h > 0) | (k > 0)) & (dist - m * m > _OWEN_LOSS)
+    out = np.empty(h.shape)
+    if far.any():
+        out[far] = _laguerre_quadrant(h[far], k[far], rho, r)
+    if not far.all():
+        out[~far] = _owen_quadrant(h[~far], k[~far], rho, r)
+    return out
+
+
+def _upper(h, k, rho: float, neg):
+    """P(Y1 >= h, Y2 >= k) entrywise, at correlation -rho where neg holds
+    and rho elsewhere."""
+    out = np.zeros(h.shape)
+    if np.isposinf(h).all() or np.isposinf(k).all():
+        # the three corners of an orthant that lie at infinity
+        return out
+    fin = np.isfinite(h) & np.isfinite(k)
+    if not fin.all():
+        low_h, low_k = h == -np.inf, k == -np.inf
+        out[low_h] = gauss_tail(k[low_h])
+        out[low_k & ~low_h] = gauss_tail(h[low_k & ~low_h])
+    for sel, c in ((fin & ~neg, rho), (fin & neg, -rho)):
+        if sel.any():
+            out[sel] = _quadrant(h[sel], k[sel], c)
+    return out
+
+
+def _pair_mass(L, a, b, ys):
+    """P(last two coordinates in their intervals | leading ones at ys),
+    for each row of ys: a bivariate rectangle by inclusion-exclusion over
+    upper quadrants, each interval first put through _mirror."""
+    i, j = L.shape[0] - 2, L.shape[0] - 1
+    sd = math.hypot(L[j, i], L[j, j])
+    rho = L[j, i] / sd if sd > 0 else 0.0
+    lo1, hi1, lo2, hi2 = np.broadcast_arrays(
+        *_std_limits(a[i], b[i], ys @ L[i], L[i, i]), *_std_limits(a[j], b[j], ys @ L[j], sd)
+    )
+    f1, lo1, hi1 = _mirror(lo1, hi1)
+    f2, lo2, hi2 = _mirror(lo2, hi2)
+    neg = f1 != f2
+    p = (_upper(lo1, lo2, rho, neg) - _upper(lo1, hi2, rho, neg)) - (
+        _upper(hi1, lo2, rho, neg) - _upper(hi1, hi2, rho, neg)
+    )
+    return np.maximum(p, 0.0)
+
+
+def _gl_prob(L, a, b) -> tuple[float, float]:
+    """P(a <= L y <= b) for a standard normal y, at n = MVN_GL_ORDER and
+    at floor(3n/4) nodes per leading coordinate.
+
+    The leading d - 2 coordinates take an order-n rule each (_axis_rule),
+    nested since each interval depends on the coordinates before it; a
+    point-mass coordinate adds no axis but weights each node by its mass,
+    0 or 1.  The last two coordinates take _pair_mass, once for the nodes
+    of both orders.
+    """
+    d = L.shape[0]
+    nodes = []
+    for n in (MVN_GL_ORDER, 3 * MVN_GL_ORDER // 4):
+        ys, w = np.zeros((1, d)), np.ones(1)
+        for i in range(d - 2):
+            lo, hi = np.broadcast_arrays(*_std_limits(a[i], b[i], ys @ L[i], L[i, i]))
+            if L[i, i] == 0:
+                w = w * (hi > lo)
+                continue
+            y, wy = _axis_rule(lo, hi, n)
+            ys = np.repeat(ys, n, axis=0)
+            ys[:, i] = y.ravel()
+            w = (w[:, None] * wy).ravel()
+        nodes.append((ys, w))
+    (ys, w), (ys2, w2) = nodes
+    mass = _pair_mass(L, a, b, np.vstack([ys, ys2]))
+    return float(w @ mass[: len(w)]), float(w2 @ mass[len(w) :])
+
+
+def _det_result(pb: MvnProblem) -> MvnResult:
+    """One problem of dimension <= MVN_DET_DIM.  Coordinates bounded on
+    neither side drop out; one left is an exact interval mass, and two or
+    more take _gl_prob."""
+    keep = (pb.lower > -np.inf) | (pb.upper < np.inf)
+    if not keep.any():
+        return MvnResult(1.0, 0.0, False)
+    L, a, b = _ordered_cholesky(pb.cov[np.ix_(keep, keep)], pb.lower[keep], pb.upper[keep])
+    if len(a) == 1:
+        p = _interval_mass(*_std_limits(a[0], b[0], 0.0, L[0, 0]))
+        # a zero-width interval above the mean gives -0.0 (a difference of
+        # upper tails); report it as 0.0
+        return MvnResult(p if p > 0.0 else 0.0, 0.0, False)
+    p, coarse = _gl_prob(L, a, b)
+    err = abs(p - coarse) + MVN_ROUNDING * p
+    return MvnResult(min(p, 1.0), err, err > MVN_ACCURACY)
+
+
+# ---------------------------------------------------------------------------
+# Randomized QMC route: dimension > MVN_DET_DIM
+# ---------------------------------------------------------------------------
+
+
 def _sov_integrate(L, a, b, w):
     """Separation-of-variables integrand on a block of QMC points.
 
@@ -248,42 +468,36 @@ def _sov_integrate(L, a, b, w):
 
 
 def mvn_prob(problems: list[MvnProblem], seed: int = 0) -> list[MvnResult]:
-    """P(lower <= Z <= upper) for Z ~ N(0, cov) by randomized QMC, one result
-    per problem; the problems share one dimension.
+    """P(lower <= Z <= upper) for Z ~ N(0, cov), one result per problem; the
+    problems share one dimension, and no result depends on the others.
 
-    Separation of variables on the reordered Cholesky factor; the outer
-    average runs MVN_QMC_RANDOMIZATIONS independently scrambled Sobol
-    streams of MVN_QMC_POINTS points each.  Each stream's points are drawn
-    once and integrated for every problem, so a result does not depend on
-    the other problems of the call.  err_est is three standard errors of
-    the randomization mean; the warning flag is set when it exceeds
-    MVN_ACCURACY.  Deterministic for a fixed seed.
+    Up to MVN_DET_DIM the result is deterministic and ignores the seed
+    (_det_result): the leading coordinates of the reordered Cholesky factor
+    by tensor Gauss-Legendre, the last two in closed form, and err_est the
+    gap between two orders plus a rounding allowance.  Above it,
+    separation of variables on the same factor, averaged over
+    MVN_QMC_RANDOMIZATIONS independently scrambled Sobol streams of
+    MVN_QMC_POINTS points each, drawn once from the seed and shared by the
+    problems; err_est is three standard errors of that mean.  The warning
+    flag is set when err_est exceeds MVN_ACCURACY.
     """
     d = problems[0].dim if problems else 0
     if any(pb.dim != d for pb in problems):
         raise ValueError("problems must share one dimension")
-    out: list[MvnResult | None] = [None] * len(problems)
-    todo = []
-    for i, pb in enumerate(problems):
-        L, a, b = _ordered_cholesky(pb.cov, pb.lower, pb.upper)
-        if d > 1:
-            todo.append((i, L, a, b))
-            continue
-        p = _interval_mass(*_std_limits(a[0], b[0], 0.0, L[0, 0]))
-        # a zero-width interval above the mean gives -0.0 (a difference of
-        # upper tails); report it as 0.0
-        out[i] = MvnResult(p if p > 0.0 else 0.0, 0.0, False)
-    if todo:
-        ss = np.random.SeedSequence(int(seed))
-        estimates = np.empty((len(todo), MVN_QMC_RANDOMIZATIONS))
-        for r, child in enumerate(ss.spawn(MVN_QMC_RANDOMIZATIONS)):
-            sob = qmc.Sobol(d=d - 1, scramble=True, seed=np.random.default_rng(child))
-            w = sob.random(MVN_QMC_POINTS)
-            for j, (_, L, a, b) in enumerate(todo):
-                estimates[j, r] = float(np.mean(_sov_integrate(L, a, b, w)))
-        for (i, *_), est in zip(todo, estimates):
-            p = float(np.mean(est))
-            stderr = float(np.std(est, ddof=1) / math.sqrt(MVN_QMC_RANDOMIZATIONS))
-            err = 3.0 * stderr
-            out[i] = MvnResult(min(max(p, 0.0), 1.0), err, err > MVN_ACCURACY)
+    if d <= MVN_DET_DIM:
+        return [_det_result(pb) for pb in problems]
+    todo = [_ordered_cholesky(pb.cov, pb.lower, pb.upper) for pb in problems]
+    ss = np.random.SeedSequence(int(seed))
+    estimates = np.empty((len(todo), MVN_QMC_RANDOMIZATIONS))
+    for r, child in enumerate(ss.spawn(MVN_QMC_RANDOMIZATIONS)):
+        sob = qmc.Sobol(d=d - 1, scramble=True, seed=np.random.default_rng(child))
+        w = sob.random(MVN_QMC_POINTS)
+        for j, (L, a, b) in enumerate(todo):
+            estimates[j, r] = float(np.mean(_sov_integrate(L, a, b, w)))
+    out = []
+    for est in estimates:
+        p = float(np.mean(est))
+        stderr = float(np.std(est, ddof=1) / math.sqrt(MVN_QMC_RANDOMIZATIONS))
+        err = 3.0 * stderr
+        out.append(MvnResult(min(max(p, 0.0), 1.0), err, err > MVN_ACCURACY))
     return out

@@ -214,10 +214,11 @@ def _face_term(
     It counts X(t) >= u where the free gradients vanish, against the
     density of X and the pinned-direction gradients y given them.  With
     ``cone`` y lies in the face's outward cone (mean EC); without it y is
-    integrated out (mu).  A vertex gives P(X >= u, y in cone) by QMC from
-    ``seed``, its points shared by all levels, or without the cone the
-    tail P(X >= u).  On a k >= 1 face X given y has mean m_t(y) =
-    b_t S^-1 y (S the constant conditional covariance of y) and sd s_t,
+    integrated out (mu).  A vertex gives P(X >= u, y in cone) by
+    ``mvn_prob``, one problem per level, or without the cone the tail
+    P(X >= u); ``seed`` reaches only orthants above gauss.MVN_DET_DIM.
+    On a k >= 1 face X given y has mean m_t(y) = b_t S^-1 y (S the
+    constant conditional covariance of y) and sd s_t,
     gamma_t with a cone and theta_t without, so the x-integral over
     [u, inf) leaves He_{k-1}(a) phi(a) with a = (u - m_t(y)) / s_t.  One
     adaptive integral over the face x its cone, if not empty, remains;
@@ -349,7 +350,9 @@ def mean_euler_characteristic(
     One Kac-Rice face term per face with the outward cone: vertices
     contribute joint orthant probabilities, every k >= 1 face its
     extended-outward-maxima mean, in one quadrature pass for all levels.
-    Bit-stable for a fixed seed regardless of thread count.
+    Bit-stable regardless of thread count.  The vertex orthants have
+    dimension N + 1 <= 4, where mvn_prob is deterministic, so the seed
+    does not change the result.
     """
     levels = finite_levels(levels)
     if domain.dim > MEAN_EC_DIM_CAP:
@@ -358,7 +361,8 @@ def mean_euler_characteristic(
         )
 
     def term(i: int, fc: Face) -> list:
-        # a vertex orthant draws its QMC points from the face's seed
+        # the face's seed would reach a vertex orthant only above
+        # gauss.MVN_DET_DIM
         return _face_term(model, fc, levels, spec, _face_seed(seed, i), cone=True)
 
     return _face_sum("mean_ec", domain, levels, term, threads)

@@ -609,3 +609,47 @@ def test_seed_flag_changes_mc_output(tmp_path, capsys):
     _, a = run(capsys, ["mc", "--config", cfg, "--seed", "1"])
     _, b = run(capsys, ["mc", "--config", cfg, "--seed", "2"])
     assert a != b
+
+
+OBLIQUE3 = {
+    "field": {
+        "type": "spectral_sum",
+        "offset_var": 1.0,
+        "atoms": [
+            {"freq": [1.0, 0.5, 0.0], "weight": 0.5},
+            {"freq": [0.3, 1.0, 0.2], "weight": 0.4},
+            {"freq": [0.0, 0.4, 1.1], "weight": 0.3},
+            {"freq": [0.7, -0.6, 0.5], "weight": 0.2},
+        ],
+    },
+    "domain": {"lower": [0.0, 0.0, 0.0], "upper": [2.5, 2.0, 1.5]},
+    "quad": {"order_per_axis": 8, "rel_tol": 1e-3},
+}
+
+
+@pytest.mark.parametrize(
+    "config, method, levels",
+    [
+        ("spectral3.json", "mean_ec", "6:6:1"),
+        ("spectral3.json", "laplace", "3:8:1"),
+        ("spectral4.json", "laplace", "4:6:1"),
+        ("oblique3", "mean_ec", "3:5:1"),
+        ("oblique3", "laplace", "3:5:1"),
+    ],
+)
+def test_analytic_output_ignores_seed(tmp_path, capsys, config, method, levels):
+    # every Gaussian orthant these runs take has dimension <= 4, where
+    # mvn_prob is deterministic: the CSV is the same byte for byte at any
+    # seed, on separable fields and on an oblique one alike
+    if config == "oblique3":
+        cfg = tmp_path / "oblique3.json"
+        cfg.write_text(json.dumps(OBLIQUE3))
+    else:
+        cfg = ROOT / "perfbench" / "configs" / config
+    flags = ["compute", "--config", str(cfg), "--method", method, "--levels", levels]
+    outs = []
+    for seed in ("0", "7"):
+        code, out = run(capsys, [*flags, "--seed", seed])
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erfc, ndtr
 
+import excursion_kit.gauss as gauss
 from excursion_kit.errors import CapabilityError
+from excursion_kit.field import SpectralSumField
 from excursion_kit.gauss import (
     MvnProblem,
     _ordered_cholesky,
@@ -16,6 +18,7 @@ from excursion_kit.gauss import (
     mvn_prob,
     std_normal_pdf,
 )
+from excursion_kit.geometry import RectDomain, enumerate_faces, outward_cone
 
 # Expanded coefficients of the probabilists' polynomials, frozen from the
 # explicit expansions He_k(x) = sum_m coeff * x^m (monomial evaluation is an
@@ -120,7 +123,7 @@ def test_mvn_equicorrelated_orthant_closed_form():
     cov = np.full((3, 3), rho) + (1 - rho) * np.eye(3)
     [res] = mvn_prob([MvnProblem(cov=cov, lower=[0, 0, 0], upper=[np.inf] * 3)], seed=5)
     want = 0.125 + 3 * math.asin(rho) / (4 * math.pi)
-    assert abs(res.p - want) <= max(4 * res.err_est, 5e-6)
+    assert abs(res.p - want) <= 1e-13
 
 
 def test_mvn_bivariate_orthant_closed_form():
@@ -128,7 +131,7 @@ def test_mvn_bivariate_orthant_closed_form():
         cov = np.array([[1.0, rho], [rho, 1.0]])
         [res] = mvn_prob([MvnProblem(cov=cov, lower=[0, 0], upper=[np.inf] * 2)], seed=2)
         want = 0.25 + math.asin(rho) / (2 * math.pi)
-        assert abs(res.p - want) <= max(4 * res.err_est, 5e-6), rho
+        assert abs(res.p - want) <= 1e-13, rho
 
 
 def test_mvn_against_plain_monte_carlo():
@@ -186,9 +189,11 @@ def test_mvn_deterministic_for_fixed_seed():
     assert a.p == b.p and a.err_est == b.err_est
 
 
-def test_mvn_probs_equal_single_calls():
-    # the problems of one call share the QMC points of every randomization;
-    # each result equals the call that holds only its own problem
+def test_mvn_probs_equal_single_calls(monkeypatch):
+    # each result equals the call that holds only its own problem: trivially
+    # on the deterministic route (d = 3), and at d = 5, where the problems
+    # share the QMC points, each of the 12 randomizations builds them once
+    # for the whole call
     cov = np.array([[1.0, 0.2, 0.1], [0.2, 1.0, 0.3], [0.1, 0.3, 1.0]])
     problems = [
         MvnProblem(cov=cov, lower=[-1, -1, -1], upper=[1, 1, 1]),
@@ -196,6 +201,22 @@ def test_mvn_probs_equal_single_calls():
         MvnProblem(cov=cov, lower=[2, 0, -np.inf], upper=[np.inf, np.inf, 0]),
     ]
     assert mvn_prob(problems, 21) == [mvn_prob([p], seed=21)[0] for p in problems]
+    cov5 = random_spd(np.random.default_rng(8), 5)
+    problems5 = [
+        MvnProblem(cov=cov5, lower=[u, 0, 0, -np.inf, 0], upper=[np.inf, np.inf, np.inf, 0, np.inf])
+        for u in (1.0, 2.0, 3.0)
+    ]
+    built = []
+    sobol = gauss.qmc.Sobol
+
+    def counting_sobol(*args, **kwargs):
+        built.append(kwargs.get("d"))
+        return sobol(*args, **kwargs)
+
+    monkeypatch.setattr(gauss.qmc, "Sobol", counting_sobol)
+    shared = mvn_prob(problems5, 21)
+    assert built == [4] * 12
+    assert shared == [mvn_prob([p], seed=21)[0] for p in problems5]
     assert mvn_prob([], 21) == []
     with pytest.raises(ValueError):
         mvn_prob([problems[0], MvnProblem(cov=[[1.0]], lower=[0], upper=[1])], 21)
@@ -270,6 +291,17 @@ def test_mvn_equal_bounds(cov, lower, upper, want):
     assert math.copysign(1.0, res.p) == 1.0 and not res.warning
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("end", [np.inf, -np.inf])
+def test_mvn_interval_at_infinity_is_empty(d, end):
+    # [inf, inf] and [-inf, -inf] hold no mass: unlike (-inf, inf), such a
+    # coordinate does not drop out
+    lower, upper = np.full(d, -1.0), np.full(d, np.inf)
+    lower[-1] = upper[-1] = end
+    [res] = mvn_prob([MvnProblem(cov=np.eye(d), lower=lower, upper=upper)])
+    assert res == (0.0, 0.0, False)
+
+
 @pytest.mark.parametrize(
     "cov, lower, upper",
     [
@@ -285,6 +317,116 @@ def test_mvn_problem_rejects_nan_bounds_and_nonfinite_cov(cov, lower, upper):
     # a NaN bound or covariance would give p = nan with the accuracy flag off
     with pytest.raises(ValueError):
         MvnProblem(cov=cov, lower=lower, upper=upper)
+
+
+# ---------------------------------------------------------------------------
+# Deterministic route (dimension <= MVN_DET_DIM) against oracles
+# ---------------------------------------------------------------------------
+
+
+def checked(problem, seed=0):
+    """mvn_prob's result for one problem, once its err_est is seen to bound
+    the gap to the same rule at order 96."""
+    [res] = mvn_prob([problem], seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gauss, "MVN_GL_ORDER", 96)
+        [fine] = mvn_prob([problem], seed)
+    assert abs(res.p - fine.p) <= res.err_est
+    return res
+
+
+def random_corr(rng, n, spread):
+    # a rank-one part of size spread pushes correlations towards +-1
+    c = random_spd(rng, n)
+    v = rng.standard_normal(n)
+    c += spread * np.outer(v, v)
+    s = np.sqrt(np.diag(c)) * rng.choice([-1.0, 1.0], n)
+    return c / np.outer(s, s)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("case", range(6))
+def test_mvn_centred_orthants_match_sheppard(d, case):
+    # Sheppard: P(Z > 0) = 1/4 + arcsin(rho) / (2 pi) for d = 2 and
+    # 1/8 + sum_{i<j} arcsin(rho_ij) / (4 pi) for d = 3; the correlations
+    # reach |rho| = 0.94 through the rank-one part
+    cov = random_corr(np.random.default_rng(100 + case), d, spread=10.0 * case)
+    asin = sum(math.asin(cov[i, j]) for i in range(d) for j in range(i + 1, d))
+    want = 0.25 + asin / (2 * math.pi) if d == 2 else 0.125 + asin / (4 * math.pi)
+    # the upper orthant, and the lower one, which _mirror takes to it
+    for lo, hi in (([0.0] * d, [np.inf] * d), ([-np.inf] * d, [0.0] * d)):
+        res = checked(MvnProblem(cov=cov, lower=lo, upper=hi), seed=case)
+        assert abs(res.p - want) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "lower, upper",
+    [
+        ([-1.0, 2.0], [1.5, np.inf]),
+        ([5.0, -np.inf, 0.5], [np.inf, -4.0, 3.0]),
+        ([2.0, 0.0, -np.inf, 8.0], [np.inf, np.inf, 0.0, np.inf]),
+        ([-0.3, -2.0, 1.0, -30.0], [0.2, 2.5, 1.2, 30.0]),
+        ([12.0, 9.0, 0.0, -1.0], [np.inf, np.inf, 1e-3, np.inf]),
+        ([-9.0, -12.0, -7.5, -30.0], [8.5, 10.0, 7.0, 30.0]),
+    ],
+)
+def test_mvn_diagonal_is_a_product(lower, upper):
+    # independent coordinates: the probability is the product of exact 1-D
+    # masses, each taken on the side of its median that keeps it relative
+    sd = np.array([1.0, 2.0, 0.5, 3.0])[: len(lower)]
+    want = 1.0
+    for a, b, s in zip(lower, upper, sd):
+        a, b = a / s, b / s
+        want *= gauss_tail(a) - gauss_tail(b) if a > 0 else ndtr(b) - ndtr(a)
+    res = checked(MvnProblem(cov=np.diag(sd**2), lower=lower, upper=upper))
+    assert res.p == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_mvn_oblique_vertices_match_qmc(monkeypatch):
+    # the 4-D vertex orthants (u = 2, 4, 6) of an oblique 4-atom field on a
+    # 3-D box: the deterministic result lies within the QMC's own err_est
+    model = SpectralSumField(
+        freqs=[[1.0, 0.5, 0.0], [0.3, 1.0, 0.2], [0.0, 0.4, 1.1], [0.7, -0.6, 0.5]],
+        weights=[0.5, 0.4, 0.3, 0.2],
+        offset_var=1.0,
+    )
+    dom = RectDomain([0.0] * 3, [2.5, 2.0, 1.5])
+    for i, fc in enumerate(f for f in enumerate_faces(dom) if f.k == 0):
+        t = fc.fixed_values()
+        c = 0.5 * model.grad_variance(t)
+        cov = np.block([[np.array([[model.variance(t)]]), c[None, :]], [c[:, None], model.lambda_mat]])
+        clo, chi = outward_cone(fc).bounds()
+        problems = [MvnProblem(cov, np.r_[u, clo], np.r_[np.inf, chi]) for u in (2.0, 4.0, 6.0)]
+        det = [checked(pb) for pb in problems]
+        with monkeypatch.context() as mp:
+            mp.setattr(gauss, "MVN_DET_DIM", 3)
+            qmc = mvn_prob(problems, seed=i)
+        for a, q in zip(det, qmc):
+            assert abs(a.p - q.p) <= q.err_est, (i, a, q)
+
+
+def quadrant_oracle(h, k, rho):
+    # P(X >= h, Y >= k) = int_h^inf phi(x) Psi((k - rho x) / r) dx by
+    # 200-point Gauss-Legendre on three panels of [h, h + 12]; the rest is
+    # below exp(-12 h) of the integral
+    r = math.sqrt(1.0 - rho * rho)
+    x, w = np.polynomial.legendre.leggauss(200)
+    total = 0.0
+    for a, b in ((0.0, 0.5), (0.5, 2.0), (2.0, 12.0)):
+        t = h + a + (b - a) * 0.5 * (x + 1.0)
+        total += 0.5 * (b - a) * (w @ (std_normal_pdf(t) * gauss_tail((k - rho * t) / r)))
+    return total
+
+
+@pytest.mark.parametrize("h", [5.0, 9.0])
+@pytest.mark.parametrize("rho", [-0.5, 0.0, 0.5])
+def test_mvn_upper_quadrant_keeps_relative_accuracy(h, rho):
+    # far in the joint upper tail Owen's T form would cancel (at h = 9,
+    # rho = 0 to a negative number); the result must keep 12 digits
+    cov = np.array([[1.0, rho], [rho, 1.0]])
+    res = checked(MvnProblem(cov=cov, lower=[h, h], upper=[np.inf, np.inf]))
+    want = quadrant_oracle(h, h, rho)
+    assert res.p == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_mvn_dimension_cap():

@@ -301,7 +301,7 @@ def test_mean_ec_joint_box_runs_the_field_at_face_points_only(monkeypatch):
 @pytest.mark.parametrize("upper", [[PI, PI], [1.5 * PI, PI]])
 @pytest.mark.parametrize("u", [2.5, 6.0])
 def test_mean_ec_err_est_covers_quadrature_error(upper, u):
-    # vertices use the same seeded QMC on both sides, so the difference is
+    # vertex orthants do not depend on the QuadSpec, so the difference is
     # the face quadrature's own error, which err_est must bound
     dom = RectDomain([0.0, 0.0], upper)
     [res] = mean_euler_characteristic(cosine(), dom, [u], SPEC)
@@ -485,10 +485,10 @@ def test_face_arrays_blocks_equal_one_unblocked_evaluation(monkeypatch):
         assert got.shape == want.shape and np.array_equal(got, want), name
 
 
-def test_vertex_levels_share_one_set_of_qmc_points(monkeypatch):
-    # the levels of a vertex differ only in the bound on X, so each of the
-    # 12 randomizations builds its Sobol points once for all of them; every
-    # level still equals its own mvn_prob call
+def test_vertex_levels_draw_no_qmc_points(monkeypatch):
+    # a 3-D vertex orthant is 4-D, within the deterministic route of
+    # mvn_prob: no level builds Sobol points, and every level equals its
+    # own mvn_prob call whatever the seed
     model = SpectralSumField(
         freqs=[[1.0, 0.5, 0.0], [0.3, 1.0, 0.2], [0.0, 0.4, 1.1], [0.7, -0.6, 0.5]],
         weights=[0.5, 0.4, 0.3, 0.2],
@@ -496,25 +496,19 @@ def test_vertex_levels_share_one_set_of_qmc_points(monkeypatch):
     )
     dom = RectDomain([0.0] * 3, [2.5, 2.0, 1.5])
     levels = (3.0, 4.0, 5.0, 6.0, 7.0, 8.0)
-    built = []
-    sobol = gauss.qmc.Sobol
 
-    def counting_sobol(*args, **kwargs):
-        built.append(kwargs.get("d"))
-        return sobol(*args, **kwargs)
+    def no_sobol(*args, **kwargs):
+        raise AssertionError("a vertex drew QMC points")
 
-    monkeypatch.setattr(gauss.qmc, "Sobol", counting_sobol)
+    monkeypatch.setattr(gauss.qmc, "Sobol", no_sobol)
     for i, fc in enumerate(f for f in enumerate_faces(dom) if f.k == 0):
-        seed = mec._face_seed(0, i)
-        built.clear()
-        got = mec._face_term(model, fc, levels, SPEC, seed, cone=True)
-        assert built == [3] * 12, face_label(fc)
+        got = mec._face_term(model, fc, levels, SPEC, mec._face_seed(0, i), cone=True)
         t = fc.fixed_values()
         c = 0.5 * model.grad_variance(t)
         cov = np.block([[np.array([[model.variance(t)]]), c[None, :]], [c[:, None], model.lambda_mat]])
         clo, chi = outward_cone(fc).bounds()
         want = [
-            mvn_prob([MvnProblem(cov, np.r_[u, clo], np.r_[np.inf, chi])], seed)[0]
+            mvn_prob([MvnProblem(cov, np.r_[u, clo], np.r_[np.inf, chi])], seed=7)[0]
             for u in levels
         ]
         assert got == want, face_label(fc)
