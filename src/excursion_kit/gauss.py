@@ -292,12 +292,15 @@ def _owen_quadrant(h, k, rho: float, r: float):
     """P(Y1 >= h, Y2 >= k) = Phi2(-h, -k; rho) by Owen's (1956) T form,
     with a = (k - rho h) / (h r) taken in its limit where h = 0."""
     x, y = -h, -k
-    both0 = (x == 0) & (y == 0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ax = np.where(x == 0, np.copysign(np.inf, y - rho * x), (y - rho * x) / (x * r))
-        ay = np.where(y == 0, np.copysign(np.inf, x - rho * y), (x - rho * y) / (y * r))
-    a0 = (1.0 - rho) / r
-    ax, ay = np.where(both0, a0, ax), np.where(both0, a0, ay)
+        ax, ay = (y - rho * x) / (x * r), (x - rho * y) / (y * r)
+    zx, zy = x == 0, y == 0
+    if zx.any() or zy.any():
+        # a is +-inf by the sign of the other limit, or (1 - rho) / r where
+        # both limits are 0
+        a0 = (1.0 - rho) / r
+        ax = np.where(zx, np.where(zy, a0, np.copysign(np.inf, y)), ax)
+        ay = np.where(zy, np.where(zx, a0, np.copysign(np.inf, x)), ay)
     beta = np.where((x * y > 0) | ((x * y == 0) & (x + y >= 0)), 0.0, 0.5)
     p = 0.5 * gauss_tail(h) + 0.5 * gauss_tail(k) - beta - owens_t(x, ax) - owens_t(y, ay)
     return np.maximum(p, 0.0)
@@ -348,9 +351,10 @@ def _quadrant(h, k, rho: float):
     dist = np.where(rho * k >= h, np.minimum(dist, k * k), dist)
     m = np.minimum(np.abs(h), np.abs(k))
     far = ((h > 0) | (k > 0)) & (dist - m * m > _OWEN_LOSS)
+    if not far.any():
+        return _owen_quadrant(h, k, rho, r)
     out = np.empty(h.shape)
-    if far.any():
-        out[far] = _laguerre_quadrant(h[far], k[far], rho, r)
+    out[far] = _laguerre_quadrant(h[far], k[far], rho, r)
     if not far.all():
         out[~far] = _owen_quadrant(h[~far], k[~far], rho, r)
     return out
