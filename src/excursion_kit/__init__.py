@@ -66,7 +66,6 @@ from .mec import (
 from .mc import (
     EcCount,
     GridSpec,
-    ec_oracle_2d,
     empirical_ec,
     empirical_sup_prob,
     mc_mean_ec,

@@ -440,30 +440,6 @@ def _check_derivatives(model: FieldModel, domain: RectDomain) -> tuple[bool, str
         f" (rtol {rep.rtol:.0e})"
     )
 
-def _check_ec_oracle() -> tuple[bool, str]:
-    rng = np.random.Generator(np.random.Philox(key=np.array([99, 0], dtype=np.uint64)))
-    bad = 0
-    for _ in range(200):
-        shape = (int(rng.integers(1, 13)), int(rng.integers(1, 13)))
-        mask = rng.random(shape) < rng.uniform(0.2, 0.8)
-        chi_cells = mc_mod.empirical_ec(mask.astype(float), 0.5).chi
-        if chi_cells != mc_mod.ec_oracle_2d(mask):
-            bad += 1
-    block = np.zeros((7, 7), dtype=bool)
-    block[1:6, 1:6] = True
-    ring = block.copy()
-    ring[2:5, 2:5] = False
-    two = np.zeros((5, 9), dtype=bool)
-    two[1:4, 1:4] = True
-    two[1:4, 5:8] = True
-    canon = (
-        mc_mod.ec_oracle_2d(block) == 1
-        and mc_mod.ec_oracle_2d(ring) == 0
-        and mc_mod.ec_oracle_2d(two) == 2
-    )
-    ok = bad == 0 and canon
-    return ok, f"{200 - bad}/200 random masks agree; canonical block/ring/two-blocks {'ok' if canon else 'BAD'}"
-
 def _check_h2(model: FieldModel, domain: RectDomain) -> tuple[bool, str]:
     rep = check_h2(model, domain)
     return not rep.flagged, (
@@ -489,7 +465,6 @@ def cmd_validate(cfg: RunConfig) -> int:
         ("hermite_tail_identity", lambda: _check_hermite()),
         ("lambda_cross_check", lambda: _check_lambda(cfg.model)),
         ("derivative_consistency", lambda: _check_derivatives(cfg.model, cfg.domain)),
-        ("ec_oracle_equivalence", lambda: _check_ec_oracle()),
         ("h2_scan", lambda: _check_h2(cfg.model, cfg.domain)),
         ("condition_check", lambda: _check_condition(cfg.model, cfg.domain)),
     ]

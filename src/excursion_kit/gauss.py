@@ -10,9 +10,9 @@ Conventions used throughout the package:
   deterministic: the leading coordinates of a reordered Cholesky factor
   are integrated by tensor Gauss-Legendre and the last two in closed form
   through Owen's T (Owen 1956, Ann. Math. Statist. 27; the conditioning
-  route of Genz 2004, Stat. Comput. 14).  Above it, randomized
-  quasi-Monte Carlo points from the seed are shared by the problems, and
-  the seed matters only there.  ``_cdf_pair`` takes an interval whose
+  route of Genz 2004, Stat. Comput. 14).  Above it, randomly shifted
+  rank-1 lattice points from the seed are shared by the problems, and the
+  seed matters only there.  ``_cdf_pair`` takes an interval whose
   lower limit is above the median as Psi(lo) - Psi(hi), and
   ``_std_limits`` makes a zero-variance coordinate a point mass of mass
   exactly 1 or 0.
@@ -27,7 +27,6 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.special import erfc, erfcx, ndtri, owens_t
-from scipy.stats import qmc
 
 from . import quad
 from .errors import CapabilityError, DegeneracyError
@@ -53,11 +52,14 @@ MAX_MVN_DIM = 12
 MVN_DET_DIM = 4
 MVN_GL_ORDER = 64
 MVN_ROUNDING = 1e-13
-# Randomized QMC configuration for mvn_prob above MVN_DET_DIM: points per
-# randomization and number of independent randomizations used for the
-# error estimate.
-MVN_QMC_POINTS = 2 ** 13
+# Randomized QMC for mvn_prob above MVN_DET_DIM: a rank-1 lattice of
+# MVN_QMC_POINTS points (a prime), MVN_QMC_RANDOMIZATIONS random shifts of
+# it for the error estimate, and its generating vector, one entry per
+# coordinate the points cover (MAX_MVN_DIM - 1), found component by
+# component for product weights 1/j^2 (Nuyens & Cools 2006, Math. Comp. 75)
+MVN_QMC_POINTS = 8191
 MVN_QMC_RANDOMIZATIONS = 12
+MVN_LATTICE_Z = (1, 3457, 2970, 1074, 1398, 2450, 3117, 2325, 3182, 2225, 960)
 # err_est above which mvn_prob sets its warning flag
 MVN_ACCURACY = 1e-6
 
@@ -449,6 +451,16 @@ def _det_result(pb: MvnProblem) -> MvnResult:
 # ---------------------------------------------------------------------------
 
 
+def _lattice_points(d: int, rng) -> np.ndarray:
+    """(MVN_QMC_POINTS, d) points of the rank-1 lattice shifted by a uniform
+    draw from rng, through the baker's transform x -> |2x - 1|.  i z mod n
+    is formed in integers, so the unshifted points are exact."""
+    n = MVN_QMC_POINTS
+    base = (np.arange(n)[:, None] * np.array(MVN_LATTICE_Z[:d]) % n) / n
+    x = base + rng.random(d)
+    return np.abs(2.0 * (x - np.floor(x)) - 1.0)
+
+
 def _sov_integrate(L, a, b, w):
     """Separation-of-variables integrand on a block of QMC points.
 
@@ -479,11 +491,13 @@ def mvn_prob(problems: list[MvnProblem], seed: int = 0) -> list[MvnResult]:
     (_det_result): the leading coordinates of the reordered Cholesky factor
     by tensor Gauss-Legendre, the last two in closed form, and err_est the
     gap between two orders plus a rounding allowance.  Above it,
-    separation of variables on the same factor, averaged over
-    MVN_QMC_RANDOMIZATIONS independently scrambled Sobol streams of
-    MVN_QMC_POINTS points each, drawn once from the seed and shared by the
-    problems; err_est is three standard errors of that mean.  The warning
-    flag is set when err_est exceeds MVN_ACCURACY.
+    separation of variables on the same factor (Genz & Bretz 2009,
+    Computation of Multivariate Normal and t Probabilities, LNS 195, 4.2),
+    averaged over MVN_QMC_RANDOMIZATIONS random shifts of one rank-1 lattice
+    of MVN_QMC_POINTS points under the baker's transform (_lattice_points),
+    drawn once from the seed and shared by the problems; err_est is three
+    standard errors of that mean.  The warning flag is set when err_est
+    exceeds MVN_ACCURACY.
     """
     d = problems[0].dim if problems else 0
     if any(pb.dim != d for pb in problems):
@@ -494,8 +508,7 @@ def mvn_prob(problems: list[MvnProblem], seed: int = 0) -> list[MvnResult]:
     ss = np.random.SeedSequence(int(seed))
     estimates = np.empty((len(todo), MVN_QMC_RANDOMIZATIONS))
     for r, child in enumerate(ss.spawn(MVN_QMC_RANDOMIZATIONS)):
-        sob = qmc.Sobol(d=d - 1, scramble=True, seed=np.random.default_rng(child))
-        w = sob.random(MVN_QMC_POINTS)
+        w = _lattice_points(d - 1, np.random.default_rng(child))
         for j, (L, a, b) in enumerate(todo):
             estimates[j, r] = float(np.mean(_sov_integrate(L, a, b, w)))
     out = []

@@ -25,9 +25,7 @@ Euler counts.  The ``mc`` command composes them, adding
 
 The empirical Euler characteristic uses the vertex-based closed cubical
 complex: a d-cell of the grid is occupied iff all its 2^d corners sit at or
-above the level.  ``ec_oracle_2d`` recomputes chi for 2-D masks by a
-completely different route (connected components minus holes on a refined
-rasterization) and serves as the cross-check oracle.
+above the level.
 """
 
 from __future__ import annotations
@@ -38,7 +36,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import CapabilityError, ConfigError, finite_levels
 from .field import FieldModel, SpectralSumField
@@ -50,7 +47,6 @@ __all__ = [
     "empirical_sup_prob",
     "empirical_ec",
     "mc_mean_ec",
-    "ec_oracle_2d",
 ]
 
 # replicates per work item, and the largest value tile one GEMM writes (one
@@ -192,37 +188,6 @@ def empirical_ec(values, u: float) -> EcCount:
     _check_ec_dim(arr.ndim)
     counts = [int(c) for c in _cell_counts(arr >= u, arr.ndim)]
     return EcCount(n_d=tuple(counts), chi=_euler(counts))
-
-
-def ec_oracle_2d(mask) -> int:
-    """Independent 2-D Euler characteristic: components minus holes.
-
-    The vertex mask is rasterized onto a (2R-1, 2C-1) refined grid where
-    odd positions stand for the edges and squares of the closed cubical
-    complex (present iff all their corners are).  Connected components of
-    the occupied pixels and of the complement both use 4-connectivity; the
-    complement is padded so exactly one of its components is the outer
-    background, and every other one is a hole.
-    """
-    mask = np.asarray(mask, dtype=bool)
-    if mask.ndim != 2:
-        raise CapabilityError("ec_oracle_2d needs a 2-D mask")
-    if not mask.any():
-        return 0
-    r, c = mask.shape
-    ref = np.zeros((2 * r - 1, 2 * c - 1), dtype=bool)
-    ref[::2, ::2] = mask
-    if c > 1:
-        ref[::2, 1::2] = mask[:, :-1] & mask[:, 1:]
-    if r > 1:
-        ref[1::2, ::2] = mask[:-1, :] & mask[1:, :]
-    if r > 1 and c > 1:
-        ref[1::2, 1::2] = mask[:-1, :-1] & mask[:-1, 1:] & mask[1:, :-1] & mask[1:, 1:]
-
-    # the padding ring joins every complement pixel on the border into one
-    # outer component; ndimage.label's default 2-D structure is 4-connected
-    holes = ndimage.label(~np.pad(ref, 1, constant_values=False))[1] - 1
-    return ndimage.label(ref)[1] - holes
 
 
 # ---------------------------------------------------------------------------

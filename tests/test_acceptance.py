@@ -14,9 +14,10 @@ import excursion_kit.mec as mec
 from excursion_kit.field import CosineField, SpectralSumField
 from excursion_kit.gauss import gauss_tail, hermite_tail_identity_check
 from excursion_kit.geometry import Face, RectDomain, enumerate_faces
-from excursion_kit.mc import ec_oracle_2d, empirical_ec, empirical_sup_prob, mc_mean_ec
+from excursion_kit.mc import empirical_ec, empirical_sup_prob, mc_mean_ec
 from excursion_kit.mec import excursion_prob_mu, mean_euler_characteristic, tau_hessian
 from excursion_kit.quad import QuadSpec
+from test_oracles import ec_oracle_2d
 
 PI = math.pi
 SPEC = QuadSpec()

@@ -486,14 +486,13 @@ def test_validate_default_config_passes(capsys):
     lines = out.strip().splitlines()
     assert lines[-1] == "all checks passed"
     checks = lines[:-1]
-    assert len(checks) == 6
+    assert len(checks) == 5
     assert all(ln.startswith("PASS ") for ln in checks)
     names = {ln.split()[1].rstrip(":") for ln in checks}
     assert {
         "hermite_tail_identity",
         "lambda_cross_check",
         "derivative_consistency",
-        "ec_oracle_equivalence",
         "h2_scan",
         "condition_check",
     } == names

@@ -207,13 +207,13 @@ def test_mvn_probs_equal_single_calls(monkeypatch):
         for u in (1.0, 2.0, 3.0)
     ]
     built = []
-    sobol = gauss.qmc.Sobol
+    lattice_points = gauss._lattice_points
 
-    def counting_sobol(*args, **kwargs):
-        built.append(kwargs.get("d"))
-        return sobol(*args, **kwargs)
+    def counting_points(d, rng):
+        built.append(d)
+        return lattice_points(d, rng)
 
-    monkeypatch.setattr(gauss.qmc, "Sobol", counting_sobol)
+    monkeypatch.setattr(gauss, "_lattice_points", counting_points)
     shared = mvn_prob(problems5, 21)
     assert built == [4] * 12
     assert shared == [mvn_prob([p], seed=21)[0] for p in problems5]
@@ -403,6 +403,80 @@ def test_mvn_oblique_vertices_match_qmc(monkeypatch):
             qmc = mvn_prob(problems, seed=i)
         for a, q in zip(det, qmc):
             assert abs(a.p - q.p) <= q.err_est, (i, a, q)
+
+
+@pytest.mark.parametrize("d", [5, 6, 8, 12])
+@pytest.mark.parametrize("seed", range(5))
+def test_mvn_lattice_equicorrelated_orthant(d, seed):
+    # equicorrelated at rho = 1/2, Z_i = (X_i + X_0) / sqrt(2) for iid X:
+    # all Z_i > 0 exactly when X_0 is the largest of d + 1, so P = 1/(d + 1)
+    cov = 0.5 * (np.ones((d, d)) + np.eye(d))
+    [res] = mvn_prob([MvnProblem(cov=cov, lower=np.zeros(d), upper=np.full(d, np.inf))], seed)
+    assert abs(res.p - 1.0 / (d + 1)) <= res.err_est, res
+
+
+@pytest.mark.parametrize(
+    "lower,upper",
+    [
+        ([0.5, -np.inf, -1.0, 2.0, -np.inf], [np.inf, 1.0, np.inf, np.inf, -0.5]),
+        ([-np.inf, 1.0, -0.5, -np.inf, 3.0, -2.0], [0.0, np.inf, np.inf, 1.5, np.inf, np.inf]),
+    ],
+)
+def test_mvn_lattice_diagonal_is_a_product(lower, upper):
+    # with independent coordinates the lattice integrand does not depend on
+    # the points: every shift gives the product of the exact 1-D masses to
+    # rounding, and err_est is rounding noise
+    sd = np.array([1.0, 2.0, 0.5, 3.0, 1.5, 0.8])[: len(lower)]
+    want = 1.0
+    for a, b, s in zip(lower, upper, sd):
+        a, b = a / s, b / s
+        want *= gauss_tail(a) - gauss_tail(b) if a > 0 else ndtr(b) - ndtr(a)
+    for seed in range(5):
+        [res] = mvn_prob([MvnProblem(cov=np.diag(sd**2), lower=lower, upper=upper)], seed)
+        assert res.p == pytest.approx(want, rel=1e-14, abs=0.0)
+        assert res.err_est <= 1e-14 * want
+
+
+def test_mvn_lattice_generating_vector_prefix():
+    # component-by-component search (Nuyens & Cools 2006): z_1 = 1, and each
+    # next z_s in 1 .. (n - 1)/2 minimises the mean over the n points of
+    # prod_j (1 + gamma_j 2 pi^2 B2({k z_j / n})), B2(x) = x^2 - x + 1/6,
+    # gamma_j = 1/j^2.  At s = 2 a z and its inverse mod n give one lattice
+    # with the axes swapped, so they tie; the vector keeps the larger
+    n = gauss.MVN_QMC_POINTS
+    k = np.arange(n)
+    kern = 2.0 * math.pi**2 * ((k / n) ** 2 - k / n + 1.0 / 6.0)
+    cand = np.arange(1, (n + 1) // 2)
+    prod = 1.0 + kern
+    z = [1]
+    for s in (2, 3, 4):
+        # the candidate's own factor adds gamma_s * sum_k prod * kern
+        score = np.concatenate(
+            [kern[np.outer(c, k) % n] @ prod for c in np.array_split(cand, 32)]
+        )
+        ties = cand[score <= score.min() + 1e-9 * abs(score.min())]
+        if s == 2:
+            assert len(ties) == 2 and ties[0] * ties[1] % n == 1
+        z.append(int(ties.max()))
+        prod = prod * (1.0 + kern[k * z[-1] % n] / s**2)
+    assert tuple(z) == gauss.MVN_LATTICE_Z[:4] == (1, 3457, 2970, 1074)
+    assert len(gauss.MVN_LATTICE_Z) == gauss.MAX_MVN_DIM - 1
+
+
+def test_mvn_lattice_points():
+    # the unshifted points i z / n are exact, each shift moves every point by
+    # one draw, and the baker's transform keeps them in [0, 1]
+    class NoShift:
+        def random(self, d):
+            return np.zeros(d)
+
+    w = gauss._lattice_points(3, NoShift())
+    n = gauss.MVN_QMC_POINTS
+    i = np.arange(n)[:, None]
+    frac = i * np.array(gauss.MVN_LATTICE_Z[:3]) % n / n
+    assert w.shape == (n, 3) and np.array_equal(w, np.abs(2.0 * frac - 1.0))
+    w = gauss._lattice_points(5, np.random.default_rng(1))
+    assert w.shape == (n, 5) and w.min() >= 0.0 and w.max() <= 1.0
 
 
 def quadrant_oracle(h, k, rho):

@@ -14,11 +14,11 @@ from excursion_kit.field import CosineField, GaussianIncrementField, SpectralSum
 from excursion_kit.geometry import RectDomain
 from excursion_kit.mc import (
     GridSpec,
-    ec_oracle_2d,
     empirical_ec,
     empirical_sup_prob,
     mc_mean_ec,
 )
+from test_oracles import ec_oracle_2d
 
 PI = math.pi
 

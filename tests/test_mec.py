@@ -487,7 +487,7 @@ def test_face_arrays_blocks_equal_one_unblocked_evaluation(monkeypatch):
 
 def test_vertex_levels_draw_no_qmc_points(monkeypatch):
     # a 3-D vertex orthant is 4-D, within the deterministic route of
-    # mvn_prob: no level builds Sobol points, and every level equals its
+    # mvn_prob: no level builds lattice points, and every level equals its
     # own mvn_prob call whatever the seed
     model = SpectralSumField(
         freqs=[[1.0, 0.5, 0.0], [0.3, 1.0, 0.2], [0.0, 0.4, 1.1], [0.7, -0.6, 0.5]],
@@ -497,10 +497,10 @@ def test_vertex_levels_draw_no_qmc_points(monkeypatch):
     dom = RectDomain([0.0] * 3, [2.5, 2.0, 1.5])
     levels = (3.0, 4.0, 5.0, 6.0, 7.0, 8.0)
 
-    def no_sobol(*args, **kwargs):
+    def no_points(*args, **kwargs):
         raise AssertionError("a vertex drew QMC points")
 
-    monkeypatch.setattr(gauss.qmc, "Sobol", no_sobol)
+    monkeypatch.setattr(gauss, "_lattice_points", no_points)
     for i, fc in enumerate(f for f in enumerate_faces(dom) if f.k == 0):
         got = mec._face_term(model, fc, levels, SPEC, mec._face_seed(0, i), cone=True)
         t = fc.fixed_values()
@@ -516,11 +516,11 @@ def test_vertex_levels_draw_no_qmc_points(monkeypatch):
 
 def test_mu_draws_no_qmc_points(monkeypatch):
     # mu is the face term without the outward cone: its vertices are the
-    # closed-form tail, so it needs no seed and never builds Sobol points
-    def no_sobol(*args, **kwargs):
+    # closed-form tail, so it needs no seed and never builds lattice points
+    def no_points(*args, **kwargs):
         raise AssertionError("mu drew QMC points")
 
-    monkeypatch.setattr(gauss.qmc, "Sobol", no_sobol)
+    monkeypatch.setattr(gauss, "_lattice_points", no_points)
     m, dom = spectral3()
     [res] = excursion_prob_mu(m, dom, [4.0], SPEC)
     for fc, value in res.per_face:

@@ -13,9 +13,15 @@ No function imports anything: every dependency of a module shows at its top.
 The callers outside the library -- ``cli.py``, ``scripts/`` and
 ``perfbench/`` -- use only public package names: they import no
 underscore name from ``excursion_kit`` and read none off a package module.
+
+Importing ``excursion_kit.cli`` in a fresh interpreter loads no module of
+``scipy.stats`` or ``scipy.ndimage``; the CI workflow runs the same line.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -28,6 +34,13 @@ CALLERS = [
     *sorted((ROOT / "scripts").glob("*.py")),
     *sorted((ROOT / "perfbench").glob("*.py")),
 ]
+# every run of the command line pays this import first; scipy.stats alone
+# was about half of it
+IMPORT_CHECK = (
+    "import sys, excursion_kit.cli; "
+    "heavy = sorted(m for m in sys.modules if m.startswith(('scipy.stats', 'scipy.ndimage'))); "
+    "sys.exit(f'importing excursion_kit.cli loads {heavy}' if heavy else 0)"
+)
 
 
 def _bound_names(node):
@@ -154,3 +167,11 @@ def test_private_package_refs_are_found():
     )
     found = _private_package_refs(ast.parse(src), relative_is_package=True)
     assert found == ["excursion_kit.cli._parse", "mc_mod._sweep", "mec._face_sum"]
+
+
+def test_cli_import_loads_no_heavy_scipy():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_CHECK], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
