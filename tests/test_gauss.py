@@ -450,7 +450,8 @@ def test_mvn_lattice_generating_vector_prefix():
     prod = 1.0 + kern
     z = [1]
     for s in (2, 3, 4):
-        # the candidate's own factor adds gamma_s * sum_k prod * kern
+        # with the candidate's factor 1 + gamma_s kern the mean is
+        # mean(prod) + gamma_s mean(prod kern): rank by kern @ prod
         score = np.concatenate(
             [kern[np.outer(c, k) % n] @ prod for c in np.array_split(cand, 32)]
         )
@@ -464,8 +465,8 @@ def test_mvn_lattice_generating_vector_prefix():
 
 
 def test_mvn_lattice_points():
-    # the unshifted points i z / n are exact, each shift moves every point by
-    # one draw, and the baker's transform keeps them in [0, 1]
+    # unshifted, the points are exactly |2 (i z mod n) / n - 1|; shifted,
+    # they stay in [0, 1]
     class NoShift:
         def random(self, d):
             return np.zeros(d)
