@@ -12,8 +12,11 @@ for the excursion probability once u is moderately large), while both
 approach the closed form from above much more slowly.  Useful when judging
 whether a disagreement is grid bias, MC noise, or genuine asymptotic error.
 
-All levels share one coarse and one fine replicate sweep and one mean-EC
-quadrature pass per face; ``--levels`` is parsed as the CLI parses it.
+The simulated columns come from ``mc_estimates``, as in the ``mc``
+command: all levels share one coarse replicate sweep, only the replicates
+its curvature bound leaves undecided are evaluated on the refined grid, and
+one mean-EC quadrature pass per face serves every level; ``--levels`` is
+parsed as the CLI parses it.
 
 Usage:
     python3 scripts/mc_crosscheck.py --reps 20000 --grid 64 --levels 3:6:1
@@ -27,7 +30,7 @@ from excursion_kit.cli import parse_levels
 from excursion_kit.field import CosineField
 from excursion_kit.gauss import gauss_tail
 from excursion_kit.geometry import RectDomain
-from excursion_kit.mc import empirical_sup_prob, mc_mean_ec
+from excursion_kit.mc import mc_estimates
 from excursion_kit.mec import mean_euler_characteristic
 from excursion_kit.quad import QuadSpec
 
@@ -58,11 +61,11 @@ def main(argv=None):
         "   u     p_hat      p_fine     +/-        mean_ec    mc_chi     "
         "p/mec    p/closed"
     )
-    sim = dict(reps=args.reps, seed=args.seed, threads=args.threads)
-    coarse = mc_mean_ec(model, dom, levels, args.grid, **sim)
-    fine = empirical_sup_prob(model, dom, levels, 2 * args.grid - 1, **sim)
+    _, _, rows = mc_estimates(
+        model, dom, levels, args.grid, args.reps, args.seed, threads=args.threads
+    )
     mecs = mean_euler_characteristic(model, dom, levels, spec)
-    for u, (p_hat, _, mean_chi, _), (p, se), mec in zip(levels, coarse, fine, mecs):
+    for u, (p_hat, _, mean_chi, _, p, se), mec in zip(levels, rows, mecs):
         print(
             f"  {u:4.2f}  {p_hat:.6f}  {p:.6f}  {se:.6f}"
             f"  {mec.total:.6f}  {mean_chi:8.5f}  {p / mec.total:7.4f}"

@@ -68,6 +68,7 @@ from .mc import (
     GridSpec,
     empirical_ec,
     empirical_sup_prob,
+    mc_estimates,
     mc_mean_ec,
 )
 

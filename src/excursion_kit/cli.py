@@ -379,18 +379,10 @@ def cmd_mc(cfg: RunConfig) -> int:
         "grid_fine",
         "bias_flag",
     ]
-    # mc_mean_ec runs first: it checks the model, dimension, grid and reps
-    # before any sweep
-    coarse = mc_mod.mc_mean_ec(
+    grid, fine, estimates = mc_mod.mc_estimates(
         cfg.model, cfg.domain, cfg.levels, cfg.mc_grid, cfg.mc_reps, cfg.seed, threads=cfg.threads
     )
-    grid = mc_mod.GridSpec(cfg.domain, cfg.mc_grid)
-    fine = mc_mod.GridSpec(cfg.domain, tuple(2 * n - 1 for n in grid.points_per_axis))
-    # the refined grid contains every coarse point, so with shared replicate
-    # coefficients p_fine can only grow; the flag marks a gap beyond MC error
-    refined = mc_mod.empirical_sup_prob(
-        cfg.model, cfg.domain, cfg.levels, fine, cfg.mc_reps, cfg.seed, threads=cfg.threads
-    )
+    # p_fine can only grow; the flag marks a gap beyond MC error
     rows = [
         [
             u,
@@ -405,7 +397,7 @@ def cmd_mc(cfg: RunConfig) -> int:
             "x".join(map(str, fine.points_per_axis)),
             abs(p_fine - p) > max(math.hypot(se, se_fine), 1e-12),
         ]
-        for u, (p, se, mean_chi, chi_se), (p_fine, se_fine) in zip(cfg.levels, coarse, refined)
+        for u, (p, se, mean_chi, chi_se, p_fine, se_fine) in zip(cfg.levels, estimates)
     ]
     _emit(_csv_text(header, rows), cfg.out)
     _maybe_report(cfg, "mc", header, rows)

@@ -496,8 +496,8 @@ def mvn_prob(problems: list[MvnProblem], seed: int = 0) -> list[MvnResult]:
     averaged over MVN_QMC_RANDOMIZATIONS random shifts of one rank-1 lattice
     of MVN_QMC_POINTS points under the baker's transform (_lattice_points),
     drawn once from the seed and shared by the problems; err_est is three
-    standard errors of that mean.  The warning flag is set when err_est
-    exceeds MVN_ACCURACY.
+    standard errors of that mean plus the same rounding allowance.  The
+    warning flag is set when err_est exceeds MVN_ACCURACY.
     """
     d = problems[0].dim if problems else 0
     if any(pb.dim != d for pb in problems):
@@ -513,8 +513,8 @@ def mvn_prob(problems: list[MvnProblem], seed: int = 0) -> list[MvnResult]:
             estimates[j, r] = float(np.mean(_sov_integrate(L, a, b, w)))
     out = []
     for est in estimates:
-        p = float(np.mean(est))
+        p = min(max(float(np.mean(est)), 0.0), 1.0)
         stderr = float(np.std(est, ddof=1) / math.sqrt(MVN_QMC_RANDOMIZATIONS))
-        err = 3.0 * stderr
-        out.append(MvnResult(min(max(p, 0.0), 1.0), err, err > MVN_ACCURACY))
+        err = 3.0 * stderr + MVN_ROUNDING * p
+        out.append(MvnResult(p, err, err > MVN_ACCURACY))
     return out

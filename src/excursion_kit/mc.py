@@ -20,8 +20,16 @@ thresholded per level) before the next tile overwrites it, so the chunk's
 whole value block never exists.  Both estimators take a level sequence and
 run one sweep of one grid, however many levels there are:
 ``empirical_sup_prob`` counts grid maxima, and ``mc_mean_ec`` adds the
-Euler counts.  The ``mc`` command composes them, adding
-``empirical_sup_prob`` on the 2R-1 refinement of ``mc_mean_ec``'s grid.
+Euler counts.
+
+``mc_estimates``, the ``mc`` command, adds ``p_fine``, empirical_sup_prob's
+estimate on the 2R-1 refinement, without sweeping that grid whole.  A
+replicate's Hessian has norm at most K = sum_m hypot(A_m, B_m) |f_m|^2, and
+its maximizer has zero gradient along its host face, which has a grid node
+within delta = sqrt(sum_i h_i^2) / 2.  So its grid maximum g, refined maximum
+and sup_T X all lie in [g, g + K delta^2 / 2].  Widened by a slack
+s = 1e-9 (1 + sum |c|), far above rounding, a band that holds no level
+decides the replicate; only the others are swept again, on the refined grid.
 
 The empirical Euler characteristic uses the vertex-based closed cubical
 complex: a d-cell of the grid is occupied iff all its 2^d corners sit at or
@@ -47,6 +55,7 @@ __all__ = [
     "empirical_sup_prob",
     "empirical_ec",
     "mc_mean_ec",
+    "mc_estimates",
 ]
 
 # replicates per work item, and the largest value tile one GEMM writes (one
@@ -103,18 +112,19 @@ class EcCount:
     chi: int
 
 
-def _coefficients(model: SpectralSumField, seed: int, start: int, stop: int) -> np.ndarray:
+def _coefficients(model: SpectralSumField, seed: int, replicates) -> np.ndarray:
     """Coefficient rows [sigma0 xi0, sqrt(w_m) xi_m, sqrt(w_m) xi'_m, ...] of
-    replicates start..stop-1.
+    the given replicates, in order.
 
-    Row r holds the draws of a fresh Philox keyed by (seed, r): one bit
-    generator is re-keyed per replicate by assigning its freshly constructed
-    state with the key replaced, which also resets the counter and buffer.
+    Row i holds the draws of a fresh Philox keyed by (seed, replicates[i]):
+    one bit generator is re-keyed per replicate by assigning its freshly
+    constructed state with the key replaced, which also resets the counter
+    and buffer.
     """
-    bitgen = np.random.Philox(key=np.array([seed, start], dtype=np.uint64))
+    bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
     gen, fresh = np.random.Generator(bitgen), bitgen.state
-    draws = np.empty((stop - start, 1 + 2 * model.n_atoms))
-    for i, r in enumerate(range(start, stop)):
+    draws = np.empty((len(replicates), 1 + 2 * model.n_atoms))
+    for i, r in enumerate(replicates):
         fresh["state"]["key"][1] = r
         bitgen.state = fresh
         draws[i] = gen.standard_normal(draws.shape[1])
@@ -226,47 +236,64 @@ def _tile_rows(n_points: int) -> int:
 
 
 def _sweep(
-    model: SpectralSumField, grid: GridSpec, seed: int, reps: int, levels, threads: int, ec=False
-) -> list[tuple[float, ...]]:
-    """Per-level estimates over one grid, for every level at once.
+    model: SpectralSumField, grid: GridSpec, seed: int, replicates, levels, threads: int, ec=False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Integer sums over the listed replicates on one grid, for every level
+    at once, and each replicate's band.
 
     Each chunk of replicates draws its coefficient rows once and forms its
     values in tiles of _tile_rows rows, one GEMM each.  A tile is reduced
     while it is in cache: each row's maximum is taken once, since the grid
     maximum does not depend on the level, and per level the rows whose
     maximum reaches it are counted; with ``ec`` the chi and chi^2 sums of
-    that level's excursion masks are added from the same tile.  Returns per
-    level (p, stderr), or with ``ec`` (p, stderr, mean_chi, chi_stderr).
+    that level's excursion masks are added from the same tile.  The sums
+    have a column per level and one row (hits), or three with ``ec``.
+    Replicate i's band (lo[i], hi[i]] = (g - s, g + K delta^2/2 + s] (module
+    docstring) holds the maximum over any grid that contains this one.
 
-    The chunk and tile layout depends only on ``reps`` and the grid size,
-    and every sum is over integers, so results are identical for any thread
-    count.
+    The chunk and tile layout depends only on the replicate list and the
+    grid size, and every sum is over integers, so results are identical for
+    any thread count.
     """
     levels = np.asarray(finite_levels(levels))
     basis = _basis(model, grid.points())
     rows = _tile_rows(grid.n_points)
+    spacing = np.subtract(grid.domain.upper, grid.domain.lower) / np.subtract(grid.shape, 1)
+    half_delta2 = float(spacing @ spacing) / 8.0
 
-    def run(rng_range):
-        coefs = _coefficients(model, seed, *rng_range)
+    def run(ids):
+        coefs = _coefficients(model, seed, ids)
         sums = np.zeros((3 if ec else 1, len(levels)), dtype=np.int64)
+        tops = []
         for lo in range(0, len(coefs), rows):
             tile = coefs[lo : lo + rows] @ basis  # (rows, n_points)
-            sums[0] += np.count_nonzero(tile.max(axis=1) >= levels[:, None], axis=1)
+            tops.append(tile.max(axis=1))
+            sums[0] += np.count_nonzero(tops[-1] >= levels[:, None], axis=1)
             if ec:
                 for i, u in enumerate(levels):
                     mask = (tile >= u).reshape((-1,) + grid.shape)
                     chi = _euler(_cell_counts(mask, grid.domain.dim))
                     sums[1:, i] += chi.sum(), (chi * chi).sum()
-        return sums
+        top = np.concatenate(tops)
+        slack = 1e-9 * (1.0 + np.abs(coefs).sum(axis=1))
+        curv = np.hypot(coefs[:, 1::2], coefs[:, 2::2]) @ (model.freqs**2).sum(axis=1)
+        return sums, top - slack, top + curv * half_delta2 + slack
 
-    ranges = _chunk_ranges(reps)
+    items = [replicates[a:b] for a, b in _chunk_ranges(len(replicates))]
     if threads <= 1:
-        parts = [run(rr) for rr in ranges]
+        parts = [run(ids) for ids in items]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run, ranges))
+            parts = list(pool.map(run, items))
+    sums, lo, hi = zip(*parts)
+    return np.sum(sums, axis=0), np.concatenate(lo), np.concatenate(hi)
+
+
+def _estimates(sums: np.ndarray, reps: int) -> list[tuple[float, ...]]:
+    """Per level (p, stderr) from a row of hits, or (p, stderr, mean_chi,
+    chi_stderr) from _sweep's three rows of sums."""
     out = []
-    for hits, *chi_sums in zip(*np.sum(parts, axis=0).tolist()):
+    for hits, *chi_sums in zip(*sums.tolist()):
         p = hits / reps
         est = (p, math.sqrt(p * (1.0 - p) / reps))
         if chi_sums:
@@ -293,7 +320,8 @@ def empirical_sup_prob(
     The discrete maximum underestimates the continuous supremum; the bias
     shrinks with grid refinement.
     """
-    return _sweep(model, _checked(model, domain, grid, reps), seed, reps, levels, threads)
+    gs = _checked(model, domain, grid, reps)
+    return _estimates(_sweep(model, gs, seed, range(reps), levels, threads)[0], reps)
 
 
 def mc_mean_ec(
@@ -314,4 +342,26 @@ def mc_mean_ec(
     """
     gs = _checked(model, domain, grid, reps)
     _check_ec_dim(domain.dim)
-    return _sweep(model, gs, seed, reps, levels, threads, ec=True)
+    return _estimates(_sweep(model, gs, seed, range(reps), levels, threads, ec=True)[0], reps)
+
+
+def mc_estimates(
+    model: FieldModel, domain: RectDomain, levels, grid, reps: int, seed: int = 0, *, threads: int = 1
+) -> tuple[GridSpec, GridSpec, list[tuple[float, ...]]]:
+    """The ``mc`` command's estimates: the grid, its 2R-1 refinement, and per
+    level ``(p, stderr, mean_chi, chi_stderr, p_fine, stderr_fine)``.  The
+    first four are mc_mean_ec's and the last two empirical_sup_prob's on the
+    refinement, for the same replicates; only those whose band (_sweep)
+    holds a level are swept again.  Every input is checked before the sweep.
+    """
+    gs = _checked(model, domain, grid, reps)
+    _check_ec_dim(domain.dim)
+    fine = GridSpec(domain, tuple(2 * n - 1 for n in gs.points_per_axis))
+    sums, lo, hi = _sweep(model, gs, seed, range(reps), levels, threads, ec=True)
+    us = np.asarray(finite_levels(levels))[:, None]
+    undecided = ((lo < us) & (us <= hi)).any(axis=0)
+    hits = np.count_nonzero(~undecided & (lo >= us), axis=1)
+    if undecided.any():
+        hits += _sweep(model, fine, seed, np.flatnonzero(undecided), levels, threads)[0][0]
+    rows = [c + f for c, f in zip(_estimates(sums, reps), _estimates(hits[None], reps))]
+    return gs, fine, rows

@@ -395,20 +395,23 @@ def test_mc_four_dimensional_exits_before_sweeping(tmp_path, capsys, monkeypatch
 
 def test_mc_sweeps_each_grid_once_for_all_levels(tmp_path, capsys, monkeypatch):
     # the grid maximum does not depend on the level, so a command runs one
-    # coarse sweep (maxima and EC) and one fine sweep, whatever its levels
+    # coarse sweep (maxima and EC) of all replicates whatever its levels,
+    # then one sweep of the 17^2 grid over the replicates its curvature
+    # bound leaves undecided
     sweep = cli.mc_mod._sweep
-    grids = []
+    swept = []
 
-    def counting_sweep(model, grid, *args, **kwargs):
-        grids.append(grid.points_per_axis)
-        return sweep(model, grid, *args, **kwargs)
+    def counting_sweep(model, grid, seed, replicates, *args, **kwargs):
+        swept.append((grid.points_per_axis, len(replicates)))
+        return sweep(model, grid, seed, replicates, *args, **kwargs)
 
     monkeypatch.setattr(cli.mc_mod, "_sweep", counting_sweep)
     cfg = write_config(tmp_path, levels=[1.5, 2.0, 2.5], mc={"grid": 9, "reps": 150})
     code, out = run(capsys, ["mc", "--config", cfg])
     assert code == 0
     assert len(parse_csv(out)[1]) == 3
-    assert grids == [(9, 9), (17, 17)]
+    assert [grid for grid, _ in swept] == [(9, 9), (17, 17)]
+    assert swept[0][1] == 150 and 0 < swept[1][1] < 150
 
 
 def test_seven_dimensions_is_a_capability_limit(tmp_path, capsys):

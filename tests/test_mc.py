@@ -37,7 +37,7 @@ def block_mask(shape, ones_slices):
 def sweep_values(model, grid, seed, reps):
     """Values of replicates 0..reps-1 on the grid, shape (reps, *grid.shape),
     formed as the sweep forms its tiles: coefficient rows times the basis."""
-    rows = mc_mod._coefficients(model, seed, 0, reps) @ mc_mod._basis(model, grid.points())
+    rows = mc_mod._coefficients(model, seed, range(reps)) @ mc_mod._basis(model, grid.points())
     return rows.reshape((reps,) + grid.shape)
 
 
@@ -51,7 +51,7 @@ def test_value_at_origin_is_offset_coefficient():
     grid = GridSpec(RectDomain([0.0, 0.0], [PI, PI]), 3)
     model = cosine()
     vals = sweep_values(model, grid, 11, 4000)[:, 0, 0]
-    assert np.array_equal(vals, mc_mod._coefficients(model, 11, 0, 4000)[:, 0])
+    assert np.array_equal(vals, mc_mod._coefficients(model, 11, range(4000))[:, 0])
     # the marginal there has variance offset_var; check against a wide band
     assert abs(vals.var() - model.offset_var) < 0.15
 
@@ -90,13 +90,14 @@ def test_pairwise_covariance_matches_model():
 
 
 def test_replicates_differ_and_are_reproducible():
-    # replicate r is keyed by (seed, r): drawn alone or in a block of rows,
-    # its coefficients are the same bits
+    # replicate r is keyed by (seed, r): drawn alone, in a block of rows or
+    # in any listed order, its coefficients are the same bits
     model = cosine()
     grid = GridSpec(RectDomain([0.0, 0.0], [PI, PI]), 9)
-    rows = mc_mod._coefficients(model, 3, 0, 8)
+    rows = mc_mod._coefficients(model, 3, range(8))
     for r in range(8):
-        assert np.array_equal(mc_mod._coefficients(model, 3, r, r + 1)[0], rows[r])
+        assert np.array_equal(mc_mod._coefficients(model, 3, [r])[0], rows[r])
+    assert np.array_equal(mc_mod._coefficients(model, 3, np.array([6, 2, 5])), rows[[6, 2, 5]])
     vals = sweep_values(model, grid, 3, 8)
     assert len({v.tobytes() for v in vals}) == 8
     other_seed = sweep_values(model, grid, 4, 1)
@@ -281,9 +282,9 @@ def test_block_cap_leaves_results_unchanged(monkeypatch):
 
 
 def test_sweep_memory_stays_at_the_tile():
-    # one 512-row block of the 255^2 grid would be 266 MB; tiles keep both
-    # sweeps of an mc command near MAX_BLOCK_BYTES, with both work items in
-    # flight at once
+    # one 512-row block of the 255^2 grid would be 266 MB; tiles keep a
+    # 128^2 sweep with EC and a whole 255^2 sweep near MAX_BLOCK_BYTES, with
+    # both work items in flight at once
     dom = RectDomain([0.0, 0.0], [PI, PI])
     for threads in (1, 2):
         tracemalloc.start()
@@ -384,7 +385,7 @@ def test_coefficients_match_a_fresh_generator_per_replicate(seed):
     )
     sw = np.sqrt(model.weights)
     for start, stop in [(0, 1), (1, 700), (700, 2000)]:
-        got = mc_mod._coefficients(model, seed, start, stop)
+        got = mc_mod._coefficients(model, seed, range(start, stop))
         assert got.shape == (stop - start, 7)
         for r in range(start, stop):
             key = np.array([seed, r], dtype=np.uint64)
@@ -420,6 +421,103 @@ def test_dual_resolution_refinement_never_loses_mass():
     fine = empirical_sup_prob(cosine(), dom, levels, 9, 400, seed=9)
     for (p, *_), (p_fine, _) in zip(coarse, fine):
         assert p_fine >= p
+
+
+OBLIQUE2 = SpectralSumField(
+    freqs=np.array([[1.0, 0.5], [0.3, 1.0], [0.7, -0.6]]),
+    weights=np.array([0.5, 0.4, 0.2]),
+    offset_var=1.0,
+)
+SPECTRAL3 = SpectralSumField(
+    freqs=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.4, 0.3, 1.1]]),
+    weights=np.array([0.5, 0.5, 0.3]),
+)
+
+
+@pytest.mark.parametrize(
+    "model,domain,points",
+    [
+        (cosine(), RectDomain([0.0, 0.0], [PI, PI]), 5),
+        (OBLIQUE2, RectDomain([0.0, 0.0], [2.5, 2.0]), (4, 6)),
+        (SPECTRAL3, RectDomain([0.0, 0.0, 0.0], [PI, PI, 2.0]), 4),
+        # the variance 3 - cos t1 - cos t2 grows to the edge t1 = pi/2, so
+        # over 40% of the maxima sit on that edge, where only the gradient
+        # along it is 0
+        (cosine(), RectDomain([0.0, 0.0], [PI / 2, PI]), (3, 5)),
+    ],
+)
+def test_curvature_bound_holds_on_a_finer_grid(model, domain, points):
+    # sup_T X <= g + K delta^2 / 2 for the grid maximum g and
+    # K = sum_m hypot(A_m, B_m) |f_m|^2; the 4R-3 grid checks it per replicate
+    reps, seed = 400, 6
+    grid = GridSpec(domain, points)
+    fine4 = GridSpec(domain, tuple(4 * n - 3 for n in grid.shape))
+    coefs = mc_mod._coefficients(model, seed, range(reps))
+    g = sweep_values(model, grid, seed, reps).reshape(reps, -1).max(axis=1)
+    g4 = sweep_values(model, fine4, seed, reps).reshape(reps, -1).max(axis=1)
+    curv = np.hypot(coefs[:, 1::2], coefs[:, 2::2]) @ (model.freqs**2).sum(axis=1)
+    h = (np.array(domain.upper) - np.array(domain.lower)) / (np.array(grid.shape) - 1)
+    bound = g + curv * (h @ h / 4) / 2
+    # values at the shared nodes agree to rounding, not bit for bit
+    assert np.all(g4 <= bound + 1e-12)
+    assert np.all(g4 >= g - 1e-12)
+    # the finer grid climbs above some coarse maxima, and the bound is not
+    # slack by orders of magnitude
+    assert np.max((g4 - g) / (bound - g)) > 0.1
+    # _sweep's band is this bound widened by its slack on both sides
+    _, lo, hi = mc_mod._sweep(model, grid, seed, range(reps), [0.0], 1)
+    slack = 1e-9 * (1.0 + np.abs(coefs).sum(axis=1))
+    assert np.allclose(lo, g - slack, rtol=0.0, atol=1e-13)
+    assert np.allclose(hi, bound + slack, rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize(
+    "model,domain,levels",
+    [
+        (cosine(), RectDomain([0.0, 0.0], [PI, PI]), (1.5, 2.0, 2.5, 3.0)),
+        (OBLIQUE2, RectDomain([0.0, 0.0], [2.5, 2.0]), (2.0, 3.0, 4.0)),
+    ],
+)
+def test_mc_estimates_refine_only_undecided_replicates(monkeypatch, model, domain, levels, threads):
+    # p_fine is empirical_sup_prob's on the 2R-1 grid, bit for bit, though
+    # only the replicates whose band holds a level see that grid; 1100 reps
+    # make three work items
+    swept = []
+    sweep = mc_mod._sweep
+
+    def spy(model, grid, seed, replicates, *args, **kwargs):
+        swept.append((grid.shape, len(replicates)))
+        return sweep(model, grid, seed, replicates, *args, **kwargs)
+
+    monkeypatch.setattr(mc_mod, "_sweep", spy)
+    grid, fine, rows = mc_mod.mc_estimates(model, domain, levels, 9, 1100, 4, threads=threads)
+    assert (grid.shape, fine.shape) == ((9, 9), (17, 17))
+    [coarse_sweep, (shape, undecided)] = swept
+    assert coarse_sweep == ((9, 9), 1100)
+    assert shape == (17, 17) and 0 < undecided < 1100
+    coarse = mc_mean_ec(model, domain, levels, 9, 1100, 4, threads=threads)
+    whole = empirical_sup_prob(model, domain, levels, 17, 1100, 4, threads=threads)
+    assert [row[:4] for row in rows] == coarse
+    assert [row[4:] for row in rows] == whole
+    assert all(isinstance(v, float) for row in rows for v in row)
+
+
+def test_mc_estimates_build_no_fine_basis_when_all_decided(monkeypatch):
+    # at grid 128 every band is far narrower than the gap to 3 and 4
+    built = []
+    basis = mc_mod._basis
+
+    def spy(model, pts):
+        built.append(len(pts))
+        return basis(model, pts)
+
+    monkeypatch.setattr(mc_mod, "_basis", spy)
+    dom = RectDomain([0.0, 0.0], [PI, PI])
+    _, fine, rows = mc_mod.mc_estimates(cosine(), dom, (3.0, 4.0), 128, 600, 0)
+    assert built == [128**2]
+    assert fine.shape == (255, 255)
+    assert [row[4:] for row in rows] == [row[:2] for row in rows]
 
 
 def test_mc_mean_ec_sane_at_low_level():

@@ -31,7 +31,7 @@ def test_crosscheck_levels_match_the_cli(monkeypatch):
         seen.append(tuple(levels))
         raise Stop
 
-    monkeypatch.setattr(script, "mc_mean_ec", spy)
+    monkeypatch.setattr(script, "mc_estimates", spy)
     with pytest.raises(Stop):
         script.main(["--levels", "0:1:0.1", "--reps", "100", "--grid", "5", "--threads", "1"])
     assert seen == [parse_levels("0:1:0.1")]
