@@ -290,9 +290,10 @@ def _axis_rule(lo, hi, n: int):
     return np.where(flip[:, None], -y, y), jac * ws * _RSQRT_2PI * np.exp(-0.5 * y * y)
 
 
-def _owen_quadrant(h, k, rho: float, r: float):
+def _owen_quadrant(h, k, rho, r):
     """P(Y1 >= h, Y2 >= k) = Phi2(-h, -k; rho) by Owen's (1956) T form,
-    with a = (k - rho h) / (h r) taken in its limit where h = 0."""
+    with a = (k - rho h) / (h r) taken in its limit where h = 0; rho and
+    r = sqrt(1 - rho^2) are given per point."""
     x, y = -h, -k
     with np.errstate(divide="ignore", invalid="ignore"):
         ax, ay = (y - rho * x) / (x * r), (x - rho * y) / (y * r)
@@ -314,12 +315,12 @@ def _laguerre_nodes() -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.laguerre.laggauss(_TAIL_ORDER)
 
 
-def _laguerre_quadrant(h, k, rho: float, r: float):
+def _laguerre_quadrant(h, k, rho, r):
     """P(Y1 >= h, Y2 >= k) far in a tail, as int_v^inf phi(x) Psi((w - rho
-    x) / r) dx by Gauss-Laguerre in lam (x - v).  (v, w) is (h, k)
-    or (k, h), whichever integrand falls faster at x = v; lam is that rate,
-    at least 1.  Every term is positive, so the result keeps its relative
-    accuracy however small it is."""
+    x) / r) dx by Gauss-Laguerre in lam (x - v), with rho and r per point.
+    (v, w) is (h, k) or (k, h), whichever integrand falls faster at x = v;
+    lam is that rate, at least 1.  Every term is positive, so the result
+    keeps its relative accuracy however small it is."""
 
     def rate(v, w):
         # -d/dx log of the integrand at x = v, with phi/Psi from erfcx
@@ -331,21 +332,28 @@ def _laguerre_quadrant(h, k, rho: float, r: float):
     lam = np.maximum(np.maximum(rh, rk), 1.0)[:, None]
     t, wt = _laguerre_nodes()
     x = v + t / lam
-    f = np.exp(t - 0.5 * x * x) * gauss_tail((w - rho * x) / r) / lam
+    f = np.exp(t - 0.5 * x * x) * gauss_tail((w - rho[:, None] * x) / r[:, None]) / lam
     return _RSQRT_2PI * (f @ wt)
 
 
-def _quadrant(h, k, rho: float):
+def _quadrant(h, k, rho):
     """P(Y1 >= h, Y2 >= k) for finite h, k and a standard bivariate normal
-    of correlation rho; Owen's T form unless it would lose more than a
-    factor 100 to cancellation."""
-    if abs(rho) == 1.0:
-        # Y2 = +-Y1
-        if rho > 0:
-            return gauss_tail(np.maximum(h, k))
-        first, second, sign = _cdf_pair(h, -k)
-        return np.maximum(sign * (second - first), 0.0)
-    r = math.sqrt((1.0 - rho) * (1.0 + rho))
+    of correlation rho, one for all points or one per point; Owen's T form
+    unless it would lose more than a factor 100 to cancellation."""
+    rho = np.asarray(rho, dtype=float)
+    one = np.abs(rho) == 1.0
+    if one.any():
+        # Y2 = +-Y1 where |rho| = 1; the other points take the routes below
+        one, rho = np.broadcast_to(one, h.shape), np.broadcast_to(rho, h.shape)
+        up, down, rest = one & (rho > 0), one & (rho < 0), ~one
+        out = np.empty(h.shape)
+        out[up] = gauss_tail(np.maximum(h[up], k[up]))
+        first, second, sign = _cdf_pair(h[down], -k[down])
+        out[down] = np.maximum(sign * (second - first), 0.0)
+        if rest.any():
+            out[rest] = _quadrant(h[rest], k[rest], rho[rest])
+        return out
+    r = np.sqrt((1.0 - rho) * (1.0 + rho))
     # squared distance from 0 to the quadrant in whitened coordinates: its
     # corner, or the foot of the perpendicular on an edge where that lies on it
     dist = (h * h - 2.0 * rho * h * k + k * k) / (r * r)
@@ -356,9 +364,10 @@ def _quadrant(h, k, rho: float):
     if not far.any():
         return _owen_quadrant(h, k, rho, r)
     out = np.empty(h.shape)
-    out[far] = _laguerre_quadrant(h[far], k[far], rho, r)
-    if not far.all():
-        out[~far] = _owen_quadrant(h[~far], k[~far], rho, r)
+    for sel, route in ((far, _laguerre_quadrant), (~far, _owen_quadrant)):
+        if sel.any():
+            rho_r = (np.broadcast_to(c, h.shape)[sel] for c in (rho, r))
+            out[sel] = route(h[sel], k[sel], *rho_r)
     return out
 
 

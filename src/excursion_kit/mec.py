@@ -10,9 +10,9 @@ quantities differ only in the term.
   excursion set.  Its face term (``_face_term`` with the cone) is the
   Kac-Rice mean of X conditioned on the free gradients vanishing, with the
   pinned-direction gradients in the face's outward cone: an orthant
-  probability at a vertex, and on a k >= 1 face one adaptive box integral
-  over the face coordinates x the cone, the level axis x >= u integrated in
-  closed form (Hermite tail identity);
+  probability at a vertex, and on a k >= 1 face one adaptive integral over
+  the face coordinates alone, the level axis and the cone integrated in
+  closed form (a normal or bivariate-normal orthant per face point);
 * ``excursion_prob_mu``: the leading-order excursion-probability
   approximation, the same face term without the outward cone: vertex tails
   plus per-face integrals of He_{k-1}(u/theta_t) exp(-u^2 / (2 theta_t^2));
@@ -48,7 +48,15 @@ from .errors import (
     finite_levels,
 )
 from .field import POINT_BLOCK, FieldModel, max_variance
-from .gauss import MvnProblem, MvnResult, gauss_tail, hermite, mvn_prob
+from .gauss import (
+    MvnProblem,
+    MvnResult,
+    _quadrant,
+    gauss_tail,
+    hermite,
+    mvn_prob,
+    std_normal_pdf,
+)
 from .geometry import (
     Face,
     RectDomain,
@@ -217,13 +225,16 @@ def _face_term(
     integrated out (mu).  A vertex gives P(X >= u, y in cone) by
     ``mvn_prob``, one problem per level, or without the cone the tail
     P(X >= u); ``seed`` reaches only orthants above gauss.MVN_DET_DIM.
-    On a k >= 1 face X given y has mean m_t(y) = b_t S^-1 y (S the
-    constant conditional covariance of y) and sd s_t,
-    gamma_t with a cone and theta_t without, so the x-integral over
-    [u, inf) leaves He_{k-1}(a) phi(a) with a = (u - m_t(y)) / s_t.  One
-    adaptive integral over the face x its cone, if not empty, remains;
-    its error estimate is the term's.  An empty cone, as on the interior
-    face, has m_t = 0.
+
+    On a k >= 1 face one adaptive integral over the face coordinates
+    remains, and its error estimate is the term's.  Without a cone (mu,
+    and the interior face) the integrand is det_diff theta_t^-k
+    He_{k-1}(u / theta_t) exp(-u^2 / (2 theta_t^2)).  With one it is
+    det_diff (-d/du)^{k-1} [phi(u / theta_t) / theta_t * P_t(u)], with
+    P_t(u) = P(y in cone | X = u) for y ~ N(u b_t / theta_t^2, S - b_t^T
+    b_t / theta_t^2) (S the constant covariance of y): a normal tail with
+    one pinned axis, a bivariate quadrant with two.  Points where theta_t^2
+    or gamma_t^2 is below DEGENERATE_VAR add 0.
     """
     ctx = FaceContext(model, face)
     k = face.k
@@ -241,47 +252,58 @@ def _face_term(
             return [QuadResult(float(u <= 0.0), 0.0) for u in levels]
         return [QuadResult(float(gauss_tail(u / math.sqrt(nu))), 0.0) for u in levels]
 
-    pref, log_norm = ctx.pref_mu, 0.0
+    pref = ctx.pref_mu
     if q:
+        if k + q > MEAN_EC_DIM_CAP:
+            raise CapabilityError(
+                f"mean-EC face term capped at N={MEAN_EC_DIM_CAP} (got N={k + q})"
+            )
         try:
-            chol = np.linalg.cholesky(ctx.schur_ff)
+            np.linalg.cholesky(ctx.schur_ff)
         except np.linalg.LinAlgError as exc:
             raise DegeneracyError(
                 f"conditional gradient covariance singular on face {face_label(face)}"
             ) from exc
-        # whitening y -> L^{-1} y of N(0, schur_ff); the extra 1/sqrt(2 pi) is
-        # the phi(a) left by the x-integral
-        white_t = np.linalg.inv(chol).T
         pref = ctx.pref_mec
-        log_norm = -0.5 * (1 + q) * math.log(2.0 * math.pi) - float(
-            np.sum(np.log(np.diag(chol)))
-        )
+        signs = outward_cone(face).signs()
 
-    def integrand(x, y=None):
-        # x holds free face coordinates (n_x, k), y cone points (n_y, q) or
-        # None for an empty cone; the joint nodes are their product, x-major.
-        # The field runs once per face point and the cone factors once per
-        # cone point; both broadcast to (n_x, n_y), and every per-node
-        # expression is the one of the unsplit integrand.
+    def integrand(x):
+        # x holds free face coordinates (m, k); one row per level
         d = ctx.arrays(x)
         ok = d.theta_sq >= DEGENERATE_VAR
-        var, mean, wy_sq, n_y = d.theta_sq, 0.0, 0.0, 1
         if q:
             ok &= d.gamma_sq >= DEGENERATE_VAR
-            var, n_y = d.gamma_sq, len(y)
-            wy = y @ white_t
-            mean = np.einsum("ij,mj->im", d.b @ white_t, wy)
-            wy_sq = np.einsum("mj,mj->m", wy, wy)
-        sd = np.sqrt(np.where(ok, var, 1.0))
-        weight = np.where(ok, d.det_diff * sd ** (-k), 0.0)[:, None]
-        sd = sd[:, None]
-        out = np.empty((len(levels), x.shape[0], n_y))
+        theta = np.sqrt(np.where(ok, d.theta_sq, 1.0))
+        out = np.empty((len(levels), len(x)))
+        if not q:
+            weight = np.where(ok, d.det_diff * theta ** (-k), 0.0)
+            for row, u in zip(out, levels):
+                a = u / theta
+                row[:] = weight * hermite(k - 1, a) * np.exp(-0.5 * (a * a))
+            return out
+        # the pinned gradients given X = u: mean u b / theta^2 and covariance
+        # C = S - b^T b / theta^2; per unit u, their standardized outward mean
+        theta_sq = np.where(ok, d.theta_sq, 1.0)
+        cov = ctx.schur_ff - d.b[:, :, None] * d.b[:, None, :] / theta_sq[:, None, None]
+        sd = np.sqrt(np.where(ok[:, None], np.diagonal(cov, axis1=1, axis2=2), 1.0))
+        slope = signs * d.b / (theta_sq[:, None] * sd)
+        weight = np.where(ok, d.det_diff / theta, 0.0)
+        if q == 2:
+            rho = np.clip(signs[0] * signs[1] * cov[:, 0, 1] / (sd[:, 0] * sd[:, 1]), -1.0, 1.0)
         for row, u in zip(out, levels):
-            a = (u - mean) / sd
-            row[:] = weight * hermite(k - 1, a) * np.exp(log_norm - 0.5 * (wy_sq + a * a))
-        return out.reshape(len(levels), x.shape[0] * n_y)
+            a = u / theta
+            if q == 1:
+                p = gauss_tail(-u * slope[:, 0])
+                if k == 2:
+                    # -d/du [phi(u / theta) P_t] / phi(u / theta), with
+                    # d/du P_t = phi(u slope) slope
+                    p = u / theta_sq * p - std_normal_pdf(u * slope[:, 0]) * slope[:, 0]
+            else:
+                p = _quadrant(-u * slope[:, 0], -u * slope[:, 1], rho)
+            row[:] = weight * std_normal_pdf(a) * p
+        return out
 
-    results = integrate_face(face, integrand, spec, outward_cone(face) if q else None)
+    results = integrate_face(face, integrand, spec)
     return [QuadResult(pref * r.value, pref * r.err_est, r.converged) for r in results]
 
 
@@ -349,7 +371,8 @@ def mean_euler_characteristic(
 
     One Kac-Rice face term per face with the outward cone: vertices
     contribute joint orthant probabilities, every k >= 1 face its
-    extended-outward-maxima mean, in one quadrature pass for all levels.
+    extended-outward-maxima mean, one adaptive integral over the face in
+    one quadrature pass for all levels.
     Bit-stable regardless of thread count.  The vertex orthants have
     dimension N + 1 <= 4, where mvn_prob is deterministic, so the seed
     does not change the result.

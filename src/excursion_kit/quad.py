@@ -4,37 +4,29 @@ Three entry points share one refinement loop:
 
 * :func:`integrate_box` integrates over a rectangle;
 * :func:`integrate_face` integrates over the free coordinates of an open
-  rectangle face, or over the face x an outward orthant cone;
+  rectangle face, the one integral of every face term;
 * :func:`integrate_cone` integrates over [u, inf) x (orthant cone), or over
-  the cone alone; its dimension is capped at CONE_DIM_CAP.
+  the cone alone; its dimension is capped at CONE_DIM_CAP.  It serves the
+  Hermite tail check and the test oracles, not the face terms.
 
-Every semi-infinite axis is mapped onto s in [0, 1) by the one orthant map
-y = sign * s / (1 - s), with Jacobian (1 - s)^-2 (:func:`_orthant_points`);
-the level axis of :func:`integrate_cone` is a +1 axis shifted by u.
+Every semi-infinite axis of :func:`integrate_cone` is mapped onto s in
+[0, 1) by the one orthant map y = sign * s / (1 - s), with Jacobian
+(1 - s)^-2 (:func:`_orthant_points`); its level axis is a +1 axis shifted
+by u.
 
 Integrands are vectorised: they receive an (m, d) array of points and
 return m values, or an (L, m) array holding L integrands that share the
 points (one row each, e.g. one per level).
 
-A box integrand can also be split: with ``split=k`` it receives the nodes
-of the k leading axes, x of shape (n_x, k), and those of the d - k
-trailing axes, y of shape (n_y, d - k), and returns its values over their
-product in x-major order (value j * n_y + i belongs to (x_j, y_i)).  That
-is the row-major order of the unsplit (m, d) nodes, so the weights, the
-estimates and the refinement are unchanged; an integrand whose costly part
-depends on x alone evaluates it at n_x points instead of m = n_x * n_y.
-A face x cone integral splits the face axes from the cone axes this way.
-
-Convergence of a box is judged by comparing two estimates of it.  On an
-integral with no mapped axis (:func:`integrate_face` without a cone, so
-every mu face and the interior mean-EC face) the estimates are the
-order-n tensor rule and the order-floor(3n/4) rule on the same box, with
-n = ``order_per_axis``, one integrand call on each node set.  A
+Convergence of a box is judged by comparing two estimates of it.  On a
+face (:func:`integrate_face`, so every mu and mean-EC face) the estimates
+are the order-n tensor rule and the order-floor(3n/4) rule on the same
+box, with n = ``order_per_axis``, one integrand call on each node set.  A
 gap of one order (GL(n) against GL(n-1)) was rejected: nearly equal node
 spacings let the two agree on a peak that neither resolves.  Where an axis
-carries the orthant map (a face x cone, :func:`integrate_cone`) and in the
-public :func:`integrate_box`, which cannot tell, a box is compared with the
-sum over its 2^d dyadic children instead: the map leaves an essential
+carries the orthant map (:func:`integrate_cone`) and in the public
+:func:`integrate_box`, which cannot tell, a box is compared with the sum
+over its 2^d dyadic children instead: the map leaves an essential
 singularity at s = 1, where two rules on one box can agree while both are
 off.  Boxes are split until the difference passes ``rel_tol``, or falls
 within FLOOR times the row's integral of |f| over the whole domain (from
@@ -132,7 +124,7 @@ def _unit_tensor(order: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
 _tensor_nodes = functools.lru_cache(maxsize=None)(_unit_tensor)
 
 
-def _eval_box(f, lo, hi, order, rows=None, split=None, low=0, magnitude=False) -> list[tuple]:
+def _eval_box(f, lo, hi, order, rows=None, low=0, magnitude=False) -> list[tuple]:
     """Tensor Gauss-Legendre estimates of f over the box [lo, hi].
 
     f returns (m,) values, read as one row, or (L, m) values.  The result
@@ -141,21 +133,13 @@ def _eval_box(f, lo, hi, order, rows=None, split=None, low=0, magnitude=False) -
     with ``magnitude`` the GL(order) estimate of |f|.  Each is one
     contiguous row dotted with its weights.  With ``low`` f is called a
     second time, on the GL(low) nodes, built for this box from the 1-D
-    rule.  With ``split=k`` f is called as f(x, y) on the nodes of the k
-    leading and of the trailing axes, and its values are read in x-major
-    order, the row-major order of the unsplit nodes.
+    rule.
     """
     dim = lo.shape[0]
     widths = hi - lo
     vol = float(np.prod(widths))
     pts01, wts = _tensor_nodes(order, dim)
-    if split is None:
-        vals = f(lo + pts01 * widths)
-    else:
-        x = lo[:split] + _tensor_nodes(order, split)[0] * widths[:split]
-        y = lo[split:] + _tensor_nodes(order, dim - split)[0] * widths[split:]
-        vals = f(x, y)
-    rules = [(_value_rows(vals, len(wts)), pts01, wts)]
+    rules = [(_value_rows(f(lo + pts01 * widths), len(wts)), pts01, wts)]
     if low:
         low01, low_wts = _unit_tensor(low, dim)
         rules.append((_value_rows(f(lo + low01 * widths), len(low_wts)), low01, low_wts))
@@ -202,7 +186,7 @@ def _split(lo, hi):
     return children
 
 
-def integrate_box(f, lower, upper, spec: QuadSpec = QuadSpec(), *, split=None):
+def integrate_box(f, lower, upper, spec: QuadSpec = QuadSpec()):
     """Adaptive tensor integration of f over a rectangle [lower, upper].
 
     Each box is judged by its 2^d dyadic children (see the module
@@ -216,17 +200,12 @@ def integrate_box(f, lower, upper, spec: QuadSpec = QuadSpec(), *, split=None):
     is the only buffer that grows with L (about 5 MB for two rows of a
     24^4-node box).
 
-    With ``split=k`` (0 < k < d) f is called as f(x, y) on the nodes of the
-    k leading axes and of the d - k trailing axes of every box, and returns
-    its values over their product in x-major order (see the module
-    docstring); the results are those of the unsplit integrand.
-
     CapabilityError when a box has more than MAX_BOX_NODES nodes.
     """
-    return _adaptive(f, lower, upper, spec, split=split, pair=False)
+    return _adaptive(f, lower, upper, spec, pair=False)
 
 
-def _adaptive(f, lower, upper, spec: QuadSpec, *, split=None, pair: bool):
+def _adaptive(f, lower, upper, spec: QuadSpec, *, pair: bool):
     """The one refinement loop of :func:`integrate_box` and
     :func:`integrate_face`; ``pair`` picks the rule that judges a box.
 
@@ -244,8 +223,6 @@ def _adaptive(f, lower, upper, spec: QuadSpec, *, split=None, pair: bool):
         raise ValueError("lower/upper must be matching vectors")
     if np.any(hi <= lo):
         raise ValueError("need lower < upper on every axis")
-    if split is not None and not 0 < split < lo.shape[0]:
-        raise ValueError("split must leave at least one axis on each side")
     order = spec.order_per_axis
     if order ** lo.shape[0] > MAX_BOX_NODES:
         raise CapabilityError(
@@ -254,13 +231,13 @@ def _adaptive(f, lower, upper, spec: QuadSpec, *, split=None, pair: bool):
     low = 3 * order // 4 if pair else 0
     one_row = False
 
-    def root(*nodes):
+    def root(nodes):
         nonlocal one_row
-        vals = np.asarray(f(*nodes), dtype=float)
+        vals = np.asarray(f(nodes), dtype=float)
         one_row = vals.ndim == 1
         return vals
 
-    first = _eval_box(root, lo, hi, order, split=split, low=low, magnitude=True)
+    first = _eval_box(root, lo, hi, order, low=low, magnitude=True)
     n_rows = len(first)
     # from the root box alone, so a row's tree does not depend on the others
     floor = [FLOOR * est[-1] for est in first]
@@ -273,7 +250,7 @@ def _adaptive(f, lower, upper, spec: QuadSpec, *, split=None, pair: bool):
     def evaluate(blo, bhi, rows) -> dict:
         for r in rows:
             boxes_used[r] += 1
-        return dict(zip(rows, _eval_box(f, blo, bhi, order, rows, split, low)))
+        return dict(zip(rows, _eval_box(f, blo, bhi, order, rows, low)))
 
     def children(blo, bhi, rows) -> list:
         return [(clo, chi, evaluate(clo, chi, rows)) for clo, chi in _split(blo, bhi)]
@@ -337,38 +314,21 @@ def _orthant_points(s: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, np.nd
     return signs * s / (1.0 - s), np.prod((1.0 - s) ** -2.0, axis=1)
 
 
-def integrate_face(face: Face, f, spec: QuadSpec = QuadSpec(), cone: OutwardCone | None = None):
+def integrate_face(face: Face, f, spec: QuadSpec = QuadSpec()):
     """Integrate f over the free coordinates of an open face (k >= 1).
 
-    Without a cone, f receives an (m, k) array of free-coordinate points,
-    and each box is judged by the pair GL(n), GL(floor(3n/4)) on the box:
-    f is called on its n^k nodes, then on its floor(3n/4)^k nodes, and
-    err_est sums |GL(n) - GL(floor(3n/4))| over the accepted boxes.
-    With a cone of q >= 1 axes the domain is face x cone, split at k (see
-    :func:`integrate_box`): f(x, y) receives the face points x, (n_x, k),
-    and cone points y, (n_y, q), in the cone's axis order, and returns its
-    values over their product in x-major order; they are multiplied by the
-    Jacobian of the orthant map last.  The mapped cone axes keep the
-    children rule of :func:`integrate_box`.  As there, (L, m) values give a
-    list of L results, and a box passes within FLOOR times its row's
-    integral of |f| (see the module docstring).
+    f receives an (m, k) array of free-coordinate points, and each box is
+    judged by the pair GL(n), GL(floor(3n/4)) on the box: f is called on
+    its n^k nodes, then on its floor(3n/4)^k nodes, and err_est sums
+    |GL(n) - GL(floor(3n/4))| over the accepted boxes.  As in
+    :func:`integrate_box`, (L, m) values give a list of L results, and a
+    box passes within FLOOR times its row's integral of |f| (see the module
+    docstring).
     """
     if face.k < 1:
         raise ValueError("face must have at least one free axis")
     lo, hi = face.free_bounds()
-    if cone is None:
-        return _adaptive(f, lo, hi, spec, pair=True)
-    signs = cone.signs()
-
-    def mapped(x, s):
-        y, jac = _orthant_points(s, signs)
-        vals = np.asarray(f(x, y), dtype=float)
-        return (vals.reshape(*vals.shape[:-1], len(x), len(y)) * jac).reshape(vals.shape)
-
-    q = cone.dim
-    return integrate_box(
-        mapped, np.r_[lo, np.zeros(q)], np.r_[hi, np.ones(q)], spec, split=face.k
-    )
+    return _adaptive(f, lo, hi, spec, pair=True)
 
 
 def integrate_cone(

@@ -72,7 +72,7 @@ def test_traced_commands_reach_the_traced_names(tmp_path):
         assert spans.get(name, {}).get("calls", 0) >= 1, name
     # one orthant call per vertex of the square, for both levels at once
     assert result["by_request"][0]["gauss.mvn_prob"] == 4
-    # one face integral per edge (face x outward cone) and the interior
+    # one face integral per edge and the interior; the cone is closed form
     assert result["by_request"][0]["quad.integrate_face"] == 5
     # the tracer counts grid values from the arguments of mc_mean_ec and
     # empirical_sup_prob; the mc command calls neither, since its one coarse

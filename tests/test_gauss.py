@@ -482,15 +482,88 @@ def test_mvn_lattice_points():
 
 def quadrant_oracle(h, k, rho):
     # P(X >= h, Y >= k) = int_h^inf phi(x) Psi((k - rho x) / r) dx by
-    # 200-point Gauss-Legendre on three panels of [h, h + 12]; the rest is
-    # below exp(-12 h) of the integral
+    # 200-point Gauss-Legendre on panels of [h, h + 12]; the rest is below
+    # exp(-12 h) of the integral.  Psi((k - rho x) / r) steps from 0 to 1
+    # over a width of about r around x = k / rho, so that width gets panels
+    # of its own where it lies inside
     r = math.sqrt(1.0 - rho * rho)
+    cuts = {0.0, 0.5, 2.0, 12.0}
+    if rho != 0.0:
+        cuts |= {k / rho + j * r - h for j in (-16, -4, -1, 0, 1, 4, 16)}
+    cuts = sorted(c for c in cuts if 0.0 <= c <= 12.0)
     x, w = np.polynomial.legendre.leggauss(200)
     total = 0.0
-    for a, b in ((0.0, 0.5), (0.5, 2.0), (2.0, 12.0)):
+    for a, b in zip(cuts, cuts[1:]):
         t = h + a + (b - a) * 0.5 * (x + 1.0)
         total += 0.5 * (b - a) * (w @ (std_normal_pdf(t) * gauss_tail((k - rho * t) / r)))
     return total
+
+
+# (h, k, rho) across the routes of _quadrant: Owen's T form near the
+# origin and where h or k is negative, the Gauss-Laguerre rule in a joint
+# upper tail, and correlations within 1e-3 and 1e-6 of +-1
+QUADRANT_POINTS = [
+    (-1.0, 0.5, 0.3),
+    (0.0, 0.0, -0.7),
+    (1.5, -2.0, 0.9),
+    (0.4, 1.1, -0.2),
+    (-2.0, -1.0, 0.999),
+    (-1.0, 0.5, -0.999),
+    (1.0, 1.2, 0.999999),
+    (0.3, -0.8, -0.999999),
+    (5.0, 6.0, 0.2),
+    (9.0, 9.0, -0.5),
+    (6.0, 4.5, 0.7),
+    (4.0, 7.0, 0.999),
+    (5.0, 5.5, -0.3),
+]
+
+
+def test_quadrant_with_a_correlation_per_point(monkeypatch):
+    # one call with a correlation per point takes both routes, and each
+    # point matches the oracle of its own correlation
+    h, k, rho = (np.array(col) for col in zip(*QUADRANT_POINTS))
+    routes = []
+    for name in ("_owen_quadrant", "_laguerre_quadrant"):
+        fn = getattr(gauss, name)
+
+        def spy(*args, fn=fn, name=name):
+            routes.append((name, len(args[0])))
+            return fn(*args)
+
+        monkeypatch.setattr(gauss, name, spy)
+    got = gauss._quadrant(h, k, rho)
+    assert {name for name, n in routes} == {"_owen_quadrant", "_laguerre_quadrant"}
+    assert sum(n for _, n in routes) == len(h)
+    for p, point in zip(got, QUADRANT_POINTS):
+        assert p == pytest.approx(quadrant_oracle(*point), rel=1e-12, abs=0.0), point
+
+
+def test_quadrant_at_a_perfect_correlation_per_point():
+    # rho = +-1 points take Y2 = +-Y1 in closed form beside the others
+    h = np.array([0.5, 0.5, -1.0, 2.0, 1.0])
+    k = np.array([1.5, -1.0, 0.2, 2.5, 1.0])
+    rho = np.array([1.0, -1.0, -1.0, 0.5, -1.0])
+    got = gauss._quadrant(h, k, rho)
+    want = [
+        gauss_tail(1.5),
+        ndtr(1.0) - ndtr(0.5),
+        ndtr(-0.2) - ndtr(-1.0),
+        quadrant_oracle(2.0, 2.5, 0.5),
+        0.0,
+    ]
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("rho", [0.3, -0.95, 0.999, 1.0, -1.0])
+def test_quadrant_constant_correlation_array_matches_the_scalar(rho):
+    # the vertex orthants pass one correlation for all points; an array of
+    # it must give the same bits on every route
+    h = np.array([-1.0, 0.0, 0.7, 2.5, 5.0, 9.0, 6.0, -3.0])
+    k = np.array([0.5, 0.0, -1.2, 2.0, 6.0, 9.0, 4.0, 7.5])
+    want = gauss._quadrant(h, k, rho)
+    got = gauss._quadrant(h, k, np.full(len(h), rho))
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("h", [5.0, 9.0])

@@ -269,44 +269,92 @@ def test_mean_ec_faces_match_nested_oracle_cosine(u):
 def test_mean_ec_faces_match_nested_oracle_3d():
     m, dom = spectral3()
     assert_faces_match_oracle(m, dom, ("2|{1,2}|{3:1}", "1|{1}|{2:0,3:1}"), 6.0)
-    # an edge with two cone axes, one of them correlated with X
+    # an edge with two cone axes, one of them correlated with X, and a
+    # 2-face whose one cone axis is, so d/du P_t does not vanish there
     long = RectDomain([0.0] * 3, [1.5 * PI, PI, PI])
-    assert_faces_match_oracle(m, long, ("1|{3}|{1:1,2:1}",), 6.0)
+    assert_faces_match_oracle(m, long, ("1|{3}|{1:1,2:1}", "2|{2,3}|{1:1}"), 6.0)
+
+
+def oblique2():
+    # three oblique atoms and no offset, so the variance vanishes at the
+    # origin and X is correlated with every pinned gradient off it
+    m = SpectralSumField(
+        freqs=[[1.0, 0.5], [0.3, 1.0], [0.7, -0.6]], weights=[0.5, 0.4, 0.2], offset_var=0.0
+    )
+    return m, RectDomain([0.0, 0.0], [2.5, 2.0])
+
+
+def oblique3():
+    # four oblique atoms: Lambda has no zero entry, so the two pinned
+    # gradients of an edge are correlated given X whatever its ends
+    m = SpectralSumField(
+        freqs=[[1.0, 0.5, 0.0], [0.3, 1.0, 0.2], [0.0, 0.4, 1.1], [0.7, -0.6, 0.5]],
+        weights=[0.5, 0.4, 0.3, 0.2],
+        offset_var=1.0,
+    )
+    return m, RectDomain([0.0] * 3, [2.5, 2.0, 1.5])
+
+
+def test_mean_ec_edges_match_nested_oracle_oblique_3d():
+    # edges pinned at opposite ends of their two axes, where the outward
+    # orthant's correlation is minus that of the pinned gradients
+    m, dom = oblique3()
+    assert_faces_match_oracle(m, dom, ("1|{1}|{2:0,3:1}", "1|{2}|{1:1,3:0}"), 4.0)
+
+
+@pytest.mark.parametrize("u", [2.0, 4.0, 6.0])
+def test_mean_ec_faces_match_nested_oracle_oblique(u):
+    # every face but the vertices: the cone integral in closed form against
+    # one integrated numerically at each face node, on a field whose pinned
+    # gradients are correlated with X on every edge
+    m, dom = oblique2()
+    labels = [face_label(f) for f in enumerate_faces(dom) if f.k >= 1]
+    assert_faces_match_oracle(m, dom, labels, u)
 
 
 @pytest.mark.filterwarnings("ignore::excursion_kit.errors.QuadratureWarning")
-def test_mean_ec_joint_box_runs_the_field_at_face_points_only(monkeypatch):
-    # a joint box over a k-face x its q-dimensional cone has order^(k+q)
-    # nodes but only order^k distinct face points; the field sees each once
-    # per box (one split level is enough to see every box take that path)
+def test_mean_ec_faces_run_the_field_on_face_nodes_only(monkeypatch):
+    # the outward cone is integrated in closed form, so every k >= 1 face
+    # evaluates the field on the two tensor rules of its own boxes only:
+    # n^k and floor(3n/4)^k points, with no cone axis (one split level is
+    # enough to see refined boxes take the same path)
     monkeypatch.setattr(quad, "MAX_SUBDIVISIONS", 1)
-    spec = QuadSpec(order_per_axis=6, rel_tol=1e-4)
+    spec = QuadSpec(order_per_axis=6, rel_tol=1e-12)
     sizes = []
     arrays = mec.FaceContext.arrays
 
     def spy(self, pts):
-        sizes.append(pts.shape[0])
+        sizes.append(pts.shape)
         return arrays(self, pts)
 
     monkeypatch.setattr(mec.FaceContext, "arrays", spy)
     m, dom = spectral3()
-    for model, domain in ((cosine(), RectDomain([0.0, 0.0], [PI, PI])), (m, dom)):
+    for model, domain in ((cosine(), RectDomain([0.0, 0.0], [PI, PI])), (m, dom), oblique2()):
         for face in enumerate_faces(domain):
-            if 1 <= face.k < domain.dim:
+            if face.k >= 1:
                 sizes.clear()
                 face_term(model, face, 6.0, spec, cone=True)
-                assert sizes and set(sizes) == {6**face.k}, face_label(face)
+                k = face.k
+                assert set(sizes) == {(6**k, k), (4**k, k)}, face_label(face)
+                assert len(sizes) > 2, face_label(face)
 
 
-@pytest.mark.parametrize("upper", [[PI, PI], [1.5 * PI, PI]])
-@pytest.mark.parametrize("u", [2.5, 6.0])
-def test_mean_ec_err_est_covers_quadrature_error(upper, u):
+@pytest.mark.parametrize(
+    "model, upper, u",
+    [
+        pytest.param(cosine(), upper, u, id=f"{u}-upper{i}")
+        for u in (2.5, 6.0)
+        for i, upper in enumerate(([PI, PI], [1.5 * PI, PI]))
+    ]
+    + [pytest.param(oblique2()[0], [2.5, 2.0], u, id=f"oblique-{u}") for u in (2.0, 4.0, 6.0)],
+)
+def test_mean_ec_err_est_covers_quadrature_error(model, upper, u):
     # vertex orthants do not depend on the QuadSpec, so the difference is
     # the face quadrature's own error, which err_est must bound
     dom = RectDomain([0.0, 0.0], upper)
-    [res] = mean_euler_characteristic(cosine(), dom, [u], SPEC)
+    [res] = mean_euler_characteristic(model, dom, [u], SPEC)
     [tight] = mean_euler_characteristic(
-        cosine(), dom, [u], QuadSpec(order_per_axis=40, rel_tol=1e-11)
+        model, dom, [u], QuadSpec(order_per_axis=40, rel_tol=1e-11)
     )
     assert abs(res.total - tight.total) <= res.err_est
 
@@ -447,6 +495,12 @@ def test_mean_ec_dimension_cap():
     dom = RectDomain([0.0] * 4, [1.0] * 4)
     with pytest.raises(CapabilityError):
         mean_euler_characteristic(m, dom, [3.0], SPEC)
+    # the closed-form cone of a face term covers N <= 3 only; the mu term
+    # of the same face has no cone
+    edge4 = next(f for f in enumerate_faces(dom) if f.k == 1)
+    with pytest.raises(CapabilityError, match="N=4"):
+        face_term(m, edge4, 3.0, cone=True)
+    assert face_term(m, edge4, 3.0, cone=False) > 0.0
 
 
 def test_mu_dimension_cap():
@@ -489,12 +543,7 @@ def test_vertex_levels_draw_no_qmc_points(monkeypatch):
     # a 3-D vertex orthant is 4-D, within the deterministic route of
     # mvn_prob: no level builds lattice points, and every level equals its
     # own mvn_prob call whatever the seed
-    model = SpectralSumField(
-        freqs=[[1.0, 0.5, 0.0], [0.3, 1.0, 0.2], [0.0, 0.4, 1.1], [0.7, -0.6, 0.5]],
-        weights=[0.5, 0.4, 0.3, 0.2],
-        offset_var=1.0,
-    )
-    dom = RectDomain([0.0] * 3, [2.5, 2.0, 1.5])
+    model, dom = oblique3()
     levels = (3.0, 4.0, 5.0, 6.0, 7.0, 8.0)
 
     def no_points(*args, **kwargs):
@@ -534,8 +583,8 @@ def test_mu_draws_no_qmc_points(monkeypatch):
 @pytest.mark.parametrize("method", ["mu_approx", "mean_ec"])
 def test_level_vector_equals_single_levels(method, threads):
     # at order 4 every level refines its own tree: mu evaluates 1101, 1573
-    # and 3697 boxes at u = 1, 4, 9 and mean EC 10369, 10061 and 13697, so
-    # the shared pass must keep each level's tree apart to match bit for bit
+    # and 3697 boxes at u = 1, 4, 9 and mean EC 1103, 1585 and 3701, so the
+    # shared pass must keep each level's tree apart to match bit for bit
     dom = RectDomain([0.0, 0.0], [1.5 * PI, PI])
     spec = QuadSpec(order_per_axis=4, rel_tol=1e-8)
     levels = (1.0, 4.0, 9.0)

@@ -6,7 +6,7 @@ import pytest
 
 from excursion_kit.errors import CapabilityError, QuadratureError, QuadratureWarning
 from excursion_kit.gauss import gauss_tail, hermite
-from excursion_kit.geometry import Face, OutwardCone, RectDomain, outward_cone
+from excursion_kit.geometry import Face, OutwardCone, RectDomain
 from excursion_kit import quad
 from excursion_kit.quad import (
     QuadResult,
@@ -152,75 +152,6 @@ def test_unconverged_row_warns_once(depth_one):
     assert poly.value == pytest.approx(1 / 3, rel=1e-14)
 
 
-def split_of(h):
-    """h as a split integrand: h at every (x, y) pair, x-major; records shapes."""
-    shapes = []
-
-    def g(x, y):
-        shapes.append((x.shape, y.shape))
-        return h(np.hstack([np.repeat(x, len(y), axis=0), np.tile(y, (len(x), 1))]))
-
-    return g, shapes
-
-
-def assert_same_results(got, want):
-    for a, b in zip(got, want, strict=True):
-        assert (a.value, a.err_est, a.converged) == (b.value, b.err_est, b.converged)
-
-
-@pytest.mark.parametrize("split", [1, 2])
-def test_split_integrand_matches_flat_nodes(split):
-    def h(t):
-        return np.exp(-t[:, 0] - 2.0 * t[:, 1]) * np.cos(t[:, 2])
-
-    spec = QuadSpec(order_per_axis=4, rel_tol=1e-8)
-    lo, hi = [0.0, 0.5, -1.0], [1.0, 2.0, 1.5]
-    g, shapes = split_of(h)
-    got = integrate_box(g, lo, hi, spec, split=split)
-    want = integrate_box(h, lo, hi, spec)
-    assert isinstance(got, QuadResult)
-    assert_same_results([got], [want])
-    assert len(shapes) > 1 + 8
-    assert set(shapes) == {((4**split, split), (4 ** (3 - split), 3 - split))}
-
-
-def test_split_rows_match_flat_rows():
-    # the rows refine to different depths, as in test_rows_match_single_row_runs
-    def h(t):
-        r2 = (t[:, 0] - 0.3) ** 2 + (t[:, 1] - 0.7) ** 2
-        return np.stack([np.exp(-t[:, 0] - t[:, 1]), np.exp(-0.5 * r2 / 0.02**2)])
-
-    spec = QuadSpec(order_per_axis=8, rel_tol=1e-10)
-    g, _ = split_of(h)
-    got = integrate_box(g, [0.0, 0.0], [1.0, 1.0], spec, split=1)
-    assert_same_results(got, integrate_box(h, [0.0, 0.0], [1.0, 1.0], spec))
-
-
-def test_split_unconverged_row_warns_once(depth_one):
-    def h(t):
-        return np.stack([t[:, 0] ** 2 * t[:, 1], np.abs(t[:, 1] - 0.5) ** 0.3])
-
-    spec = QuadSpec(rel_tol=1e-15)
-    g, _ = split_of(h)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        got = integrate_box(g, [0.0, 0.0], [1.0, 1.0], spec, split=1)
-    quad_warnings = [w for w in caught if issubclass(w.category, QuadratureWarning)]
-    assert len(quad_warnings) == 1
-    assert "row 1" in str(quad_warnings[0].message)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", QuadratureWarning)
-        want = integrate_box(h, [0.0, 0.0], [1.0, 1.0], spec)
-    assert_same_results(got, want)
-    assert got[0].converged and not got[1].converged
-
-
-@pytest.mark.parametrize("split", [0, 2])
-def test_split_needs_axes_on_both_sides(split):
-    with pytest.raises(ValueError, match="split"):
-        integrate_box(lambda x, y: np.ones(len(x) * len(y)), [0.0, 0.0], [1.0, 1.0], split=split)
-
-
 def test_nonfinite_integrand_raises():
     def f(t):
         with np.errstate(invalid="ignore"):
@@ -242,24 +173,6 @@ def test_integrate_face_matches_box():
     assert res.value == pytest.approx(want, rel=1e-12)
 
 
-def test_integrate_face_over_face_times_cone():
-    # sin over the free axis [0, 3] times the standard normal mass of the
-    # edge's (+, -) outward quadrant; the cone points arrive mapped, in the
-    # cone's axis order, and each row keeps its own result
-    dom = RectDomain([0.0, 0.0, 0.0], [2.0, 3.0, 1.0])
-    face = Face(domain=dom, sigma=(1,), epsilon=((0, 1), (2, 0)))
-
-    def f(x, y):
-        assert np.all(y[:, 0] >= 0.0) and np.all(y[:, 1] <= 0.0)
-        vals = np.outer(np.sin(x[:, 0]), std2_pdf(y)).ravel()
-        return np.stack([vals, 2.0 * vals])
-
-    one, two = integrate_face(face, f, SPEC, outward_cone(face))
-    want = 0.25 * (1 - math.cos(3.0))
-    assert one.value == pytest.approx(want, rel=1e-8)
-    assert two.value == pytest.approx(2.0 * want, rel=1e-8)
-
-
 def test_cone_free_face_is_one_pair_of_rules_per_box():
     # an analytic 4-D face converges at depth 0: one box, judged by GL(24)
     # against GL(18) on its own nodes, where the children rule would call
@@ -277,23 +190,6 @@ def test_cone_free_face_is_one_pair_of_rules_per_box():
     want = math.prod(-math.expm1(-b) for b in (1.0, 2.0, 1.0, 0.5))
     assert res.value == pytest.approx(want, rel=1e-13)
     assert res.converged and 0.0 < res.err_est <= SPEC.rel_tol * res.value
-
-
-def test_face_times_cone_keeps_the_children_rule():
-    # the cone axis carries the orthant map, so a box is still judged by its
-    # 2^d children: 1 + 4 boxes at depth 0 on an edge x its 1-D cone.
-    # (1 + y)^-2 times the map's Jacobian is 1 in s, so depth 0 suffices
-    dom = RectDomain([0.0, 0.0], [2.0, 1.0])
-    face = Face(domain=dom, sigma=(0,), epsilon=((1, 1),))
-    shapes = []
-
-    def f(x, y):
-        shapes.append((x.shape, y.shape))
-        return np.outer(np.exp(-x[:, 0]), (1.0 + y[:, 0]) ** -2).ravel()
-
-    res = integrate_face(face, f, SPEC, outward_cone(face))
-    assert shapes == [((24, 1), (24, 1))] * (1 + 2**2)
-    assert res.value == pytest.approx(-math.expm1(-2.0), rel=1e-13)
 
 
 @pytest.mark.parametrize("rule", ["children", "pair"])
