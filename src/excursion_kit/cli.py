@@ -5,7 +5,8 @@ Subcommands:
 * ``faces``    — list the faces of the configured rectangle (one per line).
 * ``compute``  — analytic excursion quantities over a level grid, CSV out.
 * ``mc``       — Monte Carlo sup-probabilities and mean Euler counts, CSV out.
-* ``validate`` — run the built-in invariant suites and report pass/fail.
+* ``validate`` — check the configured field and domain, pass/fail per suite:
+  derivative_consistency, h2_scan and condition_check.
 
 Configuration lives in a JSON file (see ``load_config``); command-line flags
 override file values.  Exit codes: 0 success, 2 configuration error,
@@ -35,14 +36,7 @@ from .errors import (
     config_number,
     finite_levels,
 )
-from .field import (
-    FieldModel,
-    SpectralSumField,
-    check_h2,
-    derivative_consistency,
-    field_from_dict,
-)
-from .gauss import hermite_tail_identity_check
+from .field import FieldModel, check_h2, derivative_consistency, field_from_dict
 from .geometry import DomainError, Face, RectDomain, enumerate_faces, face_label, outward_cone
 from .mec import (
     condition_check,
@@ -349,7 +343,7 @@ def cmd_compute(cfg: RunConfig) -> int:
         )
     elif cfg.method == "mean_ec":
         results = mean_euler_characteristic(
-            cfg.model, cfg.domain, cfg.levels, cfg.quad, cfg.seed, threads=cfg.threads
+            cfg.model, cfg.domain, cfg.levels, cfg.quad, threads=cfg.threads
         )
     else:
         results = laplace_mec_result(cfg.model, cfg.domain, cfg.levels, cfg.seed)
@@ -409,21 +403,6 @@ def cmd_mc(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _check_hermite() -> tuple[bool, str]:
-    tol = 1e-8
-    worst = 0.0
-    for k in range(1, 7):
-        for u in (0.5, 1.0, 2.0, 3.0):
-            worst = max(worst, hermite_tail_identity_check(k, u))
-    return worst < tol, f"max residual {worst:.3e} (tol {tol:.0e})"
-
-def _check_lambda(model: FieldModel) -> tuple[bool, str]:
-    if not isinstance(model, SpectralSumField):
-        return True, "skipped (not a finite spectral sum)"
-    tol = 1e-10
-    diff = float(np.max(np.abs(model.lambda_spectral - model.lambda_mat)))
-    return diff < tol, f"spectral vs variogram max diff {diff:.3e} (tol {tol:.0e})"
-
 def _check_derivatives(model: FieldModel, domain: RectDomain) -> tuple[bool, str]:
     rep = derivative_consistency(model, domain)
     return rep.passed, (
@@ -454,8 +433,6 @@ def _check_condition(model: FieldModel, domain: RectDomain) -> tuple[bool, str]:
 
 def cmd_validate(cfg: RunConfig) -> int:
     checks = [
-        ("hermite_tail_identity", lambda: _check_hermite()),
-        ("lambda_cross_check", lambda: _check_lambda(cfg.model)),
         ("derivative_consistency", lambda: _check_derivatives(cfg.model, cfg.domain)),
         ("h2_scan", lambda: _check_h2(cfg.model, cfg.domain)),
         ("condition_check", lambda: _check_condition(cfg.model, cfg.domain)),
@@ -499,8 +476,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "seed": dict(
             type=int,
             metavar="N",
-            help="master seed (default 0): keys the mc replicates, and the QMC of "
-            "Gaussian orthants of dimension 5 and more; other compute rows ignore it",
+            help="master seed (default 0): keys the mc replicates, and the laplace QMC "
+            "of Gaussian orthants of dimension 5 and more; mu_approx and mean_ec ignore it",
         ),
         "threads": dict(type=int, metavar="N", help="worker threads"),
         "out": dict(metavar="PATH", help="output file (default stdout)"),

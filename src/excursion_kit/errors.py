@@ -10,6 +10,7 @@ every level vector, of a config or of a library call.
 from __future__ import annotations
 
 import math
+import numbers
 
 __all__ = [
     "ExcursionError",
@@ -25,6 +26,7 @@ __all__ = [
     "QuadratureWarning",
     "config_number",
     "finite_levels",
+    "is_integer",
 ]
 
 
@@ -86,6 +88,11 @@ def config_number(kind, value, what: str):
         return out
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{what} must be {kind.__name__}, got {value!r}") from exc
+
+
+def is_integer(value) -> bool:
+    """Whether value is a Python or NumPy integer (a bool is not one)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def finite_levels(levels) -> tuple[float, ...]:

@@ -267,11 +267,6 @@ class SpectralSumField(FieldModel):
         top[np.floor(b / (2 * math.pi)) >= a / (2 * math.pi)] = 1.0
         return np.einsum("bm,mi,mj->bij", self.weights * top, self.freqs, self.freqs)
 
-    @property
-    def lambda_spectral(self) -> np.ndarray:
-        """Second spectral moment sum_m w_m freq_m freq_m^T."""
-        return np.einsum("m,mi,mj->ij", self.weights, self.freqs, self.freqs)
-
 
 class CosineField(SpectralSumField):
     """Fixed two-atom cosine field on R^2.

@@ -30,7 +30,6 @@ from scipy.special import erfc, erfcx, ndtri, owens_t
 
 from . import quad
 from .errors import CapabilityError, DegeneracyError
-from .geometry import OutwardCone
 
 __all__ = [
     "DegeneracyError",
@@ -39,7 +38,6 @@ __all__ = [
     "hermite",
     "gauss_tail",
     "std_normal_pdf",
-    "hermite_tail_identity_check",
     "mvn_prob",
 ]
 
@@ -96,26 +94,6 @@ def gauss_tail(u):
     u = np.asarray(u, dtype=float)
     out = 0.5 * erfc(u / math.sqrt(2.0))
     return out if out.shape else float(out)
-
-
-def hermite_tail_identity_check(k: int, u: float) -> float:
-    """Residual of int_u^inf He_k(x) e^{-x^2/2} dx = He_{k-1}(u) e^{-u^2/2}.
-
-    The left side is integrated numerically with the package's own
-    quadrature over the level axis of an empty cone; returns
-    |numeric - closed form|.
-    """
-    if k < 1:
-        raise ValueError("identity requires k >= 1")
-
-    def g(x):
-        return hermite(k, x) * np.exp(-0.5 * np.asarray(x, dtype=float) ** 2)
-
-    res = quad.integrate_cone(
-        OutwardCone(()), float(u), lambda p: g(p[:, 0]), quad.QuadSpec()
-    )
-    rhs = hermite(k - 1, u) * math.exp(-0.5 * u * u)
-    return abs(res.value - rhs)
 
 
 # ---------------------------------------------------------------------------

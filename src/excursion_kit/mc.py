@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapabilityError, ConfigError, finite_levels
+from .errors import CapabilityError, ConfigError, finite_levels, is_integer
 from .field import FieldModel, SpectralSumField
 from .geometry import RectDomain
 
@@ -73,10 +73,11 @@ class GridSpec:
     points_per_axis: tuple[int, ...]
 
     def __init__(self, domain: RectDomain, points_per_axis):
-        if isinstance(points_per_axis, (int, np.integer)):
-            ppa = (int(points_per_axis),) * domain.dim
-        else:
-            ppa = tuple(int(p) for p in points_per_axis)
+        scalar = not np.iterable(points_per_axis)
+        ppa = (points_per_axis,) * domain.dim if scalar else tuple(points_per_axis)
+        if not all(map(is_integer, ppa)):
+            raise ConfigError(f"points_per_axis must be integers, got {points_per_axis!r}")
+        ppa = tuple(map(int, ppa))
         if len(ppa) != domain.dim:
             raise ConfigError(
                 f"points_per_axis has {len(ppa)} entries for dimension {domain.dim}"
@@ -219,6 +220,8 @@ def _checked(model: FieldModel, domain: RectDomain, grid, reps: int) -> GridSpec
         grid = GridSpec(domain, grid)
     elif grid.domain != domain:
         raise ConfigError("grid was built on a different domain")
+    if not is_integer(reps):
+        raise ConfigError(f"reps must be an integer, got {reps!r}")
     if reps < 100:
         raise ConfigError("need at least 100 replicates")
     return grid

@@ -213,7 +213,6 @@ def _face_term(
     face: Face,
     levels: tuple[float, ...],
     spec: QuadSpec,
-    seed: int | None,
     cone: bool,
 ) -> list:
     """The Kac-Rice term of one face at every level, one tuple per level
@@ -224,7 +223,8 @@ def _face_term(
     ``cone`` y lies in the face's outward cone (mean EC); without it y is
     integrated out (mu).  A vertex gives P(X >= u, y in cone) by
     ``mvn_prob``, one problem per level, or without the cone the tail
-    P(X >= u); ``seed`` reaches only orthants above gauss.MVN_DET_DIM.
+    P(X >= u).  That orthant has dimension N + 1 <= MEAN_EC_DIM_CAP + 1 <=
+    gauss.MVN_DET_DIM, where mvn_prob is deterministic, so it takes no seed.
 
     On a k >= 1 face one adaptive integral over the face coordinates
     remains, and its error estimate is the term's.  Without a cone (mu,
@@ -239,13 +239,15 @@ def _face_term(
     ctx = FaceContext(model, face)
     k = face.k
     q = len(ctx.fixed) if cone else 0
+    if q and k + q > MEAN_EC_DIM_CAP:
+        raise CapabilityError(f"mean-EC face term capped at N={MEAN_EC_DIM_CAP} (got N={k + q})")
     if k == 0:
         d = ctx.arrays(np.zeros((1, 0)))
         if q:
             cov = np.block([[d.theta_sq[:, None], d.b], [d.b.T, ctx.lam]])
             clo, chi = outward_cone(face).bounds()
             hi = np.r_[np.inf, chi]
-            return mvn_prob([MvnProblem(cov, np.r_[u, clo], hi) for u in levels], seed)
+            return mvn_prob([MvnProblem(cov, np.r_[u, clo], hi) for u in levels])
         nu = float(d.theta_sq[0])
         if nu < DEGENERATE_VAR:
             # X(t) = 0 almost surely
@@ -254,10 +256,6 @@ def _face_term(
 
     pref = ctx.pref_mu
     if q:
-        if k + q > MEAN_EC_DIM_CAP:
-            raise CapabilityError(
-                f"mean-EC face term capped at N={MEAN_EC_DIM_CAP} (got N={k + q})"
-            )
         try:
             np.linalg.cholesky(ctx.schur_ff)
         except np.linalg.LinAlgError as exc:
@@ -321,28 +319,28 @@ def _face_sum(
     method: str,
     domain: RectDomain,
     levels: tuple[float, ...],
-    term: Callable[[int, Face], list],
+    term: Callable[[Face], list],
     threads: int,
 ) -> list[MecResult]:
     """Sum of one term per face of the domain, vertices included.
 
-    ``term(i, f)`` evaluates the face f at enumeration index i and returns
-    one tuple per level, in the order of ``levels``, that starts
-    (value, err_est); a Rice kernel integrates all levels in one quadrature
-    pass.  The result holds one MecResult per level.  Each ledger keeps one
-    entry per face in enumeration order and its total is their ordered sum,
-    so results are bit-stable for a fixed seed regardless of thread count.
+    ``term(f)`` evaluates the face f and returns one tuple per level, in
+    the order of ``levels``, that starts (value, err_est); a Rice kernel
+    integrates all levels in one quadrature pass.  The result holds one
+    MecResult per level.  Each ledger keeps one entry per face in
+    enumeration order and its total is their ordered sum, so results are
+    bit-stable regardless of thread count.
     """
     faces = enumerate_faces(domain)
 
-    def terms(i: int, fc: Face) -> list:
-        return [t[:2] for t in term(i, fc)]
+    def terms(fc: Face) -> list:
+        return [t[:2] for t in term(fc)]
 
     if threads <= 1:
-        per_face = [terms(i, f) for i, f in enumerate(faces)]
+        per_face = [terms(f) for f in faces]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_face = list(pool.map(terms, range(len(faces)), faces))
+            per_face = list(pool.map(terms, faces))
     out = []
     for j, u in enumerate(levels):
         values = [ts[j][0] for ts in per_face]
@@ -363,7 +361,6 @@ def mean_euler_characteristic(
     domain: RectDomain,
     levels,
     spec: QuadSpec = QuadSpec(),
-    seed: int = 0,
     *,
     threads: int = 1,
 ) -> list[MecResult]:
@@ -372,23 +369,18 @@ def mean_euler_characteristic(
     One Kac-Rice face term per face with the outward cone: vertices
     contribute joint orthant probabilities, every k >= 1 face its
     extended-outward-maxima mean, one adaptive integral over the face in
-    one quadrature pass for all levels.
-    Bit-stable regardless of thread count.  The vertex orthants have
-    dimension N + 1 <= 4, where mvn_prob is deterministic, so the seed
-    does not change the result.
+    one quadrature pass for all levels.  Deterministic and bit-stable
+    regardless of thread count: it draws no QMC points, so it takes no
+    seed.
     """
     levels = finite_levels(levels)
     if domain.dim > MEAN_EC_DIM_CAP:
         raise CapabilityError(
             f"mean Euler characteristic capped at N={MEAN_EC_DIM_CAP} (got N={domain.dim})"
         )
-
-    def term(i: int, fc: Face) -> list:
-        # the face's seed would reach a vertex orthant only above
-        # gauss.MVN_DET_DIM
-        return _face_term(model, fc, levels, spec, _face_seed(seed, i), cone=True)
-
-    return _face_sum("mean_ec", domain, levels, term, threads)
+    return _face_sum(
+        "mean_ec", domain, levels, lambda fc: _face_term(model, fc, levels, spec, cone=True), threads
+    )
 
 
 def excursion_prob_mu(
@@ -408,7 +400,7 @@ def excursion_prob_mu(
         "mu_approx",
         domain,
         levels,
-        lambda i, fc: _face_term(model, fc, levels, spec, None, cone=False),
+        lambda fc: _face_term(model, fc, levels, spec, cone=False),
         threads,
     )
 
@@ -655,7 +647,7 @@ def laplace_mec_result(
     factors = _laplace_factors(model, domain, inputs, seed)
     psis = [float(gauss_tail(u / math.sqrt(inputs.sigma_sq))) for u in levels]
 
-    def term(i: int, fc: Face) -> list[tuple[float, float]]:
+    def term(fc: Face) -> list[tuple[float, float]]:
         fac = factors.get(fc)
         return [
             (math.prod(fac[1:], start=fac[0] * psi) if fac else 0.0, 0.0) for psi in psis

@@ -50,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapabilityError, QuadratureError, QuadratureWarning
+from .errors import CapabilityError, QuadratureError, QuadratureWarning, is_integer
 from .geometry import Face, OutwardCone
 
 __all__ = [
@@ -88,6 +88,8 @@ class QuadSpec:
     rel_tol: float = 1e-6
 
     def __post_init__(self):
+        if not is_integer(self.order_per_axis):
+            raise ValueError(f"order_per_axis must be an integer, got {self.order_per_axis!r}")
         if self.order_per_axis < 2:
             raise ValueError("order_per_axis must be at least 2")
         if not 0 < self.rel_tol < math.inf:

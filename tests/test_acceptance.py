@@ -12,12 +12,12 @@ import pytest
 
 import excursion_kit.mec as mec
 from excursion_kit.field import CosineField, SpectralSumField
-from excursion_kit.gauss import gauss_tail, hermite_tail_identity_check
+from excursion_kit.gauss import gauss_tail
 from excursion_kit.geometry import Face, RectDomain, enumerate_faces
 from excursion_kit.mc import empirical_ec, empirical_sup_prob, mc_mean_ec
 from excursion_kit.mec import excursion_prob_mu, mean_euler_characteristic, tau_hessian
 from excursion_kit.quad import QuadSpec
-from test_oracles import ec_oracle_2d
+from test_oracles import ec_oracle_2d, hermite_tail_identity_check
 
 PI = math.pi
 SPEC = QuadSpec()
@@ -196,12 +196,12 @@ def test_05_vertex_term_factorizes_at_zero_gradient():
     cases.append((m3, v3, 3.0, 7.0, 3))
 
     for model, vert, u, nu, n in cases:
-        [res] = mec._face_term(model, vert, (u,), SPEC, 0, cone=True)
+        [res] = mec._face_term(model, vert, (u,), SPEC, cone=True)
         want = gauss_tail(u / math.sqrt(nu)) / 2**n
         assert abs(res.p - want) <= 3 * max(res.err_est, 1e-12), (n, res.p, want)
 
     # headline case: quarter tail at the flat corner of [0, pi]^2
-    [val] = mec._face_term(cosine(), v2, (3.0,), SPEC, 0, cone=True)
+    [val] = mec._face_term(cosine(), v2, (3.0,), SPEC, cone=True)
     assert val.p == pytest.approx(0.25 * gauss_tail(3.0 / S5), rel=1e-5)
 
 
@@ -234,8 +234,8 @@ def test_07_structural_properties():
 
     dom = RectDomain([0.0, 0.0], [PI, PI])
     interior = enumerate_faces(dom)[0]
-    [a] = mec._face_term(cosine(), interior, (6.0,), SPEC, 0, cone=True)
-    [b] = mec._face_term(cosine(), interior, (6.0,), SPEC, None, cone=False)
+    [a] = mec._face_term(cosine(), interior, (6.0,), SPEC, cone=True)
+    [b] = mec._face_term(cosine(), interior, (6.0,), SPEC, cone=False)
     assert a == b
 
     [res] = excursion_prob_mu(cosine(), dom, [7.0], SPEC)

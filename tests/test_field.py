@@ -98,13 +98,15 @@ def interior_face(dom):
 
 
 def test_lambda_spectral_equals_variogram_route():
+    # Lambda of a spectral sum is its second spectral moment sum_m w_m f_m f_m^T
     model = cosine()
-    assert np.allclose(model.lambda_spectral, model.lambda_mat, atol=1e-12)
+    assert np.allclose(model.lambda_mat, 0.5 * np.eye(2), atol=1e-12)
     rng = np.random.default_rng(5)
     freqs = rng.standard_normal((4, 3))
     weights = rng.uniform(0.1, 2.0, size=4)
     m = SpectralSumField(freqs=freqs, weights=weights, offset_var=0.5)
-    assert np.allclose(m.lambda_spectral, m.lambda_mat, atol=1e-10)
+    moment = sum(w * np.outer(f, f) for w, f in zip(weights, freqs))
+    assert np.allclose(moment, m.lambda_mat, atol=1e-10)
 
 
 def test_gaussian_increment_structure():

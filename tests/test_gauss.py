@@ -14,11 +14,11 @@ from excursion_kit.gauss import (
     _ordered_cholesky,
     gauss_tail,
     hermite,
-    hermite_tail_identity_check,
     mvn_prob,
     std_normal_pdf,
 )
 from excursion_kit.geometry import RectDomain, enumerate_faces, outward_cone
+from test_oracles import hermite_tail_identity_check
 
 # Expanded coefficients of the probabilists' polynomials, frozen from the
 # explicit expansions He_k(x) = sum_m coeff * x^m (monomial evaluation is an

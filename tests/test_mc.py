@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -403,6 +404,30 @@ def test_sup_prob_needs_enough_reps():
         empirical_sup_prob(cosine(), dom, [2.0], 9, 99)
     with pytest.raises(ConfigError):
         mc_mean_ec(cosine(), dom, [2.0], 9, 50)
+
+
+def test_grid_and_reps_must_be_integers(monkeypatch):
+    # a grid or reps that is not an integer is a ConfigError naming it,
+    # raised before any sweep; Python and NumPy integers are accepted
+    dom = RectDomain([0.0, 0.0], [PI, PI])
+    for bad in ([16.7, 16], 16.0, "16", (9, 9.5)):
+        with pytest.raises(ConfigError, match=re.escape(repr(bad))):
+            GridSpec(dom, bad)
+    assert GridSpec(dom, np.int64(9)).shape == (9, 9)
+    assert GridSpec(dom, np.array([5, 9])).shape == (5, 9)
+    want = empirical_sup_prob(cosine(), dom, [2.0], 9, 100)
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep started")
+
+    monkeypatch.setattr(mc_mod, "_sweep", no_sweep)
+    for estimator in (empirical_sup_prob, mc_mean_ec, mc_mod.mc_estimates):
+        with pytest.raises(ConfigError, match=re.escape("100.5")):
+            estimator(cosine(), dom, [2.0], 9, 100.5)
+        with pytest.raises(ConfigError, match=re.escape("[9.0, 9.7]")):
+            estimator(cosine(), dom, [2.0], [9.0, 9.7], 100)
+    monkeypatch.undo()
+    assert empirical_sup_prob(cosine(), dom, [2.0], np.int64(9), np.int64(100)) == want
 
 
 def test_refined_axes_contain_coarse_axes():

@@ -40,11 +40,11 @@ def edge(dom, free_axis, fixed_axis, upper):
     return Face(domain=dom, sigma=(free_axis,), epsilon=((fixed_axis, int(upper)),))
 
 
-def face_term(model, face, u, spec=SPEC, *, cone, seed=0):
+def face_term(model, face, u, spec=SPEC, *, cone):
     """One face or vertex at one level, straight from the term the ledgers
     sum, so a per-face check does not pay for the whole ledger: the mean-EC
     term with the outward cone, the mu term without it."""
-    return mec._face_term(model, face, (u,), spec, seed, cone)[0][0]
+    return mec._face_term(model, face, (u,), spec, cone)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +105,7 @@ def test_vertex_term_against_plain_monte_carlo():
     dom = RectDomain([0.0, 0.0], [PI / 2, PI / 2])
     vert = Face(domain=dom, sigma=(), epsilon=((0, 1), (1, 1)))
     u = 3.0
-    val = face_term(cosine(), vert, u, seed=0, cone=True)
+    val = face_term(cosine(), vert, u, cone=True)
 
     cov = np.array(
         [
@@ -550,8 +550,8 @@ def test_vertex_levels_draw_no_qmc_points(monkeypatch):
         raise AssertionError("a vertex drew QMC points")
 
     monkeypatch.setattr(gauss, "_lattice_points", no_points)
-    for i, fc in enumerate(f for f in enumerate_faces(dom) if f.k == 0):
-        got = mec._face_term(model, fc, levels, SPEC, mec._face_seed(0, i), cone=True)
+    for fc in (f for f in enumerate_faces(dom) if f.k == 0):
+        got = mec._face_term(model, fc, levels, SPEC, cone=True)
         t = fc.fixed_values()
         c = 0.5 * model.grad_variance(t)
         cov = np.block([[np.array([[model.variance(t)]]), c[None, :]], [c[:, None], model.lambda_mat]])
@@ -561,6 +561,17 @@ def test_vertex_levels_draw_no_qmc_points(monkeypatch):
             for u in levels
         ]
         assert got == want, face_label(fc)
+
+
+def test_mean_ec_vertex_orthants_stay_deterministic():
+    # a mean-EC vertex orthant is (N + 1)-dimensional, so up to the cap it
+    # is within mvn_prob's deterministic route, and mean EC takes no seed;
+    # raising the cap past that route needs a vertex seed again
+    assert mec.MEAN_EC_DIM_CAP + 1 <= gauss.MVN_DET_DIM
+    dom = RectDomain([0.0] * 4, [1.0] * 4)
+    vert = next(f for f in enumerate_faces(dom) if f.k == 0)
+    with pytest.raises(CapabilityError, match="capped at N=3"):
+        mec._face_term(GaussianIncrementField(4), vert, (3.0,), SPEC, cone=True)
 
 
 def test_mu_draws_no_qmc_points(monkeypatch):

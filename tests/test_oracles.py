@@ -4,13 +4,22 @@ self-tests.
 ``ec_oracle_2d`` recomputes the Euler characteristic of a 2-D vertex mask by
 a route unrelated to the cubical cell counts of ``mc.empirical_ec``:
 connected components minus holes on a refined rasterization.
+
+``hermite_tail_identity_check`` integrates He_k(x) exp(-x^2/2) over [u, inf)
+numerically and returns its distance from the closed form He_{k-1}(u)
+exp(-u^2/2) that the mu face terms rest on.
 """
+
+import math
 
 import numpy as np
 from scipy import ndimage
 
 from excursion_kit.errors import CapabilityError
+from excursion_kit.gauss import hermite
+from excursion_kit.geometry import OutwardCone
 from excursion_kit.mc import empirical_ec
+from excursion_kit.quad import QuadSpec, integrate_cone
 
 
 def ec_oracle_2d(mask) -> int:
@@ -42,6 +51,24 @@ def ec_oracle_2d(mask) -> int:
     # outer component; ndimage.label's default 2-D structure is 4-connected
     holes = ndimage.label(~np.pad(ref, 1, constant_values=False))[1] - 1
     return ndimage.label(ref)[1] - holes
+
+
+def hermite_tail_identity_check(k: int, u: float) -> float:
+    """Residual of int_u^inf He_k(x) e^{-x^2/2} dx = He_{k-1}(u) e^{-u^2/2}.
+
+    The left side is integrated numerically with the package's own
+    quadrature over the level axis of an empty cone; returns
+    |numeric - closed form|.
+    """
+    if k < 1:
+        raise ValueError("identity requires k >= 1")
+
+    def g(x):
+        return hermite(k, x) * np.exp(-0.5 * np.asarray(x, dtype=float) ** 2)
+
+    res = integrate_cone(OutwardCone(()), float(u), lambda p: g(p[:, 0]), QuadSpec())
+    rhs = hermite(k - 1, u) * math.exp(-0.5 * u * u)
+    return abs(res.value - rhs)
 
 
 def test_ec_oracle_matches_cell_counts():

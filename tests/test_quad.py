@@ -307,6 +307,16 @@ def test_box_node_cap(monkeypatch):
         integrate_box(never, [0.0, 0.0], [1.0, 1.0], QuadSpec(order_per_axis=3))
 
 
+def test_quad_spec_order_must_be_an_integer():
+    # a float, a string or a bool order fails at construction, not later
+    # inside numpy's Gauss-Legendre rule; a NumPy integer is an integer
+    for bad in (2.5, 24.0, "8", True):
+        with pytest.raises(ValueError, match="order_per_axis must be an integer"):
+            QuadSpec(order_per_axis=bad)
+    res = integrate_box(lambda t: np.cos(t[:, 0]), [0.0], [PI / 2], QuadSpec(order_per_axis=np.int64(8)))
+    assert res.value == pytest.approx(1.0, rel=1e-12)
+
+
 def test_order_doubling_stability():
     def f(t):
         return np.exp(-(3.0 - np.cos(t[:, 0]) - np.cos(t[:, 1])))
