@@ -338,13 +338,9 @@ def cmd_compute(cfg: RunConfig) -> int:
     rows: list[list] = []
 
     if cfg.method == "mu_approx":
-        results = excursion_prob_mu(
-            cfg.model, cfg.domain, cfg.levels, cfg.quad, threads=cfg.threads
-        )
+        results = excursion_prob_mu(cfg.model, cfg.domain, cfg.levels, cfg.quad)
     elif cfg.method == "mean_ec":
-        results = mean_euler_characteristic(
-            cfg.model, cfg.domain, cfg.levels, cfg.quad, threads=cfg.threads
-        )
+        results = mean_euler_characteristic(cfg.model, cfg.domain, cfg.levels, cfg.quad)
     else:
         results = laplace_mec_result(cfg.model, cfg.domain, cfg.levels, cfg.seed)
 
@@ -479,14 +475,17 @@ def _build_parser() -> argparse.ArgumentParser:
             help="master seed (default 0): keys the mc replicates, and the laplace QMC "
             "of Gaussian orthants of dimension 5 and more; mu_approx and mean_ec ignore it",
         ),
-        "threads": dict(type=int, metavar="N", help="worker threads"),
+        "threads": dict(
+            type=int, metavar="N", help="worker threads of the mc sweep; compute ignores it"
+        ),
         "out": dict(metavar="PATH", help="output file (default stdout)"),
         "grid": dict(type=int, metavar="N", help="MC grid points per axis"),
         "reps": dict(type=int, metavar="N", help="MC replicates"),
         "quad-order": dict(type=int, metavar="N", help="quadrature order per axis"),
         "rel-tol": dict(type=float, metavar="X", help="quadrature relative tolerance"),
     }
-    # each subcommand takes only the flags its command reads
+    # each subcommand takes only the flags its command reads, but compute
+    # still accepts --threads, which perfbench/workloads.py passes it
     for name, reads, help_text in (
         ("faces", "out", "list the faces of the configured rectangle"),
         ("compute", "levels method seed threads out quad-order rel-tol",

@@ -27,6 +27,7 @@ __all__ = [
     "config_number",
     "finite_levels",
     "is_integer",
+    "is_real",
 ]
 
 
@@ -93,6 +94,11 @@ def config_number(kind, value, what: str):
 def is_integer(value) -> bool:
     """Whether value is a Python or NumPy integer (a bool is not one)."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """Whether value is a Python or NumPy real number (a bool is not one)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def finite_levels(levels) -> tuple[float, ...]:

@@ -31,7 +31,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .errors import CapabilityError, ConfigError, config_number
+from .errors import CapabilityError, ConfigError, config_number, is_integer, is_real
 from .geometry import MAX_ENUM_DIM, DomainError, Face, RectDomain, face_of_point
 
 __all__ = [
@@ -161,6 +161,11 @@ def _psd_det(entries: dict, k: int, shape) -> np.ndarray:
     return np.where(singular, 0.0, det)
 
 
+def _check_offset_var(value) -> None:
+    if not (is_real(value) and np.isfinite(value) and value >= 0):
+        raise ConfigError(f"offset variance must be a nonnegative real, got {value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class SpectralSumField(FieldModel):
     """Finite spectral sum: g(h) = 2 sum_m w_m (1 - cos<h, freq_m>).
@@ -185,8 +190,7 @@ class SpectralSumField(FieldModel):
             raise ConfigError("frequencies and weights must be finite")
         if np.any(wt <= 0):
             raise ConfigError("atom weights must be positive")
-        if not (np.isfinite(self.offset_var) and self.offset_var >= 0):
-            raise ConfigError("offset variance must be a nonnegative real")
+        _check_offset_var(self.offset_var)
         object.__setattr__(self, "freqs", fr)
         object.__setattr__(self, "weights", wt)
         object.__setattr__(self, "offset_var", float(self.offset_var))
@@ -290,12 +294,11 @@ class GaussianIncrementField(FieldModel):
     offset_var: float = 0.0
 
     def __post_init__(self):
-        if int(self.dim) < 1:
-            raise ConfigError("dimension must be a positive integer")
-        if not (np.isfinite(self.scale) and self.scale > 0):
-            raise ConfigError("scale must be a positive real")
-        if not (np.isfinite(self.offset_var) and self.offset_var >= 0):
-            raise ConfigError("offset variance must be a nonnegative real")
+        if not (is_integer(self.dim) and self.dim >= 1):
+            raise ConfigError(f"dimension must be a positive integer, got {self.dim!r}")
+        if not (is_real(self.scale) and np.isfinite(self.scale) and self.scale > 0):
+            raise ConfigError(f"scale must be a positive real, got {self.scale!r}")
+        _check_offset_var(self.offset_var)
         object.__setattr__(self, "dim", int(self.dim))
         object.__setattr__(self, "scale", float(self.scale))
         object.__setattr__(self, "offset_var", float(self.offset_var))

@@ -31,7 +31,6 @@ against u (for k = 4, where theta_t > u/sqrt(3)).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -234,7 +233,11 @@ def _face_term(
     P_t(u) = P(y in cone | X = u) for y ~ N(u b_t / theta_t^2, S - b_t^T
     b_t / theta_t^2) (S the constant covariance of y): a normal tail with
     one pinned axis, a bivariate quadrant with two.  Points where theta_t^2
-    or gamma_t^2 is below DEGENERATE_VAR add 0.
+    or gamma_t^2 is below DEGENERATE_VAR add 0, and err_est does not cover
+    what that mask drops: at u = 0 on an edge through a zero-variance corner
+    it is a sliver of the integral (on an oblique 2-D field a spec fine
+    enough to resolve the mask reads 1.2329871, the default spec 1.2330638
+    with err_est 3.3e-10).
     """
     ctx = FaceContext(model, face)
     k = face.k
@@ -320,7 +323,6 @@ def _face_sum(
     domain: RectDomain,
     levels: tuple[float, ...],
     term: Callable[[Face], list],
-    threads: int,
 ) -> list[MecResult]:
     """Sum of one term per face of the domain, vertices included.
 
@@ -328,19 +330,10 @@ def _face_sum(
     the order of ``levels``, that starts (value, err_est); a Rice kernel
     integrates all levels in one quadrature pass.  The result holds one
     MecResult per level.  Each ledger keeps one entry per face in
-    enumeration order and its total is their ordered sum, so results are
-    bit-stable regardless of thread count.
+    enumeration order and its total is their ordered sum.
     """
     faces = enumerate_faces(domain)
-
-    def terms(fc: Face) -> list:
-        return [t[:2] for t in term(fc)]
-
-    if threads <= 1:
-        per_face = [terms(f) for f in faces]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_face = list(pool.map(terms, faces))
+    per_face = [[t[:2] for t in term(f)] for f in faces]
     out = []
     for j, u in enumerate(levels):
         values = [ts[j][0] for ts in per_face]
@@ -361,17 +354,14 @@ def mean_euler_characteristic(
     domain: RectDomain,
     levels,
     spec: QuadSpec = QuadSpec(),
-    *,
-    threads: int = 1,
 ) -> list[MecResult]:
     """Mean Euler characteristic of the excursion set above each level.
 
     One Kac-Rice face term per face with the outward cone: vertices
     contribute joint orthant probabilities, every k >= 1 face its
     extended-outward-maxima mean, one adaptive integral over the face in
-    one quadrature pass for all levels.  Deterministic and bit-stable
-    regardless of thread count: it draws no QMC points, so it takes no
-    seed.
+    one quadrature pass for all levels.  Deterministic: it draws no QMC
+    points, so it takes no seed.
     """
     levels = finite_levels(levels)
     if domain.dim > MEAN_EC_DIM_CAP:
@@ -379,7 +369,7 @@ def mean_euler_characteristic(
             f"mean Euler characteristic capped at N={MEAN_EC_DIM_CAP} (got N={domain.dim})"
         )
     return _face_sum(
-        "mean_ec", domain, levels, lambda fc: _face_term(model, fc, levels, spec, cone=True), threads
+        "mean_ec", domain, levels, lambda fc: _face_term(model, fc, levels, spec, cone=True)
     )
 
 
@@ -388,8 +378,6 @@ def excursion_prob_mu(
     domain: RectDomain,
     levels,
     spec: QuadSpec = QuadSpec(),
-    *,
-    threads: int = 1,
 ) -> list[MecResult]:
     """Leading-order excursion probability at each level: the mean-EC face
     terms without the outward cone, that is vertex tails plus mu face
@@ -397,11 +385,7 @@ def excursion_prob_mu(
     QMC points, so it takes no seed."""
     levels = finite_levels(levels)
     return _face_sum(
-        "mu_approx",
-        domain,
-        levels,
-        lambda fc: _face_term(model, fc, levels, spec, cone=False),
-        threads,
+        "mu_approx", domain, levels, lambda fc: _face_term(model, fc, levels, spec, cone=False)
     )
 
 
@@ -653,4 +637,4 @@ def laplace_mec_result(
             (math.prod(fac[1:], start=fac[0] * psi) if fac else 0.0, 0.0) for psi in psis
         ]
 
-    return _face_sum("laplace", domain, levels, term, 1)
+    return _face_sum("laplace", domain, levels, term)

@@ -50,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapabilityError, QuadratureError, QuadratureWarning, is_integer
+from .errors import CapabilityError, QuadratureError, QuadratureWarning, is_integer, is_real
 from .geometry import Face, OutwardCone
 
 __all__ = [
@@ -92,8 +92,8 @@ class QuadSpec:
             raise ValueError(f"order_per_axis must be an integer, got {self.order_per_axis!r}")
         if self.order_per_axis < 2:
             raise ValueError("order_per_axis must be at least 2")
-        if not 0 < self.rel_tol < math.inf:
-            raise ValueError("rel_tol must be positive and finite")
+        if not (is_real(self.rel_tol) and 0 < self.rel_tol < math.inf):
+            raise ValueError(f"rel_tol must be positive and finite, got {self.rel_tol!r}")
 
 
 class QuadResult(NamedTuple):

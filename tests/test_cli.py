@@ -6,6 +6,7 @@ import os
 import resource
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -214,6 +215,17 @@ def test_level_grid_rows_equal_single_level_runs(tmp_path, capsys, method):
         code, single = run(capsys, [*flags, "--levels", f"{u}:{u}:1"])
         assert code == 0
         assert single.splitlines(keepends=True) == [header, row], u
+
+
+@pytest.mark.parametrize("method", ["mu_approx", "mean_ec", "laplace"])
+def test_compute_starts_no_thread(tmp_path, capsys, monkeypatch, method):
+    # compute sums its faces in the calling thread and accepts --threads
+    # without reading it
+    monkeypatch.setattr(threading.Thread, "start", lambda self: pytest.fail("thread started"))
+    cfg = write_config(tmp_path, method=method)
+    code, out = run(capsys, ["compute", "--config", cfg, "--levels", "5:6:1", "--threads", "2"])
+    assert code == 0
+    assert len(parse_csv(out)[1]) == 2
 
 
 def test_compute_rejects_mc_method(tmp_path, capsys):

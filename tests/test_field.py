@@ -613,6 +613,34 @@ def test_field_from_dict_rejects_junk():
         field_from_dict({"type": "gaussian_increment", "dim": 0})
 
 
+SPECTRAL_ATOMS = dict(freqs=np.eye(2), weights=np.ones(2))
+
+
+@pytest.mark.parametrize(
+    "model, kwargs",
+    [
+        (GaussianIncrementField, dict(dim=2.5)),
+        (GaussianIncrementField, dict(dim=True)),
+        (GaussianIncrementField, dict(dim="2")),
+        (GaussianIncrementField, dict(dim=2, scale="1")),
+        (GaussianIncrementField, dict(dim=2, scale=True)),
+        (GaussianIncrementField, dict(dim=2, offset_var=True)),
+        (GaussianIncrementField, dict(dim=2, offset_var="0")),
+        (SpectralSumField, dict(SPECTRAL_ATOMS, offset_var=True)),
+        (SpectralSumField, dict(SPECTRAL_ATOMS, offset_var="1")),
+    ],
+    ids=[
+        "dim-float", "dim-bool", "dim-str", "scale-str", "scale-bool",
+        "offset-bool", "offset-str", "spectral-offset-bool", "spectral-offset-str",
+    ],
+)
+def test_model_parameters_must_be_numbers(model, kwargs):
+    # a float or bool dimension used to be truncated, a string scale raised a
+    # bare TypeError, and a bool offset variance was read as 1.0
+    with pytest.raises(ConfigError):
+        model(**kwargs)
+
+
 def test_spectral_rejects_bad_shapes():
     with pytest.raises(ConfigError):
         SpectralSumField(freqs=np.ones((2, 2)), weights=np.ones(3))

@@ -510,14 +510,6 @@ def test_mu_dimension_cap():
         excursion_prob_mu(m, dom, [3.0], SPEC)
 
 
-def test_threading_is_bit_stable():
-    dom = RectDomain([0.0, 0.0], [PI, PI])
-    [a] = mean_euler_characteristic(cosine(), dom, [7.0], SPEC, threads=1)
-    [b] = mean_euler_characteristic(cosine(), dom, [7.0], SPEC, threads=4)
-    assert a.total == b.total
-    assert [(v) for _, v in a.per_face] == [(v) for _, v in b.per_face]
-
-
 def test_face_arrays_blocks_equal_one_unblocked_evaluation(monkeypatch):
     # oblique frequencies couple every axis; the 24^4 Gauss-Legendre nodes
     # of an interior-face box span eleven blocks
@@ -590,9 +582,8 @@ def test_mu_draws_no_qmc_points(monkeypatch):
             assert value == pytest.approx(want, rel=1e-12), face_label(fc)
 
 
-@pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("method", ["mu_approx", "mean_ec"])
-def test_level_vector_equals_single_levels(method, threads):
+def test_level_vector_equals_single_levels(method):
     # at order 4 every level refines its own tree: mu evaluates 1101, 1573
     # and 3697 boxes at u = 1, 4, 9 and mean EC 1103, 1585 and 3701, so the
     # shared pass must keep each level's tree apart to match bit for bit
@@ -600,8 +591,8 @@ def test_level_vector_equals_single_levels(method, threads):
     spec = QuadSpec(order_per_axis=4, rel_tol=1e-8)
     levels = (1.0, 4.0, 9.0)
     fn = excursion_prob_mu if method == "mu_approx" else mean_euler_characteristic
-    batch = fn(cosine(), dom, levels, spec, threads=threads)
-    single = [fn(cosine(), dom, [u], spec, threads=threads)[0] for u in levels]
+    batch = fn(cosine(), dom, levels, spec)
+    single = [fn(cosine(), dom, [u], spec)[0] for u in levels]
     assert len(batch) == len(levels)
     for got, want in zip(batch, single):
         assert (got.u, got.method) == (want.u, want.method)

@@ -315,6 +315,12 @@ def test_quad_spec_order_must_be_an_integer():
             QuadSpec(order_per_axis=bad)
     res = integrate_box(lambda t: np.cos(t[:, 0]), [0.0], [PI / 2], QuadSpec(order_per_axis=np.int64(8)))
     assert res.value == pytest.approx(1.0, rel=1e-12)
+    # rel_tol is a real number: a bool or a string is a ValueError like any
+    # other bad setting, and a NumPy float is a real number
+    for bad in (True, "1e-6", 0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="rel_tol must be positive and finite"):
+            QuadSpec(rel_tol=bad)
+    assert QuadSpec(rel_tol=np.float64(1e-6)).rel_tol == 1e-6
 
 
 def test_order_doubling_stability():
