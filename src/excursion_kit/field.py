@@ -180,6 +180,10 @@ class SpectralSumField(FieldModel):
     offset_var: float = 1.0
 
     def __post_init__(self):
+        for name in ("freqs", "weights"):
+            value = getattr(self, name)
+            if not all(map(is_real, np.asarray(value, dtype=object).flat)):
+                raise ConfigError(f"{name} must be real numbers, got {value!r}")
         fr = np.atleast_2d(np.asarray(self.freqs, dtype=float))
         wt = np.atleast_1d(np.asarray(self.weights, dtype=float))
         if fr.ndim != 2 or fr.shape[0] != wt.shape[0] or fr.shape[0] == 0:
@@ -256,20 +260,48 @@ class SpectralSumField(FieldModel):
 
         return kernel
 
-    def lambda_bound(self, lo, hi):
-        """Lambda(t) = sum_m w_m cos<t, f_m> f_m f_m^T, so B takes each
-        cosine at its max over the box, or 0 if that is negative: 1 where
-        the phase range <c, f_m> +- sum_i |f_mi| h_i (centre c, half-widths
-        h, widened by 1e-12 of its scale against rounding) holds a multiple
-        of 2 pi, the larger end value otherwise."""
+    def _phase_range(self, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+        """Per box [lo, hi] (rows of (m, N) arrays), the ends a, b (m, M) of
+        the range of each phase <t, f_m> over the box: <c, f_m> +- sum_i
+        |f_mi| h_i for centre c and half-widths h, widened by 1e-12 of its
+        scale against rounding."""
         c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
         mid = c @ self.freqs.T
         rad = h @ np.abs(self.freqs).T
         rad += 1e-12 * (np.abs(c) @ np.abs(self.freqs).T + rad)
-        a, b = mid - rad, mid + rad
+        return mid - rad, mid + rad
+
+    def lambda_bound(self, lo, hi):
+        """Lambda(t) = sum_m w_m cos<t, f_m> f_m f_m^T, so B takes each
+        cosine at its max over the box, or 0 if that is negative: 1 where
+        the phase range (_phase_range) holds a multiple of 2 pi, the larger
+        end value otherwise."""
+        a, b = self._phase_range(lo, hi)
         top = np.maximum(np.cos(a), np.cos(b)).clip(0.0)
         top[np.floor(b / (2 * math.pi)) >= a / (2 * math.pi)] = 1.0
         return np.einsum("bm,mi,mj->bij", self.weights * top, self.freqs, self.freqs)
+
+    def sup_bound(self, coefs, lo, hi) -> np.ndarray:
+        """Per coefficient row [c0, A_1, B_1, A_2, B_2, ...], an upper
+        bound on the supremum over the box [lo, hi] of the realization
+
+            X(t) = c0 + sum_m [A_m (cos<t, f_m> - 1) + B_m sin<t, f_m>].
+
+        A cos + B sin = R cos(theta - phi) with R = hypot(A, B) and
+        phi = atan2(B, A), so each atom takes its max over its phase range
+        [a, b] (_phase_range) on its own: R where [a, b] holds phi + 2 pi k
+        for an integer k, the larger end value otherwise.  The sum of those
+        maxima is the supremum itself when each atom's frequency lies along an
+        axis of its own, as on CosineField; rounding is left to the caller's
+        slack.
+        """
+        a, b = self._phase_range(np.atleast_2d(lo), np.atleast_2d(hi))
+        amp, bmp = coefs[:, 1::2], coefs[:, 2::2]
+        phi = np.arctan2(bmp, amp)
+        ends = np.maximum(amp * np.cos(a) + bmp * np.sin(a), amp * np.cos(b) + bmp * np.sin(b))
+        peak = np.floor((b - phi) / (2 * math.pi)) >= (a - phi) / (2 * math.pi)
+        top = np.where(peak, np.hypot(amp, bmp), ends)
+        return coefs[:, 0] + (top - amp).sum(axis=1)
 
 
 class CosineField(SpectralSumField):

@@ -16,11 +16,20 @@ over a grid serves every level: each chunk draws its coefficients once, then
 forms its values tile by tile, a GEMM of a few replicate rows against the
 basis small enough to stay in cache.  Each tile's row maxima are taken once
 and compared with every level (and, for Euler counts, the same tile is
-thresholded per level) before the next tile overwrites it, so the chunk's
-whole value block never exists.  Both estimators take a level sequence and
-run one sweep of one grid, however many levels there are:
-``empirical_sup_prob`` counts grid maxima, and ``mc_mean_ec`` adds the
-Euler counts.
+thresholded at each level some row of it reaches) before the next tile
+overwrites it, so the chunk's whole value block never exists.  Both
+estimators take a level sequence and run one sweep of one grid, however many
+levels there are: ``empirical_sup_prob`` counts grid maxima, and
+``mc_mean_ec`` adds the Euler counts.
+
+Most replicates stay below a high level everywhere, and the sweep forms no
+value of theirs.  Each atom's term A_m (cos - 1) + B_m sin takes its own
+maximum over the range of its phase on the rectangle, so
+U = c0 + sum_m (max_m - A_m) bounds sup_T X
+(``SpectralSumField.sup_bound``), exactly so on separable fields.  A
+replicate with U + s below every level (slack s below) has a grid maximum
+below every level on every grid: its hit and Euler contributions are 0, so
+it is left out of the tiles.
 
 ``mc_estimates``, the ``mc`` command, adds ``p_fine``, empirical_sup_prob's
 estimate on the 2R-1 refinement, without sweeping that grid whole.  A
@@ -30,6 +39,8 @@ within delta = sqrt(sum_i h_i^2) / 2.  So its grid maximum g, refined maximum
 and sup_T X all lie in [g, g + K delta^2 / 2].  Widened by a slack
 s = 1e-9 (1 + sum |c|), far above rounding, a band that holds no level
 decides the replicate; only the others are swept again, on the refined grid.
+A replicate left out of the tiles has the band (-inf, U + s], which lies
+below every level, so it is decided as a miss on every grid.
 
 The empirical Euler characteristic uses the vertex-based closed cubical
 complex: a d-cell of the grid is occupied iff all its 2^d corners sit at or
@@ -244,15 +255,20 @@ def _sweep(
     """Integer sums over the listed replicates on one grid, for every level
     at once, and each replicate's band.
 
-    Each chunk of replicates draws its coefficient rows once and forms its
-    values in tiles of _tile_rows rows, one GEMM each.  A tile is reduced
-    while it is in cache: each row's maximum is taken once, since the grid
-    maximum does not depend on the level, and per level the rows whose
-    maximum reaches it are counted; with ``ec`` the chi and chi^2 sums of
-    that level's excursion masks are added from the same tile.  The sums
-    have a column per level and one row (hits), or three with ``ec``.
-    Replicate i's band (lo[i], hi[i]] = (g - s, g + K delta^2/2 + s] (module
-    docstring) holds the maximum over any grid that contains this one.
+    Each chunk of replicates draws its coefficient rows once and bounds
+    each row's supremum by U + s (module docstring); the rows whose bound
+    is below every level add 0 to every sum and are not swept.  The rest
+    form their values in tiles of _tile_rows rows, one GEMM each.  A tile
+    is reduced while it is in cache: each row's maximum is taken once,
+    since the grid maximum does not depend on the level, and per level the
+    rows whose maximum reaches it are counted; with ``ec`` the chi and
+    chi^2 sums of that level's excursion masks are added from the same
+    tile, for the levels some row of the tile reaches (at the others every
+    mask is empty and chi is 0).  The sums have a column per level and one
+    row (hits), or three with ``ec``.  Replicate i's band (lo[i], hi[i]]
+    holds the maximum over any grid that contains this one: it is
+    (g - s, g + K delta^2/2 + s] for a swept row with grid maximum g, and
+    (-inf, U + s] for a row left out.
 
     The chunk and tile layout depends only on the replicate list and the
     grid size, and every sum is over integers, so results are identical for
@@ -267,20 +283,27 @@ def _sweep(
     def run(ids):
         coefs = _coefficients(model, seed, ids)
         sums = np.zeros((3 if ec else 1, len(levels)), dtype=np.int64)
-        tops = []
-        for lo in range(0, len(coefs), rows):
-            tile = coefs[lo : lo + rows] @ basis  # (rows, n_points)
+        slack = 1e-9 * (1.0 + np.abs(coefs).sum(axis=1))
+        lo = np.full(len(coefs), -np.inf)
+        hi = model.sup_bound(coefs, grid.domain.lower, grid.domain.upper) + slack
+        keep = np.flatnonzero(hi >= levels.min())
+        kept = coefs[keep]
+        tops = [np.empty(0)]
+        for start in range(0, len(kept), rows):
+            tile = kept[start : start + rows] @ basis  # (rows, n_points)
             tops.append(tile.max(axis=1))
-            sums[0] += np.count_nonzero(tops[-1] >= levels[:, None], axis=1)
+            reached = tops[-1] >= levels[:, None]
+            sums[0] += np.count_nonzero(reached, axis=1)
             if ec:
-                for i, u in enumerate(levels):
-                    mask = (tile >= u).reshape((-1,) + grid.shape)
+                for i in np.flatnonzero(reached.any(axis=1)):
+                    mask = (tile >= levels[i]).reshape((-1,) + grid.shape)
                     chi = _euler(_cell_counts(mask, grid.domain.dim))
                     sums[1:, i] += chi.sum(), (chi * chi).sum()
         top = np.concatenate(tops)
-        slack = 1e-9 * (1.0 + np.abs(coefs).sum(axis=1))
-        curv = np.hypot(coefs[:, 1::2], coefs[:, 2::2]) @ (model.freqs**2).sum(axis=1)
-        return sums, top - slack, top + curv * half_delta2 + slack
+        curv = np.hypot(kept[:, 1::2], kept[:, 2::2]) @ (model.freqs**2).sum(axis=1)
+        lo[keep] = top - slack[keep]
+        hi[keep] = top + curv * half_delta2 + slack[keep]
+        return sums, lo, hi
 
     items = [replicates[a:b] for a, b in _chunk_ranges(len(replicates))]
     if threads <= 1:

@@ -628,15 +628,23 @@ SPECTRAL_ATOMS = dict(freqs=np.eye(2), weights=np.ones(2))
         (GaussianIncrementField, dict(dim=2, offset_var="0")),
         (SpectralSumField, dict(SPECTRAL_ATOMS, offset_var=True)),
         (SpectralSumField, dict(SPECTRAL_ATOMS, offset_var="1")),
+        (SpectralSumField, dict(freqs=[[True, False]], weights=[True])),
+        (SpectralSumField, dict(freqs=[["1", "0"]], weights=["1"])),
+        (SpectralSumField, dict(freqs=[[1.0, 0.0]], weights=[True])),
+        (SpectralSumField, dict(freqs=np.array([[1.0, True]], dtype=object), weights=[1.0])),
+        (SpectralSumField, dict(freqs=[[1.0, 0.0], [1.0]], weights=[1.0, 1.0])),
     ],
     ids=[
         "dim-float", "dim-bool", "dim-str", "scale-str", "scale-bool",
         "offset-bool", "offset-str", "spectral-offset-bool", "spectral-offset-str",
+        "spectral-bool", "spectral-str", "spectral-weight-bool", "spectral-freq-bool",
+        "spectral-ragged",
     ],
 )
 def test_model_parameters_must_be_numbers(model, kwargs):
     # a float or bool dimension used to be truncated, a string scale raised a
-    # bare TypeError, and a bool offset variance was read as 1.0
+    # bare TypeError, a bool offset variance was read as 1.0, and bool or
+    # string atoms were read as the numbers they convert to
     with pytest.raises(ConfigError):
         model(**kwargs)
 

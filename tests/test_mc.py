@@ -489,11 +489,106 @@ def test_curvature_bound_holds_on_a_finer_grid(model, domain, points):
     # the finer grid climbs above some coarse maxima, and the bound is not
     # slack by orders of magnitude
     assert np.max((g4 - g) / (bound - g)) > 0.1
-    # _sweep's band is this bound widened by its slack on both sides
-    _, lo, hi = mc_mod._sweep(model, grid, seed, range(reps), [0.0], 1)
+    # _sweep's band: for a swept replicate, this bound widened by its slack
+    # on both sides; for one whose sup bound U + s is below the level, and
+    # no other, (-inf, U + s], which holds the finer grid's maximum
+    level = 0.0
+    _, lo, hi = mc_mod._sweep(model, grid, seed, range(reps), [level], 1)
     slack = 1e-9 * (1.0 + np.abs(coefs).sum(axis=1))
-    assert np.allclose(lo, g - slack, rtol=0.0, atol=1e-13)
-    assert np.allclose(hi, bound + slack, rtol=0.0, atol=1e-13)
+    sup = model.sup_bound(coefs, domain.lower, domain.upper) + slack
+    pruned = lo == -np.inf
+    assert pruned.any() and not pruned.all()
+    assert np.array_equal(pruned, sup < level)
+    assert np.allclose(lo[~pruned], (g - slack)[~pruned], rtol=0.0, atol=1e-13)
+    assert np.allclose(hi[~pruned], (bound + slack)[~pruned], rtol=0.0, atol=1e-13)
+    assert np.array_equal(hi[pruned], sup[pruned])
+    assert np.all(g4[pruned] <= hi[pruned])
+
+
+# the four fields of the band test, a rectangle away from the origin with
+# negative frequencies, and a separable field whose first atom's phase runs
+# over 7.5 > 2 pi
+SUP_CASES = [
+    (cosine(), RectDomain([0.0, 0.0], [PI, PI]), 5, True),
+    (OBLIQUE2, RectDomain([0.0, 0.0], [2.5, 2.0]), (4, 6), False),
+    (SPECTRAL3, RectDomain([0.0, 0.0, 0.0], [PI, PI, 2.0]), 4, False),
+    (cosine(), RectDomain([0.0, 0.0], [PI / 2, PI]), (3, 5), True),
+    (
+        SpectralSumField(freqs=[[-1.3, 0.4], [0.2, -2.1]], weights=[0.6, 0.3]),
+        RectDomain([0.5, -2.0], [2.0, -0.5]),
+        6,
+        False,
+    ),
+    (
+        SpectralSumField(freqs=[[3.0, 0.0], [0.0, -0.8]], weights=[0.4, 0.5]),
+        RectDomain([0.0, 0.0], [2.5, 1.0]),
+        (9, 4),
+        True,
+    ),
+]
+
+
+@pytest.mark.parametrize("model,domain,points,separable", SUP_CASES)
+def test_sup_bound_holds_on_a_finer_grid(model, domain, points, separable):
+    # U = c0 + sum_m (max over the atom's phase range - A_m) bounds every
+    # replicate's maximum on the 4R-3 grid; on separable fields it is the
+    # supremum itself, so it exceeds that grid's maximum by no more than the
+    # grid's curvature gap K delta^2 / 2
+    reps, seed = 400, 6
+    fine4 = GridSpec(domain, tuple(4 * n - 3 for n in GridSpec(domain, points).shape))
+    coefs = mc_mod._coefficients(model, seed, range(reps))
+    g4 = sweep_values(model, fine4, seed, reps).reshape(reps, -1).max(axis=1)
+    sup = model.sup_bound(coefs, domain.lower, domain.upper)
+    assert sup.shape == (reps,)
+    assert np.all(g4 <= sup + 1e-12)
+    if separable:
+        curv = np.hypot(coefs[:, 1::2], coefs[:, 2::2]) @ (model.freqs**2).sum(axis=1)
+        h = (np.array(domain.upper) - np.array(domain.lower)) / (np.array(fine4.shape) - 1)
+        assert np.all(sup - g4 <= curv * (h @ h / 4) / 2 + 1e-12)
+
+
+def test_sweep_skips_replicates_below_every_level(monkeypatch):
+    # above every replicate's sup bound, no tile is formed or counted, every
+    # band is (-inf, U + s], and mc_estimates builds no refined basis
+    dom = RectDomain([0.0, 0.0], [PI, PI])
+    counted, built = [], []
+    cell_counts, basis = mc_mod._cell_counts, mc_mod._basis
+
+    def count_spy(mask, ndim):
+        counted.append(mask)
+        return cell_counts(mask, ndim)
+
+    def basis_spy(model, pts):
+        built.append(len(pts))
+        return basis(model, pts)
+
+    monkeypatch.setattr(mc_mod, "_cell_counts", count_spy)
+    monkeypatch.setattr(mc_mod, "_basis", basis_spy)
+    coefs = mc_mod._coefficients(cosine(), 0, range(700))
+    level = float(cosine().sup_bound(coefs, dom.lower, dom.upper).max()) + 0.5
+    sums, lo, hi = mc_mod._sweep(cosine(), GridSpec(dom, 17), 0, range(700), [level], 1, ec=True)
+    assert not sums.any() and counted == []
+    assert np.all(lo == -np.inf) and np.all(hi < level)
+    built.clear()
+    _, fine, rows = mc_mod.mc_estimates(cosine(), dom, [level], 17, 700, 0)
+    assert built == [17**2] and counted == []
+    assert rows == [(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)]
+
+    # at levels 3 and 4, with one-row tiles, the Euler cells are counted
+    # once per replicate and level its grid maximum reaches, and no more
+    monkeypatch.setattr(mc_mod, "MAX_BLOCK_BYTES", 8 * 17**2)
+    assert mc_mod._tile_rows(17**2) == 1
+    levels = (3.0, 4.0)
+    vals = sweep_values(cosine(), GridSpec(dom, 17), 0, 700)
+    tops = vals.reshape(700, -1).max(axis=1)
+    counted.clear()
+    rows = mc_mean_ec(cosine(), dom, levels, 17, 700, 0)
+    assert len(counted) == sum(np.count_nonzero(tops >= u) for u in levels)
+    assert all(mask.any() for mask in counted)
+    # the Euler means equal those of every replicate's own excursion set
+    for u, (p, _, mean_chi, _) in zip(levels, rows):
+        assert p == np.count_nonzero(tops >= u) / 700
+        assert mean_chi == sum(empirical_ec(v, u).chi for v in vals) / 700
 
 
 @pytest.mark.parametrize("threads", [1, 2])
