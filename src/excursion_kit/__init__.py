@@ -11,6 +11,7 @@ from .errors import (
     ConfigError,
     DegenerateModelError,
     DegeneracyError,
+    DomainError,
     ExcursionError,
     ModelInconsistencyError,
     NumericError,
@@ -18,7 +19,6 @@ from .errors import (
     QuadratureWarning,
 )
 from .geometry import (
-    DomainError,
     Face,
     OutwardCone,
     RectDomain,

@@ -37,7 +37,7 @@ from .errors import (
     finite_levels,
 )
 from .field import FieldModel, check_h2, derivative_consistency, field_from_dict
-from .geometry import DomainError, Face, RectDomain, enumerate_faces, face_label, outward_cone
+from .geometry import Face, RectDomain, enumerate_faces, face_label, outward_cone
 from .mec import (
     condition_check,
     excursion_prob_mu,
@@ -161,11 +161,7 @@ def build_config(data: dict, args: argparse.Namespace) -> RunConfig:
     ends = [dom.get(k) for k in ("lower", "upper")] if isinstance(dom, dict) else [None]
     if not all(isinstance(e, list) for e in ends):
         raise ConfigError("config needs a 'domain' with lower/upper lists")
-    try:
-        domain = RectDomain(*([config_number(float, x, "domain endpoint") for x in e] for e in ends))
-    except DomainError as exc:
-        # it already names the axis
-        raise ConfigError(str(exc)) from exc
+    domain = RectDomain(*([config_number(float, x, "domain endpoint") for x in e] for e in ends))
     if domain.dim != model.dim:
         raise ConfigError(
             f"domain dimension {domain.dim} does not match field dimension {model.dim}"
@@ -519,7 +515,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "mc":
             return cmd_mc(cfg)
         return cmd_validate(cfg)
-    except (ConfigError, DomainError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CapabilityError as exc:

@@ -2,6 +2,9 @@
 
 The CLI maps these onto exit codes: configuration problems exit 2,
 capability limits exit 3, numeric failures exit 4, validation failures 5.
+A malformed rectangle or face, or a point outside it, is a DomainError:
+a ConfigError, since a config's domain is input, and a ValueError, since a
+library caller's is an argument.
 ``config_number`` converts every number of a config, a field spec or a
 flag, so each malformed one is a ConfigError; ``finite_levels`` checks
 every level vector, of a config or of a library call.
@@ -15,6 +18,7 @@ import numbers
 __all__ = [
     "ExcursionError",
     "ConfigError",
+    "DomainError",
     "CapabilityError",
     "NumericError",
     "QuadratureError",
@@ -37,6 +41,10 @@ class ExcursionError(Exception):
 
 class ConfigError(ExcursionError):
     """Malformed configuration, flags, or input files."""
+
+
+class DomainError(ConfigError, ValueError):
+    """Raised for malformed rectangles and faces, or points outside them."""
 
 
 class CapabilityError(ExcursionError):

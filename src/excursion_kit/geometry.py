@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CapabilityError
+from .errors import CapabilityError, DomainError
 
 __all__ = [
     "DomainError",
@@ -32,10 +32,6 @@ __all__ = [
 
 # Cap on the dimension for full face enumeration (3^N growth).
 MAX_ENUM_DIM = 6
-
-
-class DomainError(ValueError):
-    """Raised for malformed rectangles and faces, or points outside them."""
 
 
 @dataclass(frozen=True)
@@ -143,10 +139,6 @@ class OutwardCone:
     """
 
     constraints: tuple[tuple[int, int], ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.constraints)
 
     def signs(self) -> np.ndarray:
         return np.array([s for _, s in self.constraints], dtype=float)

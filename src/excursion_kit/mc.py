@@ -169,8 +169,8 @@ def _cell_counts(mask: np.ndarray, ndim: int) -> list[np.ndarray]:
     lead = mask.ndim - ndim
 
     def count(arr):
-        # count_nonzero over a whole contiguous slice is far faster than a
-        # bool sum over axes
+        # one count_nonzero per replicate row: 45 us on a (16, 128, 127) tile,
+        # against 125-137 us for a bool or uint8 sum or count_nonzero(axis=)
         if lead == 0:
             return np.count_nonzero(arr)
         return np.array([np.count_nonzero(rep) for rep in arr], dtype=np.int64)

@@ -130,7 +130,9 @@ class FaceContext:
 
     The model's face kernel is built once per face; per point it gives
     nu - sigma0^2, c and |Lambda_J - Lambda_J(t)| (see
-    FieldModel.face_kernel).
+    FieldModel.face_kernel).  ``arrays`` evaluates the points it is given
+    in one call; the face integrand of _face_term gives it at most
+    POINT_BLOCK at a time.
 
     DomainError when the face's domain and the model differ in dimension;
     DegenerateModelError when Lambda_J or Lambda has a condition number
@@ -169,20 +171,7 @@ class FaceContext:
     def arrays(self, pts: np.ndarray) -> _FaceData:
         """Evaluate theta^2, gamma^2, |Lambda_J - Lambda_J(t)| and the
         cross-covariance of (X, fixed gradients) given the free gradients at
-        an (m, k) array of face points.
-
-        The field runs on at most POINT_BLOCK points at a time, so memory
-        does not grow with m.  Every expression is per point, so the blocks
-        concatenate to the values of one unblocked evaluation."""
-        if len(pts) <= POINT_BLOCK:
-            return self._block_arrays(pts)
-        blocks = [
-            self._block_arrays(pts[i : i + POINT_BLOCK])
-            for i in range(0, len(pts), POINT_BLOCK)
-        ]
-        return _FaceData(*(np.concatenate(col) for col in zip(*blocks)))
-
-    def _block_arrays(self, pts: np.ndarray) -> _FaceData:
+        an (m, k) array of face points, all per point."""
         face = self.face
         g, c, det_diff = self.kernel(embed_points(face, pts))
         nu = self.model.offset_var + g
@@ -269,19 +258,27 @@ def _face_term(
         signs = outward_cone(face).signs()
 
     def integrand(x):
-        # x holds free face coordinates (m, k); one row per level
+        # x holds free face coordinates (m, k); one row per level.  The body
+        # runs on at most POINT_BLOCK points at a time, so no per-point array
+        # grows with m; every expression is per point, so the blocks fill in
+        # the values of one unblocked evaluation
+        out = np.empty((len(levels), len(x)))
+        for i in range(0, len(x), POINT_BLOCK):
+            block_rows(x[i : i + POINT_BLOCK], out[:, i : i + POINT_BLOCK])
+        return out
+
+    def block_rows(x, out):
         d = ctx.arrays(x)
         ok = d.theta_sq >= DEGENERATE_VAR
         if q:
             ok &= d.gamma_sq >= DEGENERATE_VAR
         theta = np.sqrt(np.where(ok, d.theta_sq, 1.0))
-        out = np.empty((len(levels), len(x)))
         if not q:
             weight = np.where(ok, d.det_diff * theta ** (-k), 0.0)
             for row, u in zip(out, levels):
                 a = u / theta
                 row[:] = weight * hermite(k - 1, a) * np.exp(-0.5 * (a * a))
-            return out
+            return
         # the pinned gradients given X = u: mean u b / theta^2 and covariance
         # C = S - b^T b / theta^2; per unit u, their standardized outward mean
         theta_sq = np.where(ok, d.theta_sq, 1.0)
@@ -302,7 +299,6 @@ def _face_term(
             else:
                 p = _quadrant(-u * slope[:, 0], -u * slope[:, 1], rho)
             row[:] = weight * std_normal_pdf(a) * p
-        return out
 
     results = integrate_face(face, integrand, spec)
     return [QuadResult(pref * r.value, pref * r.err_est, r.converged) for r in results]

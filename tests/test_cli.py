@@ -127,6 +127,17 @@ def test_bad_domain_is_config_error(tmp_path, capsys):
         ({"mc": {"grid": "9"}}, []),
         ({"mc": {"grid": ["9", 9]}}, []),
         ({"quad": {"order_per_axis": "8"}}, []),
+        ({"levels": {"start": 1.0, "stop": math.inf, "step": 1.0}}, []),
+        ({"levels": [3.0, 2.0]}, []),
+        ({"levels": {"start": 1.0, "stop": 2.0, "step": 1.0, "count": 2}}, []),
+        ({"levels": {"start": 1.0, "stop": 2.0}}, []),
+        ({"levels": 5.0}, []),
+        ({"domain": {"lower": [0.0, 0.0, 0.0], "upper": [PI, PI, PI]}}, []),
+        ({"quad": [24]}, []),
+        ({"mc": 9}, []),
+        ({"mc": {"grid": 9, "tiles": 2}}, []),
+        ({"seed": 2**64}, []),
+        ({}, ["--threads", "0"]),
     ],
 )
 def test_malformed_values_are_config_errors(tmp_path, capsys, overrides, flags):
@@ -273,6 +284,49 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
 def test_missing_config_file(capsys):
     code, _ = run(capsys, ["compute", "--config", "/nonexistent/nope.json"])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("{", "is not valid JSON"),
+        ("[1, 2]", "config root must be a JSON object"),
+        ('{"domain": {"lower": [0.0], "upper": [1.0]}}', "config needs a 'field' spec"),
+    ],
+    ids=["invalid-json", "root-not-object", "no-field"],
+)
+def test_unusable_config_file_is_config_error(tmp_path, capsys, text, message):
+    path = tmp_path / "run.json"
+    path.write_text(text)
+    assert cli.main(["faces", "--config", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["compute", "--config", "BARE", "--method", "mu_approx"], "compute needs levels"),
+        (["compute", "--config", "BARE", "--levels", "5:5:1"], "compute needs a method"),
+        (["mc", "--config", "BARE"], "mc needs levels"),
+        (["faces"], "--config is required"),
+    ],
+    ids=["compute-levels", "compute-method", "mc-levels", "no-config"],
+)
+def test_missing_inputs_are_config_errors(tmp_path, capsys, argv, message):
+    # BARE names a config with a field and a domain only
+    path = tmp_path / "bare.json"
+    bare = {"field": {"type": "cosine"}, "domain": {"lower": [0.0, 0.0], "upper": [PI, PI]}}
+    path.write_text(json.dumps(bare))
+    assert cli.main([str(path) if a == "BARE" else a for a in argv]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_numeric_error_exits_4(tmp_path, capsys):
+    # the maximizer (pi, pi/2) has a flat pinned derivative on axis 1 and a
+    # non-flat one on axis 2, which no Laplace form covers
+    cfg = write_config(tmp_path, domain={"lower": [0.0, 0.0], "upper": [PI, PI / 2]})
+    assert cli.main(["compute", "--config", cfg, "--method", "laplace"]) == 4
+    assert "mixed zero/nonzero pinned-direction derivatives" in capsys.readouterr().err
 
 
 def test_compute_out_file_and_report(tmp_path, capsys):

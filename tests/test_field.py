@@ -611,6 +611,20 @@ def test_field_from_dict_rejects_junk():
         )
     with pytest.raises(ConfigError):
         field_from_dict({"type": "gaussian_increment", "dim": 0})
+    one_atom = [{"freq": [1.0, 0.0], "weight": 0.5}]
+    for spec, message in (
+        ([{"type": "cosine"}], "field spec must be an object"),
+        ({"type": "spectral_sum", "atoms": one_atom, "seed": 1}, "unexpected keys for spectral_sum"),
+        ({"type": "gaussian_increment", "dim": 2, "freq": 1.0}, "unexpected keys for gaussian_increment"),
+        ({"type": "spectral_sum", "atoms": [{"freq": [1.0, 0.0]}]}, "each atom needs"),
+        ({"type": "spectral_sum", "atoms": [{"weight": 0.5}]}, "each atom needs"),
+        (
+            {"type": "spectral_sum", "atoms": [*one_atom, {"freq": [1.0], "weight": 0.5}]},
+            "atom frequencies must all have the same length",
+        ),
+    ):
+        with pytest.raises(ConfigError, match=message):
+            field_from_dict(spec)
 
 
 SPECTRAL_ATOMS = dict(freqs=np.eye(2), weights=np.ones(2))
@@ -633,12 +647,14 @@ SPECTRAL_ATOMS = dict(freqs=np.eye(2), weights=np.ones(2))
         (SpectralSumField, dict(freqs=[[1.0, 0.0]], weights=[True])),
         (SpectralSumField, dict(freqs=np.array([[1.0, True]], dtype=object), weights=[1.0])),
         (SpectralSumField, dict(freqs=[[1.0, 0.0], [1.0]], weights=[1.0, 1.0])),
+        (SpectralSumField, dict(freqs=[[math.inf, 0.0]], weights=[1.0])),
+        (SpectralSumField, dict(freqs=[[1.0, 0.0]], weights=[math.nan])),
     ],
     ids=[
         "dim-float", "dim-bool", "dim-str", "scale-str", "scale-bool",
         "offset-bool", "offset-str", "spectral-offset-bool", "spectral-offset-str",
         "spectral-bool", "spectral-str", "spectral-weight-bool", "spectral-freq-bool",
-        "spectral-ragged",
+        "spectral-ragged", "spectral-inf-freq", "spectral-nan-weight",
     ],
 )
 def test_model_parameters_must_be_numbers(model, kwargs):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.special import erfc, ndtr
 
 import excursion_kit.gauss as gauss
-from excursion_kit.errors import CapabilityError
+from excursion_kit.errors import CapabilityError, DegeneracyError
 from excursion_kit.field import SpectralSumField
 from excursion_kit.gauss import (
     MvnProblem,
@@ -179,6 +179,9 @@ def test_mvn_psd_duplicate_coordinate():
     [res] = mvn_prob([MvnProblem(cov=cov, lower=[-1.0, -0.5], upper=[2.0, 1.0])])
     want = ndtr(1.0) - ndtr(-0.5)
     assert abs(res.p - want) <= max(3 * res.err_est, 1e-6)
+    # a symmetric matrix with a negative eigenvalue is no covariance
+    with pytest.raises(DegeneracyError, match="not positive semidefinite"):
+        mvn_prob([MvnProblem(cov=[[1.0, 2.0], [2.0, 1.0]], lower=[-1.0, -1.0], upper=[1.0, 1.0])])
 
 
 def test_mvn_deterministic_for_fixed_seed():
@@ -310,8 +313,15 @@ def test_mvn_interval_at_infinity_is_empty(d, end):
         ([[1.0]], [np.nan], [1.0]),
         ([[1.0, np.nan], [np.nan, 1.0]], [0.0, 0.0], [1.0, 1.0]),
         ([[np.inf]], [0.0], [1.0]),
+        (np.ones((2, 3)), [0.0, 0.0], [1.0, 1.0]),
+        (np.eye(2), [0.0], [1.0]),
+        ([[1.0, 0.5], [0.0, 1.0]], [0.0, 0.0], [1.0, 1.0]),
+        (np.eye(2), [1.0, 0.0], [0.0, 1.0]),
     ],
-    ids=["nan-lower", "nan-upper", "nan-1d", "nan-cov", "inf-cov"],
+    ids=[
+        "nan-lower", "nan-upper", "nan-1d", "nan-cov", "inf-cov",
+        "not-square", "bound-shape", "not-symmetric", "lower-above-upper",
+    ],
 )
 def test_mvn_problem_rejects_nan_bounds_and_nonfinite_cov(cov, lower, upper):
     # a NaN bound or covariance would give p = nan with the accuracy flag off
@@ -586,3 +596,5 @@ def test_mvn_dimension_cap():
 def test_hermite_degree_cap():
     with pytest.raises(CapabilityError):
         hermite(31, 0.0)
+    with pytest.raises(ValueError, match="degree must be nonnegative"):
+        hermite(-1, 0.0)

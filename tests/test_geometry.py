@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from excursion_kit.errors import CapabilityError
+from excursion_kit.errors import CapabilityError, ConfigError
 from excursion_kit.geometry import (
     DomainError,
     Face,
@@ -98,6 +98,33 @@ def test_degenerate_domain_names_axis():
 def test_nonfinite_domain_rejected():
     with pytest.raises(DomainError):
         RectDomain([0.0], [math.inf])
+
+
+SQUARE = RectDomain([0.0, 0.0], [1.0, 1.0])
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: RectDomain([0.0, 0.0], [1.0]), "lower has length 2 but upper has length 1"),
+        (lambda: RectDomain([], []), "rectangle needs at least one axis"),
+        (lambda: Face(SQUARE, (1, 0), ()), "sigma must be strictly ascending"),
+        (lambda: Face(SQUARE, (), ((1, 0), (0, 0))), "fixed axes must be strictly ascending"),
+        (lambda: Face(SQUARE, (0,), ()), "must partition"),
+        (lambda: Face(SQUARE, (0,), ((1, 2),)), "endpoint selector for axis 2 must be 0 or 1"),
+        (lambda: face_of_point(SQUARE, [0.5]), r"expected \(2,\)"),
+        (lambda: face_of_point(SQUARE, [0.5, 1.5]), "axis 2: coordinate 1.5 outside"),
+    ],
+    ids=[
+        "ragged-ends", "no-axis", "sigma-order", "fixed-order", "partition",
+        "endpoint-selector", "point-shape", "point-outside",
+    ],
+)
+def test_malformed_geometry_is_a_domain_error(build, message):
+    with pytest.raises(DomainError, match=message) as exc:
+        build()
+    # a config's domain and a library caller's argument both
+    assert isinstance(exc.value, ConfigError) and isinstance(exc.value, ValueError)
 
 
 def test_face_cap():

@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +12,9 @@ from excursion_kit.errors import (
     AmbiguousMaximizerError,
     CapabilityError,
     ConfigError,
+    DegeneracyError,
     DegenerateModelError,
+    ModelInconsistencyError,
     NumericError,
 )
 from excursion_kit.field import CosineField, GaussianIncrementField, SpectralSumField, max_variance
@@ -147,6 +151,46 @@ def test_vertex_context_rejects_singular_gradient_covariance():
     vert = enumerate_faces(RectDomain([0.0, 0.0], [1.0, 1.0]))[-1]
     with pytest.raises(DegenerateModelError, match="gradient covariance has condition number"):
         mec.FaceContext(m, vert)
+
+
+class OverstatedGradientCosine(CosineField):
+    """CosineField whose face kernels report twice c = grad nu / 2."""
+
+    def face_kernel(self, sig):
+        kernel = super().face_kernel(sig)
+
+        def overstated(t):
+            g, c, det = kernel(t)
+            return g, 2.0 * c, det
+
+        return overstated
+
+
+class IndefiniteLambdaCosine(CosineField):
+    """CosineField with the well-conditioned but indefinite Lambda
+    diag(1/2, -1/2), which no variogram has."""
+
+    @property
+    def lambda_mat(self):
+        return np.diag([0.5, -0.5])
+
+
+@pytest.mark.parametrize("index, name", [(0, "theta^2"), (-1, "gamma^2")], ids=["interior", "vertex"])
+def test_overstated_gradient_is_a_model_inconsistency(index, name):
+    # on [0, pi/2]^2 the overstated c gives theta^2 = 3 - cos t_1 - cos t_2 -
+    # 2 (sin^2 t_1 + sin^2 t_2) < 0 near (pi/2, pi/2), and at that vertex,
+    # where theta^2 = nu, gamma^2 = -1
+    face = enumerate_faces(RectDomain([0.0, 0.0], [PI / 2, PI / 2]))[index]
+    with pytest.raises(ModelInconsistencyError, match=re.escape(f"{name} negative beyond tolerance")):
+        mec._face_term(OverstatedGradientCosine(), face, (4.0,), SPEC, cone=False)
+
+
+def test_indefinite_gradient_covariance_is_degenerate():
+    # Lambda_J = 1/2 passes the condition cap, but the pinned gradient's
+    # covariance given the free one is -1/2
+    face = edge(RectDomain([0.0, 0.0], [PI, PI]), 0, 1, upper=True)
+    with pytest.raises(DegeneracyError, match="conditional gradient covariance singular"):
+        mec._face_term(IndefiniteLambdaCosine(), face, (4.0,), SPEC, cone=True)
 
 
 # ---------------------------------------------------------------------------
@@ -510,25 +554,39 @@ def test_mu_dimension_cap():
         excursion_prob_mu(m, dom, [3.0], SPEC)
 
 
-def test_face_arrays_blocks_equal_one_unblocked_evaluation(monkeypatch):
+def oblique4_interior():
     # oblique frequencies couple every axis; the 24^4 Gauss-Legendre nodes
-    # of an interior-face box span eleven blocks
+    # of the default spec's interior-face box span eleven blocks
     rng = np.random.default_rng(4)
     model = SpectralSumField(
         freqs=rng.normal(size=(6, 4)), weights=rng.uniform(0.2, 1.0, 6), offset_var=1.0
     )
     face = enumerate_faces(RectDomain([0.0] * 4, [2.0, 1.5, 1.8, 1.2]))[0]
-    lo, hi = face.free_bounds()
-    x = 0.5 * (np.polynomial.legendre.leggauss(24)[0] + 1.0)
-    mesh = np.meshgrid(*(lo[i] + (hi[i] - lo[i]) * x for i in range(4)), indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    assert face.k == 4 and len(pts) > mec.POINT_BLOCK
-    ctx = mec.FaceContext(model, face)
-    blocked = ctx.arrays(pts)
-    monkeypatch.setattr(mec, "POINT_BLOCK", len(pts))
-    whole = ctx.arrays(pts)
-    for name, got, want in zip(whole._fields, blocked, whole):
-        assert got.shape == want.shape and np.array_equal(got, want), name
+    assert face.k == 4 and 24**4 > mec.POINT_BLOCK
+    return model, face
+
+
+def test_face_term_blocks_equal_one_unblocked_evaluation(monkeypatch):
+    model, face = oblique4_interior()
+    levels = (4.0, 6.0)
+    blocked = mec._face_term(model, face, levels, QuadSpec(), cone=False)
+    monkeypatch.setattr(mec, "POINT_BLOCK", 24**4)
+    whole = mec._face_term(model, face, levels, QuadSpec(), cone=False)
+    assert [tuple(r) for r in blocked] == [tuple(r) for r in whole]
+
+
+def test_face_term_memory_stays_at_the_block():
+    # with the cached unit nodes warm, the term peaks near 24 MB; when the
+    # per-point factors of the face term spanned the whole box, near 41 MB
+    model, face = oblique4_interior()
+    mec._face_term(model, face, (4.0, 6.0), QuadSpec(), cone=False)
+    tracemalloc.start()
+    try:
+        mec._face_term(model, face, (4.0, 6.0), QuadSpec(), cone=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30 * 2**20
 
 
 def test_vertex_levels_draw_no_qmc_points(monkeypatch):
@@ -760,6 +818,21 @@ def test_laplace_flat_maximizer_not_negative_definite():
     )
     dom = RectDomain([0.5], [2 * PI - 0.5])
     with pytest.raises(NumericError):
+        laplace_mec_result(m, dom, [8.0])
+
+
+def test_laplace_indefinite_theta_on_an_adjacent_face():
+    # the variance maximum 13 at the flat vertex (pi, pi) is strict, but the
+    # (1, -1) atom's positive curvature there leaves Theta on the interior
+    # face an eigenvalue 1 - (1/2) / 3.5 > 0 along (1, -1)
+    m = SpectralSumField(
+        freqs=np.array([[1.0, -1.0], [1.0, 0.0], [0.0, 1.0]]),
+        weights=np.array([1.0, 1.5, 1.5]),
+        offset_var=1.0,
+    )
+    dom = RectDomain([0.0, 0.0], [PI, PI])
+    assert prepare_laplace_inputs(m, dom).classification == "face-critical"
+    with pytest.raises(NumericError, match=re.escape("Theta on face 2|{1,2}|{} is not negative definite")):
         laplace_mec_result(m, dom, [8.0])
 
 

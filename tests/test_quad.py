@@ -161,6 +161,26 @@ def test_nonfinite_integrand_raises():
         integrate_box(f, [0.0], [1.0], SPEC)
 
 
+@pytest.mark.parametrize(
+    "run, error, message",
+    [
+        (lambda: integrate_box(lambda t: np.ones((len(t), 2)), [0.0], [1.0]), QuadratureError, "returned shape"),
+        (lambda: integrate_box(np.ones_like, [0.0, 0.0], [1.0]), ValueError, "matching vectors"),
+        (lambda: integrate_box(np.ones_like, [1.0], [0.0]), ValueError, "lower < upper"),
+        (
+            lambda: integrate_face(Face(RectDomain([0.0], [1.0]), (), ((0, 0),)), np.ones_like),
+            ValueError,
+            "at least one free axis",
+        ),
+        (lambda: integrate_cone(OutwardCone(()), None, np.ones_like), ValueError, "nothing to integrate"),
+    ],
+    ids=["integrand-shape", "ragged-bounds", "inverted-bounds", "vertex-face", "empty-cone"],
+)
+def test_unusable_quadrature_input_raises(run, error, message):
+    with pytest.raises(error, match=message):
+        run()
+
+
 def test_integrate_face_matches_box():
     dom = RectDomain([0.0, 0.0], [2.0, 3.0])
     face = Face(domain=dom, sigma=(1,), epsilon=((0, 1),))
